@@ -172,7 +172,6 @@ fn bench_server(c: &mut Criterion) {
             let server: RxServer<StandardReceiver> = RxServer::new(ServerConfig {
                 threads,
                 queue_capacity: 64,
-                ..Default::default()
             });
             let handles: Vec<_> = (0..sessions)
                 .map(|_| {
@@ -218,7 +217,6 @@ fn bench_server(c: &mut Criterion) {
         let server: RxServer<CpRecycleReceiver> = RxServer::new(ServerConfig {
             threads,
             queue_capacity: 64,
-            ..Default::default()
         });
         let handles: Vec<_> = (0..sessions)
             .map(|_| {

@@ -30,6 +30,10 @@ impl<T> JoinHandle<T> {
     /// this is a scheduler join (with view propagation); a child that never
     /// produced a value means the execution is aborting, and the join
     /// unwinds with the abort token instead of returning.
+    ///
+    /// A destructor joining during a failure unwind (a pool shutting down in
+    /// its `Drop`) is outside the scheduler: the join returns `Err` at once
+    /// instead of blocking, and the aborting execution tears the lane down.
     pub fn join(self) -> std::thread::Result<T> {
         match self.inner {
             Inner::Std(h) => h.join(),
@@ -38,7 +42,9 @@ impl<T> JoinHandle<T> {
                 target,
                 result,
             } => {
-                let (cur_shared, tid) = exec::current().expect("model join from non-model thread");
+                let Some((cur_shared, tid)) = exec::current() else {
+                    return Err(Box::new(AbortToken));
+                };
                 debug_assert!(Arc::ptr_eq(&cur_shared, &shared));
                 while !shared.thread_try_join(tid, target) {}
                 match result.lock().expect("result slot poisoned").take() {

@@ -61,8 +61,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chunk_pool;
-pub mod clock;
 pub mod config;
 pub mod decision;
 pub mod estimator;
@@ -75,7 +73,6 @@ pub mod server;
 pub mod session;
 pub mod sphere_ml;
 
-pub use chunk_pool::{ChunkPool, ChunkPoolStats, PooledBuf};
 pub use config::{CpRecycleConfig, CpRecycleConfigBuilder, DecisionStage, KernelPrecision};
 pub use decision::{
     DecoderScratch, LatticePoint, NaiveCentroidDecoder, OracleSegmentDecoder,

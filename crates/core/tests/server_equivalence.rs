@@ -212,7 +212,6 @@ proptest! {
         let server: RxServer<StandardReceiver> = RxServer::new(ServerConfig {
             threads,
             queue_capacity: 4, // small on purpose: blocking push exercises backpressure
-            ..Default::default()
         });
         let handles: Vec<_> = (0..n_sessions)
             .map(|_| server.add_session(StandardReceiver::new(params()), SessionConfig::default()))
@@ -501,7 +500,6 @@ fn full_queue_rejects_without_dropping_or_reordering() {
     let server: RxServer<GatedReceiver> = RxServer::new(ServerConfig {
         threads: 1,
         queue_capacity: 2,
-        ..Default::default()
     });
     let handle = server.add_session(
         GatedReceiver {
@@ -561,6 +559,113 @@ fn full_queue_rejects_without_dropping_or_reordering() {
         })
         .collect();
     assert_eq!(decoded, payloads);
+}
+
+// ---------------------------------------------------------------------------
+// Fairness: a backlogged session yields the worker to other waiting sessions.
+// ---------------------------------------------------------------------------
+
+/// A [`GatedReceiver`] that appends its session tag to a shared log on every
+/// frame decode, so a test can read the global order in which the worker serviced
+/// frames across sessions.
+struct TaggedReceiver {
+    gated: GatedReceiver,
+    tag: usize,
+    log: Arc<Mutex<Vec<usize>>>,
+}
+
+impl FrameReceiver for TaggedReceiver {
+    type Stream = <StandardReceiver as FrameReceiver>::Stream;
+
+    fn params(&self) -> &OfdmParams {
+        self.gated.params()
+    }
+
+    fn new_stream(&self, persistence: ModelPersistence) -> Self::Stream {
+        self.gated.new_stream(persistence)
+    }
+
+    fn begin_frame(&self, stream: &mut Self::Stream) {
+        self.gated.begin_frame(stream);
+    }
+
+    fn decode_stream(
+        &self,
+        stream: &mut Self::Stream,
+        samples: &[Complex],
+        frame_start: usize,
+        info: Option<FrameInfo>,
+    ) -> ofdmphy::Result<RxFrame> {
+        self.log.lock().unwrap().push(self.tag);
+        self.gated.decode_stream(stream, samples, frame_start, info)
+    }
+}
+
+/// On a one-worker server, session A is filled to capacity while the worker is
+/// wedged inside A's first frame, then session B queues one chunk. Every chunk
+/// carries one whole frame, so the decode log is the service order. B's frame must
+/// decode while A still has a backlog: the fairness budget re-enqueues A behind B
+/// instead of letting it drain its whole queue first.
+#[test]
+fn fairness_budget_services_a_waiting_session_before_a_backlog_drains() {
+    const CAPACITY: usize = 48;
+    let params = params();
+    let tx = Transmitter::new(params.clone());
+    let frame_chunk = |payload: &[u8]| {
+        let mut c = vec![Complex::zero(); 300];
+        c.extend(tx.build_frame(payload, mcs(), 0x5D).unwrap().samples);
+        c.extend(vec![Complex::zero(); 300]);
+        c
+    };
+    let chunk_a = frame_chunk(b"backlogged station");
+    let chunk_b = frame_chunk(b"waiting station");
+
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let server: RxServer<TaggedReceiver> = RxServer::new(ServerConfig {
+        threads: 1,
+        queue_capacity: CAPACITY,
+    });
+    let session = |tag: usize, gate: &Arc<Gate>| {
+        server.add_session(
+            TaggedReceiver {
+                gated: GatedReceiver {
+                    inner: StandardReceiver::new(params.clone()),
+                    gate: Arc::clone(gate),
+                },
+                tag,
+                log: Arc::clone(&log),
+            },
+            SessionConfig::default(),
+        )
+    };
+    let gate_a = Gate::new();
+    let gate_b = Gate::new();
+    gate_b.open();
+    let a = session(0, &gate_a);
+    let b = session(1, &gate_b);
+
+    a.push(&chunk_a).unwrap();
+    gate_a.wait_entered(); // the only worker is inside A's first frame
+    for _ in 0..CAPACITY {
+        a.try_push(&chunk_a).unwrap();
+    }
+    assert_eq!(a.try_push(&chunk_a), Err(PushError::Full));
+    b.push(&chunk_b).unwrap();
+    gate_a.open();
+    server.drain();
+
+    let log = log.lock().unwrap().clone();
+    assert_eq!(log.iter().filter(|&&tag| tag == 0).count(), CAPACITY + 1);
+    let b_at = log
+        .iter()
+        .position(|&tag| tag == 1)
+        .expect("session B decoded its frame");
+    let a_after_b = log.len() - b_at - 1;
+    assert!(
+        a_after_b > 0 && b_at < CAPACITY / 2,
+        "B was serviced at position {b_at}, with {a_after_b} of A's frames after it"
+    );
+    server.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -694,16 +799,16 @@ fn handle_flush_is_ordered_with_pushes() {
 }
 
 // ---------------------------------------------------------------------------
-// Shutdown and flush against a full ring (control items bypass backpressure).
+// Shutdown and flush against a full queue (flushes bypass backpressure).
 // ---------------------------------------------------------------------------
 
 /// Regression: `shutdown` (and `handle.flush`) must complete even when a session's
-/// ingress ring is full and the only worker is wedged mid-decode. The final flush
-/// rides the ticketed control path, not the ring, so it can always be accepted; a
-/// producer parked in a blocking `push` must wake with `Closed` instead of
-/// deadlocking against the flush. A hang here fails via the test harness timeout.
+/// ingress queue is full and the only worker is wedged mid-decode. A flush does not
+/// count against the queue capacity, so it can always be accepted; a producer
+/// blocked in `push` must wake with `Closed` instead of deadlocking against the
+/// flush. A hang here fails via the test harness timeout.
 #[test]
-fn shutdown_completes_while_rings_are_full() {
+fn shutdown_completes_while_queues_are_full() {
     let (capture, payloads) = station_capture(0x51DE, 1, 48);
     let cut = capture.len() / 2;
 
@@ -711,7 +816,6 @@ fn shutdown_completes_while_rings_are_full() {
     let server: RxServer<GatedReceiver> = RxServer::new(ServerConfig {
         threads: 1,
         queue_capacity: 2,
-        ..Default::default()
     });
     let server = Arc::new(server);
     let handle = server.add_session(
@@ -722,7 +826,7 @@ fn shutdown_completes_while_rings_are_full() {
         SessionConfig::default(),
     );
 
-    // Wedge the only worker inside the frame, then fill the ring to capacity.
+    // Wedge the only worker inside the frame, then fill the queue to capacity.
     handle.push(&capture[..cut]).unwrap();
     gate.wait_entered();
     let tail: Vec<Vec<Complex>> = capture[cut..].chunks(256).map(|c| c.to_vec()).collect();
@@ -730,10 +834,10 @@ fn shutdown_completes_while_rings_are_full() {
     handle.try_push(&tail[1]).unwrap();
     assert_eq!(handle.try_push(&tail[2]), Err(PushError::Full));
 
-    // A flush against the full ring is accepted immediately (ticketed side queue).
+    // A flush against the full queue is accepted immediately (it takes no capacity).
     assert_eq!(handle.flush(), Ok(()));
 
-    // Park one producer in a blocking push against the full ring, then shut down
+    // Block one producer in a push against the full queue, then shut down
     // from another thread while the worker is still wedged.
     let parked_handle = handle.clone();
     let parked_chunk = tail[2].clone();
@@ -762,7 +866,7 @@ fn shutdown_completes_while_rings_are_full() {
             assert_eq!(handle.counters(), ref_counters);
         }
         // Ok: the push won the race against close once space freed. The exact
-        // event stream then depends on where the earlier mid-stream flush ticket
+        // event stream then depends on where the earlier mid-stream flush
         // landed (it may SyncLost the wedged frame); the property under test is
         // that nothing deadlocked and accounting covers all four accepted chunks.
         Ok(()) => {

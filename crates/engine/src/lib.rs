@@ -19,14 +19,11 @@
 //! * [`pool`] — the reusable worker-pool primitives under [`exec`]: the claiming
 //!   loop ([`pool::run_claiming`]) the executor runs on, and a standing
 //!   [`pool::WorkerPool`] for open-ended workloads (the multi-session receiver
-//!   server in `cprecycle::server`), sharded per worker with work stealing;
-//! * [`ring`] — lock-free bounded rings ([`ring::MpmcRing`], [`ring::IngressRing`])
-//!   and the spin-then-park waiter ([`ring::ParkGate`]) under the server's
-//!   per-session ingress path;
-//! * [`sync`] — the concurrency facade those primitives import their atomics,
-//!   locks and thread handles through: `std` in normal builds, the `conc`
-//!   model-checker shims under `--cfg cprecycle_conc`, so the model-check
-//!   suites explore the *same* source exhaustively;
+//!   server in `cprecycle::server`), one mutex-guarded injector queue;
+//! * [`sync`] — the concurrency facade the pool imports its atomics, locks and
+//!   thread handles through: `std` in normal builds, the `conc` model-checker
+//!   shims under `--cfg cprecycle_conc`, so the model-check suite explores the
+//!   *same* source exhaustively;
 //! * [`tally`] — per-point packet-success tallies with Wilson confidence intervals,
 //!   auxiliary metric means and sample streams, plus timing;
 //! * [`checkpoint`] — JSON persistence of a finished or half-finished campaign:
@@ -46,10 +43,7 @@
 //! explicitly *outside* the contract. The contract is enforced by tests in this crate
 //! and exercised end-to-end by `cprecycle-scenarios`.
 
-// Unsafe code is denied crate-wide and allowed only inside `ring`, whose lock-free
-// cells need `UnsafeCell` hand-off (same policy as `rfdsp`'s SIMD kernels).
-#![deny(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;
@@ -57,7 +51,6 @@ pub mod exec;
 pub mod metrics;
 pub mod pool;
 pub mod report;
-pub mod ring;
 pub mod seed;
 pub mod spec;
 pub mod sync;
@@ -67,7 +60,6 @@ pub use checkpoint::{load_campaign, save_campaign};
 pub use exec::{run_campaign, EngineError, ProgressOptions, RunOptions};
 pub use metrics::campaign_snapshot;
 pub use pool::{run_claiming, WorkerPool};
-pub use ring::{CachePadded, IngressRing, MpmcRing, ParkGate, PushRejected};
 pub use seed::trial_rng;
 pub use spec::{CampaignConfig, CampaignPoint};
 pub use tally::{ArmTally, CampaignResult, PointResult, TrialOutcome, TrialRecord};

@@ -11,12 +11,11 @@
 //!   worker can raise a pool-wide stop so a doomed run does not burn the rest of
 //!   the queue.
 //! * [`WorkerPool`] — the *standing* sibling for open-ended workloads
-//!   (`cprecycle::server::RxServer`): long-lived named threads draining per-worker
-//!   injector shards (submissions scatter round-robin; an idle worker steals from
-//!   other shards, so one hot shard never strands work), with lazily-built
-//!   worker-local state, plus an idle barrier ([`WorkerPool::wait_idle`]) callers
-//!   use as a drain point and a graceful [`WorkerPool::shutdown`] that finishes
-//!   queued jobs before the threads exit.
+//!   (`cprecycle::server::RxServer`): long-lived named threads draining one
+//!   mutex-guarded FIFO injector, with lazily-built worker-local state, plus an
+//!   idle barrier ([`WorkerPool::wait_idle`]) callers use as a drain point and a
+//!   graceful [`WorkerPool::shutdown`] that finishes queued jobs before the
+//!   threads exit.
 //!
 //! Neither primitive makes scheduling observable to the work it runs: `run_claiming`
 //! hands out items by index and leaves all reduction to the caller (the executor
@@ -27,14 +26,14 @@
 
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::ring::CachePadded;
 // All sync primitives come through the facade (std normally, the `conc`
 // model-checker shims under `--cfg cprecycle_conc`). `std::thread::scope` in
 // `run_claiming` is the documented exception — see `crate::sync`.
-use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::thread::JoinHandle;
-use crate::sync::{Arc, Condvar, Mutex};
+use crate::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Runs `total` work items over `workers` scoped threads, each item claimed through
 /// a shared atomic cursor.
@@ -87,96 +86,93 @@ where
     });
 }
 
-/// Shared state between a [`WorkerPool`]'s submitters and its worker threads.
-///
-/// The queue is sharded per worker: submitters scatter jobs round-robin over the
-/// shards and each worker drains its own shard first, then steals from the others,
-/// so concurrent submitters rarely contend on the same mutex and a hot worker never
-/// serializes the whole pool. Poolwide bookkeeping (`pending`, `in_flight`) lives in
-/// atomics with a strict update discipline (see the field docs) so the idle barrier
-/// and the sleep path never observe a false-idle or lose a wakeup.
+/// Everything a [`WorkerPool`] shares between submitters, workers and idle
+/// waiters, under one lock: that single lock decides queue order, the idle
+/// barrier and who sleeps, so no update discipline between separate atomics is
+/// needed.
+struct PoolState<J> {
+    /// Submitted jobs not yet claimed, FIFO.
+    queue: VecDeque<J>,
+    /// Jobs currently inside a handler.
+    in_flight: usize,
+    /// Workers parked on `work_ready`.
+    sleepers: usize,
+    /// Callers parked in [`WorkerPool::wait_idle`].
+    idle_waiters: usize,
+    /// Once set, workers exit as soon as the queue is empty; queued jobs still run.
+    shutting_down: bool,
+}
+
+impl<J> PoolState<J> {
+    fn is_idle(&self) -> bool {
+        self.queue.is_empty() && self.in_flight == 0
+    }
+}
+
 struct PoolShared<J> {
-    /// Per-worker injector queues, cache-padded so neighbouring shard locks do not
-    /// false-share.
-    shards: Box<[CachePadded<Mutex<VecDeque<J>>>]>,
-    /// Round-robin cursor scattering submissions over shards.
-    next_shard: AtomicUsize,
-    /// Jobs submitted and not yet claimed. Incremented **before** the shard push,
-    /// decremented **after** the claim's `in_flight` increment, so
-    /// `pending + in_flight` never under-counts live work.
-    pending: AtomicUsize,
-    /// Jobs currently inside a handler. Incremented before `pending` is released
-    /// on claim; decremented only after any follow-up requeue is visible.
-    in_flight: AtomicUsize,
-    /// Jobs a worker claimed from another worker's shard.
-    steals: AtomicU64,
-    /// Once set, workers exit as soon as no job remains; queued jobs still run.
-    shutting_down: AtomicBool,
-    /// Workers currently parked waiting for work. A submitter skips the sleep lock
-    /// entirely when this reads zero (SeqCst pairs with the sleeper's
-    /// register-then-recheck, same argument as [`crate::ring::ParkGate`]).
-    sleepers: AtomicUsize,
-    sleep_lock: Mutex<()>,
-    /// Signalled when a job is submitted (or shutdown begins).
+    state: Mutex<PoolState<J>>,
+    /// Signalled when a job is queued (or shutdown begins) and a worker sleeps.
     work_ready: Condvar,
-    idle_lock: Mutex<()>,
-    /// Signalled when the pool transitions to idle (nothing pending or in flight).
+    /// Signalled when the pool turns idle and a caller waits for it.
     idle: Condvar,
 }
 
 impl<J> PoolShared<J> {
-    /// Enqueues one job on `shard` and wakes a sleeping worker if any is parked.
-    fn enqueue(&self, shard: usize, job: J) {
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        self.shards[shard]
-            .lock()
-            .expect("pool shard poisoned")
-            .push_back(job);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.sleep_lock.lock().expect("pool sleep lock poisoned");
-            self.work_ready.notify_one();
-        }
+    fn lock(&self) -> MutexGuard<'_, PoolState<J>> {
+        self.state.lock().expect("pool state poisoned")
     }
 
-    /// Claims the next job, scanning from worker `w`'s own shard; marks it
-    /// in-flight before releasing its pending count.
-    fn claim(&self, w: usize) -> Option<J> {
-        let n = self.shards.len();
-        for i in 0..n {
-            let shard = (w + i) % n;
-            let job = self.shards[shard]
-                .lock()
-                .expect("pool shard poisoned")
-                .pop_front();
-            if let Some(job) = job {
-                if i > 0 {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
+    /// One worker thread's life: claim, run, account, repeat; park when the
+    /// queue is empty; exit once it is empty and shutdown has begun.
+    fn work<S, H>(&self, new_state: impl Fn() -> S, handler: &H)
+    where
+        H: Fn(&mut S, J) -> Option<J>,
+    {
+        let mut local: Option<S> = None;
+        let mut state = self.lock();
+        loop {
+            if let Some(job) = state.queue.pop_front() {
+                state.in_flight += 1;
+                drop(state);
+                let local = local.get_or_insert_with(&new_state);
+                // A panicking handler loses its job, never the worker: the
+                // unwind stops here, so `in_flight` still drops below and
+                // `wait_idle`/`shutdown` cannot hang on a dead thread.
+                let followup =
+                    catch_unwind(AssertUnwindSafe(|| handler(local, job))).unwrap_or(None);
+                state = self.lock();
+                // The follow-up is queued in the same critical section that
+                // retires its parent, so `wait_idle` never sees the gap. This
+                // worker claims it itself, so no sleeper needs waking.
+                if let Some(next) = followup {
+                    state.queue.push_back(next);
                 }
-                self.in_flight.fetch_add(1, Ordering::SeqCst);
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                return Some(job);
+                state.in_flight -= 1;
+                if state.idle_waiters > 0 && state.is_idle() {
+                    self.idle.notify_all();
+                }
+            } else if state.shutting_down {
+                return;
+            } else {
+                state.sleepers += 1;
+                state = self.work_ready.wait(state).expect("pool state poisoned");
+                state.sleepers -= 1;
             }
         }
-        None
-    }
-
-    /// Whether any submitted job is unfinished (claimed-but-running counts).
-    fn has_live_work(&self) -> bool {
-        self.pending.load(Ordering::SeqCst) > 0 || self.in_flight.load(Ordering::SeqCst) > 0
     }
 }
 
-/// A fixed pool of long-lived worker threads with worker-local state, draining
-/// per-worker injector shards of jobs submitted over time (round-robin scatter on
-/// submit, work stealing on claim).
+/// A fixed pool of long-lived worker threads with worker-local state, draining one
+/// FIFO injector queue of jobs submitted over time.
 ///
-/// Jobs are FIFO within a shard; a handler may return `Some(job)` to atomically
-/// requeue a follow-up (the receiver server uses this to yield a long-backlogged
-/// session back to the pool so other sessions get a turn, without ever leaving the
-/// session in a "work pending but unscheduled" state). [`wait_idle`](Self::wait_idle)
-/// blocks until every shard is empty *and* no handler is running — the drain
+/// A handler may return `Some(job)` to atomically requeue a follow-up at the back
+/// of the queue (the receiver server uses this to yield a long-backlogged session
+/// back to the pool so other sessions get a turn, without ever leaving the session
+/// in a "work pending but unscheduled" state). [`wait_idle`](Self::wait_idle)
+/// blocks until the queue is empty *and* no handler is running — the drain
 /// barrier — and [`shutdown`](Self::shutdown) finishes all queued jobs before
-/// joining the threads (dropping the pool shuts it down the same way).
+/// joining the threads (dropping the pool shuts it down the same way). A handler
+/// that panics loses its job but not its worker.
 ///
 /// ```
 /// use cprecycle_engine::pool::WorkerPool;
@@ -212,10 +208,9 @@ impl<J: Send + 'static> WorkerPool<J> {
     ///
     /// `new_worker(worker_index)` lazily builds the worker-local state on the first
     /// job that worker claims; `handler(state, job)` processes one job and may
-    /// return a follow-up job to requeue on the worker's own shard. The requeue is
-    /// atomic with respect to [`wait_idle`](Self::wait_idle): the pool never
-    /// appears idle between a handler returning a follow-up and that follow-up
-    /// becoming visible in a shard.
+    /// return a follow-up job to requeue. The requeue is atomic with respect to
+    /// [`wait_idle`](Self::wait_idle): the pool never appears idle between a
+    /// handler returning a follow-up and that follow-up being queued.
     pub fn new<S, NW, H>(threads: usize, new_worker: NW, handler: H) -> Self
     where
         S: 'static,
@@ -224,18 +219,14 @@ impl<J: Send + 'static> WorkerPool<J> {
     {
         let workers = threads.max(1);
         let shared = Arc::new(PoolShared {
-            shards: (0..workers)
-                .map(|_| CachePadded::new(Mutex::new(VecDeque::new())))
-                .collect(),
-            next_shard: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-            shutting_down: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
-            sleep_lock: Mutex::new(()),
+            state: Mutex::new(PoolState {
+                queue: VecDeque::new(),
+                in_flight: 0,
+                sleepers: 0,
+                idle_waiters: 0,
+                shutting_down: false,
+            }),
             work_ready: Condvar::new(),
-            idle_lock: Mutex::new(()),
             idle: Condvar::new(),
         });
         let ctx = Arc::new((new_worker, handler));
@@ -245,52 +236,7 @@ impl<J: Send + 'static> WorkerPool<J> {
                 let ctx = Arc::clone(&ctx);
                 crate::sync::thread::Builder::new()
                     .name(format!("rx-pool-{w}"))
-                    .spawn(move || {
-                        let mut state: Option<S> = None;
-                        loop {
-                            if let Some(job) = shared.claim(w) {
-                                let state = state.get_or_insert_with(|| (ctx.0)(w));
-                                let followup = (ctx.1)(state, job);
-                                if let Some(next) = followup {
-                                    // Requeue on the own shard *before* dropping the
-                                    // in-flight count, so wait_idle never observes
-                                    // the gap between "handler done" and "follow-up
-                                    // queued".
-                                    shared.enqueue(w, next);
-                                }
-                                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                                if !shared.has_live_work() {
-                                    let _guard =
-                                        shared.idle_lock.lock().expect("pool idle lock poisoned");
-                                    shared.idle.notify_all();
-                                }
-                                continue;
-                            }
-                            // Nothing claimable: park, retry, or exit. Register as a
-                            // sleeper and re-check pending *under the sleep lock* —
-                            // a submitter that missed the registration published
-                            // its pending increment earlier in SeqCst order, so the
-                            // re-check sees it and we retry instead of sleeping.
-                            let guard = shared.sleep_lock.lock().expect("pool sleep lock poisoned");
-                            shared.sleepers.fetch_add(1, Ordering::SeqCst);
-                            if shared.pending.load(Ordering::SeqCst) > 0 {
-                                shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-                                drop(guard);
-                                crate::sync::thread::yield_now();
-                                continue;
-                            }
-                            if shared.shutting_down.load(Ordering::SeqCst) {
-                                shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-                                break;
-                            }
-                            let guard = shared
-                                .work_ready
-                                .wait(guard)
-                                .expect("pool sleep lock poisoned");
-                            shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-                            drop(guard);
-                        }
-                    })
+                    .spawn(move || shared.work(|| (ctx.0)(w), &ctx.1))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -301,40 +247,36 @@ impl<J: Send + 'static> WorkerPool<J> {
         }
     }
 
-    /// Enqueues one job (round-robin over the worker shards).
+    /// Enqueues one job at the back of the queue.
     ///
     /// Jobs submitted before (or concurrently with) [`shutdown`](Self::shutdown)
     /// still run; callers layering their own lifecycle (the receiver server closes
     /// sessions before shutting the pool down) should stop submitting first.
     pub fn submit(&self, job: J) {
-        let shard = self.shared.next_shard.fetch_add(1, Ordering::Relaxed) % self.workers;
-        self.shared.enqueue(shard, job);
-    }
-
-    /// Blocks until no job is pending and no handler is running.
-    pub fn wait_idle(&self) {
-        let mut guard = self
-            .shared
-            .idle_lock
-            .lock()
-            .expect("pool idle lock poisoned");
-        while self.shared.has_live_work() {
-            guard = self
-                .shared
-                .idle
-                .wait(guard)
-                .expect("pool idle lock poisoned");
+        let mut state = self.shared.lock();
+        state.queue.push_back(job);
+        // A sleeper counted here is already parked on `work_ready` (it registers
+        // and waits under this lock), so notifying after unlock cannot miss it.
+        let wake = state.sleepers > 0;
+        drop(state);
+        if wake {
+            self.shared.work_ready.notify_one();
         }
     }
 
-    /// Number of jobs waiting in the shards (not counting in-flight ones).
-    pub fn queued(&self) -> usize {
-        self.shared.pending.load(Ordering::SeqCst)
+    /// Blocks until no job is queued and no handler is running.
+    pub fn wait_idle(&self) {
+        let mut state = self.shared.lock();
+        while !state.is_idle() {
+            state.idle_waiters += 1;
+            state = self.shared.idle.wait(state).expect("pool state poisoned");
+            state.idle_waiters -= 1;
+        }
     }
 
-    /// Number of jobs claimed from a shard other than the claiming worker's own.
-    pub fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
+    /// Number of jobs waiting in the queue (not counting in-flight ones).
+    pub fn queued(&self) -> usize {
+        self.shared.lock().queue.len()
     }
 
     /// Number of worker threads the pool was built with.
@@ -346,15 +288,8 @@ impl<J: Send + 'static> WorkerPool<J> {
     /// runs on drop. Must not be called from inside a handler (a worker cannot
     /// join itself).
     pub fn shutdown(&self) {
-        {
-            let _guard = self
-                .shared
-                .sleep_lock
-                .lock()
-                .expect("pool sleep lock poisoned");
-            self.shared.shutting_down.store(true, Ordering::SeqCst);
-            self.shared.work_ready.notify_all();
-        }
+        self.shared.lock().shutting_down = true;
+        self.shared.work_ready.notify_all();
         let mut threads = self.threads.lock().expect("pool threads poisoned");
         for t in threads.drain(..) {
             let _ = t.join();
@@ -511,5 +446,41 @@ mod tests {
         }
         pool.wait_idle();
         assert_eq!(last.load(Ordering::Relaxed), 25);
+    }
+
+    #[test]
+    fn worker_pool_survives_a_panicking_handler() {
+        // One worker: if the panic killed it, nothing after job 3 would run and
+        // wait_idle would hang on the stranded in-flight count.
+        let ran = Arc::new(AtomicUsize::new(0));
+        let r = Arc::clone(&ran);
+        let pool = WorkerPool::new(
+            1,
+            |_| (),
+            move |_, job: usize| {
+                assert_ne!(job, 3, "handler fault injected for job 3");
+                r.fetch_add(1, Ordering::Relaxed);
+                None
+            },
+        );
+        for j in 0..10 {
+            pool.submit(j);
+        }
+        pool.wait_idle();
+        assert_eq!(
+            ran.load(Ordering::Relaxed),
+            9,
+            "every job but the faulting one ran"
+        );
+        for j in 10..15 {
+            pool.submit(j);
+        }
+        pool.wait_idle();
+        assert_eq!(
+            ran.load(Ordering::Relaxed),
+            14,
+            "the worker outlives the fault"
+        );
+        pool.shutdown();
     }
 }

@@ -1,12 +1,11 @@
-//! The engine's concurrency facade: every sync primitive the lock-free
-//! subsystems use is imported through this module, never from `std` directly.
+//! The engine's concurrency facade: every sync primitive [`crate::pool`] uses
+//! is imported through this module, never from `std` directly.
 //!
 //! In a normal build the re-exports resolve to `std` (zero-cost — they are
 //! the very same types). Under `--cfg cprecycle_conc` they resolve to the
 //! [`conc`] model checker's instrumented shims instead, so the *same source*
-//! of [`crate::ring`], [`crate::pool`] and `cprecycle::chunk_pool` runs under
-//! exhaustive bounded-interleaving exploration in the model-check suites
-//! (`tests/conc_models.rs` here, `tests/conc_chunk_pool.rs` in `cprecycle`).
+//! of [`crate::pool::WorkerPool`] runs under exhaustive bounded-interleaving
+//! exploration in the model-check suite (`tests/conc_models.rs`).
 //!
 //! Two deliberate exceptions stay on `std` unconditionally:
 //!
@@ -31,26 +30,17 @@ pub use conc::sync::{Condvar, Mutex, MutexGuard};
 /// Atomic types and memory orderings (std or `conc` instrumented).
 pub mod atomic {
     #[cfg(not(cprecycle_conc))]
-    pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+    pub use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[cfg(cprecycle_conc)]
-    pub use conc::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+    pub use conc::atomic::{AtomicBool, AtomicUsize, Ordering};
 }
 
-/// Thread spawn/join and cooperative yielding (std or `conc` instrumented).
+/// Thread spawn/join (std or `conc` instrumented).
 pub mod thread {
     #[cfg(not(cprecycle_conc))]
-    pub use std::thread::{spawn, yield_now, Builder, JoinHandle};
+    pub use std::thread::{Builder, JoinHandle};
 
     #[cfg(cprecycle_conc)]
-    pub use conc::thread::{spawn, yield_now, Builder, JoinHandle};
-}
-
-/// Spin-loop hinting (std or `conc` instrumented).
-pub mod hint {
-    #[cfg(not(cprecycle_conc))]
-    pub use std::hint::spin_loop;
-
-    #[cfg(cprecycle_conc)]
-    pub use conc::hint::spin_loop;
+    pub use conc::thread::{Builder, JoinHandle};
 }

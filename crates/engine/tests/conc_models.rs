@@ -1,43 +1,35 @@
-//! Exhaustive model-check suite for the engine's lock-free primitives.
+//! Exhaustive model-check suite for the engine's worker pool and the server's
+//! per-session ingress protocol.
 //!
 //! Built and run **only** under `--cfg cprecycle_conc` (the `model-check` CI
 //! job: `RUSTFLAGS="--cfg cprecycle_conc" cargo test -p cprecycle-engine
 //! --test conc_models`). Under that cfg the `cprecycle_engine::sync` facade
 //! resolves to the `conc` instrumented shims, so the *production source* of
-//! [`MpmcRing`], [`IngressRing`] and [`ParkGate`] is explored over every
-//! bounded interleaving — including the stale-value reads non-`SeqCst`
-//! atomics permit — rather than sampled by stress tests.
+//! [`WorkerPool`] — its one state mutex, both condvars and its model-thread
+//! workers — is explored over every bounded interleaving rather than sampled
+//! by stress tests.
 //!
 //! Layout:
-//! * per-primitive invariant suites (≥ 3 producer/consumer configurations
-//!   each): MPMC exactly-once delivery, credit-capacity bounds, ParkGate
-//!   lost-wakeup freedom, flush-ticket shutdown vs a full ring, and the
-//!   server's scheduled-flag dance (distilled — see [`slot_sim`]);
-//! * seeded-mutation tests proving the checker *fails* when a load-bearing
-//!   ordering is weakened (the CI teeth the ISSUE asks for);
-//! * pinned replays of the two known-hairy interleavings, with their
-//!   schedules printed in the source.
+//! * [`WorkerPool`] models, two workers each: the idle barrier never returns
+//!   while a job or its requeued follow-up is live, shutdown runs every queued
+//!   job, no wakeup is lost between `submit` and a sleeping worker, and a
+//!   panicking handler neither kills its worker nor strands the barrier;
+//! * the server's ingress protocol, distilled in [`slot_sim`]: one mutex per
+//!   session deciding order, occupancy and scheduling.
 #![cfg(cprecycle_conc)]
 
+use std::sync::atomic::{AtomicUsize as StdAtomicUsize, Ordering as StdOrdering};
 use std::sync::Arc;
 
-use conc::{model, Builder, FailureKind};
-use cprecycle_engine::ring::{IngressRing, MpmcRing, ParkGate, PushRejected};
-use cprecycle_engine::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use cprecycle_engine::sync::{Condvar, Mutex};
+use conc::Builder;
+use cprecycle_engine::pool::WorkerPool;
 
 /// `conc::thread` re-exported for spawning model threads in the shapes below.
 use conc::thread as cthread;
 
-// ---------------------------------------------------------------------------
-// MpmcRing: exactly-once delivery
-// ---------------------------------------------------------------------------
-
 /// Bounded-exhaustive exploration: every interleaving with at most
 /// `preemptions` involuntary context switches (the loom/CHESS result: almost
-/// all concurrency bugs manifest within 2 preemptions). The small shapes in
-/// this file run unbounded via [`model`]; the raw-ring and worker-pool shapes
-/// use this to keep the search in CI budget, and still assert the bounded
+/// all concurrency bugs manifest within 2 preemptions), asserting the bounded
 /// space was *fully* explored.
 fn model_bounded(preemptions: u32, f: impl Fn() + Send + Sync + 'static) {
     match Builder::new().max_preemptions(preemptions).check(f) {
@@ -49,879 +41,438 @@ fn model_bounded(preemptions: u32, f: impl Fn() + Send + Sync + 'static) {
     }
 }
 
-/// Like [`model_bounded`] but additionally pins the stale-read window to 1
-/// (fresh reads only), for the densest shapes where stale-value branching
-/// multiplies an already-wide interleaving space. The protocol's stale-read
-/// behaviour is still covered by the lighter shapes that keep the default
-/// window.
-fn model_tight(preemptions: u32, f: impl Fn() + Send + Sync + 'static) {
-    let report = Builder::new()
-        .max_preemptions(preemptions)
-        .stale_window(1)
-        .check(f)
-        .unwrap_or_else(|failure| panic!("model check failed: {failure}"));
-    assert!(
-        report.complete,
-        "bounded exploration incomplete: {report:?}"
-    );
+// ---------------------------------------------------------------------------
+// WorkerPool (production source, two model-thread workers)
+// ---------------------------------------------------------------------------
+//
+// Handler bookkeeping uses *uninstrumented* std atomics: the checker's baton
+// serializes all lanes, so they still observe schedule order, at zero model
+// ops — the explored space stays the pool's own lock/condvar protocol.
+
+/// A two-worker pool whose handler counts its runs into `runs` and turns a
+/// job `n > 0` into the follow-up `n - 1`.
+fn counting_pool(runs: &Arc<StdAtomicUsize>) -> WorkerPool<usize> {
+    let runs = Arc::clone(runs);
+    WorkerPool::new(
+        2,
+        |_| (),
+        move |_, job: usize| {
+            runs.fetch_add(1, StdOrdering::SeqCst);
+            job.checked_sub(1)
+        },
+    )
 }
 
-/// Asserts every value in `0..n` was delivered exactly once.
-fn assert_exactly_once(delivered: &[AtomicUsize]) {
-    for (v, count) in delivered.iter().enumerate() {
+#[test]
+fn pool_wait_idle_waits_for_requeued_followups() {
+    // Job 1 runs, requeues job 0, which runs: the barrier may return only after
+    // both — a window between "handler returned" and "follow-up queued" would
+    // let it return after one run on some schedule.
+    model_bounded(2, || {
+        let runs = Arc::new(StdAtomicUsize::new(0));
+        let pool = counting_pool(&runs);
+        pool.submit(1);
+        pool.wait_idle();
         assert_eq!(
-            count.load(Ordering::SeqCst),
-            1,
-            "value {v} must be delivered exactly once"
+            runs.load(StdOrdering::SeqCst),
+            2,
+            "wait_idle returned with a live job or follow-up"
         );
-    }
+        assert_eq!(pool.queued(), 0);
+        pool.shutdown();
+    });
 }
 
 #[test]
-fn ring_2p1c_exactly_once() {
+fn pool_shutdown_runs_every_queued_job() {
+    // No barrier before shutdown: workers may be asleep, mid-job or not yet
+    // started when the flag goes up, and must still drain the queue first.
     model_bounded(2, || {
-        let ring = Arc::new(MpmcRing::new(2));
-        let delivered: Arc<[AtomicUsize; 2]> = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
-        let producers: Vec<_> = (0..2usize)
-            .map(|v| {
-                let ring = Arc::clone(&ring);
-                cthread::spawn(move || {
-                    ring.try_push(v).expect("capacity-2 ring fits both");
-                })
-            })
-            .collect();
-        let mut got = 0;
-        while got < 2 {
-            if let Some(v) = ring.try_pop() {
-                delivered[v].fetch_add(1, Ordering::SeqCst);
-                got += 1;
-            } else {
-                conc::hint::spin_loop();
-            }
-        }
-        for p in producers {
-            p.join().unwrap();
-        }
-        assert_eq!(ring.try_pop(), None, "nothing left after both deliveries");
-        assert_exactly_once(&delivered[..]);
-    });
-}
-
-#[test]
-fn ring_1p2c_exactly_once() {
-    model_bounded(2, || {
-        let ring: Arc<MpmcRing<usize>> = Arc::new(MpmcRing::new(2));
-        let delivered: Arc<[AtomicUsize; 2]> = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let ring = Arc::clone(&ring);
-                let delivered = Arc::clone(&delivered);
-                cthread::spawn(move || loop {
-                    if let Some(v) = ring.try_pop() {
-                        delivered[v].fetch_add(1, Ordering::SeqCst);
-                        break;
-                    }
-                    conc::hint::spin_loop();
-                })
-            })
-            .collect();
-        ring.try_push(0usize).expect("push 0");
-        ring.try_push(1usize).expect("push 1");
-        for c in consumers {
-            c.join().unwrap();
-        }
-        assert_exactly_once(&delivered[..]);
-    });
-}
-
-#[test]
-fn ring_2p2c_exactly_once() {
-    // Four mutating threads over the raw ring: the densest shape here, so it
-    // trades stale-value branching for schedule coverage (the 2p1c and 1p2c
-    // shapes keep the full stale window and cover the same read paths with
-    // fewer interleavings).
-    model_tight(2, || {
-        let ring = Arc::new(MpmcRing::new(2));
-        let delivered: Arc<[AtomicUsize; 2]> = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
-        let producers: Vec<_> = (0..2usize)
-            .map(|v| {
-                let ring = Arc::clone(&ring);
-                cthread::spawn(move || {
-                    ring.try_push(v).expect("capacity-2 ring fits both");
-                })
-            })
-            .collect();
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let ring = Arc::clone(&ring);
-                let delivered = Arc::clone(&delivered);
-                cthread::spawn(move || loop {
-                    if let Some(v) = ring.try_pop() {
-                        delivered[v].fetch_add(1, Ordering::SeqCst);
-                        break;
-                    }
-                    conc::hint::spin_loop();
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
-        for c in consumers {
-            c.join().unwrap();
-        }
-        assert_exactly_once(&delivered[..]);
-    });
-}
-
-#[test]
-fn ring_single_producer_fifo() {
-    model(|| {
-        let ring = Arc::new(MpmcRing::new(2));
-        let r2 = Arc::clone(&ring);
-        let producer = cthread::spawn(move || {
-            r2.try_push(10usize).expect("push 10");
-            r2.try_push(20usize).expect("push 20");
-        });
-        let mut seen = Vec::new();
-        while seen.len() < 2 {
-            if let Some(v) = ring.try_pop() {
-                seen.push(v);
-            } else {
-                conc::hint::spin_loop();
-            }
-        }
-        producer.join().unwrap();
-        assert_eq!(seen, vec![10, 20], "cursor-claim order is FIFO");
-    });
-}
-
-// ---------------------------------------------------------------------------
-// IngressRing credits: the capacity bound is exact under any interleaving
-// ---------------------------------------------------------------------------
-
-#[test]
-fn credits_cap1_exactly_one_push_wins() {
-    model(|| {
-        let ring: Arc<IngressRing<usize>> = Arc::new(IngressRing::with_capacity(1));
-        let wins = Arc::new(AtomicUsize::new(0));
-        let producers: Vec<_> = (0..2usize)
-            .map(|v| {
-                let ring = Arc::clone(&ring);
-                let wins = Arc::clone(&wins);
-                cthread::spawn(move || match ring.try_push(v) {
-                    Ok(()) => {
-                        wins.fetch_add(1, Ordering::SeqCst);
-                    }
-                    Err(PushRejected::Full(back)) => assert_eq!(back, v, "item handed back"),
-                    Err(PushRejected::Closed(_)) => panic!("ring never closed"),
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
+        let runs = Arc::new(StdAtomicUsize::new(0));
+        let pool = counting_pool(&runs);
+        pool.submit(0);
+        pool.submit(0);
+        pool.shutdown();
         assert_eq!(
-            wins.load(Ordering::SeqCst),
-            1,
-            "capacity 1: exactly one concurrent try_push may win"
+            runs.load(StdOrdering::SeqCst),
+            2,
+            "shutdown dropped a queued job"
         );
-        assert_eq!(
-            ring.len(),
-            1,
-            "credit count matches the single accepted item"
-        );
-        assert!(ring.pop().is_some());
-        assert_eq!(ring.pop(), None);
     });
 }
 
 #[test]
-fn credits_never_exceed_capacity() {
+fn pool_submit_never_loses_a_sleeping_workers_wakeup() {
+    // A submitter thread races the workers' way into `work_ready.wait`. A lost
+    // wakeup leaves the job queued with every worker asleep, so the barrier
+    // below never returns and the checker reports a deadlock on that schedule.
     model_bounded(2, || {
-        let ring: Arc<IngressRing<usize>> = Arc::new(IngressRing::with_capacity(2));
-        let producers: Vec<_> = (0..3usize)
-            .map(|v| {
-                let ring = Arc::clone(&ring);
-                cthread::spawn(move || {
-                    let _ = ring.try_push(v);
-                    assert!(
-                        ring.len() <= ring.capacity(),
-                        "credits above capacity observed"
-                    );
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
-        let queued = ring.len();
-        assert!(queued <= 2, "final credit count {queued} exceeds capacity");
-        let accepted = ring.accepted() as usize;
-        assert_eq!(accepted, queued, "every credit maps to one accepted item");
-        for _ in 0..queued {
-            assert!(ring.pop().is_some(), "each credit-backed item is poppable");
-        }
-        assert_eq!(ring.pop(), None);
+        let runs = Arc::new(StdAtomicUsize::new(0));
+        let pool = Arc::new(counting_pool(&runs));
+        let submitter = {
+            let pool = Arc::clone(&pool);
+            cthread::spawn(move || pool.submit(0))
+        };
+        submitter.join().unwrap();
+        pool.wait_idle();
+        assert_eq!(runs.load(StdOrdering::SeqCst), 1);
+        // Second round, submitted once both workers had the chance to park.
+        pool.submit(0);
+        pool.wait_idle();
+        assert_eq!(runs.load(StdOrdering::SeqCst), 2);
+        pool.shutdown();
     });
 }
 
 #[test]
-fn credits_release_reopens_capacity() {
-    model(|| {
-        let ring: Arc<IngressRing<usize>> = Arc::new(IngressRing::with_capacity(1));
-        ring.try_push(1).expect("empty ring accepts");
-        let r2 = Arc::clone(&ring);
-        let consumer = cthread::spawn(move || {
-            assert_eq!(r2.pop(), Some(1), "first item pops");
-        });
-        // Concurrent second push: either rejected (credit still held) or
-        // accepted (pop already released it) — never both lost/duplicated.
-        let pushed_second = ring.try_push(2).is_ok();
-        consumer.join().unwrap();
-        if pushed_second {
-            assert_eq!(ring.pop(), Some(2));
-        } else {
-            // The credit was still held at push time; after the pop the
-            // capacity must be observably free again.
-            assert_eq!(ring.len(), 0);
-            ring.try_push(2).expect("released credit reopens capacity");
-            assert_eq!(ring.pop(), Some(2));
-        }
-        assert_eq!(ring.serviced(), ring.accepted(), "accounting balances");
-    });
-}
-
-// ---------------------------------------------------------------------------
-// ParkGate: no lost wakeup under the SeqCst waiter protocol
-// ---------------------------------------------------------------------------
-
-#[test]
-fn gate_blocking_push_cap1_no_lost_wakeup() {
-    // The capacity-1 park handshake: the producer's second push must park (or
-    // spin) until the consumer's pop releases the credit; a lost wakeup would
-    // deadlock and be reported by the checker. Explored over every schedule.
+fn pool_panicking_handler_keeps_worker_and_barrier() {
+    // Job 0 panics inside the handler. Its worker must survive (the second job
+    // still runs even if that worker is the only one awake) and `in_flight`
+    // must come back down, or `wait_idle` deadlocks.
     model_bounded(2, || {
-        let ring: Arc<IngressRing<usize>> = Arc::new(IngressRing::with_capacity(1));
-        let r2 = Arc::clone(&ring);
-        let producer = cthread::spawn(move || {
-            r2.push(1).expect("open ring accepts");
-            r2.push(2)
-                .expect("second push lands after the pop frees space");
-        });
-        let mut seen = Vec::new();
-        while seen.len() < 2 {
-            if let Some(v) = ring.pop() {
-                seen.push(v);
-            } else {
-                conc::hint::spin_loop();
-            }
-        }
-        producer.join().unwrap();
-        assert_eq!(seen, vec![1, 2], "per-producer FIFO through the park path");
-    });
-}
-
-#[test]
-fn gate_two_blocking_producers_cap1() {
-    model_bounded(2, || {
-        let ring: Arc<IngressRing<usize>> = Arc::new(IngressRing::with_capacity(1));
-        let delivered: Arc<[AtomicUsize; 2]> = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
-        let producers: Vec<_> = (0..2usize)
-            .map(|v| {
-                let ring = Arc::clone(&ring);
-                cthread::spawn(move || {
-                    ring.push(v).expect("blocking push lands eventually");
-                })
-            })
-            .collect();
-        let mut got = 0;
-        while got < 2 {
-            if let Some(v) = ring.pop() {
-                delivered[v].fetch_add(1, Ordering::SeqCst);
-                got += 1;
-            } else {
-                conc::hint::spin_loop();
-            }
-        }
-        for p in producers {
-            p.join().unwrap();
-        }
-        assert_exactly_once(&delivered[..]);
-    });
-}
-
-#[test]
-fn gate_close_wakes_parked_producer() {
-    model_bounded(2, || {
-        let ring: Arc<IngressRing<usize>> = Arc::new(IngressRing::with_capacity(1));
-        ring.try_push(7).expect("fill the ring");
-        let r2 = Arc::clone(&ring);
-        let producer = cthread::spawn(move || r2.push(8));
-        ring.close();
-        match producer.join().unwrap() {
-            Err(PushRejected::Closed(8)) => {}
-            other => panic!("parked producer must see the close, got {other:?}"),
-        }
-        assert_eq!(ring.pop(), Some(7), "pre-close item stays poppable");
-    });
-}
-
-#[test]
-fn gate_direct_handshake_lossless() {
-    // ParkGate in isolation: waiter blocks on a flag, peer clears it and
-    // notifies. The SeqCst protocol (registration, re-check, release, count
-    // read in one total order) means no schedule loses the wakeup.
-    model(|| {
-        let gate = Arc::new(ParkGate::new());
-        let busy = Arc::new(AtomicBool::new(true));
-        let (g2, b2) = (Arc::clone(&gate), Arc::clone(&busy));
-        let waiter = cthread::spawn(move || {
-            g2.wait_while(|| b2.load(Ordering::SeqCst));
-        });
-        busy.store(false, Ordering::SeqCst);
-        gate.notify();
-        waiter.join().unwrap();
-        assert_eq!(gate.waiters(), 0, "waiter deregistered");
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Flush tickets: shutdown cannot deadlock against a full ring
-// ---------------------------------------------------------------------------
-
-/// Distilled flush-ticket protocol from `cprecycle::server`: control items
-/// never enter the (possibly full) data ring — they carry a sequence ticket
-/// (chunks accepted before the flush) in a mutex side queue, and the worker
-/// runs a flush exactly when its serviced count reaches the ticket.
-#[test]
-fn flush_ticket_shutdown_vs_full_ring() {
-    model_bounded(2, || {
-        let ring: Arc<IngressRing<usize>> = Arc::new(IngressRing::with_capacity(1));
-        let tickets: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let flushed = Arc::new(AtomicUsize::new(0));
-
-        ring.try_push(1).expect("fill the ring to capacity");
-
-        // Raised by the shutdown thread only after the final ticket is
-        // queued, mirroring the server's ordering (close ingress → enqueue
-        // the ticketed flush → release the workers via pool shutdown).
-        let done = Arc::new(AtomicBool::new(false));
-
-        // Shutdown path: close, then append the final ticketed flush. The
-        // ticket rides the side queue, so a full ring can never block it —
-        // the property this test pins (a ring-borne flush would deadlock
-        // here, and the checker would report it on every schedule).
-        let (r2, t2, d2) = (Arc::clone(&ring), Arc::clone(&tickets), Arc::clone(&done));
-        let shutdown = cthread::spawn(move || {
-            r2.close();
-            let ticket = r2.accepted();
-            t2.lock().expect("tickets").push(ticket);
-            d2.store(true, Ordering::SeqCst);
-        });
-
-        // Worker: drain data and run due flushes until shutdown has fully
-        // handed off (ring drained + no pending ticket).
-        loop {
-            let due = {
-                let mut t = tickets.lock().expect("tickets");
-                match t.first().copied() {
-                    Some(ticket) if ring.serviced() >= ticket => {
-                        t.remove(0);
-                        true
-                    }
-                    _ => false,
+        let runs = Arc::new(StdAtomicUsize::new(0));
+        let r = Arc::clone(&runs);
+        let pool = WorkerPool::new(
+            2,
+            |_| (),
+            move |_, job: usize| {
+                if job == 0 {
+                    std::panic::panic_any("handler fault");
                 }
-            };
-            if due {
-                flushed.fetch_add(1, Ordering::SeqCst);
-                continue;
-            }
-            if ring.pop().is_some() {
-                continue;
-            }
-            if done.load(Ordering::SeqCst)
-                && ring.is_empty()
-                && tickets.lock().expect("tickets").is_empty()
-            {
-                break;
-            }
-            conc::hint::spin_loop();
-        }
-        shutdown.join().unwrap();
-        assert_eq!(
-            flushed.load(Ordering::SeqCst),
-            1,
-            "the ticketed flush ran exactly once, at its stream position"
+                r.fetch_add(1, StdOrdering::SeqCst);
+                None
+            },
         );
-        assert_eq!(
-            ring.serviced(),
-            ring.accepted(),
-            "no chunk outlives shutdown"
-        );
+        pool.submit(0);
+        pool.submit(1);
+        pool.wait_idle();
+        assert_eq!(runs.load(StdOrdering::SeqCst), 1);
+        pool.shutdown();
     });
 }
 
 // ---------------------------------------------------------------------------
-// Scheduled-flag dance (distilled from cprecycle::server::service)
+// Server ingress protocol (distilled from cprecycle::server)
 // ---------------------------------------------------------------------------
 
-/// The server's per-session scheduling protocol, reduced to its load-bearing
-/// atoms: a published-work counter, the `scheduled` flag, and pool jobs
-/// modeled as spawned service threads. Producers publish then try to
-/// transition `scheduled` false→true (the winner submits a job); the
-/// servicing side drains, clears the flag, re-checks for racing publishes,
-/// and re-acquires or concedes. Invariant: the slot is never drained by two
-/// workers at once (asserted via `in_service`), and no published item is
-/// ever stranded behind a cleared flag.
+/// The server's per-session ingress protocol reduced to its load-bearing parts:
+/// one mutex over the item queue, the chunk count, the `scheduled` flag, the
+/// `closed` flag and the blocked-producer count, plus the `space` condvar.
+/// Pool jobs are modeled as spawned service threads: the only pool property
+/// the protocol relies on is that a submitted job eventually runs on *some*
+/// worker, concurrently with everything else — which is exactly what a thread
+/// per job explores, without the pool's own interleavings (covered above).
 mod slot_sim {
     use super::*;
-    // Test bookkeeping (exclusivity depth, counters, the job-handle vec)
-    // deliberately uses *uninstrumented* std primitives: the checker's baton
-    // serializes all lane execution, so plain atomics still observe
-    // violations in schedule order — at zero model ops, keeping the explored
-    // space to the protocol's real atoms (ring, flag, spawn/join).
-    use std::sync::atomic::{AtomicUsize as StdAtomicUsize, Ordering as StdOrdering};
+    use cprecycle_engine::sync::{Condvar, Mutex};
+    use std::collections::VecDeque;
     use std::sync::Mutex as StdMutex;
 
+    /// Items a service turn handles before yielding the slot back to the pool.
+    /// Small, so the shapes below reach the requeue path.
+    const BUDGET: usize = 2;
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum Item {
+        Chunk(usize),
+        Flush,
+    }
+
+    #[derive(Debug, PartialEq, Eq)]
+    pub enum Pushed {
+        Ok,
+        Full,
+        Closed,
+    }
+
+    struct Ingress {
+        items: VecDeque<Item>,
+        chunks: usize,
+        scheduled: bool,
+        closed: bool,
+        waiters: usize,
+    }
+
     pub struct SlotSim {
-        /// Published-but-undrained items. The session's data ring reduced
-        /// to its protocol-relevant observable (is there work?): the real
-        /// ring's claim/stamp window and credit gate have their own suites
-        /// above, and folding them in here multiplies the explored space by
-        /// orders of magnitude without adding dance coverage.
-        pub pending: AtomicUsize,
-        pub scheduled: AtomicBool,
-        /// Concurrent drain entries — must never exceed 1.
-        pub in_service: StdAtomicUsize,
-        /// Items drained by `service`.
-        pub serviced_items: StdAtomicUsize,
-        /// Times the servicing side conceded to a racing producer.
-        pub concedes: StdAtomicUsize,
-        /// Times the re-check re-acquired the token mid-publish and handed
-        /// the slot back to the pool.
-        pub requeues: StdAtomicUsize,
-        /// Outstanding pool jobs, modeled as spawned service threads: the
-        /// only pool property the protocol relies on is that a submitted job
-        /// eventually runs on *some* worker, concurrently with everything
-        /// else — which is exactly what a thread per job explores, without
-        /// the wake-storms of modeled spinning workers.
-        pub jobs: StdMutex<Vec<conc::thread::JoinHandle<()>>>,
+        capacity: usize,
+        ingress: Mutex<Ingress>,
+        space: Condvar,
+        /// Concurrent service turns — must never exceed 1 (test bookkeeping,
+        /// uninstrumented like the pool handlers above).
+        in_service: StdAtomicUsize,
+        /// Items in the order the session saw them.
+        pub log: StdMutex<Vec<Item>>,
+        /// Outstanding pool jobs. Every submit records its handle before the
+        /// submitter proceeds, so [`SlotSim::join_jobs`] finds every job.
+        jobs: StdMutex<Vec<conc::thread::JoinHandle<()>>>,
     }
 
     impl SlotSim {
-        pub fn new() -> SlotSim {
-            SlotSim {
-                pending: AtomicUsize::new(0),
-                scheduled: AtomicBool::new(false),
+        pub fn new(capacity: usize) -> Arc<SlotSim> {
+            Arc::new(SlotSim {
+                capacity,
+                ingress: Mutex::new(Ingress {
+                    items: VecDeque::new(),
+                    chunks: 0,
+                    scheduled: false,
+                    closed: false,
+                    waiters: 0,
+                }),
+                space: Condvar::new(),
                 in_service: StdAtomicUsize::new(0),
-                serviced_items: StdAtomicUsize::new(0),
-                concedes: StdAtomicUsize::new(0),
-                requeues: StdAtomicUsize::new(0),
+                log: StdMutex::new(Vec::new()),
                 jobs: StdMutex::new(Vec::new()),
+            })
+        }
+
+        /// A full queue whose scheduled job has not started yet (a wedged
+        /// worker): `chunks` chunk items queued, `scheduled` set, no job.
+        pub fn wedged(capacity: usize, chunks: usize) -> Arc<SlotSim> {
+            let slot = SlotSim::new(capacity);
+            {
+                let mut ingress = slot.ingress.lock().unwrap();
+                ingress.items.extend((0..chunks).map(Item::Chunk));
+                ingress.chunks = chunks;
+                ingress.scheduled = true;
+            }
+            slot
+        }
+
+        /// Queue a pool job for the slot (a new service thread).
+        pub fn submit(self: &Arc<Self>) {
+            let slot = Arc::clone(self);
+            let handle = cthread::spawn(move || slot.service());
+            self.jobs.lock().unwrap().push(handle);
+        }
+
+        /// `SessionHandle::push` / `try_push` (server.rs `submit_chunk`).
+        pub fn push(self: &Arc<Self>, item: Item, block: bool) -> Pushed {
+            let mut ingress = self.ingress.lock().unwrap();
+            while ingress.chunks >= self.capacity && !ingress.closed {
+                if !block {
+                    return Pushed::Full;
+                }
+                ingress.waiters += 1;
+                ingress = self.space.wait(ingress).unwrap();
+                ingress.waiters -= 1;
+            }
+            if ingress.closed {
+                return Pushed::Closed;
+            }
+            self.enqueue(ingress, item);
+            Pushed::Ok
+        }
+
+        /// `SessionHandle::flush`: accepted regardless of occupancy.
+        pub fn flush(self: &Arc<Self>) -> Pushed {
+            let ingress = self.ingress.lock().unwrap();
+            if ingress.closed {
+                return Pushed::Closed;
+            }
+            self.enqueue(ingress, Item::Flush);
+            Pushed::Ok
+        }
+
+        /// `RxServer::shutdown` for one session: close, wake blocked
+        /// producers, append the final flush.
+        pub fn shutdown(self: &Arc<Self>) {
+            let mut ingress = self.ingress.lock().unwrap();
+            if ingress.closed {
+                return;
+            }
+            ingress.closed = true;
+            if ingress.waiters > 0 {
+                self.space.notify_all();
+            }
+            self.enqueue(ingress, Item::Flush);
+        }
+
+        /// server.rs `enqueue`: append, then submit after unlocking if no job
+        /// exists.
+        fn enqueue(
+            self: &Arc<Self>,
+            mut ingress: cprecycle_engine::sync::MutexGuard<'_, Ingress>,
+            item: Item,
+        ) {
+            if let Item::Chunk(_) = item {
+                ingress.chunks += 1;
+            }
+            ingress.items.push_back(item);
+            let submit = !std::mem::replace(&mut ingress.scheduled, true);
+            drop(ingress);
+            if submit {
+                self.submit();
             }
         }
-    }
 
-    /// Queue a pool job for the slot (a new service thread). The handle is
-    /// recorded before the submitter proceeds, so the drain loop in [`run`]
-    /// always finds every live job through a chain of recorded handles.
-    fn submit(slot: &Arc<SlotSim>) {
-        let s2 = Arc::clone(slot);
-        let handle = cthread::spawn(move || service(&s2));
-        slot.jobs.lock().expect("job handles").push(handle);
-    }
+        /// One pool job: `RxServer::service` with `next_item` inlined.
+        fn service(self: &Arc<Self>) {
+            let depth = self.in_service.fetch_add(1, StdOrdering::SeqCst);
+            assert_eq!(depth, 0, "slot serviced by two workers at once");
+            for _ in 0..BUDGET {
+                let item = {
+                    let mut ingress = self.ingress.lock().unwrap();
+                    let item = ingress.items.pop_front();
+                    match item {
+                        None => {
+                            ingress.scheduled = false;
+                            // Leave the exclusive region inside the critical
+                            // section that releases the slot.
+                            self.in_service.fetch_sub(1, StdOrdering::SeqCst);
+                            return;
+                        }
+                        Some(Item::Chunk(_)) => {
+                            ingress.chunks -= 1;
+                            if ingress.waiters > 0 && ingress.chunks == self.capacity / 2 {
+                                self.space.notify_all();
+                            }
+                        }
+                        Some(Item::Flush) => {}
+                    }
+                    item.expect("matched Some above")
+                };
+                self.log.lock().unwrap().push(item);
+            }
+            let requeue = {
+                let mut ingress = self.ingress.lock().unwrap();
+                self.in_service.fetch_sub(1, StdOrdering::SeqCst);
+                if ingress.items.is_empty() {
+                    ingress.scheduled = false;
+                    false
+                } else {
+                    true
+                }
+            };
+            if requeue {
+                self.submit(); // the pool's atomic requeue of `Some(slot)`
+            }
+        }
 
-    /// Producer side: publish, then schedule the slot if nobody has.
-    /// Mirrors `SessionHandle::push` (server.rs: `!scheduled.swap(true)`
-    /// ⇒ submit).
-    pub fn produce(slot: &Arc<SlotSim>) {
-        slot.pending.fetch_add(1, Ordering::SeqCst);
-        if !slot.scheduled.swap(true, Ordering::SeqCst) {
-            submit(slot);
+        /// Joins every job, including ones spawned while joining.
+        pub fn join_jobs(&self) {
+            loop {
+                let next = self.jobs.lock().unwrap().pop();
+                match next {
+                    Some(h) => h.join().unwrap(),
+                    None => break,
+                }
+            }
+        }
+
+        /// Once every job has finished: nothing queued, nothing stranded, and
+        /// the slot left unscheduled for the next push.
+        pub fn assert_drained(&self) {
+            let ingress = self.ingress.lock().unwrap();
+            assert!(ingress.items.is_empty(), "an accepted item was stranded");
+            assert_eq!(ingress.chunks, 0);
+            assert!(!ingress.scheduled, "slot left scheduled with no job");
+        }
+
+        pub fn logged(&self) -> Vec<Item> {
+            self.log.lock().unwrap().clone()
         }
     }
+}
 
-    /// One pool job. Mirrors `RxServer::service`'s clear → re-check →
-    /// re-acquire dance; resubmits where the server returns `Some(slot)`
-    /// (after this invocation ends, as the real worker loop requeues only
-    /// once the handler has returned).
-    fn service(slot: &Arc<SlotSim>) {
-        // The exclusivity region is the *drain* (the part that mutates
-        // session state in the real server). It is entered holding the
-        // scheduled-flag token — acquired by whichever false→true swap
-        // created this job — and exited before the token is released by
-        // `store(false)`, so the clear→re-check tail below may legitimately
-        // overlap the next job's entry.
-        let depth = slot.in_service.fetch_add(1, StdOrdering::SeqCst);
-        assert_eq!(depth, 0, "slot drained concurrently by two workers");
-        let drained = slot.pending.swap(0, Ordering::SeqCst);
-        slot.in_service.fetch_sub(1, StdOrdering::SeqCst);
-        if drained > 0 {
-            slot.serviced_items.fetch_add(drained, StdOrdering::SeqCst);
-        }
-        // Nothing left at the swap: clear, re-check, re-acquire or concede.
-        slot.scheduled.store(false, Ordering::SeqCst);
-        if slot.pending.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        if slot.scheduled.swap(true, Ordering::SeqCst) {
-            // A racing producer observed our clear and scheduled the slot
-            // itself; that swap minted the one live token — concede.
-            slot.concedes.fetch_add(1, StdOrdering::SeqCst);
-            return;
-        }
-        // Re-acquired with work published after the drain swap (the server
-        // sees this as a pop that fails mid-publish): hand the slot token
-        // back to the pool rather than spinning (the model analogue of
-        // MID_PUBLISH_SPIN_LIMIT), where a fresh job will drain it.
-        slot.requeues.fetch_add(1, StdOrdering::SeqCst);
-        submit(slot);
-    }
+use slot_sim::{Item, Pushed, SlotSim};
 
-    /// Runs `producers` threads × `per_producer` items and checks the
-    /// exactly-once / no-strand invariants once every job has drained.
-    pub fn run(producers: usize, per_producer: usize) -> Arc<SlotSim> {
-        let slot = Arc::new(SlotSim::new());
-        let phandles: Vec<_> = (0..producers)
-            .map(|_| {
+#[test]
+fn ingress_two_producers_never_double_service_or_strand() {
+    // Two producers race the `scheduled` flag while jobs run (and requeue past
+    // the budget) concurrently: the slot is never serviced twice at once and
+    // every accepted chunk is serviced, in each producer's order.
+    model_bounded(2, || {
+        let slot = SlotSim::new(4);
+        let producers: Vec<_> = (0..2usize)
+            .map(|p| {
                 let slot = Arc::clone(&slot);
                 cthread::spawn(move || {
-                    for _ in 0..per_producer {
-                        produce(&slot);
+                    for i in 0..2 {
+                        assert_eq!(slot.push(Item::Chunk(p * 10 + i), false), Pushed::Ok);
                     }
                 })
             })
             .collect();
-        for p in phandles {
+        for p in producers {
             p.join().unwrap();
         }
-        // Drain the job-handle chain: every submit records its handle before
-        // the submitter exits, so an empty vec means every job has finished.
-        loop {
-            let next = slot.jobs.lock().expect("job handles").pop();
-            match next {
-                Some(h) => h.join().unwrap(),
-                None => break,
-            }
+        slot.join_jobs();
+        slot.assert_drained();
+        let log = slot.logged();
+        for p in 0..2 {
+            let mine: Vec<Item> = log
+                .iter()
+                .copied()
+                .filter(|item| matches!(item, Item::Chunk(c) if c / 10 == p))
+                .collect();
+            assert_eq!(mine, vec![Item::Chunk(p * 10), Item::Chunk(p * 10 + 1)]);
         }
-        let total = producers * per_producer;
-        assert_eq!(
-            slot.serviced_items.load(StdOrdering::SeqCst) as usize,
-            total,
-            "every published item is serviced exactly once, none stranded"
-        );
-        assert_eq!(
-            slot.pending.load(Ordering::SeqCst),
-            0,
-            "no published item left undrained at shutdown"
-        );
+    });
+}
+
+#[test]
+fn ingress_flush_runs_after_every_earlier_chunk() {
+    // A flush issued after a chunk is accepted lands behind it (and behind
+    // anything a racing producer got in first), whatever the job schedule.
+    model_bounded(2, || {
+        let slot = SlotSim::new(1);
+        let other = {
+            let slot = Arc::clone(&slot);
+            cthread::spawn(move || slot.push(Item::Chunk(1), true))
+        };
+        assert_eq!(slot.push(Item::Chunk(0), true), Pushed::Ok);
+        assert_eq!(slot.flush(), Pushed::Ok);
+        assert_eq!(other.join().unwrap(), Pushed::Ok);
+        slot.join_jobs();
+        slot.assert_drained();
+        let log = slot.logged();
+        let at = |item: Item| log.iter().position(|&x| x == item).expect("serviced");
         assert!(
-            !slot.scheduled.load(Ordering::SeqCst),
-            "the last service exits through the empty-break, leaving the \
-             flag clear for the next publish"
+            at(Item::Chunk(0)) < at(Item::Flush),
+            "flush overtook a chunk: {log:?}"
         );
-        slot
-    }
-}
-
-#[test]
-fn scheduled_flag_single_publish_serviced() {
-    model_tight(2, || {
-        slot_sim::run(1, 1);
+        assert_eq!(log.len(), 3);
     });
 }
 
 #[test]
-fn scheduled_flag_1p_two_items_none_stranded() {
-    // The clear→re-check races a second publish from the *same* producer:
-    // the item landing between the failed pop and the flag clear must be
-    // picked up by the re-check, never stranded behind a cleared flag.
-    // Preemption bound 1: this shape spawns follow-on jobs, so its voluntary
-    // interleaving space is already wide; the single preemption is exactly
-    // what lands a publish inside the dance.
-    model_tight(1, || {
-        slot_sim::run(1, 2);
-    });
-}
-
-#[test]
-fn scheduled_flag_2p_never_double_services() {
-    // The headline configuration: two producers racing the flag while jobs
-    // run concurrently. The `in_service` assertion inside `service` fires on
-    // any schedule where the clear→re-check→re-acquire dance lets two jobs
-    // coexist and double-drain the slot. Preemption bound 1 (see above).
-    model_tight(1, || {
-        slot_sim::run(2, 1);
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Seeded mutations: the checker must catch a weakened ordering
-// ---------------------------------------------------------------------------
-
-/// `ParkGate` with the seeded mutation from the ISSUE: the notifier's
-/// waiter-count read weakened from `SeqCst` to `Relaxed`. Everything else is
-/// the production protocol verbatim.
-struct WeakGate {
-    waiters: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl WeakGate {
-    fn new() -> WeakGate {
-        WeakGate {
-            waiters: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn wait_while(&self, mut blocked: impl FnMut() -> bool) {
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let mut guard = self.lock.lock().expect("gate lock");
-        while blocked() {
-            guard = self.cv.wait(guard).expect("gate lock");
-        }
-        drop(guard);
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn notify(&self, count_order: Ordering) {
-        // MUTATION UNDER TEST: with `Relaxed` the count read may miss a
-        // registration that is *earlier* in the SeqCst total order than the
-        // resource release, so the skip is no longer sound.
-        if self.waiters.load(count_order) > 0 {
-            let _guard = self.lock.lock().expect("gate lock");
-            self.cv.notify_all();
-        }
-    }
-}
-
-/// The capacity-1 handshake shape shared by the mutation pair below.
-fn weak_gate_shape(count_order: Ordering) -> impl Fn() + Send + Sync + 'static {
-    move || {
-        let gate = Arc::new(WeakGate::new());
-        let busy = Arc::new(AtomicBool::new(true));
-        let (g2, b2) = (Arc::clone(&gate), Arc::clone(&busy));
-        let waiter = cthread::spawn(move || {
-            g2.wait_while(|| b2.load(Ordering::SeqCst));
-        });
-        busy.store(false, Ordering::SeqCst);
-        gate.notify(count_order);
-        waiter.join().unwrap();
-    }
-}
-
-#[test]
-fn mutation_relaxed_notify_count_is_caught() {
-    // Weakening the waiter-count read to Relaxed lets the notifier read a
-    // stale 0 *after* the waiter registered, skip the notify, and strand the
-    // waiter: the checker must find that schedule and report the deadlock.
-    let failure = Builder::new()
-        .check(weak_gate_shape(Ordering::Relaxed))
-        .expect_err("the Relaxed waiter-count read must lose a wakeup");
-    assert_eq!(failure.kind, FailureKind::Deadlock);
-    assert!(
-        !failure.schedule.is_empty(),
-        "failing schedule is replayable: {failure}"
-    );
-}
-
-#[test]
-fn mutation_control_seqcst_notify_verified() {
-    // The unmutated protocol, same shape, same bounds: exhaustively clean —
-    // which is what makes the mutation test meaningful.
-    let report = Builder::new()
-        .check(weak_gate_shape(Ordering::SeqCst))
-        .expect("the SeqCst protocol has no lost wakeup");
-    assert!(
-        report.complete,
-        "exploration must exhaust the shape: {report:?}"
-    );
-}
-
-/// Second seeded mutation: the consumer's credit release weakened to a
-/// `Relaxed` RMW. The parked producer's re-check (`SeqCst` load) is then no
-/// longer forced to observe the release and can park forever on a free ring.
-#[test]
-fn mutation_relaxed_credit_release_is_caught() {
-    let shape = |release_order: Ordering| {
-        move || {
-            let credits = Arc::new(AtomicUsize::new(1)); // capacity 1, full
-            let gate = Arc::new(WeakGate::new());
-            let (c2, g2) = (Arc::clone(&credits), Arc::clone(&gate));
-            let producer = cthread::spawn(move || {
-                // Blocking push path: park while the credit is held.
-                g2.wait_while(|| c2.load(Ordering::SeqCst) >= 1);
-            });
-            // Consumer pop path: release the credit, then notify.
-            credits.fetch_sub(1, release_order);
-            gate.notify(Ordering::SeqCst);
-            producer.join().unwrap();
-        }
-    };
-    let failure = Builder::new()
-        .check(shape(Ordering::Relaxed))
-        .expect_err("Relaxed credit release must strand the parked producer");
-    assert_eq!(failure.kind, FailureKind::Deadlock);
-    // Control: the production SeqCst release is exhaustively clean.
-    let report = Builder::new()
-        .check(shape(Ordering::SeqCst))
-        .expect("SeqCst credit release never strands the producer");
-    assert!(report.complete);
-}
-
-// ---------------------------------------------------------------------------
-// Pinned hairy interleavings (satellite: schedules printed in source)
-// ---------------------------------------------------------------------------
-
-/// The capacity-1 park handshake shape used by the pinned replay and its
-/// schedule-search helper. The probe counts nothing; the hairy branch is
-/// observable through `full_events()`.
-fn cap1_park_shape() -> impl Fn() + Send + Sync + 'static {
-    || {
-        let ring: Arc<IngressRing<usize>> = Arc::new(IngressRing::with_capacity(1));
-        let r2 = Arc::clone(&ring);
-        let producer = cthread::spawn(move || {
-            r2.push(1).expect("first push");
-            r2.push(2).expect("second push after the pop");
-        });
-        let mut seen = Vec::new();
-        while seen.len() < 2 {
-            if let Some(v) = ring.pop() {
-                seen.push(v);
-            } else {
-                conc::hint::spin_loop();
-            }
-        }
+fn ingress_blocking_push_at_capacity_one_is_woken() {
+    // Capacity 1: the second push must wait for the job to pop the first. The
+    // half-capacity wake fires at 0 here; a missed wake is a deadlock.
+    model_bounded(2, || {
+        let slot = SlotSim::new(1);
+        let producer = {
+            let slot = Arc::clone(&slot);
+            cthread::spawn(move || {
+                assert_eq!(slot.push(Item::Chunk(0), true), Pushed::Ok);
+                assert_eq!(slot.push(Item::Chunk(1), true), Pushed::Ok);
+            })
+        };
         producer.join().unwrap();
-        assert_eq!(seen, vec![1, 2]);
-        // Replay-mode probe: the pinned schedule must actually drive the
-        // producer into the full/park branch.
-        assert!(
-            ring.full_events() >= 1,
-            "pinned schedule no longer reaches the park path"
-        );
-    }
+        slot.join_jobs();
+        slot.assert_drained();
+        assert_eq!(slot.logged(), vec![Item::Chunk(0), Item::Chunk(1)]);
+    });
 }
-
-/// Schedule reaching the capacity-1 park handshake. Harvested by
-/// `pin_search_cap1_park`; all-default (every choice 0, so the empty prefix)
-/// because the checker's DFS runs each thread until it blocks: the producer
-/// races ahead of the consumer, lands item 1, hits `Full` on item 2
-/// (full_events ≥ 1), spins once (SPIN_LIMIT=1 under the model cfg),
-/// registers on the gate and parks; only then does the consumer run — pop
-/// item 1, release the credit, read the waiter count (SeqCst), take the gate
-/// lock and wake the producer, which re-checks, wins the freed credit and
-/// lands item 2.
-///
-/// Regenerate after any protocol change with:
-/// `RUSTFLAGS="--cfg cprecycle_conc" cargo test -p cprecycle-engine --test \
-///  conc_models pin_search_cap1_park -- --ignored --nocapture`
-const PINNED_CAP1_PARK_SCHEDULE: &[u32] = &[];
 
 #[test]
-fn pinned_cap1_park_handshake_replays_clean() {
-    let report = Builder::new()
-        .replay(PINNED_CAP1_PARK_SCHEDULE, cap1_park_shape())
-        .expect("the pinned park-handshake interleaving must stay correct");
-    assert_eq!(report.schedules, 1, "replay runs exactly one schedule");
-}
-
-/// Finds (and prints) a current schedule for the capacity-1 park handshake by
-/// asserting the full branch *never* happens and harvesting the violating
-/// schedule. Run manually when the protocol changes (see the pinned const).
-#[test]
-#[ignore = "schedule-search helper; run with --ignored --nocapture to regenerate the pin"]
-fn pin_search_cap1_park() {
-    let failure = Builder::new()
-        .check(|| {
-            let ring: Arc<IngressRing<usize>> = Arc::new(IngressRing::with_capacity(1));
-            let r2 = Arc::clone(&ring);
-            let producer = cthread::spawn(move || {
-                r2.push(1).expect("first push");
-                r2.push(2).expect("second push after the pop");
-            });
-            let mut seen = Vec::new();
-            while seen.len() < 2 {
-                if let Some(v) = ring.pop() {
-                    seen.push(v);
-                } else {
-                    conc::hint::spin_loop();
-                }
-            }
-            producer.join().unwrap();
-            assert_eq!(seen, vec![1, 2]);
-            assert_eq!(ring.full_events(), 0, "probe: full branch reached");
-        })
-        .expect_err("some schedule must hit the full/park branch");
-    println!(
-        "PINNED_CAP1_PARK_SCHEDULE candidate: {:?}",
-        failure.schedule
-    );
-}
-
-/// The publish-window concede shape (the distilled form of the server's
-/// mid-publish race): one producer publishing through the scheduled-flag
-/// dance while the servicing side drains. The hairy interleaving: the second
-/// publish lands between the servicer's drain and its flag clear, so the
-/// re-check sees work — and either the producer wins the false→true swap
-/// (servicer concedes) or the servicer re-acquires and requeues. The
-/// claim-vs-stamp half of the real mid-publish window lives in the raw
-/// `MpmcRing`, covered by the ring suites above.
-fn midpublish_shape() -> impl Fn() + Send + Sync + 'static {
-    || {
-        let slot = slot_sim::run(1, 2);
-        // Replay-mode probe: the pinned schedule must actually exercise the
-        // concede-or-requeue branch (either outcome of the swap race).
-        let concedes = slot.concedes.load(std::sync::atomic::Ordering::SeqCst);
-        assert!(
-            concedes >= 1,
-            "pinned schedule no longer reaches the concede branch"
-        );
-    }
-}
-
-/// Schedule reaching the publish-window concede (harvested by
-/// `pin_search_midpublish`; trailing default choices trimmed — replay pads
-/// with 0s). Choices 2 and 4 are the two preemption points: the service job
-/// created by the first publish drains it and clears `scheduled`; the
-/// producer, preempted into the gap with its second publish, bumps `pending`
-/// and wins the false→true swap, queueing a fresh job; the first job's own
-/// re-acquire swap then returns `true` and it concedes — exactly one job
-/// survives, and the fresh one drains item 2.
-///
-/// Regenerate after any protocol change with:
-/// `RUSTFLAGS="--cfg cprecycle_conc" cargo test -p cprecycle-engine --test \
-///  conc_models pin_search_midpublish -- --ignored --nocapture`
-const PINNED_MIDPUBLISH_SCHEDULE: &[u32] = &[0, 1, 0, 1];
-
-#[test]
-fn pinned_midpublish_concede_replays_clean() {
-    let report = Builder::new()
-        .replay(PINNED_MIDPUBLISH_SCHEDULE, midpublish_shape())
-        .expect("the pinned mid-publish concede interleaving must stay correct");
-    assert_eq!(report.schedules, 1, "replay runs exactly one schedule");
-}
-
-/// Schedule-search helper for the mid-publish concede pin (see above).
-#[test]
-#[ignore = "schedule-search helper; run with --ignored --nocapture to regenerate the pin"]
-fn pin_search_midpublish() {
-    let failure = Builder::new()
-        .check(|| {
-            let slot = slot_sim::run(1, 2);
-            assert_eq!(
-                slot.concedes.load(std::sync::atomic::Ordering::SeqCst),
-                0,
-                "probe: concede branch reached"
-            );
-        })
-        .expect_err("some schedule must hit the concede branch");
-    println!(
-        "PINNED_MIDPUBLISH_SCHEDULE candidate: {:?}",
-        failure.schedule
-    );
+fn ingress_shutdown_wakes_a_producer_blocked_at_capacity() {
+    // Capacity 1, full, its worker wedged (job scheduled but not running). A
+    // producer blocks in `push`; shutdown must wake it with `Closed` — its
+    // final flush needs no capacity — and once the worker resumes, the flush
+    // runs after the queued chunk.
+    model_bounded(2, || {
+        let slot = SlotSim::wedged(1, 1);
+        let producer = {
+            let slot = Arc::clone(&slot);
+            cthread::spawn(move || slot.push(Item::Chunk(7), true))
+        };
+        slot.shutdown();
+        assert_eq!(producer.join().unwrap(), Pushed::Closed);
+        assert_eq!(slot.push(Item::Chunk(8), false), Pushed::Closed);
+        slot.submit(); // the wedged worker resumes its job
+        slot.join_jobs();
+        slot.assert_drained();
+        assert_eq!(slot.logged(), vec![Item::Chunk(0), Item::Flush]);
+    });
 }

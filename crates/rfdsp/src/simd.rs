@@ -19,7 +19,7 @@ use crate::complex::Complex;
 /// Whether the runtime-detected AVX2 kernels will be used on this machine.
 ///
 /// Always `false` under Miri: the interpreter executes Rust semantics, not
-/// vendor intrinsics, so the Miri CI job must take the autovectorized fallback
+/// vendor intrinsics, so a Miri run must take the autovectorized fallback
 /// (which is bit-identical anyway).
 #[inline]
 pub fn avx2_available() -> bool {

@@ -247,7 +247,6 @@ where
     let server: RxServer<R> = RxServer::new(ServerConfig {
         threads: cfg.threads.max(1),
         queue_capacity: cfg.queue_capacity.max(1),
-        ..Default::default()
     });
     let handles: Vec<_> = (0..cfg.stations)
         .map(|_| server.add_session(make_receiver(cfg.params.clone()), session_config))

@@ -2,8 +2,8 @@
 //!
 //! Default policy is `#![forbid(unsafe_code)]` — forbid cannot be overridden
 //! by an inner `#[allow]`, so it is a whole-crate proof of zero unsafe. The
-//! few crates whose job *is* unsafe (the lock-free ring in `engine`, the AVX2
-//! kernels in `rfdsp`, the checker shims in `conc`) instead carry
+//! few crates whose job *is* unsafe (the AVX2 kernels in `rfdsp`, the checker
+//! shims in `conc`) instead carry
 //! `#![deny(unsafe_code)]` (each site opts in with a scoped `#[allow]`)
 //! **plus** `#![deny(unsafe_op_in_unsafe_fn)]` so `unsafe fn` bodies still
 //! need explicit `unsafe {}` blocks around each dangerous operation.
@@ -14,7 +14,7 @@ use crate::walk;
 
 /// Workspace-relative crate directories permitted to contain unsafe code.
 /// Everything else must forbid it outright.
-const UNSAFE_CRATES: &[&str] = &["crates/engine", "crates/rfdsp", "crates/compat/conc"];
+const UNSAFE_CRATES: &[&str] = &["crates/rfdsp", "crates/compat/conc"];
 
 pub struct HeaderReport {
     pub checked: usize,
@@ -102,7 +102,7 @@ mod tests {
     fn unsafe_crate_needs_both_deny_headers() {
         let mut v = Vec::new();
         check_root(
-            "crates/engine/src/lib.rs",
+            "crates/rfdsp/src/lib.rs",
             "#![deny(unsafe_code)]\n",
             true,
             &mut v,
@@ -115,7 +115,7 @@ mod tests {
     fn unsafe_crate_with_both_headers_passes() {
         let mut v = Vec::new();
         check_root(
-            "crates/engine/src/lib.rs",
+            "crates/rfdsp/src/lib.rs",
             "#![deny(unsafe_code)]\n#![deny(unsafe_op_in_unsafe_fn)]\n",
             true,
             &mut v,

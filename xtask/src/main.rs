@@ -9,12 +9,12 @@
 //!   is emitted as machine-readable JSON so reviewers can diff the unsafe
 //!   surface between releases; an undocumented site fails the build.
 //! * **atomic-ordering audit** ([`ordering`]) — `Ordering::Relaxed` is allowed
-//!   only in the allowlisted pure-counter/protocol modules and in test code.
+//!   only in the allowlisted modules and in test code.
 //!   A Relaxed sneaking into new concurrent logic fails the build and must
 //!   either be justified (add the module to the allowlist in review) or fixed.
 //! * **lint-header hardening** ([`headers`]) — every crate root must pin its
 //!   unsafe policy: `#![forbid(unsafe_code)]` by default, or for the few
-//!   crates with a justified unsafe core (`engine`, `rfdsp`, `conc`) the pair
+//!   crates with a justified unsafe core (`rfdsp`, `conc`) the pair
 //!   `#![deny(unsafe_code)]` + `#![deny(unsafe_op_in_unsafe_fn)]`.
 //!
 //! Run locally with `cargo xtask lint`; CI uploads the JSON report
@@ -136,7 +136,7 @@ fn lint(report_path: Option<PathBuf>) -> ExitCode {
     );
     for v in &relaxed_violations {
         eprintln!(
-            "  error[ordering-audit]: {}:{} Ordering::Relaxed outside the pure-counter allowlist: {}",
+            "  error[ordering-audit]: {}:{} Ordering::Relaxed outside the allowlist: {}",
             v.file, v.line, v.context
         );
     }

@@ -31,13 +31,20 @@ fn collect(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// All crate manifests (`Cargo.toml` declaring a `[package]`), sorted.
+/// All crate manifests of this workspace (`Cargo.toml` declaring a
+/// `[package]`), sorted. A package nested under the root that declares its own
+/// `[workspace]` (the standalone `perfbench/` harness) is a separate workspace
+/// and is skipped.
 pub fn crate_manifests(root: &Path) -> Vec<PathBuf> {
     let mut all = Vec::new();
     collect_manifests(root, &mut all);
     all.sort();
+    let root_manifest = root.join("Cargo.toml");
     all.retain(|p| {
-        std::fs::read_to_string(p).is_ok_and(|s| s.lines().any(|l| l.trim() == "[package]"))
+        std::fs::read_to_string(p).is_ok_and(|s| {
+            let has = |table: &str| s.lines().any(|l| l.trim() == table);
+            has("[package]") && (*p == root_manifest || !has("[workspace]"))
+        })
     });
     all
 }
