@@ -56,10 +56,11 @@ pub struct DecoderScratch {
     /// Log-likelihood score of each candidate, parallel to `candidates`.
     pub(crate) scores: Vec<f64>,
     /// Candidate-major deviation amplitudes (`candidates.len() × P` entries) — the
-    /// batched sphere decoder hoists every candidate/observation deviation here so
-    /// one `log_likelihood_batch` call scores them all.
+    /// batched sphere decoder hoists every candidate/observation error vector here
+    /// (real part, converted in place to the amplitude) so one
+    /// `log_likelihood_batch` call scores them all.
     pub(crate) dev_amp: Vec<f64>,
-    /// Deviation phases, parallel to `dev_amp`.
+    /// Deviation phases (imaginary part before conversion), parallel to `dev_amp`.
     pub(crate) dev_phase: Vec<f64>,
     /// Per-query log-likelihoods, parallel to `dev_amp`; summed in chunks of `P` to
     /// produce `scores`.

@@ -30,17 +30,42 @@ use rfdsp::Complex;
 /// (the paper's `A(·)` and `Φ(·)` of the error vector).
 ///
 /// The phase of a numerically-zero error vector (amplitude below `1e-9` on the
-/// unit-power constellation scale) is pure floating-point noise, so it is pinned to
-/// `0` — otherwise a clean-channel model would train on rounding garbage and its
-/// decisions would depend on which extraction kernel produced the rounding.
+/// unit-power constellation scale) is pure floating-point noise, so it is pinned
+/// to `0` — otherwise a clean-channel model would train on rounding garbage and
+/// its decisions would depend on which extraction kernel produced the rounding.
+///
+/// The polar conversion is [`rfdsp::lanes::polar`] (`sqrt` and a polynomial
+/// `atan2`), the same per-element formula the sphere decoder's lane-parallel
+/// [`deviation_planes`] runs, so training and scoring deviations agree bit for
+/// bit.
 #[inline]
 pub fn deviation(observed: Complex, reference: Complex) -> (f64, f64) {
     let err = observed - reference;
-    let amplitude = err.norm();
-    if amplitude < 1e-9 {
+    let (amplitude, phase) = rfdsp::lanes::polar(err.re, err.im);
+    if amplitude < ZERO_DEVIATION {
         (amplitude, 0.0)
     } else {
-        (amplitude, err.arg())
+        (amplitude, phase)
+    }
+}
+
+/// Error-vector amplitude below which [`deviation`] pins the phase to `0`.
+const ZERO_DEVIATION: f64 = 1e-9;
+
+/// [`deviation`] over whole planes: on entry `amp`/`phase` hold the error
+/// vectors' real and imaginary parts, on return their amplitudes and phases —
+/// converted lane-parallel by [`rfdsp::simd::polar_planes`] and pinned exactly as
+/// [`deviation`] pins, bit-identical to per-element calls.
+///
+/// # Panics
+///
+/// Panics if the planes have different lengths.
+pub fn deviation_planes(amp: &mut [f64], phase: &mut [f64]) {
+    rfdsp::simd::polar_planes(amp, phase);
+    for (a, p) in amp.iter().zip(phase.iter_mut()) {
+        if *a < ZERO_DEVIATION {
+            *p = 0.0;
+        }
     }
 }
 
@@ -305,6 +330,38 @@ mod tests {
         let (a2, p2) = deviation(x + Complex::new(0.1, 0.0), x);
         assert!((a2 - 0.1).abs() < 1e-12);
         assert!(p2.abs() < 1e-12);
+    }
+
+    #[test]
+    fn deviation_planes_are_bit_identical_to_scalar_deviation() {
+        // 11 pairs: not a lane multiple, so the remainder path runs too. Every
+        // quadrant, both axes and a sub-threshold error (pinned phase) occur.
+        let reference = Complex::new(0.316, -0.948);
+        let errs = [
+            (0.3, 0.2),
+            (-0.7, 0.05),
+            (-0.2, -1.3),
+            (0.9, -0.4),
+            (0.0, 0.6),
+            (-0.45, 0.0),
+            (1e-12, -3e-12),
+            (0.0, 0.0),
+            (2.5, 2.5),
+            (-3.1, 0.8),
+            (0.01, -0.0),
+        ];
+        let observed: Vec<Complex> = errs
+            .iter()
+            .map(|&(re, im)| reference + Complex::new(re, im))
+            .collect();
+        let mut amp: Vec<f64> = observed.iter().map(|o| (*o - reference).re).collect();
+        let mut phase: Vec<f64> = observed.iter().map(|o| (*o - reference).im).collect();
+        deviation_planes(&mut amp, &mut phase);
+        for (k, o) in observed.iter().enumerate() {
+            let (a, p) = deviation(*o, reference);
+            assert_eq!(amp[k].to_bits(), a.to_bits(), "amplitude {k}");
+            assert_eq!(phase[k].to_bits(), p.to_bits(), "phase {k}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! every candidate of every bin of every symbol cloned a `(Complex, Vec<u8>)` pair).
 
 use crate::decision::{DecoderScratch, LatticePoint, SubcarrierDecoder};
-use crate::interference_model::{deviation, InterferenceModel};
+use crate::interference_model::{deviation_planes, InterferenceModel};
 use crate::segments::SymbolSegments;
 use ofdmphy::modulation::{Lattice, Modulation};
 use rfdsp::stats::centroid;
@@ -117,12 +117,14 @@ impl SubcarrierDecoder for FixedSphereMlDecoder<'_> {
         scratch: &mut DecoderScratch,
     ) -> LatticePoint {
         self.enumerate_candidates(observations, scratch);
-        // Batched scoring: hoist every candidate/observation deviation into
-        // candidate-major planes, score them all with ONE estimator call (the
-        // lane-parallel batch path), then reduce per candidate. The per-candidate sum
-        // iterates observations in the same order as the old per-query loop, so
-        // scores are unchanged wherever the batch path is bit-for-bit (grid f64,
-        // Gaussian, fallback) and within 1e-9 elsewhere.
+        // Batched scoring: hoist every candidate/observation error vector into the
+        // candidate-major planes, convert them to (amplitude, phase) deviations in
+        // one lane-parallel pass, score them all with ONE estimator call (the
+        // lane-parallel batch path), then reduce per candidate. The per-candidate
+        // sum iterates observations in the same order as a per-query loop, and the
+        // plane conversion is bit-identical to `deviation`, so scores are unchanged
+        // wherever the batch path is bit-for-bit (grid f64, Gaussian, fallback) and
+        // within 1e-9 elsewhere.
         let p = observations.len();
         scratch.dev_amp.clear();
         scratch.dev_phase.clear();
@@ -132,11 +134,12 @@ impl SubcarrierDecoder for FixedSphereMlDecoder<'_> {
         for &index in &scratch.candidates {
             let point = self.lattice.point(index);
             for obs in observations {
-                let (amplitude, phase) = deviation(*obs, point);
-                scratch.dev_amp.push(amplitude);
-                scratch.dev_phase.push(phase);
+                let err = *obs - point;
+                scratch.dev_amp.push(err.re);
+                scratch.dev_phase.push(err.im);
             }
         }
+        deviation_planes(&mut scratch.dev_amp, &mut scratch.dev_phase);
         scratch.log_likes.clear();
         scratch.log_likes.resize(total, 0.0);
         self.model.log_likelihood_batch(

@@ -9,8 +9,10 @@
 //! scratch), so the counts pinned here would jump by at least two per occupied bin
 //! if the temporaries ever came back.
 //!
-//! The test binary installs a counting global allocator; the counts are process-wide,
-//! so each measurement runs the workload after a warm-up of the same shape.
+//! The test binary installs a counting global allocator that counts only the
+//! allocations of the thread inside [`allocations_during`], so the test harness
+//! (spawning and reporting the other tests) never leaks into a measurement; each
+//! measurement runs the workload after a warm-up of the same shape.
 
 use cprecycle::segments::SymbolSegments;
 use cprecycle::{CpRecycleConfig, InterferenceModel};
@@ -21,21 +23,34 @@ use rand::{Rng, SeedableRng};
 use rfdsp::kde::{BandwidthSelector, ProductKde2d};
 use rfdsp::Complex;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations of this thread while counting is on; `None` while off.
+    /// Const-initialised and drop-free, so touching it never allocates.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_allocation() {
+    // `try_with`: a thread tearing down its TLS still allocates, uncounted.
+    let _ = ALLOCATIONS.try_with(|c| {
+        if let Some(n) = c.get() {
+            c.set(Some(n + 1));
+        }
+    });
+}
 
 struct CountingAllocator;
 
 // The test binary only counts; all real work is delegated to the system allocator.
 // SAFETY: every method below delegates the actual (de)allocation to `System`
 // verbatim — same layout, same pointer — so `System`'s GlobalAlloc guarantees
-// carry over; the only addition is a Relaxed counter bump with no effect on
-// memory management.
+// carry over; the only addition is a thread-local counter bump with no effect
+// on memory management.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwarded to `System` with the caller's layout unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -46,13 +61,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: forwarded to `System` with the caller's arguments unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
     // SAFETY: forwarded to `System` with the caller's layout unchanged.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 }
@@ -60,13 +75,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Runs `f` and returns how many allocations (and reallocations) the calling
+/// thread made inside it.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    ALLOCATIONS.with(|c| c.set(Some(0)));
+    f();
+    ALLOCATIONS.with(|c| c.replace(None)).unwrap_or(0)
 }
-
-/// The counter is process-wide, so concurrently running tests would perturb each
-/// other's measurements; every test holds this for its measured region.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn viterbi_decode_is_allocation_free_after_warmup() {
@@ -79,7 +94,6 @@ fn viterbi_decode_is_allocation_free_after_warmup() {
     use ofdmphy::convcode::{encode, CodeRate};
     use ofdmphy::viterbi::ViterbiDecoder;
 
-    let _serial = SERIAL.lock().unwrap();
     let decoder = ViterbiDecoder::new();
     let mut data: Vec<u8> = (0..1200).map(|i| ((i * 7 + 3) % 5 > 2) as u8).collect();
     data.extend_from_slice(&[0; 6]);
@@ -89,9 +103,7 @@ fn viterbi_decode_is_allocation_free_after_warmup() {
         // Warm-up sizes the decoder scratch and the output buffer for this frame.
         decoder.decode_into(&coded, rate, &mut out).unwrap();
         assert_eq!(out, data);
-        let before = allocations();
-        decoder.decode_into(&coded, rate, &mut out).unwrap();
-        let during = allocations() - before;
+        let during = allocations_during(|| decoder.decode_into(&coded, rate, &mut out).unwrap());
         assert_eq!(
             during, 0,
             "warm Viterbi decode allocated {during} times at rate {rate:?}"
@@ -105,16 +117,13 @@ fn kde_update_is_allocation_free_after_reserve() {
     // The satellite pin: `ProductKde2d::update` used to collect both axes into fresh
     // vectors to reselect bandwidths on every call. With split-axis storage, the
     // internal sort scratch and a `reserve`, an update allocates nothing at all.
-    let _serial = SERIAL.lock().unwrap();
     let samples: Vec<(f64, f64)> = (0..64)
         .map(|i| (0.1 + 0.01 * (i % 13) as f64, -1.0 + 0.07 * (i % 29) as f64))
         .collect();
     let mut kde = ProductKde2d::new(&samples, BandwidthSelector::LeaveOneOut).unwrap();
     let new: Vec<(f64, f64)> = (0..16).map(|i| (0.3 + 0.01 * i as f64, 0.5)).collect();
     kde.reserve(new.len());
-    let before = allocations();
-    kde.update(&new, BandwidthSelector::LeaveOneOut).unwrap();
-    let during = allocations() - before;
+    let during = allocations_during(|| kde.update(&new, BandwidthSelector::LeaveOneOut).unwrap());
     assert_eq!(
         during, 0,
         "ProductKde2d::update allocated {during} times after reserve"
@@ -131,7 +140,6 @@ fn model_update_does_not_collect_per_bin_temporaries() {
     // collects for selection plus a fresh sample copy per KDE, and two more inside
     // `ProductKde2d::update`), i.e. > 200 allocations per update; the bound here
     // fails if even half of that comes back.
-    let _serial = SERIAL.lock().unwrap();
     let e = OfdmEngine::new(OfdmParams::ieee80211ag());
     let reference = preamble::ltf_bins(e.params());
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
@@ -167,9 +175,7 @@ fn model_update_does_not_collect_per_bin_temporaries() {
     model.update(&e, &preamble_segments(9), &reference).unwrap();
 
     let next = preamble_segments(9);
-    let before = allocations();
-    model.update(&e, &next, &reference).unwrap();
-    let during = allocations() - before;
+    let during = allocations_during(|| model.update(&e, &next, &reference).unwrap());
     assert!(
         during <= 110,
         "model update allocated {during} times — per-bin temporaries are back?"

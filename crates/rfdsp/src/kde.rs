@@ -79,21 +79,25 @@ pub fn silverman_bandwidth_scratch(samples: &[f64], scratch: &mut Vec<f64>) -> R
 }
 
 /// Leave-one-out log-likelihood of a univariate Gaussian KDE with bandwidth `bw`.
-fn loo_log_likelihood(samples: &[f64], bw: f64) -> f64 {
+///
+/// The `n(n−1)` leave-one-out kernels are symmetric, so each pair is evaluated
+/// once, lane-parallel with the polynomial `exp` ([`crate::simd::loo_kernel_sums`]).
+/// `scratch` is the workspace: `n` per-sample kernel sums followed by the `n`
+/// samples whitened by `1/(√2·bw)` (hence `2·n` entries, see
+/// [`ProductKde2d::reserve`]).
+fn loo_log_likelihood(samples: &[f64], bw: f64, scratch: &mut Vec<f64>) -> f64 {
     let n = samples.len();
-    let mut ll = 0.0;
-    for i in 0..n {
-        let mut density = 0.0;
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            density += gaussian_kernel((samples[i] - samples[j]) / bw);
-        }
-        density /= ((n - 1) as f64) * bw;
-        ll += density.max(1e-300).ln();
+    scratch.clear();
+    scratch.resize(2 * n, 0.0);
+    let (dens, scaled) = scratch.split_at_mut(n);
+    let c = std::f64::consts::FRAC_1_SQRT_2 / bw;
+    for (y, x) in scaled.iter_mut().zip(samples) {
+        *y = x * c;
     }
-    ll
+    crate::simd::loo_kernel_sums(scaled, dens);
+    // `gaussian_kernel`'s 1/2π and the LOO mean's 1/((n−1)·B), applied once.
+    let norm = 1.0 / (2.0 * std::f64::consts::PI * (n - 1) as f64 * bw);
+    dens.iter().map(|d| (d * norm).max(1e-300).ln()).sum()
 }
 
 /// Selects a bandwidth for `samples` according to `selector`.
@@ -102,9 +106,10 @@ pub fn select_bandwidth(samples: &[f64], selector: BandwidthSelector) -> Result<
     select_bandwidth_scratch(samples, selector, &mut scratch)
 }
 
-/// [`select_bandwidth`] with a caller-owned sort scratch (see
-/// [`silverman_bandwidth_scratch`]): the allocation-free variant the per-subcarrier
-/// refit loop of the interference model uses.
+/// [`select_bandwidth`] with a caller-owned scratch (the Silverman sort of
+/// [`silverman_bandwidth_scratch`], then the `2·n`-entry leave-one-out workspace):
+/// the allocation-free variant the per-subcarrier refit loop of the interference
+/// model uses.
 pub fn select_bandwidth_scratch(
     samples: &[f64],
     selector: BandwidthSelector,
@@ -124,13 +129,14 @@ pub fn select_bandwidth_scratch(
             if samples.len() < 3 {
                 return Ok(base);
             }
-            // Multiplicative grid around the Silverman pilot bandwidth.
+            // Multiplicative grid around the Silverman pilot bandwidth: 9 factors ×
+            // n(n−1) leave-one-out kernels, which dominates a model refit.
             let factors = [0.25, 0.4, 0.6, 0.8, 1.0, 1.3, 1.7, 2.2, 3.0];
             let mut best = base;
             let mut best_ll = f64::NEG_INFINITY;
             for f in factors {
                 let bw = base * f;
-                let ll = loo_log_likelihood(samples, bw);
+                let ll = loo_log_likelihood(samples, bw, scratch);
                 if ll > best_ll {
                     best_ll = ll;
                     best = bw;
@@ -218,11 +224,17 @@ impl KernelDensity1d {
 /// temporary axis vectors on every refit.
 #[derive(Debug, Clone)]
 pub struct ProductKde2d {
+    /// The `n` amplitude samples followed by the same samples divided by `√2·B_a`:
+    /// the whitened coordinates the lane kernels of [`crate::simd`] take. The
+    /// whitened half is recomputed whenever samples or bandwidths change, and
+    /// shares the raw half's allocation.
     amps: Vec<f64>,
+    /// The phase samples, laid out like `amps`.
     phases: Vec<f64>,
     bw_a: f64,
     bw_p: f64,
-    /// Sort scratch reused by bandwidth reselection in [`ProductKde2d::update`].
+    /// Sort and leave-one-out scratch reused by bandwidth reselection in
+    /// [`ProductKde2d::update`].
     scratch: Vec<f64>,
 }
 
@@ -235,16 +247,18 @@ impl ProductKde2d {
         }
         let amps: Vec<f64> = samples.iter().map(|s| s.0).collect();
         let phases: Vec<f64> = samples.iter().map(|s| s.1).collect();
-        let mut scratch = Vec::with_capacity(samples.len());
+        let mut scratch = Vec::with_capacity(2 * samples.len());
         let bw_a = select_bandwidth_scratch(&amps, selector, &mut scratch)?;
         let bw_p = select_bandwidth_scratch(&phases, selector, &mut scratch)?;
-        Ok(ProductKde2d {
+        let mut kde = ProductKde2d {
             amps,
             phases,
             bw_a,
             bw_p,
             scratch,
-        })
+        };
+        kde.whiten();
+        Ok(kde)
     }
 
     /// Builds a product KDE with explicit per-axis bandwidths (the paper's `B_a`, `B_φ`
@@ -291,7 +305,35 @@ impl ProductKde2d {
         self.phases.extend_from_slice(phases);
         self.bw_a = bw_a;
         self.bw_p = bw_p;
+        self.whiten();
         Ok(())
+    }
+
+    /// Per-axis whitening factors `1/(√2·B)`: in whitened coordinates the kernel
+    /// exponent `−½·((Δa/B_a)² + (Δφ/B_φ)²)` is `−(Δa'² + Δφ'²)`.
+    fn whitening(&self) -> (f64, f64) {
+        (
+            std::f64::consts::FRAC_1_SQRT_2 / self.bw_a,
+            std::f64::consts::FRAC_1_SQRT_2 / self.bw_p,
+        )
+    }
+
+    /// Appends the whitened half to axis buffers that hold only the raw samples.
+    fn whiten(&mut self) {
+        let (ca, cp) = self.whitening();
+        for (axis, c) in [(&mut self.amps, ca), (&mut self.phases, cp)] {
+            let n = axis.len();
+            axis.extend_from_within(..n);
+            for x in &mut axis[n..] {
+                *x *= c;
+            }
+        }
+    }
+
+    /// The whitened sample coordinates `(amplitudes, phases)`.
+    fn whitened(&self) -> (&[f64], &[f64]) {
+        let n = self.len();
+        (&self.amps[n..], &self.phases[n..])
     }
 
     /// Amplitude-axis bandwidth `B_a`.
@@ -306,7 +348,7 @@ impl ProductKde2d {
 
     /// Number of samples backing the estimate.
     pub fn len(&self) -> usize {
-        self.amps.len()
+        self.amps.len() / 2
     }
 
     /// Whether the KDE holds no samples (never true after construction).
@@ -316,24 +358,27 @@ impl ProductKde2d {
 
     /// The amplitude coordinates of the backing samples.
     pub fn amplitudes(&self) -> &[f64] {
-        &self.amps
+        &self.amps[..self.len()]
     }
 
     /// The phase coordinates of the backing samples.
     pub fn phases(&self) -> &[f64] {
-        &self.phases
+        &self.phases[..self.len()]
     }
 
     /// Pre-grows the sample and scratch buffers for `additional` further samples, so a
     /// subsequent [`ProductKde2d::update`] of at most that many samples allocates
-    /// nothing (pinned by the `model_alloc` regression test).
+    /// nothing (pinned by the `model_alloc` regression test). The scratch serves
+    /// both the Silverman sort (`n` entries) and the leave-one-out workspace
+    /// (`2·n`), so it is sized for the latter.
     pub fn reserve(&mut self, additional: usize) {
-        self.amps.reserve(additional);
-        self.phases.reserve(additional);
+        // Each axis buffer holds raw and whitened halves.
+        self.amps.reserve(2 * additional);
+        self.phases.reserve(2 * additional);
         // `Vec::reserve(n)` guarantees capacity ≥ len + n, so size the request off
         // the scratch's *length* — subtracting its capacity would under-reserve
         // whenever capacity already exceeds length.
-        let total = self.amps.len() + additional;
+        let total = 2 * (self.len() + additional);
         self.scratch
             .reserve(total.saturating_sub(self.scratch.len()));
     }
@@ -341,11 +386,11 @@ impl ProductKde2d {
     /// Evaluates the joint density at `(amplitude, phase)` (Eq. 4 of the paper).
     pub fn eval(&self, amplitude: f64, phase: f64) -> f64 {
         let mut sum = 0.0;
-        for (sa, sp) in self.amps.iter().zip(&self.phases) {
+        for (sa, sp) in self.amplitudes().iter().zip(self.phases()) {
             sum += gaussian_kernel((amplitude - sa) / self.bw_a)
                 * gaussian_kernel((phase - sp) / self.bw_p);
         }
-        sum / (self.amps.len() as f64 * self.bw_a * self.bw_p)
+        sum / (self.len() as f64 * self.bw_a * self.bw_p)
     }
 
     /// Natural logarithm of [`ProductKde2d::eval`] with exact, **strictly ordered**
@@ -360,9 +405,9 @@ impl ProductKde2d {
     pub fn log_eval(&self, amplitude: f64, phase: f64) -> f64 {
         let inv_a = 1.0 / self.bw_a;
         let inv_p = 1.0 / self.bw_p;
-        let norm = self.amps.len() as f64 * self.bw_a * self.bw_p * TWO_PI_SQ;
+        let norm = self.len() as f64 * self.bw_a * self.bw_p * TWO_PI_SQ;
         let mut sum = 0.0;
-        for (sa, sp) in self.amps.iter().zip(&self.phases) {
+        for (sa, sp) in self.amplitudes().iter().zip(self.phases()) {
             let ua = (amplitude - sa) * inv_a;
             let up = (phase - sp) * inv_p;
             sum += (-0.5 * (ua * ua + up * up)).exp();
@@ -372,7 +417,7 @@ impl ProductKde2d {
         }
         // Tail fallback: log-sum-exp over the kernel exponents.
         let mut max_e = f64::NEG_INFINITY;
-        for (sa, sp) in self.amps.iter().zip(&self.phases) {
+        for (sa, sp) in self.amplitudes().iter().zip(self.phases()) {
             let ua = (amplitude - sa) * inv_a;
             let up = (phase - sp) * inv_p;
             let e = -0.5 * (ua * ua + up * up);
@@ -381,7 +426,7 @@ impl ProductKde2d {
             }
         }
         let mut scaled = 0.0;
-        for (sa, sp) in self.amps.iter().zip(&self.phases) {
+        for (sa, sp) in self.amplitudes().iter().zip(self.phases()) {
             let ua = (amplitude - sa) * inv_a;
             let up = (phase - sp) * inv_p;
             scaled += (-0.5 * (ua * ua + up * up) - max_e).exp();
@@ -395,19 +440,27 @@ impl ProductKde2d {
     /// This is the sphere decoder's hot path (every lattice candidate × every segment
     /// observation of a bin in one call), so each query runs the same linear-domain
     /// fast path as the scalar reference but **lane-parallel**: kernel exponents are
-    /// computed in `LANES`-wide chunks and fed through the branch-free polynomial
-    /// [`crate::lanes::exp_approx`] — `f64::exp` is an opaque libm call LLVM never
-    /// vectorizes. The kernel-sum loop lives in [`crate::simd::kde_kernel_sum`],
-    /// which dispatches at runtime to an AVX2-compiled copy of the identical safe
-    /// Rust (4 `f64` lanes per instruction) and otherwise to the baseline-compiled
-    /// autovectorized copy, so a generic build still uses the full vector width of
-    /// the machine it lands on. Relative to the scalar
-    /// [`log_eval`](Self::log_eval) reference the result differs only by the ~1 ulp
-    /// `exp` polynomial and the lane summation order; agreement within `1e-9` is
-    /// property-tested in `tests/simd_equivalence.rs`. Queries whose linear sum
-    /// underflows (candidates ~38+ bandwidths from every sample) are delegated to
-    /// the scalar log-sum-exp fallback — bit-identical tails, exactly like the
-    /// scalar path's own fallback, and far off the hot path.
+    /// computed from the whitened samples (stored per fit, so the per-kernel
+    /// bandwidth scaling is gone) in `LANES`-wide chunks and fed through the
+    /// branch-free polynomial [`crate::lanes::exp_approx`] — `f64::exp` is an
+    /// opaque libm call LLVM never vectorizes. The kernel-sum loop lives in
+    /// [`crate::simd::kde_kernel_sum`], which dispatches at runtime to an
+    /// AVX2-compiled copy of the identical safe Rust (4 `f64` lanes per
+    /// instruction) and otherwise to the baseline-compiled autovectorized copy, so
+    /// a generic build still uses the full vector width of the machine it lands on.
+    ///
+    /// Queries whose linear sum underflows (candidates ~38+ bandwidths from every
+    /// sample) take the same lane-parallel route in the log domain: a max-shifted
+    /// log-sum-exp over the same exponents ([`crate::simd::kde_log_sum_exp`]),
+    /// finite and strictly ordered however far out the query lies. That branch is
+    /// not rare — on an interfered link it is several percent of all sphere
+    /// queries — so it must not fall back to the scalar libm reference.
+    ///
+    /// Relative to the scalar [`log_eval`](Self::log_eval) reference the result
+    /// differs only by the ~1 ulp `exp` polynomial, the rounding of the whitened
+    /// exponents and the lane summation order;
+    /// agreement within `1e-9` (far tails included) is property-tested in
+    /// `tests/simd_equivalence.rs`.
     ///
     /// # Panics
     ///
@@ -423,18 +476,16 @@ impl ProductKde2d {
             out.len(),
             "output must match the query count"
         );
-        let inv_a = 1.0 / self.bw_a;
-        let inv_p = 1.0 / self.bw_p;
-        let log_norm = (self.amps.len() as f64 * self.bw_a * self.bw_p * TWO_PI_SQ).ln();
+        let (ca, cp) = self.whitening();
+        let (white_a, white_p) = self.whitened();
+        let log_norm = (self.len() as f64 * self.bw_a * self.bw_p * TWO_PI_SQ).ln();
         for ((&a, &p), o) in amplitudes.iter().zip(phases).zip(out.iter_mut()) {
-            let sum = crate::simd::kde_kernel_sum(a, p, inv_a, inv_p, &self.amps, &self.phases);
+            let (a, p) = (a * ca, p * cp);
+            let sum = crate::simd::kde_kernel_sum(a, p, white_a, white_p);
             *o = if sum > 1e-290 {
                 sum.ln() - log_norm
             } else {
-                // Far tail: the scalar path's log-sum-exp fallback keeps distant
-                // candidates finite and strictly ordered; rare enough that the
-                // libm-based scalar evaluation is irrelevant to throughput.
-                self.log_eval(a, p)
+                crate::simd::kde_log_sum_exp(a, p, white_a, white_p) - log_norm
             };
         }
     }
@@ -454,10 +505,14 @@ impl ProductKde2d {
         if new_samples.is_empty() {
             return Ok(());
         }
+        let n = self.len();
+        self.amps.truncate(n);
+        self.phases.truncate(n);
         self.amps.extend(new_samples.iter().map(|s| s.0));
         self.phases.extend(new_samples.iter().map(|s| s.1));
         self.bw_a = select_bandwidth_scratch(&self.amps, selector, &mut self.scratch)?;
         self.bw_p = select_bandwidth_scratch(&self.phases, selector, &mut self.scratch)?;
+        self.whiten();
         Ok(())
     }
 }

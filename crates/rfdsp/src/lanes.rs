@@ -10,12 +10,14 @@
 //! length splits into chunks.
 //!
 //! The module also provides [`exp_approx`] / [`exp_batch`]: a polynomial `exp`
-//! whose every step (rounding, Cody–Waite reduction, Horner evaluation, exponent
+//! whose every step (rounding, Cody–Waite reduction, Estrin evaluation, exponent
 //! bit-twiddling) is branch-free data parallelism, so the compiler can vectorize
 //! the surrounding loops — `f64::exp` is an opaque libm call that never
 //! vectorizes. Accuracy is ~1 ulp over the domain the KDE kernels use (see the
 //! tests), far inside the ≤ 1e-9 agreement budget the batched score paths promise
-//! against their scalar references.
+//! against their scalar references. [`atan2_approx`] / [`polar`] do the same for
+//! the error-vector polar conversion of the sphere decoder and the interference
+//! model (`f64::atan2` and `f64::hypot` are libm calls too).
 
 /// Lane width used by the chunked kernels. Four `f64`s is one AVX register — the
 /// sweet spot for the short (48–128 element) loops in this workspace; on SSE2-only
@@ -37,8 +39,8 @@ pub const EXP_UNDERFLOW: f64 = -708.396_418_532_264_1;
 /// Inputs above this overflow to `+∞`.
 const OVERFLOW: f64 = 709.782_712_893_384;
 
-/// Degree-12 Taylor coefficients of `exp(r)` (`1/n!`), evaluated by Horner over the
-/// reduced range `|r| ≤ ln(2)/2`, where the truncation error (`r¹³/13!`) is below
+/// Degree-12 Taylor coefficients of `exp(r)` (`1/n!`), evaluated by Estrin's scheme
+/// over the reduced range `|r| ≤ ln(2)/2`, where the truncation error (`r¹³/13!`) is below
 /// `2e-16` relative — rounding noise, not approximation, dominates.
 const EXP_POLY: [f64; 13] = [
     1.0,
@@ -77,19 +79,23 @@ pub fn exp_approx(x: f64) -> f64 {
     let shifted = x * LOG2E + ROUND_SHIFT;
     let k = shifted - ROUND_SHIFT;
     let r = (x - k * LN2_HI) - k * LN2_LO;
-    let mut p = EXP_POLY[12];
-    p = p * r + EXP_POLY[11];
-    p = p * r + EXP_POLY[10];
-    p = p * r + EXP_POLY[9];
-    p = p * r + EXP_POLY[8];
-    p = p * r + EXP_POLY[7];
-    p = p * r + EXP_POLY[6];
-    p = p * r + EXP_POLY[5];
-    p = p * r + EXP_POLY[4];
-    p = p * r + EXP_POLY[3];
-    p = p * r + EXP_POLY[2];
-    p = p * r + EXP_POLY[1];
-    p = p * r + EXP_POLY[0];
+    // Estrin's scheme: the degree-10 tail `Σ_{i≥2} c_i·r^{i−2}` is evaluated as a
+    // tree of independent multiply-adds over r², r⁴ and r⁸ (dependency depth 5
+    // instead of Horner's 12), and the two leading terms are added last so the
+    // dominant `1 + r` rounds once, exactly as in the Horner form.
+    let r2 = r * r;
+    let r4 = r2 * r2;
+    let r8 = r4 * r4;
+    let a0 = EXP_POLY[2] + EXP_POLY[3] * r;
+    let a1 = EXP_POLY[4] + EXP_POLY[5] * r;
+    let a2 = EXP_POLY[6] + EXP_POLY[7] * r;
+    let a3 = EXP_POLY[8] + EXP_POLY[9] * r;
+    let a4 = EXP_POLY[10] + EXP_POLY[11] * r;
+    let b0 = a0 + a1 * r2;
+    let b1 = a2 + a3 * r2;
+    let b2 = a4 + EXP_POLY[12] * r2;
+    let tail = (b0 + b1 * r4) + b2 * r8;
+    let p = EXP_POLY[0] + (EXP_POLY[1] * r + r2 * tail);
     // 2^k assembled directly in the exponent field: the low mantissa bits of
     // `shifted` hold `k` in two's complement, and the `<< 52` discards everything
     // above the 11 bits that matter. Inputs whose `k` escapes the biased exponent's
@@ -129,9 +135,133 @@ pub fn exp_batch(xs: &[f64], out: &mut [f64]) {
     }
 }
 
+/// `π/2` split into its nearest `f64` and the remainder, so `π/2 − x` keeps the
+/// bits the `f64` constant drops.
+const PIO2_HI: f64 = std::f64::consts::FRAC_PI_2;
+const PIO2_LO: f64 = 6.123_233_995_736_766e-17;
+/// `π` split the same way.
+const PI_HI: f64 = std::f64::consts::PI;
+const PI_LO: f64 = 1.224_646_799_147_353_2e-16;
+/// Numerator of the rational `atan(x) ≈ x + x·z·P(z)/Q(z)`, `z = x²`, valid for
+/// `|x| ≤ 0.66` (Cephes `atan`), highest power first.
+const ATAN_P: [f64; 5] = [
+    -8.750_608_600_031_904e-1,
+    -1.615_753_718_733_365e1,
+    -7.500_855_792_314_705e1,
+    -1.228_866_684_490_136_2e2,
+    -6.485_021_904_942_025e1,
+];
+/// Denominator of the same rational, monic, highest non-unit power first.
+const ATAN_Q: [f64; 5] = [
+    2.485_846_490_142_306e1,
+    1.650_270_098_316_988_6e2,
+    4.328_810_604_912_903e2,
+    4.853_903_996_359_137e2,
+    1.945_506_571_482_614e2,
+];
+
+/// Branch-free polynomial `atan2(y, x)`: the octant is folded away with `|·|`,
+/// min/max and selects, `atan` of the reduced ratio comes from a rational
+/// approximation, and the octant is restored with split `π/2` and `π` constants.
+/// Every step (including both divisions) is a packed instruction, so loops over
+/// fixed-size chunks autovectorize where the libm call never does.
+///
+/// Accuracy: within `1e-15` absolute of `f64::atan2` over all four quadrants and
+/// both axes (tested). The origin returns `±0` rather than libm's signed `0`/`π`;
+/// callers that care pin that case themselves.
+#[inline(always)]
+pub fn atan2_approx(y: f64, x: f64) -> f64 {
+    let ax = x.abs();
+    let ay = y.abs();
+    let swap = ay > ax;
+    let mn = if swap { ax } else { ay };
+    let mx = if swap { ay } else { ax };
+    // t = mn/mx ∈ [0, 1]; above 0.66 use atan(t) = π/4 + atan((t − 1)/(t + 1)),
+    // formed directly from mn and mx so the reduction costs no extra division.
+    let big = mn > 0.66 * mx;
+    let num = if big { mn - mx } else { mn };
+    let den = if big { mn + mx } else { mx };
+    let q = num / den;
+    let r = if den > 0.0 { q } else { 0.0 };
+    let z = r * r;
+    let pz = (((ATAN_P[0] * z + ATAN_P[1]) * z + ATAN_P[2]) * z + ATAN_P[3]) * z + ATAN_P[4];
+    let qz = ((((z + ATAN_Q[0]) * z + ATAN_Q[1]) * z + ATAN_Q[2]) * z + ATAN_Q[3]) * z + ATAN_Q[4];
+    let at = r * (z * pz / qz) + r;
+    let at = if big {
+        std::f64::consts::FRAC_PI_4 + (at + 0.5 * PIO2_LO)
+    } else {
+        at
+    };
+    let at = if swap { PIO2_HI - (at - PIO2_LO) } else { at };
+    let at = if x < 0.0 { PI_HI - (at - PI_LO) } else { at };
+    at.copysign(y)
+}
+
+/// Polar form `(|z|, arg z)` of `z = re + i·im` without libm: `sqrt(re² + im²)`
+/// (the IEEE square root, one packed instruction) and [`atan2_approx`]. The
+/// magnitude does not guard against overflow of `re²` the way `hypot` does; the
+/// callers convert error vectors of order one.
+#[inline(always)]
+pub fn polar(re: f64, im: f64) -> (f64, f64) {
+    ((re * re + im * im).sqrt(), atan2_approx(im, re))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn atan2_matches_std_within_1e_15() {
+        let check = |y: f64, x: f64| {
+            let err = (atan2_approx(y, x) - y.atan2(x)).abs();
+            assert!(err <= 1e-15, "atan2({y}, {x}): err {err}");
+        };
+        // Every quadrant, at magnitudes from deep sub-unit to large.
+        for k in 0..20_000 {
+            let theta =
+                -std::f64::consts::PI + 2.0 * std::f64::consts::PI * (k as f64 + 0.5) / 20_000.0;
+            for r in [1e-6, 0.013, 0.7, 1.0, 3.3, 250.0] {
+                check(r * theta.sin(), r * theta.cos());
+            }
+        }
+        // Both axes, both signs (including the signed-zero half-axes).
+        for v in [1e-9, 0.5, 1.0, 7.0] {
+            check(0.0, v);
+            check(-0.0, v);
+            check(0.0, -v);
+            check(-0.0, -v);
+            check(v, 0.0);
+            check(-v, 0.0);
+            check(v, -0.0);
+            check(-v, -0.0);
+        }
+        // The diagonals and the 0.66 reduction boundary.
+        for (y, x) in [
+            (1.0, 1.0),
+            (-1.0, 1.0),
+            (1.0, -1.0),
+            (-1.0, -1.0),
+            (0.66, 1.0),
+            (1.0, 0.66),
+        ] {
+            check(y, x);
+        }
+    }
+
+    #[test]
+    fn polar_matches_norm_and_arg() {
+        for k in 0..1000 {
+            let re = -2.0 + 0.004 * k as f64;
+            let im = 1.7 - 0.0031 * k as f64;
+            let (m, a) = polar(re, im);
+            assert!(
+                (m - re.hypot(im)).abs() <= 4e-16 * (1.0 + m),
+                "|{re} + {im}i|"
+            );
+            assert!((a - im.atan2(re)).abs() <= 1e-15, "arg({re} + {im}i)");
+        }
+        assert_eq!(polar(0.0, 0.0).0, 0.0);
+    }
 
     #[test]
     fn exp_matches_std_to_a_ulp() {

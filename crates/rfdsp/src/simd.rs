@@ -13,6 +13,11 @@
 //! FMA — so every lane performs exactly the scalar formula's operations with one
 //! rounding each, and the AVX2 path is **bit-identical** to the scalar and chunked
 //! paths (property-tested in `tests/simd_equivalence.rs`).
+//!
+//! The KDE kernels ([`kde_kernel_sum`], [`kde_log_sum_exp`], [`loo_kernel_sums`])
+//! and the polar conversion ([`polar_planes`]) take the other route: one safe
+//! autovectorizable body compiled twice, for the baseline target and under
+//! `#[target_feature(enable = "avx2")]`, with the same runtime dispatch.
 
 use crate::complex::Complex;
 
@@ -137,35 +142,46 @@ unsafe fn slide_update_avx2(spectrum: &mut [Complex], delta: Complex, twiddles: 
     }
 }
 
-/// The KDE product-kernel sum `Σ_j exp(−½·(((a−A_j)/B_a)² + ((p−P_j)/B_p)²))` in the
+/// The KDE product-kernel sum `Σ_j exp(−((a − A_j)² + (p − P_j)²))` in the
 /// **linear domain** — the inner loop of [`crate::kde::ProductKde2d::log_eval_batch`]
 /// — dispatching to an AVX2-compiled copy of the kernel when the CPU supports it.
+///
+/// Query and samples are in *whitened* coordinates: each axis divided by `√2·B`
+/// for its bandwidth `B`, so the Gaussian exponent `−½·(Δ/B)²` is just `−Δ²`.
+/// The caller whitens the samples once per fit and each query once, which takes
+/// three multiplies per kernel off the hot loop.
 ///
 /// Unlike [`slide_update`], the AVX2 copy here is not hand-written intrinsics: it is
 /// the *same* safe autovectorizable Rust as the fallback, recompiled under
 /// `#[target_feature(enable = "avx2")]` so LLVM widens the identical arithmetic from
 /// two to four `f64` lanes per instruction (the `exp` polynomial, rounding trick and
-/// exponent-bit assembly of [`crate::lanes::exp_approx`] included). Because rustc never contracts
-/// `mul` + `add` into FMA, both copies perform exactly the same roundings in the same
-/// order and the dispatch is **bit-identical** across machines (property-tested in
-/// `tests/simd_equivalence.rs`).
-///
-/// Bandwidths are passed as reciprocals (`inv_a = 1/B_a`, `inv_p = 1/B_p`) so the
-/// division is hoisted out of the per-query call.
+/// exponent-bit assembly of [`crate::lanes::exp_approx`] included). Because rustc
+/// never contracts `mul` + `add` into FMA, both copies perform exactly the same
+/// roundings in the same order and the dispatch is **bit-identical** across machines
+/// (tested below).
 ///
 /// # Panics
 ///
 /// Panics if the sample slices have different lengths.
 #[inline]
-pub fn kde_kernel_sum(a: f64, p: f64, inv_a: f64, inv_p: f64, amps: &[f64], phases: &[f64]) -> f64 {
+pub fn kde_kernel_sum(a: f64, p: f64, amps: &[f64], phases: &[f64]) -> f64 {
     assert_eq!(amps.len(), phases.len(), "sample axis slices must match");
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: AVX2 presence was just verified at runtime.
         #[allow(unsafe_code)]
-        return unsafe { kde_kernel_sum_avx2(a, p, inv_a, inv_p, amps, phases) };
+        return unsafe { kde_kernel_sum_avx2(a, p, amps, phases) };
     }
-    kde_kernel_sum_inner(a, p, inv_a, inv_p, amps, phases)
+    kde_kernel_sum_inner(a, p, amps, phases)
+}
+
+/// The whitened kernel exponent `−((a − sa)² + (p − sp)²)` shared by the KDE
+/// kernels.
+#[inline(always)]
+fn kernel_exponent(a: f64, p: f64, sa: f64, sp: f64) -> f64 {
+    let ua = a - sa;
+    let up = p - sp;
+    -(ua * ua + up * up)
 }
 
 /// The shared kernel body: `LANES`-wide exponent chunks through fixed arrays (array
@@ -174,14 +190,7 @@ pub fn kde_kernel_sum(a: f64, p: f64, inv_a: f64, inv_p: f64, amps: &[f64], phas
 /// each dispatch wrapper gets its own copy compiled under that wrapper's target
 /// features.
 #[inline(always)]
-fn kde_kernel_sum_inner(
-    a: f64,
-    p: f64,
-    inv_a: f64,
-    inv_p: f64,
-    amps: &[f64],
-    phases: &[f64],
-) -> f64 {
+fn kde_kernel_sum_inner(a: f64, p: f64, amps: &[f64], phases: &[f64]) -> f64 {
     use crate::lanes::{exp_approx, LANES};
     let main = amps.len() - amps.len() % LANES;
     let mut s = [0.0f64; LANES];
@@ -191,21 +200,13 @@ fn kde_kernel_sum_inner(
     {
         let sa: &[f64; LANES] = sa.try_into().unwrap();
         let sp: &[f64; LANES] = sp.try_into().unwrap();
-        let mut e = [0.0f64; LANES];
         for l in 0..LANES {
-            let ua = (a - sa[l]) * inv_a;
-            let up = (p - sp[l]) * inv_p;
-            e[l] = -0.5 * (ua * ua + up * up);
-        }
-        for l in 0..LANES {
-            s[l] += exp_approx(e[l]);
+            s[l] += exp_approx(kernel_exponent(a, p, sa[l], sp[l]));
         }
     }
     let mut sum: f64 = s.iter().sum();
     for (sa, sp) in amps[main..].iter().zip(&phases[main..]) {
-        let ua = (a - sa) * inv_a;
-        let up = (p - sp) * inv_p;
-        sum += exp_approx(-0.5 * (ua * ua + up * up));
+        sum += exp_approx(kernel_exponent(a, p, *sa, *sp));
     }
     sum
 }
@@ -222,15 +223,236 @@ fn kde_kernel_sum_inner(
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 #[target_feature(enable = "avx2")]
-unsafe fn kde_kernel_sum_avx2(
-    a: f64,
-    p: f64,
-    inv_a: f64,
-    inv_p: f64,
-    amps: &[f64],
-    phases: &[f64],
-) -> f64 {
-    kde_kernel_sum_inner(a, p, inv_a, inv_p, amps, phases)
+unsafe fn kde_kernel_sum_avx2(a: f64, p: f64, amps: &[f64], phases: &[f64]) -> f64 {
+    kde_kernel_sum_inner(a, p, amps, phases)
+}
+
+/// The log-domain form of [`kde_kernel_sum`]: `ln Σ_j exp(e_j)` over the same
+/// whitened kernel exponents `e_j`, evaluated as a max-shifted log-sum-exp
+/// `max_e + ln Σ_j exp(e_j − max_e)`. This is the far-tail path of
+/// [`crate::kde::ProductKde2d::log_eval_batch`] — queries whose linear-domain sum
+/// underflows — and stays finite and strictly ordered however far the query lies
+/// from the samples. The max and the shifted sum run `LANES`-wide through
+/// [`crate::lanes::exp_approx`]; dispatch and bit-identity are as for
+/// [`kde_kernel_sum`] (a lane max is exact, so only the sum's fixed lane order
+/// matters).
+///
+/// # Panics
+///
+/// Panics if the sample slices have different lengths.
+#[inline]
+pub fn kde_log_sum_exp(a: f64, p: f64, amps: &[f64], phases: &[f64]) -> f64 {
+    assert_eq!(amps.len(), phases.len(), "sample axis slices must match");
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 presence was just verified at runtime.
+        #[allow(unsafe_code)]
+        return unsafe { kde_log_sum_exp_avx2(a, p, amps, phases) };
+    }
+    kde_log_sum_exp_inner(a, p, amps, phases)
+}
+
+/// The shared body of [`kde_log_sum_exp`]: pass one takes the lane-wise maximum
+/// exponent, pass two sums the shifted exponentials; the remainder runs the
+/// identical scalar arithmetic.
+#[inline(always)]
+fn kde_log_sum_exp_inner(a: f64, p: f64, amps: &[f64], phases: &[f64]) -> f64 {
+    use crate::lanes::{exp_approx, LANES};
+    let main = amps.len() - amps.len() % LANES;
+    let mut m = [f64::NEG_INFINITY; LANES];
+    for (sa, sp) in amps[..main]
+        .chunks_exact(LANES)
+        .zip(phases[..main].chunks_exact(LANES))
+    {
+        let sa: &[f64; LANES] = sa.try_into().unwrap();
+        let sp: &[f64; LANES] = sp.try_into().unwrap();
+        for l in 0..LANES {
+            let e = kernel_exponent(a, p, sa[l], sp[l]);
+            m[l] = if e > m[l] { e } else { m[l] };
+        }
+    }
+    let mut max_e = m
+        .iter()
+        .fold(f64::NEG_INFINITY, |acc, &v| if v > acc { v } else { acc });
+    for (sa, sp) in amps[main..].iter().zip(&phases[main..]) {
+        let e = kernel_exponent(a, p, *sa, *sp);
+        max_e = if e > max_e { e } else { max_e };
+    }
+    let mut s = [0.0f64; LANES];
+    for (sa, sp) in amps[..main]
+        .chunks_exact(LANES)
+        .zip(phases[..main].chunks_exact(LANES))
+    {
+        let sa: &[f64; LANES] = sa.try_into().unwrap();
+        let sp: &[f64; LANES] = sp.try_into().unwrap();
+        for l in 0..LANES {
+            s[l] += exp_approx(kernel_exponent(a, p, sa[l], sp[l]) - max_e);
+        }
+    }
+    let mut sum: f64 = s.iter().sum();
+    for (sa, sp) in amps[main..].iter().zip(&phases[main..]) {
+        sum += exp_approx(kernel_exponent(a, p, *sa, *sp) - max_e);
+    }
+    max_e + sum.ln()
+}
+
+/// [`kde_log_sum_exp_inner`] recompiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime
+/// (`is_x86_feature_detected!("avx2")`) before calling; [`kde_log_sum_exp`] is
+/// the only caller and does exactly that. The body itself is the safe
+/// fallback, so there is no other obligation.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+unsafe fn kde_log_sum_exp_avx2(a: f64, p: f64, amps: &[f64], phases: &[f64]) -> f64 {
+    kde_log_sum_exp_inner(a, p, amps, phases)
+}
+
+/// Leave-one-out kernel sums `dens[i] = Σ_{j≠i} exp(−(y_i − y_j)²)` over samples
+/// `y` whitened as for [`kde_kernel_sum`] (divided by `√2·B`) — the `O(n²)` core of
+/// the leave-one-out
+/// bandwidth search in [`crate::kde`]. Each symmetric pair kernel is evaluated once
+/// and credited to both ends: row `i` runs `LANES`-wide over `j > i` through
+/// [`crate::lanes::exp_approx`], adding each kernel into `dens[j]` and into the
+/// row's lane accumulators, whose total lands in `dens[i]`. Dispatch and
+/// bit-identity are as for [`kde_kernel_sum`].
+///
+/// # Panics
+///
+/// Panics if `scaled` and `dens` have different lengths.
+#[inline]
+pub fn loo_kernel_sums(scaled: &[f64], dens: &mut [f64]) {
+    assert_eq!(
+        scaled.len(),
+        dens.len(),
+        "sample and density slices must match"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 presence was just verified at runtime.
+        #[allow(unsafe_code)]
+        unsafe {
+            loo_kernel_sums_avx2(scaled, dens)
+        };
+        return;
+    }
+    loo_kernel_sums_inner(scaled, dens);
+}
+
+/// The shared body of [`loo_kernel_sums`].
+#[inline(always)]
+fn loo_kernel_sums_inner(scaled: &[f64], dens: &mut [f64]) {
+    use crate::lanes::{exp_approx, LANES};
+    dens.fill(0.0);
+    for i in 0..scaled.len() {
+        let yi = scaled[i];
+        let ys = &scaled[i + 1..];
+        let (head, ds) = dens.split_at_mut(i + 1);
+        let main = ys.len() - ys.len() % LANES;
+        let mut s = [0.0f64; LANES];
+        for (yc, dc) in ys[..main]
+            .chunks_exact(LANES)
+            .zip(ds[..main].chunks_exact_mut(LANES))
+        {
+            let yc: &[f64; LANES] = yc.try_into().unwrap();
+            let dc: &mut [f64; LANES] = dc.try_into().unwrap();
+            for l in 0..LANES {
+                let u = yi - yc[l];
+                let k = exp_approx(-(u * u));
+                dc[l] += k;
+                s[l] += k;
+            }
+        }
+        let mut row: f64 = s.iter().sum();
+        for (y, d) in ys[main..].iter().zip(&mut ds[main..]) {
+            let u = yi - y;
+            let k = exp_approx(-(u * u));
+            *d += k;
+            row += k;
+        }
+        head[i] += row;
+    }
+}
+
+/// [`loo_kernel_sums_inner`] recompiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime
+/// (`is_x86_feature_detected!("avx2")`) before calling; [`loo_kernel_sums`] is
+/// the only caller and does exactly that. The body itself is the safe
+/// fallback, so there is no other obligation.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+unsafe fn loo_kernel_sums_avx2(scaled: &[f64], dens: &mut [f64]) {
+    loo_kernel_sums_inner(scaled, dens)
+}
+
+/// Converts split Cartesian planes to polar form in place: `x[k] ← |z_k|`,
+/// `y[k] ← arg z_k` for `z_k = x[k] + i·y[k]`, element by element through
+/// [`crate::lanes::polar`] — the sphere decoder's error-vector conversion, with no
+/// `hypot`/`atan2` libm call per query. Each element runs exactly the scalar
+/// [`crate::lanes::polar`] operations, so the planes are bit-identical to
+/// per-element calls, and the AVX2 dispatch is bit-identical as for
+/// [`kde_kernel_sum`].
+///
+/// # Panics
+///
+/// Panics if the planes have different lengths.
+#[inline]
+pub fn polar_planes(x: &mut [f64], y: &mut [f64]) {
+    assert_eq!(x.len(), y.len(), "coordinate planes must match");
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 presence was just verified at runtime.
+        #[allow(unsafe_code)]
+        unsafe {
+            polar_planes_avx2(x, y)
+        };
+        return;
+    }
+    polar_planes_inner(x, y);
+}
+
+/// The shared body of [`polar_planes`].
+#[inline(always)]
+fn polar_planes_inner(x: &mut [f64], y: &mut [f64]) {
+    use crate::lanes::{polar, LANES};
+    let main = x.len() - x.len() % LANES;
+    let (x_main, x_tail) = x.split_at_mut(main);
+    let (y_main, y_tail) = y.split_at_mut(main);
+    for (xc, yc) in x_main
+        .chunks_exact_mut(LANES)
+        .zip(y_main.chunks_exact_mut(LANES))
+    {
+        let xc: &mut [f64; LANES] = xc.try_into().unwrap();
+        let yc: &mut [f64; LANES] = yc.try_into().unwrap();
+        for l in 0..LANES {
+            (xc[l], yc[l]) = polar(xc[l], yc[l]);
+        }
+    }
+    for (xv, yv) in x_tail.iter_mut().zip(y_tail) {
+        (*xv, *yv) = polar(*xv, *yv);
+    }
+}
+
+/// [`polar_planes_inner`] recompiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime
+/// (`is_x86_feature_detected!("avx2")`) before calling; [`polar_planes`] is the
+/// only caller and does exactly that. The body itself is the safe fallback, so
+/// there is no other obligation.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+unsafe fn polar_planes_avx2(x: &mut [f64], y: &mut [f64]) {
+    polar_planes_inner(x, y)
 }
 
 #[cfg(test)]
@@ -292,16 +514,69 @@ mod tests {
             let amps: Vec<f64> = (0..n).map(|j| 0.08 * (j % 11) as f64).collect();
             let phs: Vec<f64> = (0..n).map(|j| -1.2 + 0.17 * (j % 17) as f64).collect();
             for (a, p) in [(0.0, 0.0), (0.31, -0.9), (5.0, 2.5), (40.0, -3.0)] {
-                let want = kde_kernel_sum_inner(a, p, 8.0, 3.5, &amps, &phs);
-                let got = kde_kernel_sum(a, p, 8.0, 3.5, &amps, &phs);
+                let want = kde_kernel_sum_inner(a, p, &amps, &phs);
+                let got = kde_kernel_sum(a, p, &amps, &phs);
                 assert_eq!(got.to_bits(), want.to_bits(), "n={n} query=({a},{p})");
+                // The far-tail log-sum-exp over the same exponents, including
+                // queries hundreds of bandwidths out.
+                for scale in [1.0, 40.0] {
+                    let want = kde_log_sum_exp_inner(a * scale, p, &amps, &phs);
+                    let got = kde_log_sum_exp(a * scale, p, &amps, &phs);
+                    assert_eq!(got.to_bits(), want.to_bits(), "lse n={n} query=({a},{p})");
+                }
             }
+            // Leave-one-out pair sums over the amplitude axis at two bandwidths.
+            for inv_bw in [2.0, 30.0] {
+                let scaled: Vec<f64> = amps.iter().map(|x| x * inv_bw).collect();
+                let mut want = vec![0.0; n];
+                let mut got = vec![1.0; n];
+                loo_kernel_sums_inner(&scaled, &mut want);
+                loo_kernel_sums(&scaled, &mut got);
+                for i in 0..n {
+                    assert_eq!(got[i].to_bits(), want[i].to_bits(), "loo n={n} i={i}");
+                }
+            }
+            // Polar conversion of the (amplitude, phase) pairs read as Cartesian
+            // error vectors, shifted so every quadrant and both axes occur.
+            let xs: Vec<f64> = amps.iter().map(|x| x - 0.4).collect();
+            let (mut want_x, mut want_y) = (xs.clone(), phs.clone());
+            let (mut got_x, mut got_y) = (xs, phs.clone());
+            polar_planes_inner(&mut want_x, &mut want_y);
+            polar_planes(&mut got_x, &mut got_y);
+            for k in 0..n {
+                assert_eq!(
+                    got_x[k].to_bits(),
+                    want_x[k].to_bits(),
+                    "polar |z| n={n} k={k}"
+                );
+                assert_eq!(
+                    got_y[k].to_bits(),
+                    want_y[k].to_bits(),
+                    "polar arg n={n} k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn loo_kernel_sums_match_the_pairwise_definition() {
+        let scaled: Vec<f64> = (0..23)
+            .map(|j| 0.37 * ((j * 7) % 11) as f64 - 1.1)
+            .collect();
+        let mut dens = vec![0.0; scaled.len()];
+        loo_kernel_sums(&scaled, &mut dens);
+        for (i, d) in dens.iter().enumerate() {
+            let want: f64 = (0..scaled.len())
+                .filter(|&j| j != i)
+                .map(|j| (-(scaled[i] - scaled[j]).powi(2)).exp())
+                .sum();
+            assert!((d - want).abs() <= 1e-13 * want, "i={i}: {d} vs {want}");
         }
     }
 
     #[test]
     #[should_panic(expected = "must match")]
     fn kde_kernel_sum_rejects_mismatched_axes() {
-        kde_kernel_sum(0.0, 0.0, 1.0, 1.0, &[1.0, 2.0], &[0.5]);
+        kde_kernel_sum(0.0, 0.0, &[1.0, 2.0], &[0.5]);
     }
 }

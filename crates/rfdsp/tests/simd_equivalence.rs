@@ -131,11 +131,19 @@ proptest! {
     }
 
     /// The exact-KDE batch scorer agrees with per-query scalar evaluation to 1e-9
-    /// for any query count (chunked body + remainder).
+    /// for any query count (chunked body + remainder) — in support with
+    /// leave-one-out bandwidths, and in the far tail: fixed small bandwidths and
+    /// queries at least 40 bandwidths from every sample, where every linear-domain
+    /// sum underflows and the lane-parallel log-sum-exp answers. Far-tail scores
+    /// must also fall strictly with distance (the ML ordering between distant
+    /// lattice points).
     #[test]
     fn product_kde_batch_matches_scalar(
         samples in prop::collection::vec((0.05f64..3.0, -3.1f64..3.1), 8..48),
         queries in prop::collection::vec((0.0f64..3.5, -3.1f64..3.1), 1..23),
+        tail_bw in (0.005f64..0.05, 0.005f64..0.05),
+        tail_phase in -3.1f64..3.1,
+        tail_steps in prop::collection::vec(0.5f64..30.0, 1..23),
     ) {
         let kde = ProductKde2d::new(&samples, BandwidthSelector::LeaveOneOut).unwrap();
         let amps: Vec<f64> = queries.iter().map(|q| q.0).collect();
@@ -146,6 +154,30 @@ proptest! {
             let want = kde.log_eval(*a, *p);
             let tol = 1e-9 * (1.0 + want.abs());
             prop_assert!((got - want).abs() <= tol, "query ({a}, {p}): {got} vs {want}");
+        }
+
+        let (bw_a, bw_p) = tail_bw;
+        let tail = ProductKde2d::with_bandwidths(&samples, bw_a, bw_p).unwrap();
+        // Amplitudes from 40 bandwidths beyond the largest sample outward, in
+        // strictly increasing steps of at least half a bandwidth.
+        let edge = samples.iter().map(|s| s.0).fold(f64::NEG_INFINITY, f64::max);
+        let mut dist = 40.0;
+        let mut amps = Vec::new();
+        for step in &tail_steps {
+            amps.push(edge + dist * bw_a);
+            dist += step;
+        }
+        let phases = vec![tail_phase; amps.len()];
+        let mut batch = vec![0.0; amps.len()];
+        tail.log_eval_batch(&amps, &phases, &mut batch);
+        for (k, (a, got)) in amps.iter().zip(&batch).enumerate() {
+            prop_assert!(tail.eval(*a, tail_phase) == 0.0, "query {k} is not in the far tail");
+            let want = tail.log_eval(*a, tail_phase);
+            let tol = 1e-9 * (1.0 + want.abs());
+            prop_assert!((got - want).abs() <= tol, "tail query {k} ({a}): {got} vs {want}");
+            if k > 0 {
+                prop_assert!(*got < batch[k - 1], "tail not strictly decreasing at {k}: {got} vs {}", batch[k - 1]);
+            }
         }
     }
 
