@@ -3,16 +3,16 @@
 //! Modulation × `P` — the scaling the paper's §6 discusses and the justification for
 //! the fixed sphere.
 //!
-//! `sphere_alloc` is the pre-refactor sphere path (per-call candidate `Vec` cloning
-//! `(Complex, Vec<u8>)` pairs out of `Modulation::constellation()`), kept as the
-//! before/after baseline for the allocation-free trait port; the measured speedups
-//! are recorded in the README "Performance" table.
+//! `sphere_exhaustive` scores every sphere candidate against every observation in
+//! one batch — the sphere decoder before branch-and-bound pruning — on the same
+//! inputs as `sphere`, so the pair reports what pruning saves; the measured figures
+//! are recorded in the README "decision stage" table.
 
 use cprecycle::decision::{
     DecoderScratch, NaiveCentroidDecoder, OracleSegmentDecoder, StandardNearestDecoder,
     SubcarrierDecoder,
 };
-use cprecycle::interference_model::InterferenceModel;
+use cprecycle::interference_model::{deviation_planes, InterferenceModel};
 use cprecycle::segments::{SegmentPowers, SymbolSegments};
 use cprecycle::{CpRecycleConfig, FixedSphereMlDecoder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -20,7 +20,6 @@ use ofdmphy::modulation::Modulation;
 use ofdmphy::ofdm::OfdmEngine;
 use ofdmphy::params::OfdmParams;
 use rand::{Rng, SeedableRng};
-use rfdsp::stats::centroid;
 use rfdsp::Complex;
 
 const RADIUS: f64 = 2.0;
@@ -78,44 +77,56 @@ fn symbol_segments(modulation: Modulation, p: usize, seed: u64) -> SymbolSegment
     SymbolSegments::from_rows(rows)
 }
 
-/// The pre-refactor sphere decode (candidate `Vec` with cloned bit vectors per bin),
-/// reproduced as the before/after baseline.
-fn sphere_alloc_decode_symbol(
+/// Reusable buffers for [`exhaustive_decode_symbol`], so the baseline allocates no
+/// more per symbol than the pruned decoder it is compared against.
+#[derive(Default)]
+struct ExhaustivePlanes {
+    scratch: DecoderScratch,
+    amp: Vec<f64>,
+    phase: Vec<f64>,
+    log_likes: Vec<f64>,
+}
+
+/// The sphere decoder without pruning: every candidate × observation deviation in
+/// one candidate-major plane, one batched model query, an in-order sum per
+/// candidate and the first strict maximum.
+fn exhaustive_decode_symbol(
+    decoder: &FixedSphereMlDecoder<'_>,
     model: &InterferenceModel,
-    constellation: &[(Complex, Vec<u8>)],
-    modulation: Modulation,
     segments: &SymbolSegments,
     bins: &[usize],
+    planes: &mut ExhaustivePlanes,
 ) -> Vec<Complex> {
-    let radius = RADIUS * modulation.min_distance();
+    let lattice = decoder.modulation().lattice();
     bins.iter()
         .map(|&bin| {
             let observations = segments.bin_observations(bin);
-            let center = centroid(observations).unwrap_or(Complex::zero());
-            let inside: Vec<(Complex, Vec<u8>)> = constellation
-                .iter()
-                .filter(|(p, _)| (*p - center).norm() <= radius)
-                .cloned()
-                .collect();
-            let candidates = if inside.is_empty() {
-                let (p, bits) = modulation.nearest_point(center);
-                vec![(p, bits)]
-            } else {
-                inside
-            };
-            let mut best = candidates[0].clone();
-            let mut best_score = f64::NEG_INFINITY;
-            for (point, bits) in candidates {
-                let score: f64 = observations
-                    .iter()
-                    .map(|obs| model.log_likelihood(bin, *obs, point))
-                    .sum();
-                if score > best_score {
-                    best_score = score;
-                    best = (point, bits);
+            let p = observations.len();
+            let candidates = decoder.candidates(observations, &mut planes.scratch);
+            planes.amp.clear();
+            planes.phase.clear();
+            for &index in candidates {
+                let point = lattice.point(index);
+                for obs in observations {
+                    let err = *obs - point;
+                    planes.amp.push(err.re);
+                    planes.phase.push(err.im);
                 }
             }
-            best.0
+            deviation_planes(&mut planes.amp, &mut planes.phase);
+            planes.log_likes.clear();
+            planes.log_likes.resize(planes.amp.len(), 0.0);
+            model.log_likelihood_batch(bin, &planes.amp, &planes.phase, &mut planes.log_likes);
+            let mut best = 0usize;
+            let mut best_score = f64::NEG_INFINITY;
+            for (k, chunk) in planes.log_likes.chunks_exact(p).enumerate() {
+                let score: f64 = chunk.iter().sum();
+                if score > best_score {
+                    best_score = score;
+                    best = k;
+                }
+            }
+            lattice.point(candidates[best])
         })
         .collect()
 }
@@ -147,19 +158,19 @@ fn bench_decision(c: &mut Criterion) {
                 },
             );
 
-            let constellation = modulation.constellation();
+            let mut planes = ExhaustivePlanes::default();
+            // Same inputs, same decisions: the pair differs only in work done.
+            assert_eq!(
+                sphere.decide_symbol(&segments, &data_bins, &mut scratch),
+                exhaustive_decode_symbol(&sphere, &model, &segments, &data_bins, &mut planes),
+                "pruned and exhaustive sphere decisions diverged"
+            );
             group.bench_with_input(
-                BenchmarkId::new(format!("sphere_alloc_{}", modulation.name()), p),
+                BenchmarkId::new(format!("sphere_exhaustive_{}", modulation.name()), p),
                 &segments,
                 |b, segs| {
                     b.iter(|| {
-                        sphere_alloc_decode_symbol(
-                            &model,
-                            &constellation,
-                            modulation,
-                            segs,
-                            &data_bins,
-                        )
+                        exhaustive_decode_symbol(&sphere, &model, segs, &data_bins, &mut planes)
                     });
                 },
             );

@@ -40,8 +40,8 @@ impl LatticePoint {
     }
 }
 
-/// Reusable decision buffers: the candidate lattice-index buffer and the
-/// per-candidate log-likelihood buffer.
+/// Reusable decision buffers — the candidate lattice-index buffer and the sphere
+/// decoder's scoring planes — plus the sphere search's work counters.
 ///
 /// Construct one per worker (the receiver threads the one inside
 /// [`crate::segments::SegmentScratch`]) and pass it to every
@@ -53,18 +53,35 @@ impl LatticePoint {
 pub struct DecoderScratch {
     /// Candidate lattice indices of the current subcarrier.
     pub(crate) candidates: Vec<u16>,
-    /// Log-likelihood score of each candidate, parallel to `candidates`.
-    pub(crate) scores: Vec<f64>,
     /// Candidate-major deviation amplitudes (`candidates.len() × P` entries) — the
-    /// batched sphere decoder hoists every candidate/observation error vector here
-    /// (real part, converted in place to the amplitude) so one
-    /// `log_likelihood_batch` call scores them all.
+    /// sphere decoder hoists every candidate/observation error vector here (real
+    /// part, converted in place to the amplitude) and scores slices of it, one
+    /// candidate or one pruning block at a time.
     pub(crate) dev_amp: Vec<f64>,
     /// Deviation phases (imaginary part before conversion), parallel to `dev_amp`.
     pub(crate) dev_phase: Vec<f64>,
-    /// Per-query log-likelihoods, parallel to `dev_amp`; summed in chunks of `P` to
-    /// produce `scores`.
+    /// The current candidate's per-observation log-likelihoods (`P` entries, in
+    /// observation order); a candidate that survives pruning sums them into its
+    /// score.
     pub(crate) log_likes: Vec<f64>,
+    /// Work done by the sphere search since the last
+    /// [`take_search_counts`](Self::take_search_counts).
+    pub(crate) search: SearchCounts,
+}
+
+/// How much work the sphere search did: plain counters the sphere decoder bumps on
+/// every subcarrier, so a trace can tell a smaller search space from cheaper
+/// scoring. The receiver flushes them once per `decide` span, as the
+/// `sphere_candidates` and `sphere_queries_scored` counters, when its recorder is
+/// enabled.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchCounts {
+    /// Lattice candidates enumerated inside the sphere (the nearest-point fallback
+    /// counts as one).
+    pub candidates: u64,
+    /// (candidate, observation) log-likelihood queries actually evaluated; an
+    /// exhaustive scan would evaluate `candidates × P` of them.
+    pub queries_scored: u64,
 }
 
 impl DecoderScratch {
@@ -79,8 +96,12 @@ impl DecoderScratch {
         let n = modulation.num_points();
         self.candidates.clear();
         self.candidates.reserve(n);
-        self.scores.clear();
-        self.scores.reserve(n);
+    }
+
+    /// Returns the sphere search counters accumulated since the last call and
+    /// resets them.
+    pub fn take_search_counts(&mut self) -> SearchCounts {
+        std::mem::take(&mut self.search)
     }
 
     /// Current capacity of the candidate buffer — a diagnostic for the

@@ -108,7 +108,10 @@ impl BinSamples {
 ///   tail, so distant lattice candidates never tie;
 /// * [`log_likelihood_batch`](Self::log_likelihood_batch) agrees with the scalar
 ///   query to ≤ 1e-9 per element (bit-for-bit for the grid and Gaussian backends,
-///   whose batch paths run the identical arithmetic);
+///   whose batch paths run the identical arithmetic), and each element depends
+///   only on its own query, never on how queries are split into batches;
+/// * every value the batch path returns for a bin is ≤
+///   [`log_likelihood_ceiling`](Self::log_likelihood_ceiling) of that bin;
 /// * queries are allocation-free.
 pub trait InterferenceEstimator {
     /// Which backend this is (for labels and diagnostics).
@@ -165,6 +168,18 @@ pub trait InterferenceEstimator {
         }
     }
 
+    /// An upper bound on every value
+    /// [`log_likelihood_batch`](Self::log_likelihood_batch) can return for `bin`
+    /// (NaN answers to NaN queries aside). The sphere decoder abandons a candidate
+    /// once its partial score plus this bound for every unscored observation
+    /// cannot reach the best score so far, so the bound must hold exactly,
+    /// rounding included. `+∞` is always valid and disables pruning; it is the
+    /// default for backends that cannot bound their answers.
+    fn log_likelihood_ceiling(&self, bin: usize) -> f64 {
+        let _ = bin;
+        f64::INFINITY
+    }
+
     /// Refits the listed bins from their current sample sets (bins with no samples
     /// are skipped). This is the §4.3 incremental path: after a preamble update only
     /// the bins that received samples are passed in.
@@ -199,6 +214,10 @@ pub fn fallback_log_likelihood(observed: Complex, candidate: Complex) -> f64 {
 pub fn fallback_log_likelihood_deviation(amplitude: f64) -> f64 {
     -0.5 * amplitude * amplitude
 }
+
+/// Ceiling of [`fallback_log_likelihood_deviation`]: the penalty `−½a²` never
+/// exceeds `0`.
+const FALLBACK_CEILING: f64 = 0.0;
 
 /// The shared unfitted-bin batch fallback: the Gaussian-like distance penalty over a
 /// whole deviation plane.
@@ -282,6 +301,11 @@ impl InterferenceEstimator for ExactKdeEstimator {
             Some(kde) => kde.log_eval_batch(amplitudes, phases, log_likes),
             None => fallback_batch(amplitudes, log_likes),
         }
+    }
+
+    fn log_likelihood_ceiling(&self, bin: usize) -> f64 {
+        self.kde(bin)
+            .map_or(FALLBACK_CEILING, ProductKde2d::log_eval_ceiling)
     }
 
     fn update(
@@ -392,6 +416,12 @@ impl InterferenceEstimator for GridKdeEstimator {
         }
     }
 
+    fn log_likelihood_ceiling(&self, bin: usize) -> f64 {
+        // One bound for both precisions: the grid sizes its slack for the f32 kernel.
+        self.grid(bin)
+            .map_or(FALLBACK_CEILING, GridKde2d::log_eval_ceiling)
+    }
+
     fn update(
         &mut self,
         samples: &[BinSamples],
@@ -453,6 +483,11 @@ impl InterferenceEstimator for GaussianEstimator {
             Some(g) => g.log_pdf(amplitude, phase),
             None => fallback_log_likelihood_deviation(amplitude),
         }
+    }
+
+    fn log_likelihood_ceiling(&self, bin: usize) -> f64 {
+        self.fit(bin)
+            .map_or(FALLBACK_CEILING, BivariateGaussian::log_pdf_ceiling)
     }
 
     fn update(
@@ -565,6 +600,14 @@ impl InterferenceEstimator for EstimatorState {
             EstimatorState::Gaussian(e) => {
                 e.log_likelihood_batch(bin, amplitudes, phases, log_likes)
             }
+        }
+    }
+
+    fn log_likelihood_ceiling(&self, bin: usize) -> f64 {
+        match self {
+            EstimatorState::Exact(e) => e.log_likelihood_ceiling(bin),
+            EstimatorState::Grid(e) => e.log_likelihood_ceiling(bin),
+            EstimatorState::Gaussian(e) => e.log_likelihood_ceiling(bin),
         }
     }
 

@@ -295,6 +295,14 @@ impl InterferenceModel {
         self.estimator
             .log_likelihood_batch(bin, amplitudes, phases, log_likes)
     }
+
+    /// An upper bound on every value
+    /// [`log_likelihood_batch`](Self::log_likelihood_batch) returns for `bin` — the
+    /// sphere decoder's pruning bound (see
+    /// [`InterferenceEstimator::log_likelihood_ceiling`]).
+    pub fn log_likelihood_ceiling(&self, bin: usize) -> f64 {
+        self.estimator.log_likelihood_ceiling(bin)
+    }
 }
 
 #[cfg(test)]

@@ -75,7 +75,7 @@ pub mod sphere_ml;
 
 pub use config::{CpRecycleConfig, CpRecycleConfigBuilder, DecisionStage, KernelPrecision};
 pub use decision::{
-    DecoderScratch, LatticePoint, NaiveCentroidDecoder, OracleSegmentDecoder,
+    DecoderScratch, LatticePoint, NaiveCentroidDecoder, OracleSegmentDecoder, SearchCounts,
     StandardNearestDecoder, SubcarrierDecoder,
 };
 pub use estimator::{

@@ -210,9 +210,12 @@ impl CpRecycleReceiver {
     /// backend label: `("sync", kind)`, `("model_train", backend)`,
     /// `("extract", kind)` and `("decide", kind)` per OFDM symbol,
     /// `("bits", kind)`, and `("model_update", backend)` when a rolling model
-    /// absorbs a preamble. With a no-op recorder this monomorphises to exactly
-    /// the uninstrumented pipeline — decodes are bit-for-bit identical either
-    /// way (pinned by the `obs_equivalence` integration test).
+    /// absorbs a preamble. A sphere decode also adds each DATA symbol's search
+    /// work to the `sphere_candidates` and `sphere_queries_scored` counters
+    /// (see [`crate::decision::SearchCounts`]). With a no-op recorder this
+    /// monomorphises to exactly the uninstrumented pipeline — decodes are
+    /// bit-for-bit identical either way (pinned by the `obs_equivalence`
+    /// integration test).
     pub fn decode_frame_observed<O: Recorder>(
         &self,
         samples: &[Complex],
@@ -227,10 +230,10 @@ impl CpRecycleReceiver {
     /// [`decode_frame`](Self::decode_frame) with caller-owned scratch.
     ///
     /// The scratch holds the sliding-DFT plan, the per-symbol working buffers and the
-    /// decision-stage candidate/score buffers; reusing one across frames (the campaign
-    /// engine keeps one per worker) removes all per-frame twiddle construction and
-    /// keeps the decision stage allocation-free. `decode_frame` is the convenience
-    /// wrapper that allocates a throwaway scratch.
+    /// decision-stage candidate and scoring buffers; reusing one across frames (the
+    /// campaign engine keeps one per worker) removes all per-frame twiddle
+    /// construction and keeps the decision stage allocation-free. `decode_frame` is
+    /// the convenience wrapper that allocates a throwaway scratch.
     pub fn decode_frame_scratch(
         &self,
         samples: &[Complex],
@@ -470,6 +473,9 @@ impl CpRecycleReceiver {
         let model = model_in_use(needs_model, &throwaway, &persistent);
         let data_bins = params.data_bins();
         let mut decided_symbols = Vec::with_capacity(num_symbols);
+        // Drop what the SIGNAL decode or earlier frames left in the sphere counters,
+        // so each flush below covers exactly its own `decide` span.
+        scratch.decision.take_search_counts();
         for s in 0..num_symbols {
             let start = data_start + s * sym_len;
             let timer = StageTimer::start(obs, Span::new("extract", kind));
@@ -494,6 +500,13 @@ impl CpRecycleReceiver {
                 scratch,
             )?);
             timer.finish(obs);
+            if obs.enabled() {
+                let counts = scratch.decision.take_search_counts();
+                if counts.candidates > 0 {
+                    obs.counter("sphere_candidates", counts.candidates);
+                    obs.counter("sphere_queries_scored", counts.queries_scored);
+                }
+            }
         }
 
         // --- Stage 4: the shared bit pipeline -----------------------------------------
@@ -1081,6 +1094,42 @@ mod tests {
                 decision.label()
             );
         }
+    }
+
+    #[test]
+    fn observed_sphere_decode_flushes_search_counters() {
+        let (tx, rx, _) = setup();
+        let params = rx.engine().params().clone();
+        let mcs = Mcs::paper_set()[2];
+        let frame = tx.build_frame(&random_payload(120, 9), mcs, 0x5D).unwrap();
+        let mut noisy = frame.samples.clone();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        AwgnChannel::new()
+            .add_noise_snr(&mut rng, &mut noisy, 12.0)
+            .unwrap();
+        let rec = obs::InMemoryRecorder::default();
+        let decoded = rx.decode_frame_observed(&noisy, 0, None, &rec).unwrap();
+        let snap = rec.snapshot().unwrap();
+        let bins = (decoded.info.num_data_symbols(&params) * params.num_data_subcarriers()) as u64;
+        let candidates = snap.counter("sphere_candidates");
+        let scored = snap.counter("sphere_queries_scored");
+        // DATA symbols only: every bin enumerates between one and the whole lattice.
+        assert!(
+            candidates >= bins,
+            "{candidates} candidates for {bins} bins"
+        );
+        assert!(candidates <= bins * mcs.modulation.num_points() as u64);
+        assert!(scored <= candidates * rx.effective_segments() as u64);
+
+        let standard = CpRecycleReceiver::new(
+            params,
+            CpRecycleConfig::with_decision(crate::config::DecisionStage::Standard),
+        );
+        let rec = obs::InMemoryRecorder::default();
+        standard
+            .decode_frame_observed(&noisy, 0, None, &rec)
+            .unwrap();
+        assert_eq!(rec.snapshot().unwrap().counter("sphere_candidates"), 0);
     }
 
     #[test]

@@ -229,8 +229,8 @@ pub struct SegmentScratch {
     ramp_re32: Vec<f32>,
     /// Imaginary plane of the f32 ramp mirror.
     ramp_im32: Vec<f32>,
-    /// Decision-stage buffers (candidate indices, per-candidate log-likelihoods),
-    /// threaded by the receiver into [`SubcarrierDecoder::decide_symbol`] so the whole
+    /// Decision-stage buffers (candidate indices, the sphere decoder's deviation and
+    /// log-likelihood planes) and sphere search counters, threaded by the receiver into [`SubcarrierDecoder::decide_symbol`] so the whole
     /// extract → decide path is allocation-free after warm-up.
     ///
     /// [`SubcarrierDecoder::decide_symbol`]: crate::decision::SubcarrierDecoder::decide_symbol

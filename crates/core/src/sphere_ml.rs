@@ -6,15 +6,27 @@
 //! 2. restricts the search to lattice points within a **fixed sphere** of radius `R`
 //!    around the centroid (falling back to the nearest lattice point when the sphere is
 //!    empty, so the decoder never fails outright),
-//! 3. scores every candidate by the sum over segments of the log-likelihood from the
+//! 3. scores the candidates by the sum over segments of the log-likelihood from the
 //!    per-subcarrier interference model (the product of Eq. 5 in log domain) and picks
 //!    the maximum.
+//!
+//! Step 3 is an exact branch-and-bound. A lone candidate is returned unscored. The
+//! candidate nearest the centroid is scored first, in full; every other candidate is
+//! scored a few observations at a time and abandoned as soon as its partial sum plus
+//! the model's per-bin [`log_likelihood_ceiling`] for each unscored observation
+//! cannot reach the best score so far. Per-query log-likelihoods do not depend on
+//! how queries are batched, a survivor's score is the same in-order sum the
+//! exhaustive scan computes, and ties go to the lowest lattice index, so the decision
+//! is bit-for-bit that of scoring every candidate (pinned by the
+//! `decision_equivalence` property tests against an exhaustive oracle).
 //!
 //! The decoder implements [`SubcarrierDecoder`] over the cached
 //! [`Modulation::lattice`] table: candidates are `u16` lattice indices accumulated in
 //! the shared [`DecoderScratch`], so the whole search — enumeration, scoring, argmax —
 //! performs **zero heap allocations** after the scratch has warmed up (previously
 //! every candidate of every bin of every symbol cloned a `(Complex, Vec<u8>)` pair).
+//!
+//! [`log_likelihood_ceiling`]: InterferenceModel::log_likelihood_ceiling
 
 use crate::decision::{DecoderScratch, LatticePoint, SubcarrierDecoder};
 use crate::interference_model::{deviation_planes, InterferenceModel};
@@ -22,6 +34,18 @@ use crate::segments::SymbolSegments;
 use ofdmphy::modulation::{Lattice, Modulation};
 use rfdsp::stats::centroid;
 use rfdsp::Complex;
+
+/// Observations scored per step before a challenger's bound is re-checked. Most
+/// challengers are abandoned at the first check: on `link_interfered` (P = 16)
+/// blocks of 1, 2 and 4 scored 4.9, 5.5 and 6.9 queries per candidate, and 1 bought
+/// no throughput over 2 once the extra per-call overhead was paid.
+const PRUNE_BLOCK: usize = 2;
+
+/// Relative slack on the pruning bound, in units of the magnitudes summed so far
+/// plus the ceiling's share. It must cover the rounding of a `P`-term sum
+/// (`≈ 2·P·ε` relative) and of the bound itself; `1e-9` does so for any `P` below
+/// about two million while loosening the bound by a negligible amount.
+const PRUNE_SLACK: f64 = 1e-9;
 
 /// The fixed-sphere ML decoder for one modulation order, bound to the interference
 /// model trained from the current frame's preamble.
@@ -70,17 +94,31 @@ impl<'m> FixedSphereMlDecoder<'m> {
         &scratch.candidates
     }
 
-    fn enumerate_candidates(&self, observations: &[Complex], scratch: &mut DecoderScratch) {
+    /// Fills `scratch.candidates` (ascending lattice index) and returns the position
+    /// of the candidate nearest the centroid (the first one on a distance tie).
+    fn enumerate_candidates(
+        &self,
+        observations: &[Complex],
+        scratch: &mut DecoderScratch,
+    ) -> usize {
         scratch.prepare(self.modulation);
         let center = centroid(observations).unwrap_or(Complex::zero());
+        let mut nearest = 0;
+        let mut nearest_distance = f64::INFINITY;
         for (i, point) in self.lattice.points().iter().enumerate() {
-            if (*point - center).norm() <= self.radius {
+            let distance = (*point - center).norm();
+            if distance <= self.radius {
+                if distance < nearest_distance {
+                    nearest_distance = distance;
+                    nearest = scratch.candidates.len();
+                }
                 scratch.candidates.push(i as u16);
             }
         }
         if scratch.candidates.is_empty() {
             scratch.candidates.push(self.lattice.nearest_index(center));
         }
+        nearest
     }
 
     /// Average number of lattice points inside the sphere over the given subcarriers —
@@ -116,21 +154,23 @@ impl SubcarrierDecoder for FixedSphereMlDecoder<'_> {
         observations: &[Complex],
         scratch: &mut DecoderScratch,
     ) -> LatticePoint {
-        self.enumerate_candidates(observations, scratch);
-        // Batched scoring: hoist every candidate/observation error vector into the
-        // candidate-major planes, convert them to (amplitude, phase) deviations in
-        // one lane-parallel pass, score them all with ONE estimator call (the
-        // lane-parallel batch path), then reduce per candidate. The per-candidate
-        // sum iterates observations in the same order as a per-query loop, and the
-        // plane conversion is bit-identical to `deviation`, so scores are unchanged
-        // wherever the batch path is bit-for-bit (grid f64, Gaussian, fallback) and
-        // within 1e-9 elsewhere.
+        let nearest = self.enumerate_candidates(observations, scratch);
+        let n = scratch.candidates.len();
+        scratch.search.candidates += n as u64;
+        let lattice_point = |index: u16| LatticePoint {
+            index,
+            value: self.lattice.point(index),
+        };
+        if n == 1 {
+            return lattice_point(scratch.candidates[0]);
+        }
+        // Every candidate/observation error vector goes into the candidate-major
+        // planes and is converted to an (amplitude, phase) deviation in one
+        // lane-parallel pass — cheap next to a model query, so converting the
+        // queries pruning later skips costs little and saves a call per block.
         let p = observations.len();
         scratch.dev_amp.clear();
         scratch.dev_phase.clear();
-        let total = scratch.candidates.len() * p;
-        scratch.dev_amp.reserve(total);
-        scratch.dev_phase.reserve(total);
         for &index in &scratch.candidates {
             let point = self.lattice.point(index);
             for obs in observations {
@@ -140,33 +180,62 @@ impl SubcarrierDecoder for FixedSphereMlDecoder<'_> {
             }
         }
         deviation_planes(&mut scratch.dev_amp, &mut scratch.dev_phase);
+        let ceiling = self.model.log_likelihood_ceiling(bin);
         scratch.log_likes.clear();
-        scratch.log_likes.resize(total, 0.0);
-        self.model.log_likelihood_batch(
-            bin,
-            &scratch.dev_amp,
-            &scratch.dev_phase,
-            &mut scratch.log_likes,
-        );
-        for chunk in scratch.log_likes.chunks_exact(p) {
-            scratch.scores.push(chunk.iter().sum());
-        }
-        // First strict maximum wins, so ties keep the earliest (lowest-index)
-        // candidate — the pre-trait decoder's behaviour, pinned bit-for-bit by the
-        // decision_equivalence property tests.
+        scratch.log_likes.resize(p, 0.0);
+        // The best score so far and its candidate position. Position 0 with −∞ is
+        // the exhaustive scan's answer when no score beats −∞ (NaN/±Inf input).
         let mut best = 0usize;
         let mut best_score = f64::NEG_INFINITY;
-        for (k, &score) in scratch.scores.iter().enumerate() {
-            if score > best_score {
+        let order = std::iter::once(nearest).chain((0..n).filter(|&k| k != nearest));
+        for (rank, k) in order.enumerate() {
+            let amp = &scratch.dev_amp[k * p..(k + 1) * p];
+            let phase = &scratch.dev_phase[k * p..(k + 1) * p];
+            // The first (nearest) candidate sets the bar in one batch; challengers
+            // are scored block by block and dropped once they provably cannot beat
+            // it. Only a strict bound prunes, so a challenger that could tie is
+            // always scored in full.
+            let block = if rank == 0 { p } else { PRUNE_BLOCK };
+            let mut partial = 0.0;
+            let mut magnitude = 0.0;
+            let mut done = 0;
+            while done < p {
+                let end = (done + block).min(p);
+                self.model.log_likelihood_batch(
+                    bin,
+                    &amp[done..end],
+                    &phase[done..end],
+                    &mut scratch.log_likes[done..end],
+                );
+                scratch.search.queries_scored += (end - done) as u64;
+                for v in &scratch.log_likes[done..end] {
+                    partial += v;
+                    magnitude += v.abs();
+                }
+                done = end;
+                if done < p {
+                    let remaining = (p - done) as f64;
+                    let bound = partial
+                        + remaining * ceiling
+                        + PRUNE_SLACK * (magnitude + remaining * ceiling.abs());
+                    if bound < best_score {
+                        break;
+                    }
+                }
+            }
+            if done < p {
+                continue;
+            }
+            // The exhaustive scan's in-order sum, so the score is bit-identical.
+            let score: f64 = scratch.log_likes.iter().sum();
+            // Candidates are in ascending lattice order, so the lower position wins a
+            // tie — the exhaustive first-strict-maximum rule.
+            if score > best_score || (score == best_score && k < best) {
                 best_score = score;
                 best = k;
             }
         }
-        let index = scratch.candidates[best];
-        LatticePoint {
-            index,
-            value: self.lattice.point(index),
-        }
+        lattice_point(scratch.candidates[best])
     }
 }
 
@@ -211,6 +280,34 @@ mod tests {
         for &i in cands {
             assert!((lattice.point(i) - corner).norm() <= dec.radius() + 1e-12);
         }
+    }
+
+    #[test]
+    fn search_counts_record_candidates_and_pruned_queries() {
+        use crate::decision::SearchCounts;
+        // Untrained model: the fallback penalty's ceiling is 0, and every
+        // challenger is at least one minimum distance from a tight cluster, so it
+        // falls behind for good after its first block.
+        let model = InterferenceModel::new(64, CpRecycleConfig::default());
+        let dec = FixedSphereMlDecoder::new(&model, Modulation::Qam16, 2.0);
+        let mut s = scratch();
+        let point = Modulation::Qam16.points()[5];
+        let obs = vec![point + Complex::new(0.02, -0.01); 16];
+        let n = dec.candidates(&obs, &mut s).len() as u64;
+        assert!(n > 1);
+        assert_eq!(s.take_search_counts(), SearchCounts::default());
+        let decided = dec.decide(1, &obs, &mut s);
+        assert!((decided.value - point).norm() < 1e-12);
+        let counts = s.take_search_counts();
+        assert_eq!(counts.candidates, n);
+        assert_eq!(counts.queries_scored, 16 + (n - 1) * PRUNE_BLOCK as u64);
+        assert_eq!(s.take_search_counts(), SearchCounts::default());
+
+        // A lone candidate is returned without scoring anything.
+        let narrow = FixedSphereMlDecoder::new(&model, Modulation::Qam16, 0.01);
+        narrow.decide(1, &[Complex::new(10.0, 10.0); 4], &mut s);
+        let counts = s.take_search_counts();
+        assert_eq!((counts.candidates, counts.queries_scored), (1, 0));
     }
 
     #[test]

@@ -5,14 +5,19 @@
 //! reference code), the sphere path must never reallocate its candidate buffers after
 //! warm-up, and a `DecisionStage::Standard` receiver must match a `P = 1` sphere
 //! receiver frame-for-frame.
+//!
+//! The sphere decoder's branch-and-bound search is pinned separately against
+//! [`exhaustive_sphere_decode`], the batch scorer that scores every candidate in
+//! full: same decisions for every backend, on near-ties and on non-finite input.
 
 use cprecycle::decision::{
     DecoderScratch, NaiveCentroidDecoder, StandardNearestDecoder, SubcarrierDecoder,
 };
+use cprecycle::interference_model::deviation_planes;
 use cprecycle::segments::SymbolSegments;
 use cprecycle::{
     CpRecycleConfig, CpRecycleReceiver, DecisionStage, FixedSphereMlDecoder, InterferenceModel,
-    SegmentScratch,
+    KernelPrecision, ModelBackend, SegmentScratch,
 };
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::modulation::Modulation;
@@ -71,6 +76,46 @@ fn reference_sphere_decode(
     best
 }
 
+/// The sphere decoder before branch-and-bound pruning, reproduced verbatim: every
+/// candidate × observation error vector in one candidate-major plane, one polar
+/// conversion, one `log_likelihood_batch` call, an in-order sum per candidate and the
+/// first strict maximum (so ties and all-non-finite scores keep the lowest index).
+/// Returns the decided lattice index.
+fn exhaustive_sphere_decode(
+    decoder: &FixedSphereMlDecoder<'_>,
+    model: &InterferenceModel,
+    bin: usize,
+    observations: &[Complex],
+) -> u16 {
+    let mut scratch = DecoderScratch::new();
+    let candidates = decoder.candidates(observations, &mut scratch).to_vec();
+    let lattice = decoder.modulation().lattice();
+    let p = observations.len();
+    let mut amp = Vec::with_capacity(candidates.len() * p);
+    let mut phase = Vec::with_capacity(candidates.len() * p);
+    for &index in &candidates {
+        let point = lattice.point(index);
+        for obs in observations {
+            let err = *obs - point;
+            amp.push(err.re);
+            phase.push(err.im);
+        }
+    }
+    deviation_planes(&mut amp, &mut phase);
+    let mut log_likes = vec![0.0; amp.len()];
+    model.log_likelihood_batch(bin, &amp, &phase, &mut log_likes);
+    let mut best = 0usize;
+    let mut best_score = f64::NEG_INFINITY;
+    for (k, chunk) in log_likes.chunks_exact(p).enumerate() {
+        let score: f64 = chunk.iter().sum();
+        if score > best_score {
+            best_score = score;
+            best = k;
+        }
+    }
+    candidates[best]
+}
+
 /// The pre-refactor naive decoder (`naive::decode_subcarrier`), reproduced verbatim.
 fn reference_naive_decode(observations: &[Complex], modulation: Modulation) -> (Complex, Vec<u8>) {
     let mut best_point = Complex::zero();
@@ -110,6 +155,15 @@ fn random_observations<R: Rng>(rng: &mut R, modulation: Modulation, p: usize) ->
 /// A model trained on synthetic per-bin deviation samples so the KDE scoring path
 /// (not just the untrained fallback) is exercised.
 fn trained_model(engine: &OfdmEngine, seed: u64) -> InterferenceModel {
+    trained_model_with(engine, seed, CpRecycleConfig::default())
+}
+
+/// [`trained_model`] under an explicit configuration (backend, precision).
+fn trained_model_with(
+    engine: &OfdmEngine,
+    seed: u64,
+    config: CpRecycleConfig,
+) -> InterferenceModel {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let reference: Vec<Complex> = (0..64)
         .map(|bin| {
@@ -138,9 +192,41 @@ fn trained_model(engine: &OfdmEngine, seed: u64) -> InterferenceModel {
         engine,
         &[SymbolSegments::from_rows(rows)],
         &[reference],
-        CpRecycleConfig::default(),
+        config,
     )
     .expect("synthetic training succeeds")
+}
+
+/// Every scoring backend the sphere decoder can run against, the reduced-precision
+/// grid kernel included.
+fn every_backend() -> [CpRecycleConfig; 4] {
+    [
+        CpRecycleConfig::with_model(ModelBackend::ExactKde),
+        CpRecycleConfig::with_model(ModelBackend::GridKde),
+        CpRecycleConfig::builder()
+            .model(ModelBackend::GridKde)
+            .precision(KernelPrecision::F32)
+            .build(),
+        CpRecycleConfig::with_model(ModelBackend::Gaussian),
+    ]
+}
+
+/// Asserts the pruned decoder and the exhaustive oracle decide the same lattice
+/// index for `observations`.
+fn assert_matches_exhaustive(
+    decoder: &FixedSphereMlDecoder<'_>,
+    model: &InterferenceModel,
+    bin: usize,
+    observations: &[Complex],
+    scratch: &mut DecoderScratch,
+    context: &str,
+) {
+    let pruned = decoder.decide(bin, observations, scratch);
+    let exhaustive = exhaustive_sphere_decode(decoder, model, bin, observations);
+    assert_eq!(
+        pruned.index, exhaustive,
+        "{context}: observations {observations:?}"
+    );
 }
 
 proptest! {
@@ -207,6 +293,139 @@ proptest! {
                 let (ref_point, ref_bits) = modulation.nearest_point(*obs.last().unwrap());
                 prop_assert_eq!(decided.value, ref_point, "{:?} P {}", modulation, p);
                 prop_assert_eq!(decided.bits(modulation), &ref_bits[..]);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Branch-and-bound decisions are bit-for-bit the exhaustive scan's for every
+    /// backend, every modulation and every `P ∈ 1..=17`, on a trained bin and on an
+    /// unfitted (fallback) bin.
+    #[test]
+    fn pruned_sphere_matches_exhaustive_bit_for_bit(seed in any::<u64>(), radius in 0.0f64..4.0) {
+        let engine = OfdmEngine::new(OfdmParams::ieee80211ag());
+        let trained_bin = engine.params().data_bins()[10];
+        // DC carries nothing in the preamble, so it has no fitted density.
+        let unfitted_bin = 0;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xB0B);
+        let mut scratch = DecoderScratch::new();
+        for config in every_backend() {
+            let model = trained_model_with(&engine, seed, config);
+            prop_assert!(!model.has_model(unfitted_bin));
+            for modulation in ALL_MODULATIONS {
+                let decoder = FixedSphereMlDecoder::new(&model, modulation, radius);
+                for p in 1..=17 {
+                    for bin in [trained_bin, unfitted_bin] {
+                        let obs = random_observations(&mut rng, modulation, p);
+                        let context = format!("{config:?} {modulation:?} P {p} bin {bin}");
+                        assert_matches_exhaustive(&decoder, &model, bin, &obs, &mut scratch, &context);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Observations on (or a rounding error off) the midpoint between two lattice
+    /// points make candidates tie or nearly tie; the lowest index must still win
+    /// exactly as in the exhaustive scan.
+    #[test]
+    fn near_ties_resolve_like_the_exhaustive_scan(seed in any::<u64>(), jitter in 0u32..3) {
+        let engine = OfdmEngine::new(OfdmParams::ieee80211ag());
+        let bins = [engine.params().data_bins()[3], 0];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut scratch = DecoderScratch::new();
+        for config in every_backend() {
+            let model = trained_model_with(&engine, seed, config);
+            for modulation in ALL_MODULATIONS {
+                let points = modulation.points();
+                let decoder = FixedSphereMlDecoder::new(&model, modulation, 2.0);
+                for p in [1usize, 2, 5, 16] {
+                    let a = points[rng.gen_range(0..points.len())];
+                    let b = points[rng.gen_range(0..points.len())];
+                    let mid = (a + b) * 0.5;
+                    // Nudge by a few ulps so ties sit on either side of exact.
+                    let nudge = f64::EPSILON * jitter as f64;
+                    let obs: Vec<Complex> = (0..p)
+                        .map(|j| mid + Complex::new(nudge * (j % 2) as f64, -nudge))
+                        .collect();
+                    for bin in bins {
+                        let context = format!("{config:?} {modulation:?} P {p} bin {bin}");
+                        assert_matches_exhaustive(&decoder, &model, bin, &obs, &mut scratch, &context);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// On an unfitted bin the score is the symmetric distance penalty, so an
+/// observation exactly midway between the two BPSK points is an exact tie and the
+/// lower lattice index must win.
+#[test]
+fn exact_tie_goes_to_the_lowest_lattice_index() {
+    let model = InterferenceModel::new(64, CpRecycleConfig::default());
+    let decoder = FixedSphereMlDecoder::new(&model, Modulation::Bpsk, 4.0);
+    let mut scratch = DecoderScratch::new();
+    for p in 1..=17 {
+        let obs = vec![Complex::zero(); p];
+        assert_eq!(decoder.candidates(&obs, &mut scratch).len(), 2);
+        let decided = decoder.decide(5, &obs, &mut scratch);
+        assert_eq!(decided.index, 0, "P {p}");
+        assert_eq!(exhaustive_sphere_decode(&decoder, &model, 5, &obs), 0);
+    }
+}
+
+/// NaN, ±Inf and finite-but-overflowing observations: the pruned decoder must agree
+/// with the exhaustive scan, which falls back to the first candidate when no score
+/// beats −∞.
+#[test]
+fn non_finite_observations_decide_like_the_exhaustive_scan() {
+    let engine = OfdmEngine::new(OfdmParams::ieee80211ag());
+    let bins = [engine.params().data_bins()[7], 0];
+    let one = Complex::new(0.7, -0.3);
+    let huge = 1e300;
+    let cases: Vec<Vec<Complex>> = vec![
+        vec![Complex::new(f64::NAN, 0.0), one, one],
+        vec![one, Complex::new(0.0, f64::NAN), one, one, one],
+        vec![Complex::new(f64::INFINITY, 0.0), one],
+        vec![
+            Complex::new(f64::NEG_INFINITY, 1.0),
+            one,
+            one,
+            one,
+            one,
+            one,
+        ],
+        vec![
+            Complex::new(0.2, f64::INFINITY),
+            Complex::new(0.2, f64::NEG_INFINITY),
+        ],
+        // Cancelling huge values: a finite centroid (so the sphere is populated)
+        // but deviations whose scores overflow to −∞ or NaN for every candidate.
+        vec![Complex::new(huge, 0.0), Complex::new(-huge, 0.0)],
+        vec![
+            one,
+            Complex::new(huge, huge),
+            Complex::new(-huge, -huge),
+            one,
+            one,
+            one,
+            one,
+        ],
+    ];
+    let mut scratch = DecoderScratch::new();
+    for config in every_backend() {
+        let model = trained_model_with(&engine, 0xABC, config);
+        for modulation in ALL_MODULATIONS {
+            let decoder = FixedSphereMlDecoder::new(&model, modulation, 3.0);
+            for (case, obs) in cases.iter().enumerate() {
+                for bin in bins {
+                    let context = format!("{config:?} {modulation:?} case {case} bin {bin}");
+                    assert_matches_exhaustive(&decoder, &model, bin, obs, &mut scratch, &context);
+                }
             }
         }
     }

@@ -11,13 +11,16 @@
 //!   lattice candidates never tie (the old linear-domain floor collapsed them);
 //! * incremental `update()` (dirty-bin refit after each preamble) produces a model
 //!   **bit-for-bit identical** to batch `train()` on the same preambles, for every
-//!   backend.
+//!   backend;
+//! * no batched answer ever exceeds the backend's per-bin
+//!   `log_likelihood_ceiling`, the bound the sphere decoder prunes against.
 
 use cprecycle::estimator::{
-    EstimatorState, ExactKdeEstimator, GridKdeEstimator, InterferenceEstimator, ModelBackend,
+    BinSamples, EstimatorState, ExactKdeEstimator, GridKdeEstimator, InterferenceEstimator,
+    ModelBackend,
 };
 use cprecycle::segments::{extract_segments, SymbolSegments};
-use cprecycle::{CpRecycleConfig, InterferenceModel};
+use cprecycle::{CpRecycleConfig, InterferenceModel, KernelPrecision};
 use ofdmphy::ofdm::OfdmEngine;
 use ofdmphy::params::OfdmParams;
 use ofdmphy::preamble;
@@ -168,6 +171,110 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every batched answer is at or below the bin's ceiling, for every backend and
+    /// kernel precision and for unfitted bins: queries on the samples themselves
+    /// (where the density peaks), around them, and far out in the tails (the exact
+    /// backend's log-sum-exp path, the grid's tail continuation). A degenerate bin
+    /// whose samples all coincide fits at the `min_bandwidth_*` floors, the
+    /// narrowest and tallest density the configuration allows.
+    #[test]
+    fn batch_answers_never_exceed_the_ceiling(
+        seed in any::<u64>(),
+        n in 1usize..40,
+        spread in 0.0f64..2.0,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (fitted, degenerate, unfitted) = (3usize, 4usize, 5usize);
+        let mut samples = vec![BinSamples::default(); 8];
+        let (da, dp) = (rng.gen_range(0.0..1.5), rng.gen_range(-3.0f64..3.0));
+        for _ in 0..n {
+            samples[fitted].push(
+                rng.gen_range(0.0..0.1 + spread),
+                rng.gen_range(-3.1f64..3.1) * spread.min(1.0),
+            );
+            samples[degenerate].push(da, dp);
+        }
+        // Queries: every sample point, jittered neighbours, and far tails.
+        let mut amps = Vec::new();
+        let mut phases = Vec::new();
+        for bin in [fitted, degenerate] {
+            amps.extend_from_slice(samples[bin].amplitudes());
+            phases.extend_from_slice(samples[bin].phases());
+        }
+        for _ in 0..24 {
+            amps.push(rng.gen_range(0.0..3.0));
+            phases.push(rng.gen_range(-3.2f64..3.2));
+            amps.push(rng.gen_range(40.0..1e4));
+            phases.push(rng.gen_range(-3.2f64..3.2));
+        }
+        amps.push(0.0);
+        phases.push(0.0);
+        let mut out = vec![0.0; amps.len()];
+        for (backend, precision) in [
+            (ModelBackend::ExactKde, KernelPrecision::F64),
+            (ModelBackend::GridKde, KernelPrecision::F64),
+            (ModelBackend::GridKde, KernelPrecision::F32),
+            (ModelBackend::Gaussian, KernelPrecision::F64),
+        ] {
+            let config = CpRecycleConfig::builder()
+                .model(backend)
+                .precision(precision)
+                .build();
+            let mut est = EstimatorState::with_precision(backend, 8, precision);
+            est.train(&samples, &config).unwrap();
+            prop_assert!(!est.has_model(unfitted));
+            // (A single sample has no spread to select from and fits bandwidth 1.)
+            if let (EstimatorState::Exact(exact), true) = (&est, n >= 2) {
+                let kde = exact.kde(degenerate).unwrap();
+                prop_assert_eq!(kde.bandwidth_amplitude(), config.min_bandwidth_amplitude);
+                prop_assert_eq!(kde.bandwidth_phase(), config.min_bandwidth_phase);
+            }
+            for bin in [fitted, degenerate, unfitted] {
+                let ceiling = est.log_likelihood_ceiling(bin);
+                prop_assert!(ceiling.is_finite(), "{:?} bin {}: ceiling {}", backend, bin, ceiling);
+                est.log_likelihood_batch(bin, &amps, &phases, &mut out);
+                for (q, v) in out.iter().enumerate() {
+                    prop_assert!(
+                        *v <= ceiling,
+                        "{:?}/{:?} bin {} query ({}, {}): {} above ceiling {}",
+                        backend, precision, bin, amps[q], phases[q], v, ceiling
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The ceiling is tight where it matters: a query on a degenerate bin's single
+/// point reaches it up to the rounding slack, so pruning against it loses nothing.
+#[test]
+fn exact_ceiling_is_reached_at_a_degenerate_peak() {
+    let mut samples = vec![BinSamples::default(); 4];
+    for _ in 0..34 {
+        samples[2].push(0.4, -1.0);
+    }
+    let config = CpRecycleConfig::default();
+    let mut est = ExactKdeEstimator::new(4);
+    est.train(&samples, &config).unwrap();
+    let ceiling = est.log_likelihood_ceiling(2);
+    let mut out = [0.0];
+    est.log_likelihood_batch(2, &[0.4], &[-1.0], &mut out);
+    assert!(out[0] <= ceiling);
+    assert!(
+        ceiling - out[0] < 1e-9,
+        "peak {} vs ceiling {ceiling}",
+        out[0]
+    );
+    assert_eq!(
+        est.log_likelihood_ceiling(3),
+        0.0,
+        "unfitted bins bound the fallback"
+    );
 }
 
 /// Dirty-bin tracking at the estimator level: updating with a preamble that only

@@ -233,6 +233,13 @@ pub struct ProductKde2d {
     phases: Vec<f64>,
     bw_a: f64,
     bw_p: f64,
+    /// Per-axis whitening factors `1/(√2·B)`: in whitened coordinates the kernel
+    /// exponent `−½·((Δa/B_a)² + (Δφ/B_φ)²)` is `−(Δa'² + Δφ'²)`.
+    whitening: (f64, f64),
+    /// `ln(n·B_a·B_φ·4π²)`, the log normalisation every batched query subtracts.
+    /// Both are recomputed with the whitened half, so a batched query pays no
+    /// per-call division or `ln`.
+    log_norm: f64,
     /// Sort and leave-one-out scratch reused by bandwidth reselection in
     /// [`ProductKde2d::update`].
     scratch: Vec<f64>,
@@ -255,6 +262,8 @@ impl ProductKde2d {
             phases,
             bw_a,
             bw_p,
+            whitening: (1.0, 1.0),
+            log_norm: 0.0,
             scratch,
         };
         kde.whiten();
@@ -277,6 +286,8 @@ impl ProductKde2d {
             phases: Vec::new(),
             bw_a: 1.0,
             bw_p: 1.0,
+            whitening: (1.0, 1.0),
+            log_norm: 0.0,
             scratch: Vec::new(),
         };
         kde.refit_axes(amps, phases, bw_a, bw_p)?;
@@ -309,18 +320,15 @@ impl ProductKde2d {
         Ok(())
     }
 
-    /// Per-axis whitening factors `1/(√2·B)`: in whitened coordinates the kernel
-    /// exponent `−½·((Δa/B_a)² + (Δφ/B_φ)²)` is `−(Δa'² + Δφ'²)`.
-    fn whitening(&self) -> (f64, f64) {
-        (
+    /// Appends the whitened half to axis buffers that hold only the raw samples, and
+    /// refreshes the whitening factors and the log normalisation.
+    fn whiten(&mut self) {
+        self.log_norm = (self.amps.len() as f64 * self.bw_a * self.bw_p * TWO_PI_SQ).ln();
+        self.whitening = (
             std::f64::consts::FRAC_1_SQRT_2 / self.bw_a,
             std::f64::consts::FRAC_1_SQRT_2 / self.bw_p,
-        )
-    }
-
-    /// Appends the whitened half to axis buffers that hold only the raw samples.
-    fn whiten(&mut self) {
-        let (ca, cp) = self.whitening();
+        );
+        let (ca, cp) = self.whitening;
         for (axis, c) in [(&mut self.amps, ca), (&mut self.phases, cp)] {
             let n = axis.len();
             axis.extend_from_within(..n);
@@ -476,9 +484,9 @@ impl ProductKde2d {
             out.len(),
             "output must match the query count"
         );
-        let (ca, cp) = self.whitening();
+        let (ca, cp) = self.whitening;
         let (white_a, white_p) = self.whitened();
-        let log_norm = (self.len() as f64 * self.bw_a * self.bw_p * TWO_PI_SQ).ln();
+        let log_norm = self.log_norm;
         for ((&a, &p), o) in amplitudes.iter().zip(phases).zip(out.iter_mut()) {
             let (a, p) = (a * ca, p * cp);
             let sum = crate::simd::kde_kernel_sum(a, p, white_a, white_p);
@@ -488,6 +496,22 @@ impl ProductKde2d {
                 crate::simd::kde_log_sum_exp(a, p, white_a, white_p) - log_norm
             };
         }
+    }
+
+    /// An upper bound on every value [`log_eval`](Self::log_eval) and
+    /// [`log_eval_batch`](Self::log_eval_batch) can return: `ln n − ln(n·B_a·B_φ·4π²)`,
+    /// the log density if every kernel peaked at once, plus rounding slack.
+    ///
+    /// Every kernel term is an exponential of a non-positive exponent, so it is at
+    /// most 1 (`exp_approx` included), and the log-sum-exp tail path shifts by the
+    /// largest exponent (≤ 0) before summing the same bounded terms. The slack
+    /// covers the summation's `n·ε` relative growth and the rounding of the `ln`
+    /// and the subtraction. The sphere decoder prunes candidates against this
+    /// bound, so it must never be below a value the batch path returns.
+    pub fn log_eval_ceiling(&self) -> f64 {
+        let n = self.len() as f64;
+        let peak = n.ln() - self.log_norm;
+        peak + 64.0 * f64::EPSILON * (n + n.ln() + self.log_norm.abs() + 1.0)
     }
 
     /// Merges additional samples into the estimate and reselects bandwidths with the
@@ -575,6 +599,8 @@ pub struct GridKde2d {
     bw_a: f64,
     bw_p: f64,
     margin: f64,
+    /// Upper bound on every query answer, see [`log_eval_ceiling`](Self::log_eval_ceiling).
+    ceiling: f64,
 }
 
 impl GridKde2d {
@@ -671,6 +697,17 @@ impl GridKde2d {
             }
         }
         let values_f32 = values.iter().map(|&v| v as f32).collect();
+        let (peak, max_abs) = values
+            .iter()
+            .fold((f64::NEG_INFINITY, 0.0f64), |(p, m), &v| {
+                (p.max(v), m.max(v.abs()))
+            });
+        // Bilinear interpolation is a convex combination of table values and the
+        // tail continuation only subtracts, so no query exceeds the table maximum
+        // beyond rounding. The slack is sized for the f32 kernel: the f32 table
+        // copy and two f32 interpolation steps can each overshoot by a few f32
+        // ulps of the largest table magnitude.
+        let ceiling = peak + 16.0 * f64::from(f32::EPSILON) * (1.0 + max_abs);
         Ok(GridKde2d {
             a_lo,
             a_step,
@@ -683,7 +720,18 @@ impl GridKde2d {
             bw_a,
             bw_p,
             margin,
+            ceiling,
         })
+    }
+
+    /// An upper bound on every value [`log_eval`](Self::log_eval),
+    /// [`log_eval_batch`](Self::log_eval_batch) and
+    /// [`log_eval_batch_f32`](Self::log_eval_batch_f32) can return: the largest
+    /// tabulated log density plus rounding slack. Interpolation never leaves the
+    /// range of the four surrounding nodes and the far-tail continuation only
+    /// subtracts, which the builder relies on when it sets the bound.
+    pub fn log_eval_ceiling(&self) -> f64 {
+        self.ceiling
     }
 
     /// Nodes along the amplitude axis.

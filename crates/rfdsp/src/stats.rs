@@ -400,6 +400,14 @@ impl BivariateGaussian {
         let quad = self.inv[0] * dx * dx + 2.0 * self.inv[1] * dx * dy + self.inv[2] * dy * dy;
         self.log_norm - 0.5 * quad
     }
+
+    /// An upper bound on every value [`log_pdf`](Self::log_pdf) can return: the
+    /// log peak density `−ln(2π√|Σ|)` plus rounding slack. The fit clamps the
+    /// correlation to `|ρ| ≤ 0.99`, so the quadratic form stays non-negative in
+    /// floating point.
+    pub fn log_pdf_ceiling(&self) -> f64 {
+        self.log_norm + 16.0 * f64::EPSILON * (1.0 + self.log_norm.abs())
+    }
 }
 
 #[cfg(test)]
