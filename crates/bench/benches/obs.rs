@@ -8,14 +8,14 @@
 //!   convenience wrapper (which is the no-op path spelled differently) and the
 //!   in-memory recorder — the end-to-end cost of instrumentation on the hot loop.
 
-use cprecycle::{CpRecycleConfig, CpRecycleReceiver};
+use cprecycle::{CpRecycleConfig, CpRecycleReceiver, RxStream};
 use criterion::{criterion_group, criterion_main, Criterion};
 use obs::{InMemoryRecorder, NoopRecorder, Recorder, Span, StageTimer};
 use ofdmphy::convcode::CodeRate;
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::modulation::Modulation;
 use ofdmphy::params::OfdmParams;
-use ofdmphy::rx::FrameInfo;
+use ofdmphy::rx::{FrameInfo, ModelPersistence};
 
 fn bench_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_primitives");
@@ -50,6 +50,7 @@ fn bench_instrumented_decode(c: &mut Criterion) {
     };
     let rx = CpRecycleReceiver::new(params, CpRecycleConfig::default());
 
+    let mut stream = RxStream::new(ModelPersistence::PerFrame);
     let mut group = c.benchmark_group("obs_decode");
     group.sample_size(10);
     group.bench_function("uninstrumented", |b| {
@@ -57,15 +58,29 @@ fn bench_instrumented_decode(c: &mut Criterion) {
     });
     group.bench_function("noop_recorder", |b| {
         b.iter(|| {
-            rx.decode_frame_observed(&frame.samples, 0, Some(info), &NoopRecorder)
-                .unwrap()
+            rx.decode_frame_session_observed(
+                &frame.samples,
+                0,
+                Some(info),
+                None,
+                &mut stream,
+                &NoopRecorder,
+            )
+            .unwrap()
         });
     });
     let live = InMemoryRecorder::new(0);
     group.bench_function("inmemory_recorder", |b| {
         b.iter(|| {
-            rx.decode_frame_observed(&frame.samples, 0, Some(info), &live)
-                .unwrap()
+            rx.decode_frame_session_observed(
+                &frame.samples,
+                0,
+                Some(info),
+                None,
+                &mut stream,
+                &live,
+            )
+            .unwrap()
         });
     });
     group.finish();

@@ -1,5 +1,7 @@
 //! The real-time throughput budget: decoded **Msps-per-core** for every receiver
-//! configuration (standard, CPRecycle P ∈ {4, 8, 16} × {ExactKde, GridKde, Gaussian}).
+//! configuration (standard, CPRecycle P = 1 ExactKde — the paper's §6 claim that one
+//! FFT segment degrades gracefully to a standard receiver — and CPRecycle
+//! P ∈ {4, 8, 16} × {ExactKde, GridKde, Gaussian}).
 //!
 //! 802.11a/g streams 20 Msamples/s at 20 MHz; a configuration decodes in real time on
 //! one core exactly when its Msps-per-core is at or above that line. This bench turns
@@ -79,25 +81,29 @@ fn main() {
             }),
         ));
     }
+    let backends = [
+        ("exact", ModelBackend::ExactKde),
+        ("grid", ModelBackend::GridKde),
+        ("gauss", ModelBackend::Gaussian),
+    ];
+    // P = 1 runs ExactKde only: the one-segment end of the scalability claim.
+    let mut cprecycle_cases = vec![(1usize, backends[0])];
     for p in [4usize, 8, 16] {
-        for (tag, backend) in [
-            ("exact", ModelBackend::ExactKde),
-            ("grid", ModelBackend::GridKde),
-            ("gauss", ModelBackend::Gaussian),
-        ] {
-            let config = CpRecycleConfig::builder()
-                .num_segments(p)
-                .model(backend)
-                .build();
-            let rx = CpRecycleReceiver::new(params.clone(), config);
-            let samples = frame.samples.clone();
-            configs.push((
-                format!("cprecycle_p{p}_{tag}"),
-                Box::new(move || {
-                    black_box(rx.decode_frame(&samples, 0, Some(info)).unwrap());
-                }),
-            ));
-        }
+        cprecycle_cases.extend(backends.map(|b| (p, b)));
+    }
+    for (p, (tag, backend)) in cprecycle_cases {
+        let config = CpRecycleConfig::builder()
+            .num_segments(p)
+            .model(backend)
+            .build();
+        let rx = CpRecycleReceiver::new(params.clone(), config);
+        let samples = frame.samples.clone();
+        configs.push((
+            format!("cprecycle_p{p}_{tag}"),
+            Box::new(move || {
+                black_box(rx.decode_frame(&samples, 0, Some(info)).unwrap());
+            }),
+        ));
     }
 
     let mut records = Vec::new();

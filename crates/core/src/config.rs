@@ -47,9 +47,10 @@ pub enum DecisionStage {
     Naive,
     /// Genie-aided best-segment selection from the interference-only waveform (§3.2;
     /// [`crate::decision::OracleSegmentDecoder`]). Requires the interference-only
-    /// capture, i.e. [`CpRecycleReceiver::decode_frame_genie`].
+    /// capture, passed as the `interference_only` argument of
+    /// [`CpRecycleReceiver::decode_frame_session`].
     ///
-    /// [`CpRecycleReceiver::decode_frame_genie`]: crate::receiver::CpRecycleReceiver::decode_frame_genie
+    /// [`CpRecycleReceiver::decode_frame_session`]: crate::receiver::CpRecycleReceiver::decode_frame_session
     Oracle,
     /// Nearest lattice point on the standard FFT window only
     /// ([`crate::decision::StandardNearestDecoder`]) — the conventional receiver's

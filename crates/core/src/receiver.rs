@@ -82,9 +82,11 @@ pub struct CpRecycleReceiver {
 /// Per-stream receiver state threaded across the frames of one sample stream: the
 /// extraction/decision scratch plus the cross-frame interference model.
 ///
-/// Under [`ModelPersistence::PerFrame`] every frame retrains the model from its own
-/// preamble, exactly like the batch [`CpRecycleReceiver::decode_frame`] — streamed
-/// and batch decodes are bit-for-bit identical. Under [`ModelPersistence::Rolling`]
+/// Every CPRecycle decode runs against one: the batch
+/// [`CpRecycleReceiver::decode_frame`] is a decode on a fresh
+/// [`ModelPersistence::PerFrame`] stream, under which every frame retrains the model
+/// from its own preamble, so a reused `PerFrame` stream decodes each frame
+/// bit-for-bit as the batch call does. Under [`ModelPersistence::Rolling`]
 /// the model persists and each new frame's two LTF segment sets feed
 /// [`InterferenceModel::update`], the incremental dirty-bin refit: `N_p` grows by 2
 /// per frame and the per-subcarrier densities sharpen instead of resetting (§4.3's
@@ -141,15 +143,6 @@ impl RxStream {
     }
 }
 
-/// The cross-frame model slot `decode_inner` threads when a decode runs against an
-/// [`RxStream`] instead of a throwaway per-frame model.
-struct PersistentModel<'a> {
-    model: &'a mut Option<InterferenceModel>,
-    persistence: ModelPersistence,
-    frame_seq: u64,
-    model_frame: &'a mut u64,
-}
-
 impl CpRecycleReceiver {
     /// Creates a receiver for the given numerology and configuration.
     pub fn new(params: OfdmParams, config: CpRecycleConfig) -> Self {
@@ -193,96 +186,41 @@ impl CpRecycleReceiver {
     /// stage, so the SIGNAL symbol also benefits from interference mitigation);
     /// otherwise the supplied metadata is used directly — the genie-aided mode the
     /// controlled experiments use to isolate DATA-symbol errors.
+    ///
+    /// This is [`decode_frame_session`](Self::decode_frame_session) on a fresh
+    /// [`ModelPersistence::PerFrame`] stream with no genie capture, so a batch decode
+    /// and a streamed `PerFrame` decode are the same code path.
     pub fn decode_frame(
         &self,
         samples: &[Complex],
         frame_start: usize,
         info: Option<FrameInfo>,
     ) -> Result<RxFrame> {
-        let mut scratch = SegmentScratch::new();
-        self.decode_frame_genie(samples, frame_start, info, None, &mut scratch)
-    }
-
-    /// [`decode_frame`](Self::decode_frame) with stage timings emitted into `obs`.
-    ///
-    /// Spans are keyed by the decision-stage family
-    /// ([`DecisionStage::kind_label`]) and, for model stages, the estimator
-    /// backend label: `("sync", kind)`, `("model_train", backend)`,
-    /// `("extract", kind)` and `("decide", kind)` per OFDM symbol,
-    /// `("bits", kind)`, and `("model_update", backend)` when a rolling model
-    /// absorbs a preamble. A sphere decode also adds each DATA symbol's search
-    /// work to the `sphere_candidates` and `sphere_queries_scored` counters
-    /// (see [`crate::decision::SearchCounts`]). With a no-op recorder this
-    /// monomorphises to exactly the uninstrumented pipeline — decodes are
-    /// bit-for-bit identical either way (pinned by the `obs_equivalence`
-    /// integration test).
-    pub fn decode_frame_observed<O: Recorder>(
-        &self,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-        obs: &O,
-    ) -> Result<RxFrame> {
-        let mut scratch = SegmentScratch::new();
-        self.decode_inner(samples, frame_start, info, None, &mut scratch, None, obs)
-    }
-
-    /// [`decode_frame`](Self::decode_frame) with caller-owned scratch.
-    ///
-    /// The scratch holds the sliding-DFT plan, the per-symbol working buffers and the
-    /// decision-stage candidate and scoring buffers; reusing one across frames (the
-    /// campaign engine keeps one per worker) removes all per-frame twiddle
-    /// construction and keeps the decision stage allocation-free. `decode_frame` is
-    /// the convenience wrapper that allocates a throwaway scratch.
-    pub fn decode_frame_scratch(
-        &self,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-        scratch: &mut SegmentScratch,
-    ) -> Result<RxFrame> {
-        self.decode_frame_genie(samples, frame_start, info, None, scratch)
-    }
-
-    /// [`decode_frame_scratch`](Self::decode_frame_scratch) with an optional genie
-    /// interference-only capture, aligned sample-for-sample with `samples`.
-    ///
-    /// Only the [`DecisionStage::Oracle`] stage reads the genie waveform (it measures
-    /// each symbol's per-segment interference power from it); every other stage
-    /// discards it before the pipeline starts, so harnesses that have the capture can
-    /// pass it unconditionally — even one shorter than the composite. Decoding with
-    /// the Oracle stage and no genie capture is an error, as is an Oracle decode
-    /// whose genie capture ends before the frame does.
-    pub fn decode_frame_genie(
-        &self,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-        interference_only: Option<&[Complex]>,
-        scratch: &mut SegmentScratch,
-    ) -> Result<RxFrame> {
-        self.decode_inner(
-            samples,
-            frame_start,
-            info,
-            interference_only,
-            scratch,
-            None,
-            &NoopRecorder,
-        )
+        let mut stream = RxStream::new(ModelPersistence::PerFrame);
+        self.decode_frame_session(samples, frame_start, info, None, &mut stream)
     }
 
     /// Decodes one frame of a sample stream, threading the cross-frame [`RxStream`]
     /// state — the receiver half of the streaming API ([`crate::session::RxSession`]
     /// drives it through the [`FrameReceiver`] trait; genie-timed harnesses like the
-    /// link campaigns call it directly).
+    /// link campaigns call it directly). Reusing one stream across frames (the
+    /// campaign engine keeps one per worker) reuses its extraction and decision
+    /// scratch.
     ///
-    /// Under [`ModelPersistence::PerFrame`] this is bit-for-bit
-    /// [`decode_frame_scratch`](Self::decode_frame_scratch); under
-    /// [`ModelPersistence::Rolling`] the stream's interference model persists and
-    /// absorbs this frame's two LTF segment sets through the incremental
-    /// [`InterferenceModel::update`] (once per [`RxStream::begin_frame`], so decode
-    /// retries on a growing buffer stay idempotent).
+    /// Under [`ModelPersistence::PerFrame`] every frame retrains the model from its
+    /// own preamble; under [`ModelPersistence::Rolling`] the stream's interference
+    /// model persists and absorbs this frame's two LTF segment sets through the
+    /// incremental [`InterferenceModel::update`] (once per
+    /// [`RxStream::begin_frame`], so decode retries on a growing buffer stay
+    /// idempotent).
+    ///
+    /// `interference_only` is the optional genie interference-only capture, aligned
+    /// sample-for-sample with `samples`. Only the [`DecisionStage::Oracle`] stage
+    /// reads it (it measures each symbol's per-segment interference power from it);
+    /// every other stage discards it before the pipeline starts, so harnesses that
+    /// have the capture can pass it unconditionally — even one shorter than the
+    /// composite. Decoding with the Oracle stage and no genie capture is an error, as
+    /// is an Oracle decode whose genie capture ends before the frame does.
     pub fn decode_frame_session(
         &self,
         samples: &[Complex],
@@ -302,8 +240,20 @@ impl CpRecycleReceiver {
     }
 
     /// [`decode_frame_session`](Self::decode_frame_session) with stage timings
-    /// emitted into `obs` (same span map as
-    /// [`decode_frame_observed`](Self::decode_frame_observed)).
+    /// emitted into `obs` — the one CPRecycle decode body every other entry point
+    /// forwards to.
+    ///
+    /// Spans are keyed by the decision-stage family
+    /// ([`DecisionStage::kind_label`]) and, for model stages, the estimator
+    /// backend label: `("sync", kind)`, `("model_train", backend)`,
+    /// `("extract", kind)` and `("decide", kind)` per OFDM symbol,
+    /// `("bits", kind)`, and `("model_update", backend)` when a rolling model
+    /// absorbs a preamble. A sphere decode also adds each DATA symbol's search
+    /// work to the `sphere_candidates` and `sphere_queries_scored` counters
+    /// (see [`crate::decision::SearchCounts`]). With a no-op recorder this
+    /// monomorphises to exactly the uninstrumented pipeline — decodes are
+    /// bit-for-bit identical either way (pinned by the `obs_equivalence`
+    /// integration test).
     pub fn decode_frame_session_observed<O: Recorder>(
         &self,
         samples: &[Complex],
@@ -313,40 +263,6 @@ impl CpRecycleReceiver {
         stream: &mut RxStream,
         obs: &O,
     ) -> Result<RxFrame> {
-        let RxStream {
-            scratch,
-            persistence,
-            model,
-            frame_seq,
-            model_frame,
-        } = stream;
-        self.decode_inner(
-            samples,
-            frame_start,
-            info,
-            interference_only,
-            scratch,
-            Some(PersistentModel {
-                model,
-                persistence: *persistence,
-                frame_seq: *frame_seq,
-                model_frame,
-            }),
-            obs,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn decode_inner<O: Recorder>(
-        &self,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-        interference_only: Option<&[Complex]>,
-        scratch: &mut SegmentScratch,
-        persistent: Option<PersistentModel<'_>>,
-        obs: &O,
-    ) -> Result<RxFrame> {
         // Stages that never read the genie waveform drop it here, so a short or
         // misaligned capture cannot fail a decode that would not have touched it.
         let interference_only = if self.config.decision.needs_genie() {
@@ -354,13 +270,20 @@ impl CpRecycleReceiver {
                 return Err(PhyError::invalid(
                     "decision",
                     "the Oracle decision stage needs the interference-only capture \
-                     (use decode_frame_genie)",
+                     (pass it to decode_frame_session)",
                 ));
             }
             interference_only
         } else {
             None
         };
+        let RxStream {
+            scratch,
+            persistence,
+            model,
+            frame_seq,
+            model_frame,
+        } = stream;
         // --- Stage 1: sync — frame geometry and channel estimate ---------------------
         let kind = self.config.decision.kind_label();
         let backend = self.config.model.label();
@@ -381,83 +304,47 @@ impl CpRecycleReceiver {
         timer.finish(obs);
         let num_segments = self.effective_segments();
         // Only the sphere stage scores with the interference model; the other stages
-        // skip the training cost entirely. A throwaway decode trains per frame; a
-        // stream decode consults the persistence policy. A *rolling* model defers
-        // absorbing this frame's preamble until the SIGNAL field has validated (or
-        // the caller vouched for the frame via genie `info`): streaming sessions
+        // skip the training cost entirely. A *rolling* model defers absorbing this
+        // frame's preamble until the frame has passed its FCS: streaming sessions
         // decode every detection, and absorbing the "preamble" of a false detection
         // — an interferer's leaked frame, a noise fluke — would poison the model for
         // every later frame of the stream.
-        let mut persistent = persistent;
-        let mut throwaway: Option<InterferenceModel> = None;
-        let needs_model = self.config.decision.needs_interference_model();
+        let mut pending: Option<InterferenceModel> = None;
         let mut absorb_pending = false;
-        let mut commit_pending = false;
-        if needs_model {
-            let timer = StageTimer::start(obs, Span::new("model_train", backend));
-            let mut trained = true;
-            match &mut persistent {
-                None => {
-                    throwaway = Some(self.train_model(
-                        samples,
-                        ltf_start,
-                        &estimate,
-                        num_segments,
-                        scratch,
-                    )?);
-                }
-                Some(p) => match p.persistence {
-                    ModelPersistence::PerFrame => {
-                        // Retrained and replaced every frame, so a false detection's
-                        // garbage model never outlives its own (failing) decode.
-                        *p.model = Some(self.train_model(
-                            samples,
-                            ltf_start,
-                            &estimate,
-                            num_segments,
-                            scratch,
-                        )?);
-                        *p.model_frame = p.frame_seq;
-                    }
-                    ModelPersistence::Rolling if p.model.is_none() => {
-                        // First frame of a rolling stream: train into the throwaway
-                        // and only commit once the frame is trusted — a false
-                        // detection must not seed the stream's model.
-                        throwaway = Some(self.train_model(
-                            samples,
-                            ltf_start,
-                            &estimate,
-                            num_segments,
-                            scratch,
-                        )?);
-                        commit_pending = true;
-                    }
-                    ModelPersistence::Rolling => {
-                        absorb_pending = *p.model_frame != p.frame_seq;
-                        trained = false;
-                    }
-                },
-            }
-            if trained {
+        if self.config.decision.needs_interference_model() {
+            if *persistence == ModelPersistence::Rolling && model.is_some() {
+                absorb_pending = *model_frame != *frame_seq;
+            } else {
+                let timer = StageTimer::start(obs, Span::new("model_train", backend));
+                let trained =
+                    self.train_model(samples, ltf_start, &estimate, num_segments, scratch)?;
                 timer.finish(obs);
+                match persistence {
+                    // Retrained and replaced every frame, so a false detection's
+                    // garbage model never outlives its own (failing) decode.
+                    ModelPersistence::PerFrame => *model = Some(trained),
+                    // First frame of a rolling stream: score with a pending model and
+                    // only commit it once the frame is trusted — a false detection
+                    // must not seed the stream's model.
+                    ModelPersistence::Rolling => pending = Some(trained),
+                }
             }
         }
+        // Decisions use the model as of the previous trusted frame (or this frame's
+        // pending one); this frame's preamble sharpens the next frame's.
+        let scoring = model.as_ref().or(pending.as_ref());
 
-        // --- Frame metadata (SIGNAL decodes through the same decision stage; a
-        //     rolling stream scores it with the pre-frame model) -----------------------
+        // --- Frame metadata (SIGNAL decodes through the same decision stage) ---------
         let info = match info {
             Some(i) => i,
-            None => {
-                let model = model_in_use(needs_model, &throwaway, &persistent);
-                self.decode_signal(
-                    &samples[signal_start..signal_start + sym_len],
-                    &estimate,
-                    model,
-                    genie_symbol(interference_only, signal_start, sym_len)?,
-                    num_segments,
-                    scratch,
-                )?
-            }
+            None => self.decode_signal(
+                &samples[signal_start..signal_start + sym_len],
+                &estimate,
+                scoring,
+                genie_symbol(interference_only, signal_start, sym_len)?,
+                num_segments,
+                scratch,
+            )?,
         };
 
         // --- Stages 2+3: extract segments and decide every DATA symbol ---------------
@@ -470,7 +357,6 @@ impl CpRecycleReceiver {
             });
         }
 
-        let model = model_in_use(needs_model, &throwaway, &persistent);
         let data_bins = params.data_bins();
         let mut decided_symbols = Vec::with_capacity(num_symbols);
         // Drop what the SIGNAL decode or earlier frames left in the sphere counters,
@@ -492,7 +378,7 @@ impl CpRecycleReceiver {
             let timer = StageTimer::start(obs, Span::new("decide", kind));
             decided_symbols.push(self.run_decision_stage(
                 info.mcs.modulation,
-                model,
+                scoring,
                 &segments,
                 &data_bins,
                 genie_symbol(interference_only, start, sym_len)?,
@@ -527,17 +413,14 @@ impl CpRecycleReceiver {
         // CRC-failed "frame"; absorbing its garbage "preamble" would poison the
         // model for the rest of the stream (measured: a single phantom absorption
         // costs more frames than skipping the preambles of genuinely corrupt own
-        // frames ever recovers). Decisions above always use the model as of the
-        // *previous* trusted frame; this frame's preamble sharpens the next one.
+        // frames ever recovers).
         if crc_ok {
-            if commit_pending {
-                let p = persistent.as_mut().expect("commit implies a stream slot");
-                *p.model = throwaway.take();
-                *p.model_frame = p.frame_seq;
+            if pending.is_some() {
+                *model = pending;
+                *model_frame = *frame_seq;
                 obs.counter("model_commits", 1);
             } else if absorb_pending {
                 let timer = StageTimer::start(obs, Span::new("model_update", backend));
-                let p = persistent.as_mut().expect("absorb implies a stream slot");
                 let (seg1, seg2) = self.ltf_training_segments(
                     samples,
                     ltf_start,
@@ -546,9 +429,9 @@ impl CpRecycleReceiver {
                     scratch,
                 )?;
                 let reference = preamble::ltf_bins(&params);
-                let m = p.model.as_mut().expect("absorb implies an existing model");
+                let m = model.as_mut().expect("absorb implies an existing model");
                 m.update_preambles(&self.engine, &[seg1, seg2], &reference)?;
-                *p.model_frame = p.frame_seq;
+                *model_frame = *frame_seq;
                 timer.finish(obs);
                 obs.counter("model_absorbs", 1);
             }
@@ -735,16 +618,6 @@ impl FrameReceiver for CpRecycleReceiver {
     /// Streamed decode without a genie waveform: sessions run over-the-air-style, so
     /// the [`DecisionStage::Oracle`] stage (which needs the interference-only
     /// capture) is rejected here exactly as in [`CpRecycleReceiver::decode_frame`].
-    fn decode_stream(
-        &self,
-        stream: &mut RxStream,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-    ) -> Result<RxFrame> {
-        self.decode_frame_session(samples, frame_start, info, None, stream)
-    }
-
     fn decode_stream_observed<O: Recorder>(
         &self,
         stream: &mut RxStream,
@@ -754,24 +627,6 @@ impl FrameReceiver for CpRecycleReceiver {
         obs: &O,
     ) -> Result<RxFrame> {
         self.decode_frame_session_observed(samples, frame_start, info, None, stream, obs)
-    }
-}
-
-/// The interference model a decode phase should score with: the throwaway per-frame
-/// model, or the stream slot's persistent one.
-fn model_in_use<'a>(
-    needs_model: bool,
-    throwaway: &'a Option<InterferenceModel>,
-    persistent: &'a Option<PersistentModel<'_>>,
-) -> Option<&'a InterferenceModel> {
-    if !needs_model {
-        return None;
-    }
-    match persistent {
-        None => throwaway.as_ref(),
-        // A rolling stream's first frame scores with the not-yet-committed
-        // throwaway model until the frame is trusted.
-        Some(p) => p.model.as_ref().or(throwaway.as_ref()),
     }
 }
 
@@ -1081,10 +936,10 @@ mod tests {
         ] {
             let rx =
                 CpRecycleReceiver::new(params.clone(), CpRecycleConfig::with_decision(decision));
-            let mut scratch = SegmentScratch::new();
+            let mut stream = RxStream::new(ModelPersistence::PerFrame);
             // The Oracle needs the genie capture; the others accept it and ignore it.
             let decoded = rx
-                .decode_frame_genie(&frame.samples, 0, None, Some(&genie), &mut scratch)
+                .decode_frame_session(&frame.samples, 0, None, Some(&genie), &mut stream)
                 .unwrap();
             assert!(decoded.crc_ok, "{}", decision.label());
             assert_eq!(
@@ -1108,7 +963,10 @@ mod tests {
             .add_noise_snr(&mut rng, &mut noisy, 12.0)
             .unwrap();
         let rec = obs::InMemoryRecorder::default();
-        let decoded = rx.decode_frame_observed(&noisy, 0, None, &rec).unwrap();
+        let mut stream = RxStream::new(ModelPersistence::PerFrame);
+        let decoded = rx
+            .decode_frame_session_observed(&noisy, 0, None, None, &mut stream, &rec)
+            .unwrap();
         let snap = rec.snapshot().unwrap();
         let bins = (decoded.info.num_data_symbols(&params) * params.num_data_subcarriers()) as u64;
         let candidates = snap.counter("sphere_candidates");
@@ -1126,8 +984,9 @@ mod tests {
             CpRecycleConfig::with_decision(crate::config::DecisionStage::Standard),
         );
         let rec = obs::InMemoryRecorder::default();
+        let mut stream = RxStream::new(ModelPersistence::PerFrame);
         standard
-            .decode_frame_observed(&noisy, 0, None, &rec)
+            .decode_frame_session_observed(&noisy, 0, None, None, &mut stream, &rec)
             .unwrap();
         assert_eq!(rec.snapshot().unwrap().counter("sphere_candidates"), 0);
     }
@@ -1222,17 +1081,17 @@ mod tests {
             "unexpected error: {err}"
         );
         // A genie capture shorter than the composite is also rejected, not a panic.
-        let mut scratch = SegmentScratch::new();
+        let mut stream = RxStream::new(ModelPersistence::PerFrame);
         let short = vec![Complex::zero(); 400];
         assert!(rx
-            .decode_frame_genie(&frame.samples, 0, None, Some(&short), &mut scratch)
+            .decode_frame_session(&frame.samples, 0, None, Some(&short), &mut stream)
             .is_err());
         // …but stages that never read the genie waveform must not trip over it: the
         // same short capture is ignored by the sphere stage.
         let sphere_rx =
             CpRecycleReceiver::new(OfdmParams::ieee80211ag(), CpRecycleConfig::default());
         let decoded = sphere_rx
-            .decode_frame_genie(&frame.samples, 0, None, Some(&short), &mut scratch)
+            .decode_frame_session(&frame.samples, 0, None, Some(&short), &mut stream)
             .unwrap();
         assert!(decoded.crc_ok);
     }
@@ -1292,43 +1151,130 @@ mod tests {
         }
     }
 
+    /// Asserts two decode results are bit-for-bit the same: the same error, or the
+    /// same PSDU, FCS verdict, payload, frame info and decided-point bits.
+    fn assert_results_bit_identical(a: &Result<RxFrame>, b: &Result<RxFrame>, context: &str) {
+        let (a, b) = match (a, b) {
+            (Ok(a), Ok(b)) => (a, b),
+            (a, b) => {
+                assert_eq!(a.as_ref().err(), b.as_ref().err(), "{context}");
+                return;
+            }
+        };
+        assert_eq!(a.psdu, b.psdu, "{context}");
+        assert_eq!(a.crc_ok, b.crc_ok, "{context}");
+        assert_eq!(a.payload, b.payload, "{context}");
+        assert_eq!(a.info, b.info, "{context}");
+        assert_eq!(
+            a.equalized_symbols.len(),
+            b.equalized_symbols.len(),
+            "{context}"
+        );
+        for (sa, sb) in a.equalized_symbols.iter().zip(&b.equalized_symbols) {
+            assert_eq!(sa.len(), sb.len(), "{context}");
+            for (x, y) in sa.iter().zip(sb) {
+                assert_eq!(x.re.to_bits(), y.re.to_bits(), "{context}");
+                assert_eq!(x.im.to_bits(), y.im.to_bits(), "{context}");
+            }
+        }
+    }
+
     #[test]
     fn perframe_session_decode_is_bit_identical_to_batch() {
-        // The streamed PerFrame path and the batch path must agree bit-for-bit on an
-        // interfered capture — the receiver half of the session≡batch property (the
-        // full chunked-session property lives in tests/session_equivalence.rs).
+        // One PerFrame stream reused across a sequence of frames — the pattern of
+        // every campaign worker, which keeps one stream per prepared receiver — must
+        // decode each frame bit-for-bit as a fresh stream does: nothing a previous
+        // frame left in the stream (scratch, search counters, the last model, a
+        // decode that failed half-way) may leak into the next. The full
+        // chunked-session property lives in tests/session_equivalence.rs.
+        use crate::config::DecisionStage;
+        use crate::estimator::ModelBackend;
         let params = OfdmParams::ieee80211ag();
         let tx = Transmitter::new(params.clone());
-        let rx = CpRecycleReceiver::new(params, CpRecycleConfig::default());
         let mut rng = rand::rngs::StdRng::seed_from_u64(44);
         let mut awgn = AwgnChannel::new();
-        let payload = random_payload(80, 45);
-        let mcs = Mcs::paper_set()[1];
-        let frame = tx.build_frame(&payload, mcs, 0x5D).unwrap();
+        let qpsk = Mcs::paper_set()[0];
+        let qam16 = Mcs::paper_set()[1];
         let intf = tx
-            .build_frame(&random_payload(200, 46), Mcs::paper_set()[2], 0x2F)
+            .build_frame(&random_payload(400, 46), Mcs::paper_set()[2], 0x2F)
             .unwrap();
-        let spec = InterfererSpec::new(intf.samples, 0.0017, 19.3, 2.0);
-        let mut received = combine(&frame.samples, &[spec]).unwrap().composite;
-        awgn.add_noise_snr(&mut rng, &mut received, 25.0).unwrap();
+        let mut capture = |mcs: Mcs, payload_seed: u64, spec: Option<InterfererSpec>| {
+            let payload = random_payload(80, payload_seed);
+            let frame = tx.build_frame(&payload, mcs, 0x5D).unwrap();
+            let (mut received, genie) = match spec {
+                Some(spec) => {
+                    let combined = combine(&frame.samples, &[spec]).unwrap();
+                    (combined.composite, combined.interference[0].clone())
+                }
+                None => {
+                    let silent = vec![Complex::zero(); frame.samples.len()];
+                    (frame.samples.clone(), silent)
+                }
+            };
+            awgn.add_noise_snr(&mut rng, &mut received, 25.0).unwrap();
+            let info = FrameInfo {
+                mcs,
+                psdu_len: payload.len() + 4,
+            };
+            (received, genie, info)
+        };
+        // A: asynchronously interfered QPSK, decoded with its SIGNAL field.
+        let async_intf = InterfererSpec::new(intf.samples.clone(), 0.0017, 19.3, 6.0);
+        let (a, a_genie, a_info) = capture(qpsk, 45, Some(async_intf));
+        // A symbol-aligned co-channel interferer 10 dB above the frame corrupts every
+        // segment alike, so no stage can pass the FCS (genie `info` gets the decode
+        // as far as the bit pipeline).
+        let aligned_intf = InterfererSpec::new(intf.samples.clone(), 0.0, 0.0, -10.0);
+        let (heavy, heavy_genie, heavy_info) = capture(qpsk, 47, Some(aligned_intf));
+        let (qam, qam_genie, _) = capture(qam16, 48, None);
+        let cut = a.len() - params.symbol_len();
+        let sequence: [(&[Complex], &[Complex], Option<FrameInfo>); 5] = [
+            (&a, &a_genie, None),
+            (&a[..cut], &a_genie[..cut], Some(a_info)),
+            (&heavy, &heavy_genie, Some(heavy_info)),
+            (&qam, &qam_genie, None),
+            (&a, &a_genie, None),
+        ];
 
-        let batch = rx.decode_frame(&received, 0, None).unwrap();
-        let mut stream = rx.new_stream(ModelPersistence::PerFrame);
-        rx.begin_frame(&mut stream);
-        let streamed = rx
-            .decode_frame_session(&received, 0, None, None, &mut stream)
-            .unwrap();
-        assert_eq!(streamed.psdu, batch.psdu);
-        assert_eq!(streamed.crc_ok, batch.crc_ok);
-        assert_eq!(streamed.info, batch.info);
-        for (a, b) in streamed
-            .equalized_symbols
-            .iter()
-            .zip(&batch.equalized_symbols)
-        {
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits());
-                assert_eq!(x.im.to_bits(), y.im.to_bits());
+        let mut configs: Vec<CpRecycleConfig> = [
+            ModelBackend::ExactKde,
+            ModelBackend::GridKde,
+            ModelBackend::Gaussian,
+        ]
+        .into_iter()
+        .map(CpRecycleConfig::with_model)
+        .collect();
+        for decision in [
+            DecisionStage::Naive,
+            DecisionStage::Standard,
+            DecisionStage::Oracle,
+        ] {
+            configs.push(CpRecycleConfig::with_decision(decision));
+        }
+        for config in configs {
+            let rx = CpRecycleReceiver::new(params.clone(), config);
+            let mut stream = rx.new_stream(ModelPersistence::PerFrame);
+            for (i, &(samples, genie, info)) in sequence.iter().enumerate() {
+                let context = format!("{config:?}, frame {i}");
+                rx.begin_frame(&mut stream);
+                let streamed = rx.decode_frame_session(samples, 0, info, Some(genie), &mut stream);
+                // The Oracle needs the genie capture, which `decode_frame` cannot
+                // take; its batch reference is a fresh stream with the capture.
+                let fresh = if config.decision.needs_genie() {
+                    let mut fresh_stream = RxStream::new(ModelPersistence::PerFrame);
+                    rx.decode_frame_session(samples, 0, info, Some(genie), &mut fresh_stream)
+                } else {
+                    rx.decode_frame(samples, 0, info)
+                };
+                assert_results_bit_identical(&streamed, &fresh, &context);
+                match i {
+                    1 => assert!(
+                        matches!(streamed, Err(PhyError::InsufficientSamples { .. })),
+                        "{context}: {streamed:?}"
+                    ),
+                    2 => assert!(!streamed.unwrap().crc_ok, "{context}"),
+                    _ => assert!(streamed.is_ok(), "{context}: {streamed:?}"),
+                }
             }
         }
     }
@@ -1364,9 +1310,9 @@ mod tests {
         for decision in [DecisionStage::Oracle, DecisionStage::Standard] {
             let rx =
                 CpRecycleReceiver::new(params.clone(), CpRecycleConfig::with_decision(decision));
-            let mut scratch = SegmentScratch::new();
+            let mut stream = RxStream::new(ModelPersistence::PerFrame);
             let out = rx
-                .decode_frame_genie(&received, 0, Some(info), Some(genie), &mut scratch)
+                .decode_frame_session(&received, 0, Some(info), Some(genie), &mut stream)
                 .unwrap();
             sers.push(symbol_error_rate(
                 &out.equalized_symbols,

@@ -204,12 +204,14 @@ impl SegmentPowers {
 /// per-symbol working buffers.
 ///
 /// Construct one per worker (or per frame) and thread it through
-/// [`extract_segments_with`] / [`CpRecycleReceiver::decode_frame_scratch`] so the
-/// twiddle tables are built once and the working buffers never reallocate; the
-/// campaign engine's worker-local state is the natural home
-/// (`cprecycle-scenarios` keeps one inside each prepared receiver).
+/// [`extract_segments_with`], or reuse an [`RxStream`] (which owns one) across
+/// [`CpRecycleReceiver::decode_frame_session`] calls, so the twiddle tables are
+/// built once and the working buffers never reallocate; the campaign engine's
+/// worker-local state is the natural home (`cprecycle-scenarios` keeps one stream
+/// inside each prepared receiver).
 ///
-/// [`CpRecycleReceiver::decode_frame_scratch`]: crate::receiver::CpRecycleReceiver::decode_frame_scratch
+/// [`RxStream`]: crate::receiver::RxStream
+/// [`CpRecycleReceiver::decode_frame_session`]: crate::receiver::CpRecycleReceiver::decode_frame_session
 #[derive(Debug, Clone, Default)]
 pub struct SegmentScratch {
     /// Lazily (re)built when the FFT size changes.

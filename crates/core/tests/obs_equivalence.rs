@@ -8,13 +8,13 @@
 //! by [`RxSession`] must agree exactly with the drained [`RxEvent`] stream).
 
 use cprecycle::session::{RxEvent, RxSession, SessionConfig};
-use cprecycle::{CpRecycleConfig, CpRecycleReceiver};
+use cprecycle::{CpRecycleConfig, CpRecycleReceiver, RxStream};
 use obs::{InMemoryRecorder, NoopRecorder, Recorder};
 use ofdmphy::convcode::CodeRate;
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::modulation::Modulation;
 use ofdmphy::params::OfdmParams;
-use ofdmphy::rx::{FrameReceiver, RxFrame, StandardReceiver};
+use ofdmphy::rx::{FrameReceiver, ModelPersistence, RxFrame, StandardReceiver};
 use ofdmphy::sync::SyncResult;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -128,8 +128,9 @@ fn stream_once<R: FrameReceiver, O: Recorder>(
     )
 }
 
-/// Batch path, both receivers: `decode_frame_observed` with a live recorder must be
-/// bit-identical to the plain `decode_frame`, and the recorder must actually have
+/// Batch path, both receivers: the observed decode (`decode_frame_observed`, or
+/// `decode_frame_session_observed` on a fresh `PerFrame` stream) with a live recorder
+/// must be bit-identical to the plain `decode_frame`, and the recorder must actually have
 /// seen the stage spans.
 #[test]
 fn instrumented_batch_decode_is_bit_identical() {
@@ -158,12 +159,14 @@ fn instrumented_batch_decode_is_bit_identical() {
 
         let cp = CpRecycleReceiver::new(params(), CpRecycleConfig::default());
         let plain = cp.decode_frame(&capture, det.frame_start, None).unwrap();
+        let mut stream = RxStream::new(ModelPersistence::PerFrame);
+        let start = det.frame_start;
         let noop = cp
-            .decode_frame_observed(&capture, det.frame_start, None, &NoopRecorder)
+            .decode_frame_session_observed(&capture, start, None, None, &mut stream, &NoopRecorder)
             .unwrap();
         let rec = InMemoryRecorder::default();
         let live = cp
-            .decode_frame_observed(&capture, det.frame_start, None, &rec)
+            .decode_frame_session_observed(&capture, start, None, None, &mut stream, &rec)
             .unwrap();
         assert_frames_bit_identical(&plain, &noop, &format!("cprecycle noop, {context}"));
         assert_frames_bit_identical(&plain, &live, &format!("cprecycle live, {context}"));

@@ -16,7 +16,7 @@
 use cprecycle::server::{PushError, RxServer, ServerConfig};
 use cprecycle::session::{RxEvent, RxSession, SessionConfig, SessionCounters};
 use cprecycle::{CpRecycleConfig, CpRecycleReceiver};
-use obs::InMemoryRecorder;
+use obs::{InMemoryRecorder, Recorder};
 use ofdmphy::convcode::CodeRate;
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::modulation::Modulation;
@@ -456,14 +456,16 @@ impl FrameReceiver for GatedReceiver {
         self.inner.begin_frame(stream);
     }
 
-    fn decode_stream(
+    fn decode_stream_observed<O: Recorder>(
         &self,
         stream: &mut Self::Stream,
         samples: &[Complex],
         frame_start: usize,
         info: Option<FrameInfo>,
+        obs: &O,
     ) -> ofdmphy::Result<RxFrame> {
-        self.inner.decode_stream(stream, samples, frame_start, info)
+        self.inner
+            .decode_stream_observed(stream, samples, frame_start, info, obs)
     }
 }
 
@@ -589,15 +591,17 @@ impl FrameReceiver for TaggedReceiver {
         self.gated.begin_frame(stream);
     }
 
-    fn decode_stream(
+    fn decode_stream_observed<O: Recorder>(
         &self,
         stream: &mut Self::Stream,
         samples: &[Complex],
         frame_start: usize,
         info: Option<FrameInfo>,
+        obs: &O,
     ) -> ofdmphy::Result<RxFrame> {
         self.log.lock().unwrap().push(self.tag);
-        self.gated.decode_stream(stream, samples, frame_start, info)
+        self.gated
+            .decode_stream_observed(stream, samples, frame_start, info, obs)
     }
 }
 

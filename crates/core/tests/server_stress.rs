@@ -20,6 +20,7 @@
 use cprecycle::server::{RxServer, ServerConfig};
 use cprecycle::session::{RxSession, SessionConfig, SessionCounters};
 use cprecycle::{CpRecycleConfig, CpRecycleReceiver};
+use obs::Recorder;
 use ofdmphy::convcode::CodeRate;
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::modulation::Modulation;
@@ -214,19 +215,20 @@ impl FrameReceiver for SoakReceiver {
         }
     }
 
-    fn decode_stream(
+    fn decode_stream_observed<O: Recorder>(
         &self,
         stream: &mut Self::Stream,
         samples: &[Complex],
         frame_start: usize,
         info: Option<FrameInfo>,
+        obs: &O,
     ) -> ofdmphy::Result<RxFrame> {
         match (self, stream) {
             (SoakReceiver::Standard(r), SoakStream::Standard(s)) => {
-                r.decode_stream(s, samples, frame_start, info)
+                r.decode_stream_observed(s, samples, frame_start, info, obs)
             }
             (SoakReceiver::CpRecycle(r), SoakStream::CpRecycle(s)) => {
-                r.decode_stream(s, samples, frame_start, info)
+                r.decode_stream_observed(s, samples, frame_start, info, obs)
             }
             _ => unreachable!("stream built by a different receiver family"),
         }

@@ -108,24 +108,14 @@ pub trait FrameReceiver {
     fn begin_frame(&self, _stream: &mut Self::Stream) {}
 
     /// Decodes a frame starting at `frame_start` of `samples`, threading the stream
-    /// state. `info: None` decodes the SIGNAL field (the over-the-air mode sessions
-    /// use); an insufficient buffer must surface as
+    /// state and emitting stage timings into `obs` — the one decode every receiver
+    /// implements. `info: None` decodes the SIGNAL field (the over-the-air mode
+    /// sessions use); an insufficient buffer must surface as
     /// [`PhyError::InsufficientSamples`] with an accurate `needed`, which is the
     /// contract sessions use to wait for exactly the right amount of further samples.
-    fn decode_stream(
-        &self,
-        stream: &mut Self::Stream,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-    ) -> Result<RxFrame>;
-
-    /// Like [`decode_stream`](Self::decode_stream), but emitting stage timings
-    /// into `obs`. The default forwards to the unobserved path, so existing
-    /// implementations stay valid; both in-tree receivers override it with a
-    /// fully instrumented pipeline. Implementations must guarantee the decode
-    /// result is bit-for-bit independent of the recorder (the observability
-    /// layer's core invariant, pinned by the `obs_equivalence` tests).
+    /// Implementations must guarantee the decode result is bit-for-bit independent
+    /// of the recorder (the observability layer's core invariant, pinned by the
+    /// `obs_equivalence` tests).
     fn decode_stream_observed<O: Recorder>(
         &self,
         stream: &mut Self::Stream,
@@ -133,9 +123,18 @@ pub trait FrameReceiver {
         frame_start: usize,
         info: Option<FrameInfo>,
         obs: &O,
+    ) -> Result<RxFrame>;
+
+    /// [`decode_stream_observed`](Self::decode_stream_observed) with the no-op
+    /// recorder.
+    fn decode_stream(
+        &self,
+        stream: &mut Self::Stream,
+        samples: &[Complex],
+        frame_start: usize,
+        info: Option<FrameInfo>,
     ) -> Result<RxFrame> {
-        let _ = obs;
-        self.decode_stream(stream, samples, frame_start, info)
+        self.decode_stream_observed(stream, samples, frame_start, info, &NoopRecorder)
     }
 }
 
@@ -307,16 +306,6 @@ impl FrameReceiver for StandardReceiver {
     }
 
     fn new_stream(&self, _persistence: ModelPersistence) -> Self::Stream {}
-
-    fn decode_stream(
-        &self,
-        _stream: &mut Self::Stream,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-    ) -> Result<RxFrame> {
-        self.decode_frame(samples, frame_start, info)
-    }
 
     fn decode_stream_observed<O: Recorder>(
         &self,

@@ -586,6 +586,40 @@ mod tests {
     }
 
     #[test]
+    fn default_config_debug_and_point_key_are_pinned() {
+        // Every campaign trial seed derives from the point key
+        // (`trial_rng(seed, key, i)`), and so does the corpus of the repo's
+        // benchmark (perfbench's `link_corpus`). The key embeds the receivers'
+        // `Debug` output, so any change that shows up in `CpRecycleConfig`'s
+        // `Debug` — a new field, a renamed variant — re-seeds every campaign and the
+        // benchmark corpus. Pin both strings byte for byte so that cannot happen
+        // silently.
+        assert_eq!(
+            format!("{:?}", CpRecycleConfig::default()),
+            "CpRecycleConfig { num_segments: 16, bandwidth_amplitude: None, \
+             bandwidth_phase: None, data_driven_bandwidth: true, \
+             decision: Sphere { radius_min_distances: 2.0 }, isi_free_samples: None, \
+             min_bandwidth_amplitude: 0.05, min_bandwidth_phase: 0.2, extraction: Sliding, \
+             model: ExactKde }"
+        );
+        let point = LinkPoint::new(
+            "clean",
+            mcs(),
+            Scenario::Clean { snr_db: 30.0 },
+            vec![ReceiverKind::CpRecycle(CpRecycleConfig::default())],
+        );
+        assert_eq!(
+            point.key(),
+            "fft=64;cp=16;rate=20000000;mcs=Mcs { modulation: Qpsk, code_rate: Half };\
+             scenario=Clean { snr_db: 30.0 };receivers=[CpRecycle(CpRecycleConfig { \
+             num_segments: 16, bandwidth_amplitude: None, bandwidth_phase: None, \
+             data_driven_bandwidth: true, decision: Sphere { radius_min_distances: 2.0 }, \
+             isi_free_samples: None, min_bandwidth_amplitude: 0.05, \
+             min_bandwidth_phase: 0.2, extraction: Sliding, model: ExactKde })];payload=400"
+        );
+    }
+
+    #[test]
     fn point_keys_encode_parameters_but_not_labels() {
         let a = LinkPoint::new(
             "A",
