@@ -1,60 +1,39 @@
-//! Execution core: the deterministic cooperative scheduler, the operational
-//! memory model, and the DFS explorer over schedules.
+//! Execution core: the deterministic cooperative scheduler and the DFS
+//! explorer over schedules.
 //!
 //! # How an execution runs
 //!
 //! Every *model thread* is a real OS thread ("lane"), but exactly one runs at a
-//! time: each instrumented operation (atomic access, mutex acquire, condvar
-//! wait, spawn, join, yield) is a **yield point** where the running thread,
+//! time: each instrumented operation (mutex acquire and release, condvar wait
+//! and notify, spawn, join) is a **yield point** where the running thread,
 //! holding the global [`ExecState`] lock, applies the operation's semantics,
-//! consults the schedule controller for any nondeterministic choice, picks the
-//! next thread to run, and parks itself until the baton comes back. The
-//! controller drives a depth-first search over the choice tree: each run
+//! picks the next thread to run, and parks itself until the baton comes back.
+//! The controller drives a depth-first search over the choice tree: each run
 //! replays a prefix of choices and extends it with defaults; after the run the
 //! deepest choice with an unexplored alternative is bumped and everything
 //! below it is discarded (classic stateless model checking).
 //!
-//! # Memory model
+//! Memory is sequentially consistent: every interleaving of the instrumented
+//! operations is explored, but no weak-memory reordering is modeled. The
+//! checked code shares state only through mutexes, condvars, spawn and join,
+//! whose happens-before edges make every interleaving SC anyway.
 //!
-//! Interleavings alone cannot catch ordering bugs (every interleaving of
-//! sequentially consistent operations *is* SC), so atomic locations keep a
-//! bounded **version history** and non-SeqCst loads may nondeterministically
-//! read stale values:
+//! # Failures and teardown
 //!
-//! * every store appends a new version; `Release`/`SeqCst` stores snapshot the
-//!   writer's *view* (a per-thread map `location → minimum visible version`);
-//! * a `Relaxed`/`Acquire` load may read any version `≥` the reader's view of
-//!   that location (per-location coherence) — each admissible version is a
-//!   branch in the DFS; an `Acquire` load that reads a `Release` store joins
-//!   the attached view into the reader's (the happens-before edge);
-//! * a `SeqCst` load must additionally read `≥` the location's latest `SeqCst`
-//!   store (the total-order constraint that makes the flag/counter handshakes
-//!   in `ParkGate`-style protocols sound);
-//! * read-modify-writes always act on the newest version (RMW atomicity), with
-//!   acquire/release view propagation per their ordering;
-//! * mutex release/acquire and thread spawn/join edges propagate views.
-//!
-//! This is deliberately an approximation of C11 — strong enough to *refute*
-//! the workspace's protocols when an ordering is weakened (see the seeded
-//! mutation tests), simple enough to stay exhaustive at small bounds. Known
-//! gaps are documented on [`Builder`].
-//!
-//! # Progress and blocking
-//!
-//! `spin_loop`/`yield_now` mark the caller *blocked-on-change*: it is not
-//! rescheduled until another thread performs a state mutation (store, RMW,
-//! unlock, notify, finish). This models "spin until something changes" fairly,
-//! keeps spin loops from generating unbounded interleavings, and turns real
-//! livelocks into detectable states. If nothing is runnable, blocked-on-change
-//! threads are promoted once with *fresh reads* (stale candidates suppressed —
-//! eventual visibility); a second promotion with no intervening mutation is
-//! reported as a livelock. No runnable and no promotable thread is a deadlock;
-//! both failures carry the full choice schedule for replay.
+//! A thread that every live thread waits on with nothing left to release it is
+//! a deadlock; a user panic, a deadlock or an exhausted op budget ends the run
+//! with the full choice schedule for replay. The run's remaining lanes then
+//! unwind with [`AbortToken`], and their destructors fall through to the std
+//! mirrors. A destructor that waits on a condvar while its lane unwinds — say
+//! a server draining its queues in `Drop` — could never be notified, because
+//! no other model thread runs again. Such a lane is **abandoned** instead: the
+//! panic it was unwinding is recorded as the failure, and its OS thread is
+//! parked for good and never joined, so the failure is reported rather than
+//! hanging the checker.
 
 use std::collections::{BTreeMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 
 /// Model-thread index.
 pub(crate) type Tid = usize;
@@ -67,7 +46,6 @@ pub(crate) type Tid = usize;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub(crate) struct Key(u64);
 
-pub(crate) const KIND_ATOMIC: u64 = 0;
 pub(crate) const KIND_MUTEX: u64 = 1;
 pub(crate) const KIND_CONDVAR: u64 = 2;
 
@@ -77,73 +55,8 @@ impl Key {
     }
 }
 
-/// A thread's view: per-location minimum visible version. Missing entry = 0
-/// (the initial version is visible to everyone).
-#[derive(Clone, Default, PartialEq, Eq, Debug)]
-pub(crate) struct View {
-    map: BTreeMap<Key, u64>,
-}
-
-impl View {
-    fn get(&self, k: Key) -> u64 {
-        self.map.get(&k).copied().unwrap_or(0)
-    }
-    fn raise(&mut self, k: Key, v: u64) {
-        let e = self.map.entry(k).or_insert(0);
-        if *e < v {
-            *e = v;
-        }
-    }
-    fn join(&mut self, other: &View) {
-        for (&k, &v) in &other.map {
-            self.raise(k, v);
-        }
-    }
-    fn hash_into(&self, h: &mut Fnv) {
-        for (&k, &v) in &self.map {
-            h.write(k.0);
-            h.write(v);
-        }
-    }
-}
-
-/// One published value of an atomic location.
-struct VersionEntry {
-    version: u64,
-    value: u64,
-    /// The writer's view at the store, attached for `Release`/`SeqCst` stores;
-    /// joined into any acquiring reader.
-    view: Option<Arc<View>>,
-}
-
-struct Location {
-    history: Vec<VersionEntry>,
-    /// Version of the latest `SeqCst` store (0 = the initial value counts).
-    last_sc: u64,
-    next_version: u64,
-}
-
-impl Location {
-    fn new(initial: u64) -> Location {
-        Location {
-            history: vec![VersionEntry {
-                version: 0,
-                value: initial,
-                view: None,
-            }],
-            last_sc: 0,
-            next_version: 1,
-        }
-    }
-    fn latest(&self) -> &VersionEntry {
-        self.history.last().expect("location history never empty")
-    }
-}
-
 struct MutexSt {
     owner: Option<Tid>,
-    /// View released by the last unlock, acquired by the next lock.
-    view: View,
 }
 
 struct CvSt {
@@ -159,8 +72,6 @@ pub(crate) enum Block {
     Cv(Key),
     /// Waiting for a thread to finish.
     Join(Tid),
-    /// Yielded via `spin_loop`/`yield_now`: runnable again after any mutation.
-    Change,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -172,28 +83,26 @@ enum Status {
 
 struct ThreadSt {
     status: Status,
-    view: View,
-    /// Rolling hash of this thread's observation sequence (op kind, location,
+    /// Rolling hash of this thread's observation sequence (op kind, object,
     /// value). Deterministic threads with equal observation histories are in
     /// equal local states — the soundness basis of state-fingerprint pruning.
     obs_hash: u64,
     ops: u64,
     /// Next per-thread object-creation counter (feeds [`Key`]).
     key_counter: u64,
-    /// Set when promoted out of blocked-on-change: the next loads read only
-    /// the newest version (eventual visibility), until the next yield.
-    fresh_reads: bool,
+    /// The lane gave up while unwinding and is never joined (see the module
+    /// docs).
+    abandoned: bool,
 }
 
 impl ThreadSt {
-    fn new(view: View) -> ThreadSt {
+    fn new() -> ThreadSt {
         ThreadSt {
             status: Status::Runnable,
-            view,
             obs_hash: 0xcbf2_9ce4_8422_2325,
             ops: 0,
             key_counter: 0,
-            fresh_reads: false,
+            abandoned: false,
         }
     }
 }
@@ -206,9 +115,6 @@ pub enum FailureKind {
     /// No thread can make progress: every live thread is blocked on a lock,
     /// condvar or join that nothing will release.
     Deadlock,
-    /// Only spin-waiting threads remain and no state mutation can unblock
-    /// them (a spin loop that can never observe its exit condition).
-    Livelock,
     /// A single schedule exceeded the per-run operation budget
     /// ([`crate::Builder::max_ops`]) — an unbounded loop in the model.
     OpLimit,
@@ -260,7 +166,6 @@ pub(crate) struct BuilderCfg {
     pub max_preemptions: Option<u32>,
     pub max_schedules: u64,
     pub max_ops: u64,
-    pub stale_window: usize,
     pub prune_visited: bool,
 }
 
@@ -270,30 +175,27 @@ impl Default for BuilderCfg {
             max_preemptions: None,
             max_schedules: 500_000,
             max_ops: 50_000,
-            stale_window: 3,
             prune_visited: true,
         }
     }
 }
 
-/// The global model state: memory, threads, scheduler, and the per-run DFS
-/// controller. One instance per [`Builder::check`] call, protected by the
+/// The global model state: threads, sync objects, scheduler, and the per-run
+/// DFS controller. One instance per [`Builder::check`] call, protected by the
 /// [`Shared`] mutex; `visited`/counter fields persist across runs.
+///
+/// [`Builder::check`]: crate::Builder::check
 pub(crate) struct ExecState {
     pub(crate) cfg: BuilderCfg,
     /// Bumped per run so model objects re-register their [`Key`]s.
     pub(crate) generation: u64,
     threads: Vec<ThreadSt>,
-    locations: BTreeMap<Key, Location>,
     mutexes: BTreeMap<Key, MutexSt>,
     condvars: BTreeMap<Key, CvSt>,
     current: Tid,
     live_threads: usize,
     preemptions: u32,
     run_ops: u64,
-    /// Promotions of blocked-on-change threads since the last mutation; two in
-    /// a row with no mutation in between is a livelock.
-    stale_promotions: u32,
     // --- DFS controller (per run) ---
     prefix: Vec<u32>,
     taken: Vec<u32>,
@@ -309,7 +211,10 @@ pub(crate) struct ExecState {
     pub(crate) failure: Option<Failure>,
     pub(crate) abort: bool,
     pub(crate) done: bool,
-    lane_handles: Vec<std::thread::JoinHandle<()>>,
+    /// Every lane launched this run, with its model thread.
+    lanes: Vec<(Tid, std::thread::JoinHandle<()>)>,
+    /// Lanes launched this run that have neither exited nor been abandoned.
+    lanes_running: usize,
 }
 
 impl ExecState {
@@ -318,14 +223,12 @@ impl ExecState {
             cfg,
             generation: 0,
             threads: Vec::new(),
-            locations: BTreeMap::new(),
             mutexes: BTreeMap::new(),
             condvars: BTreeMap::new(),
             current: 0,
             live_threads: 0,
             preemptions: 0,
             run_ops: 0,
-            stale_promotions: 0,
             prefix: Vec::new(),
             taken: Vec::new(),
             arity: Vec::new(),
@@ -339,22 +242,22 @@ impl ExecState {
             failure: None,
             abort: false,
             done: false,
-            lane_handles: Vec::new(),
+            lanes: Vec::new(),
+            lanes_running: 0,
         }
     }
 
     fn reset_for_run(&mut self, prefix: Vec<u32>) {
         self.generation += 1;
         self.threads.clear();
-        self.threads.push(ThreadSt::new(View::default()));
-        self.locations.clear();
+        self.threads.push(ThreadSt::new());
         self.mutexes.clear();
         self.condvars.clear();
         self.current = 0;
         self.live_threads = 1;
+        self.lanes_running = 1;
         self.preemptions = 0;
         self.run_ops = 0;
-        self.stale_promotions = 0;
         self.prefix = prefix;
         self.taken.clear();
         self.arity.clear();
@@ -371,38 +274,6 @@ impl ExecState {
         Key::new(kind, tid, c)
     }
 
-    /// Registers `key` as an atomic location if unseen, seeded with `initial`.
-    fn ensure_location(&mut self, key: Key, initial: impl FnOnce() -> u64) {
-        self.locations
-            .entry(key)
-            .or_insert_with(|| Location::new(initial()));
-    }
-
-    /// Drops history entries no live thread can still read (below every
-    /// thread's visible frontier), always keeping the newest.
-    fn gc_location(&mut self, key: Key) {
-        let frontier = self
-            .threads
-            .iter()
-            .filter(|t| t.status != Status::Finished)
-            .map(|t| t.view.get(key))
-            .min()
-            .unwrap_or(u64::MAX);
-        let loc = self
-            .locations
-            .get_mut(&key)
-            .expect("gc of unknown location");
-        let keep_from = loc
-            .history
-            .iter()
-            .position(|e| e.version >= frontier)
-            .unwrap_or(loc.history.len() - 1)
-            .min(loc.history.len() - 1);
-        if keep_from > 0 {
-            loc.history.drain(..keep_from);
-        }
-    }
-
     fn record_failure(&mut self, kind: FailureKind, message: String) {
         if self.failure.is_none() {
             self.failure = Some(Failure {
@@ -415,17 +286,6 @@ impl ExecState {
         self.done = true;
     }
 
-    /// A state mutation happened: wake every blocked-on-change thread (other
-    /// than the mutator) and reset the livelock ratchet.
-    fn wake_on_change(&mut self, by: Tid) {
-        self.stale_promotions = 0;
-        for (t, th) in self.threads.iter_mut().enumerate() {
-            if t != by && th.status == Status::Blocked(Block::Change) {
-                th.status = Status::Runnable;
-            }
-        }
-    }
-
     fn wake_blocked_on(&mut self, b: Block) {
         for th in self.threads.iter_mut() {
             if th.status == Status::Blocked(b) {
@@ -435,8 +295,7 @@ impl ExecState {
     }
 
     /// One DFS choice among `n` alternatives. `tag` distinguishes the choice
-    /// context (scheduling vs value read at which location) inside the state
-    /// fingerprint used for pruning.
+    /// context inside the state fingerprint used for pruning.
     fn choose(&mut self, n: u32, tag: u64) -> u32 {
         debug_assert!(n >= 2);
         let idx = self.taken.len();
@@ -480,39 +339,20 @@ impl ExecState {
         h.write(tag);
         h.write(self.preemptions as u64);
         h.write(self.current as u64);
-        for (k, loc) in &self.locations {
-            h.write(k.0);
-            h.write(loc.last_sc);
-            for e in &loc.history {
-                h.write(e.version);
-                h.write(e.value);
-                match &e.view {
-                    None => h.write(0),
-                    Some(v) => {
-                        h.write(1);
-                        v.hash_into(&mut h);
-                    }
-                }
-            }
-        }
         for th in &self.threads {
             h.write(match th.status {
                 Status::Runnable => 1,
                 Status::Finished => 2,
-                Status::Blocked(Block::Change) => 3,
                 Status::Blocked(Block::Lock(k)) => 4 ^ k.0,
                 Status::Blocked(Block::Cv(k)) => 5 ^ k.0,
                 Status::Blocked(Block::Join(t)) => 6 ^ ((t as u64) << 8),
             });
             h.write(th.ops);
             h.write(th.obs_hash);
-            h.write(th.fresh_reads as u64);
-            th.view.hash_into(&mut h);
         }
         for (k, m) in &self.mutexes {
             h.write(k.0);
             h.write(m.owner.map(|t| t as u64 + 1).unwrap_or(0));
-            m.view.hash_into(&mut h);
         }
         for (k, cv) in &self.condvars {
             h.write(k.0);
@@ -525,13 +365,6 @@ impl ExecState {
 
     fn observe(&mut self, tid: Tid, op_kind: u64, key: Key, value: u64) {
         let th = &mut self.threads[tid];
-        if op_kind != 1 {
-            // `fresh_reads` (set when a spin-waiter is promoted under the
-            // eventual-visibility rule) covers the re-check loads only; the
-            // first non-load op ends the spin re-check and restores normal
-            // stale-read nondeterminism.
-            th.fresh_reads = false;
-        }
         let mut h = Fnv::from(th.obs_hash);
         h.write(op_kind);
         h.write(key.0);
@@ -568,19 +401,32 @@ thread_local! {
     static CURRENT: std::cell::RefCell<Option<(Arc<Shared>, Tid)>> =
         const { std::cell::RefCell::new(None) };
     static SUPPRESS_PANIC_OUTPUT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Message of the user panic this lane is unwinding, if any; reported if
+    /// the lane has to be abandoned before it reaches the lane boundary.
+    static UNWINDING: std::cell::RefCell<Option<String>> = const { std::cell::RefCell::new(None) };
 }
 
 /// The `(shared, tid)` context of the calling thread, if it is a model thread
 /// inside an active execution.
 ///
 /// Returns `None` while the thread is unwinding: destructors that run during
-/// a failure unwind (e.g. a ring draining itself) must not re-enter the
-/// scheduler — a schedule point there would raise a second panic inside the
-/// unwind and abort the process. Their shim ops fall through to the std
-/// mirrors instead, which still hold the pre-model state, so tear-down sees a
-/// conservative (at worst leaky, never unsound) view.
+/// a failure unwind must not re-enter the scheduler — a schedule point there
+/// would raise a second panic inside the unwind and abort the process. Their
+/// shim ops fall through to the std mirrors instead (see [`unwinding_lane`]
+/// for the ops that would block there).
 pub(crate) fn current() -> Option<(Arc<Shared>, Tid)> {
     if std::thread::panicking() {
+        return None;
+    }
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// The `(shared, tid)` context of the calling thread if it is a model thread
+/// that is unwinding. A condvar wait on such a lane must call
+/// [`Shared::abandon`] instead: nothing else in the model will run to notify
+/// it.
+pub(crate) fn unwinding_lane() -> Option<(Arc<Shared>, Tid)> {
+    if !std::thread::panicking() {
         return None;
     }
     CURRENT.with(|c| c.borrow().clone())
@@ -595,6 +441,17 @@ pub fn current_schedule() -> Vec<u32> {
     }
 }
 
+/// The message of a panic payload (`&str` or `String`, as `panic!` makes).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "model thread panicked".to_string()
+    }
+}
+
 fn install_panic_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -602,17 +459,15 @@ fn install_panic_hook() {
         panic::set_hook(Box::new(move |info| {
             if !SUPPRESS_PANIC_OUTPUT.with(|s| s.get()) {
                 previous(info);
+                return;
             }
+            // On a lane: remember what a user panic said, in case the unwind
+            // gets abandoned before `catch_unwind` can report the payload.
+            let payload = info.payload();
+            let message = (!payload.is::<AbortToken>()).then(|| panic_message(payload));
+            UNWINDING.with(|u| *u.borrow_mut() = message);
         }));
     });
-}
-
-fn is_acquire(ord: Ordering) -> bool {
-    matches!(ord, Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst)
-}
-
-fn is_release(ord: Ordering) -> bool {
-    matches!(ord, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
 }
 
 impl Shared {
@@ -623,67 +478,31 @@ impl Shared {
     /// Picks and installs the next thread to run. Must be called with the
     /// state lock held; notifies all parked lanes.
     fn schedule_next(&self, st: &mut ExecState, tid: Tid, came: Came) {
-        loop {
-            let runnable: Vec<Tid> = st
+        let runnable: Vec<Tid> = st
+            .threads
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.status == Status::Runnable)
+            .map(|(i, _)| i)
+            .collect();
+        if !runnable.is_empty() {
+            st.current = self.pick(st, &runnable, tid, came);
+        } else if st.live_threads == 0 {
+            st.done = true;
+        } else {
+            let blocked: Vec<String> = st
                 .threads
                 .iter()
                 .enumerate()
-                .filter(|(_, t)| t.status == Status::Runnable)
-                .map(|(i, _)| i)
+                .filter(|(_, t)| t.status != Status::Finished)
+                .map(|(i, t)| format!("thread {} {:?}", i, t.status))
                 .collect();
-            if !runnable.is_empty() {
-                let next = self.pick(st, &runnable, tid, came);
-                st.current = next;
-                self.cv.notify_all();
-                return;
-            }
-            if st.live_threads == 0 {
-                st.done = true;
-                self.cv.notify_all();
-                return;
-            }
-            // Nothing plainly runnable: promote spin-waiters once (eventual
-            // visibility — their next reads see the newest values); a second
-            // promotion with no mutation in between is a livelock.
-            let changers: Vec<Tid> = st
-                .threads
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.status == Status::Blocked(Block::Change))
-                .map(|(i, _)| i)
-                .collect();
-            if changers.is_empty() {
-                let blocked: Vec<String> = st
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.status != Status::Finished)
-                    .map(|(i, t)| format!("thread {} {:?}", i, t.status))
-                    .collect();
-                st.record_failure(
-                    FailureKind::Deadlock,
-                    format!("no runnable thread; live: [{}]", blocked.join(", ")),
-                );
-                self.cv.notify_all();
-                return;
-            }
-            st.stale_promotions += 1;
-            if st.stale_promotions > 1 {
-                st.record_failure(
-                    FailureKind::Livelock,
-                    format!(
-                        "spin-waiting threads {:?} cannot observe any further state change",
-                        changers
-                    ),
-                );
-                self.cv.notify_all();
-                return;
-            }
-            for &t in &changers {
-                st.threads[t].status = Status::Runnable;
-                st.threads[t].fresh_reads = true;
-            }
+            st.record_failure(
+                FailureKind::Deadlock,
+                format!("no runnable thread; live: [{}]", blocked.join(", ")),
+            );
         }
+        self.cv.notify_all();
     }
 
     fn pick(&self, st: &mut ExecState, runnable: &[Tid], tid: Tid, came: Came) -> Tid {
@@ -744,210 +563,15 @@ impl Shared {
         self.wait_for_turn(guard, tid);
     }
 
-    // ------------------------------------------------------------------
-    // Atomic ops
-    // ------------------------------------------------------------------
-
-    pub(crate) fn atomic_load(
-        self: &Arc<Self>,
-        tid: Tid,
-        key: Key,
-        init: impl FnOnce() -> u64,
-        ord: Ordering,
-    ) -> u64 {
-        let mut st = self.st.lock().expect("conc state poisoned");
+    /// Locks the state for an op of a live (non-unwinding) model thread,
+    /// unwinding with [`AbortToken`] instead if the run is over.
+    fn lock_live(&self) -> MutexGuard<'_, ExecState> {
+        let st = self.st.lock().expect("conc state poisoned");
         if st.abort {
             drop(st);
             panic::panic_any(AbortToken);
         }
-        st.ensure_location(key, init);
-        st.gc_location(key);
-        let floor = {
-            let mut f = st.threads[tid].view.get(key);
-            if ord == Ordering::SeqCst {
-                f = f.max(st.locations[&key].last_sc);
-            }
-            f
-        };
-        let fresh = st.threads[tid].fresh_reads;
-        let window = st.cfg.stale_window.max(1);
-        let loc = &st.locations[&key];
-        // Admissible versions, newest first (choice 0 = the SC-consistent read).
-        let mut candidates: Vec<usize> = loc
-            .history
-            .iter()
-            .enumerate()
-            .rev()
-            .filter(|(_, e)| e.version >= floor)
-            .map(|(i, _)| i)
-            .take(window)
-            .collect();
-        if candidates.is_empty() {
-            candidates.push(loc.history.len() - 1);
-        }
-        if fresh {
-            candidates.truncate(1);
-        }
-        let pick = if candidates.len() > 1 {
-            let tag = {
-                let mut h = Fnv::new();
-                h.write(0x10);
-                h.write(key.0);
-                h.write(ord as u64);
-                h.finish()
-            };
-            st.choose(candidates.len() as u32, tag) as usize
-        } else {
-            0
-        };
-        let loc = &st.locations[&key];
-        let entry_idx = candidates[pick];
-        let (version, value, view) = {
-            let e = &loc.history[entry_idx];
-            (e.version, e.value, e.view.clone())
-        };
-        st.threads[tid].view.raise(key, version);
-        if is_acquire(ord) {
-            if let Some(v) = view {
-                st.threads[tid].view.join(&v);
-            }
-        }
-        st.observe(tid, 1, key, value);
-        self.reschedule(st, tid, Came::Op);
-        value
-    }
-
-    pub(crate) fn atomic_store(
-        self: &Arc<Self>,
-        tid: Tid,
-        key: Key,
-        init: impl FnOnce() -> u64,
-        ord: Ordering,
-        value: u64,
-    ) {
-        let mut st = self.st.lock().expect("conc state poisoned");
-        if st.abort {
-            drop(st);
-            panic::panic_any(AbortToken);
-        }
-        st.ensure_location(key, init);
-        self.write_version(&mut st, tid, key, value, ord);
-        st.observe(tid, 2, key, value);
-        self.reschedule(st, tid, Came::Op);
-    }
-
-    /// Read-modify-write: always reads the newest version (RMW atomicity),
-    /// with acquire/release view propagation per `ord`. Returns the prior
-    /// value.
-    pub(crate) fn atomic_rmw(
-        self: &Arc<Self>,
-        tid: Tid,
-        key: Key,
-        init: impl FnOnce() -> u64,
-        ord: Ordering,
-        f: impl FnOnce(u64) -> u64,
-    ) -> u64 {
-        let mut st = self.st.lock().expect("conc state poisoned");
-        if st.abort {
-            drop(st);
-            panic::panic_any(AbortToken);
-        }
-        st.ensure_location(key, init);
-        let (prev, prev_view) = {
-            let e = st.locations[&key].latest();
-            (e.value, e.view.clone())
-        };
-        if is_acquire(ord) {
-            if let Some(v) = prev_view {
-                st.threads[tid].view.join(&v);
-            }
-        }
-        let next = f(prev);
-        self.write_version(&mut st, tid, key, next, ord);
-        st.observe(tid, 3, key, prev);
-        self.reschedule(st, tid, Came::Op);
-        prev
-    }
-
-    /// Compare-exchange. Success is an RMW on the newest version; failure is
-    /// a read of the newest version with `fail` ordering (conservative: no
-    /// stale failure reads, so a CAS loop converges in the model exactly when
-    /// it converges under SC).
-    #[allow(clippy::too_many_arguments)] // mirrors compare_exchange's own arity
-    pub(crate) fn atomic_cas(
-        self: &Arc<Self>,
-        tid: Tid,
-        key: Key,
-        init: impl FnOnce() -> u64,
-        expect: u64,
-        new: u64,
-        succ: Ordering,
-        fail: Ordering,
-    ) -> Result<u64, u64> {
-        let mut st = self.st.lock().expect("conc state poisoned");
-        if st.abort {
-            drop(st);
-            panic::panic_any(AbortToken);
-        }
-        st.ensure_location(key, init);
-        let (latest, latest_view, latest_version) = {
-            let e = st.locations[&key].latest();
-            (e.value, e.view.clone(), e.version)
-        };
-        let result = if latest == expect {
-            if is_acquire(succ) {
-                if let Some(v) = latest_view {
-                    st.threads[tid].view.join(&v);
-                }
-            }
-            self.write_version(&mut st, tid, key, new, succ);
-            Ok(latest)
-        } else {
-            st.threads[tid].view.raise(key, latest_version);
-            if is_acquire(fail) {
-                if let Some(v) = latest_view {
-                    st.threads[tid].view.join(&v);
-                }
-            }
-            Err(latest)
-        };
-        st.observe(tid, 4, key, latest);
-        self.reschedule(st, tid, Came::Op);
-        result
-    }
-
-    /// Appends a new version of `key` written by `tid` and wakes
-    /// blocked-on-change threads. The caller holds the lock.
-    fn write_version(&self, st: &mut ExecState, tid: Tid, key: Key, value: u64, ord: Ordering) {
-        let version = {
-            let loc = st
-                .locations
-                .get_mut(&key)
-                .expect("write to unknown location");
-            let v = loc.next_version;
-            loc.next_version += 1;
-            v
-        };
-        st.threads[tid].view.raise(key, version);
-        let view = if is_release(ord) {
-            Some(Arc::new(st.threads[tid].view.clone()))
-        } else {
-            None
-        };
-        let loc = st
-            .locations
-            .get_mut(&key)
-            .expect("write to unknown location");
-        loc.history.push(VersionEntry {
-            version,
-            value,
-            view,
-        });
-        if ord == Ordering::SeqCst {
-            loc.last_sc = version;
-        }
-        st.wake_on_change(tid);
-        st.gc_location(key);
+        st
     }
 
     // ------------------------------------------------------------------
@@ -957,19 +581,10 @@ impl Shared {
     /// One lock attempt: acquires and returns `true`, or blocks until the
     /// owner unlocks and returns `false` (the shim loops).
     pub(crate) fn mutex_try_lock(self: &Arc<Self>, tid: Tid, key: Key) -> bool {
-        let mut st = self.st.lock().expect("conc state poisoned");
-        if st.abort {
-            return true; // unwinding: exclusivity no longer matters
-        }
-        st.mutexes.entry(key).or_insert_with(|| MutexSt {
-            owner: None,
-            view: View::default(),
-        });
-        let m = st.mutexes.get_mut(&key).expect("mutex registered above");
+        let mut st = self.lock_live();
+        let m = st.mutexes.entry(key).or_insert(MutexSt { owner: None });
         if m.owner.is_none() {
             m.owner = Some(tid);
-            let mview = m.view.clone();
-            st.threads[tid].view.join(&mview);
             st.observe(tid, 5, key, 1);
             self.reschedule(st, tid, Came::Op);
             true
@@ -992,13 +607,10 @@ impl Shared {
         if st.abort {
             return;
         }
-        let tview = st.threads[tid].view.clone();
         let m = st.mutexes.get_mut(&key).expect("unlock of unknown mutex");
         debug_assert_eq!(m.owner, Some(tid), "unlock by non-owner");
         m.owner = None;
-        m.view = tview;
         st.wake_blocked_on(Block::Lock(key));
-        st.wake_on_change(tid);
         st.observe(tid, 6, key, 0);
         self.reschedule(st, tid, Came::Op);
     }
@@ -1006,30 +618,22 @@ impl Shared {
     /// Atomically: enqueue on the condvar, release the mutex, park. Returns
     /// once notified *and* scheduled; the shim then re-acquires the mutex.
     pub(crate) fn condvar_wait(self: &Arc<Self>, tid: Tid, cv_key: Key, mutex_key: Key) {
-        let mut st = self.st.lock().expect("conc state poisoned");
-        if st.abort {
-            drop(st);
-            panic::panic_any(AbortToken);
-        }
-        st.condvars.entry(cv_key).or_insert_with(|| CvSt {
-            waiting: Vec::new(),
-        });
-        let tview = st.threads[tid].view.clone();
+        let mut st = self.lock_live();
         let m = st
             .mutexes
             .get_mut(&mutex_key)
             .expect("condvar wait without a locked mutex");
         debug_assert_eq!(m.owner, Some(tid), "condvar wait by non-owner");
         m.owner = None;
-        m.view = tview;
         st.wake_blocked_on(Block::Lock(mutex_key));
         st.condvars
-            .get_mut(&cv_key)
-            .expect("condvar registered above")
+            .entry(cv_key)
+            .or_insert_with(|| CvSt {
+                waiting: Vec::new(),
+            })
             .waiting
             .push(tid);
         st.threads[tid].status = Status::Blocked(Block::Cv(cv_key));
-        st.wake_on_change(tid);
         st.observe(tid, 7, cv_key, 0);
         self.schedule_next_locked(st, tid);
     }
@@ -1039,13 +643,9 @@ impl Shared {
         if st.abort {
             return;
         }
-        st.condvars.entry(cv_key).or_insert_with(|| CvSt {
+        let cv = st.condvars.entry(cv_key).or_insert_with(|| CvSt {
             waiting: Vec::new(),
         });
-        let cv = st
-            .condvars
-            .get_mut(&cv_key)
-            .expect("condvar registered above");
         let woken: Vec<Tid> = if all {
             cv.waiting.drain(..).collect()
         } else if cv.waiting.is_empty() {
@@ -1057,7 +657,6 @@ impl Shared {
         for t in woken {
             st.threads[t].status = Status::Runnable;
         }
-        st.wake_on_change(tid);
         st.observe(tid, 8, cv_key, n);
         self.reschedule(st, tid, Came::Op);
     }
@@ -1066,44 +665,39 @@ impl Shared {
     // Thread ops
     // ------------------------------------------------------------------
 
-    /// Registers a child thread (inheriting the parent's view — the spawn
-    /// happens-before edge) and returns its tid. The caller launches the lane.
-    pub(crate) fn thread_create(self: &Arc<Self>, parent: Tid) -> Tid {
-        let mut st = self.st.lock().expect("conc state poisoned");
-        if st.abort {
-            drop(st);
-            panic::panic_any(AbortToken);
-        }
+    /// Registers a child thread and its lane, and returns its tid. The caller
+    /// launches the lane.
+    pub(crate) fn thread_create(self: &Arc<Self>) -> Tid {
+        let mut st = self.lock_live();
         let child = st.threads.len();
-        let view = st.threads[parent].view.clone();
-        st.threads.push(ThreadSt::new(view));
+        st.threads.push(ThreadSt::new());
         st.live_threads += 1;
+        st.lanes_running += 1;
         child
     }
 
     /// Yield point right after a spawn (the child is now schedulable).
-    pub(crate) fn after_spawn(self: &Arc<Self>, tid: Tid, handle: std::thread::JoinHandle<()>) {
+    pub(crate) fn after_spawn(
+        self: &Arc<Self>,
+        tid: Tid,
+        child: Tid,
+        handle: std::thread::JoinHandle<()>,
+    ) {
         let mut st = self.st.lock().expect("conc state poisoned");
-        st.lane_handles.push(handle);
+        st.lanes.push((child, handle));
         if st.abort {
             drop(st);
             panic::panic_any(AbortToken);
         }
-        st.wake_on_change(tid);
         st.observe(tid, 9, Key(0), 0);
         self.reschedule(st, tid, Came::Op);
     }
 
-    /// One join attempt: `true` once the target finished (its final view is
-    /// joined — the join happens-before edge), else blocks and returns `false`.
+    /// One join attempt: `true` once the target finished, else blocks and
+    /// returns `false`.
     pub(crate) fn thread_try_join(self: &Arc<Self>, tid: Tid, target: Tid) -> bool {
-        let mut st = self.st.lock().expect("conc state poisoned");
-        if st.abort {
-            return true;
-        }
+        let mut st = self.lock_live();
         if st.threads[target].status == Status::Finished {
-            let tv = st.threads[target].view.clone();
-            st.threads[tid].view.join(&tv);
             st.observe(tid, 10, Key(0), target as u64);
             self.reschedule(st, tid, Came::Op);
             true
@@ -1125,35 +719,70 @@ impl Shared {
         st.threads[tid].status = Status::Finished;
         st.live_threads -= 1;
         st.wake_blocked_on(Block::Join(tid));
-        st.wake_on_change(tid);
         self.schedule_next(&mut st, tid, Came::Finished);
     }
 
-    /// `spin_loop`/`yield_now`: block until another thread mutates state.
-    pub(crate) fn yield_op(self: &Arc<Self>, tid: Tid) {
+    /// Records a panic from user code as a model failure and aborts the run.
+    fn record_panic(&self, message: String) {
         let mut st = self.st.lock().expect("conc state poisoned");
-        if st.abort {
-            drop(st);
-            panic::panic_any(AbortToken);
-        }
-        st.threads[tid].status = Status::Blocked(Block::Change);
-        st.threads[tid].fresh_reads = false;
-        st.observe(tid, 11, Key(0), 0);
-        self.schedule_next_locked(st, tid);
+        st.record_failure(FailureKind::Panic, message);
+        self.cv.notify_all();
     }
 
-    /// Records a panic from user code as a model failure and aborts the run.
-    fn record_panic(&self, payload: &(dyn std::any::Any + Send)) {
-        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "model thread panicked".to_string()
-        };
+    /// Gives up on lane `tid`, which is unwinding and reached a condvar wait:
+    /// records the panic it was unwinding as the run's failure
+    /// (an [`AbortToken`] unwind means one is already recorded), then parks
+    /// the OS thread for good. The explorer never joins an abandoned lane.
+    pub(crate) fn abandon(&self, tid: Tid) -> ! {
+        let message = UNWINDING.with(|u| u.borrow_mut().take());
+        {
+            let mut st = self.st.lock().unwrap_or_else(PoisonError::into_inner);
+            st.record_failure(
+                FailureKind::Panic,
+                message.unwrap_or_else(|| "model thread blocked while unwinding".to_string()),
+            );
+            st.threads[tid].abandoned = true;
+            st.lanes_running -= 1;
+            self.cv.notify_all();
+        }
+        loop {
+            std::thread::park();
+        }
+    }
+
+    /// `wait_for_turn` for lane entry, where an abort must *not* panic (the
+    /// lane simply never starts the closure). Returns whether to run.
+    fn wait_for_turn_entry(&self, mut guard: MutexGuard<'_, ExecState>, tid: Tid) -> bool {
+        loop {
+            if guard.abort {
+                return false;
+            }
+            if guard.current == tid && guard.threads[tid].status == Status::Runnable {
+                return true;
+            }
+            guard = self.cv.wait(guard).expect("conc state poisoned");
+        }
+    }
+
+    /// Releases a mutex without a schedule point. Used by guard drops during
+    /// an unwind, where the thread must reach the lane boundary (to report
+    /// the panic) without parking again.
+    pub(crate) fn mutex_unlock_raw(self: &Arc<Self>, tid: Tid, key: Key) {
         let mut st = self.st.lock().expect("conc state poisoned");
-        st.record_failure(FailureKind::Panic, msg);
-        self.cv.notify_all();
+        if let Some(m) = st.mutexes.get_mut(&key) {
+            if m.owner == Some(tid) {
+                m.owner = None;
+            }
+        }
+    }
+
+    /// Whether model thread `target` has finished (for `JoinHandle::is_finished`).
+    pub(crate) fn thread_finished(&self, target: Tid) -> bool {
+        let st = self.st.lock().expect("conc state poisoned");
+        st.threads
+            .get(target)
+            .map(|t| t.status == Status::Finished)
+            .unwrap_or(false)
     }
 }
 
@@ -1175,57 +804,23 @@ pub(crate) fn launch_lane(
                 shared.wait_for_turn_entry(guard, tid)
             };
             if run {
-                let result = panic::catch_unwind(AssertUnwindSafe(body));
-                match result {
+                match panic::catch_unwind(AssertUnwindSafe(body)) {
                     Ok(()) => shared.thread_finish(tid),
                     Err(payload) => {
                         if !payload.is::<AbortToken>() {
-                            shared.record_panic(payload.as_ref());
+                            shared.record_panic(panic_message(payload.as_ref()));
                         }
                     }
                 }
             }
             SUPPRESS_PANIC_OUTPUT.with(|s| s.set(false));
+            UNWINDING.with(|u| *u.borrow_mut() = None);
             CURRENT.with(|c| *c.borrow_mut() = None);
+            let mut st = shared.st.lock().expect("conc state poisoned");
+            st.lanes_running -= 1;
+            shared.cv.notify_all();
         })
         .expect("spawn conc lane")
-}
-
-impl Shared {
-    /// `wait_for_turn` for lane entry, where an abort must *not* panic (the
-    /// lane simply never starts the closure). Returns whether to run.
-    fn wait_for_turn_entry(&self, mut guard: MutexGuard<'_, ExecState>, tid: Tid) -> bool {
-        loop {
-            if guard.abort {
-                return false;
-            }
-            if guard.current == tid && guard.threads[tid].status == Status::Runnable {
-                return true;
-            }
-            guard = self.cv.wait(guard).expect("conc state poisoned");
-        }
-    }
-
-    /// Releases a mutex without a schedule point. Used by guard drops during
-    /// a *user* panic unwind, where the thread must reach the lane boundary
-    /// (to report the panic) without parking again.
-    pub(crate) fn mutex_unlock_raw(self: &Arc<Self>, tid: Tid, key: Key) {
-        let mut st = self.st.lock().expect("conc state poisoned");
-        if let Some(m) = st.mutexes.get_mut(&key) {
-            if m.owner == Some(tid) {
-                m.owner = None;
-            }
-        }
-    }
-
-    /// Whether model thread `target` has finished (for `JoinHandle::is_finished`).
-    pub(crate) fn thread_finished(&self, target: Tid) -> bool {
-        let st = self.st.lock().expect("conc state poisoned");
-        st.threads
-            .get(target)
-            .map(|t| t.status == Status::Finished)
-            .unwrap_or(false)
-    }
 }
 
 /// Lazily registers a model object's [`Key`] once per execution generation.
@@ -1281,9 +876,9 @@ pub(crate) fn explore(
             let f = Arc::clone(&f);
             launch_lane(Arc::clone(&shared), 0, Box::new(move || f()))
         };
-        {
+        let lanes = {
             let mut st = shared.st.lock().expect("conc state poisoned");
-            st.lane_handles.push(root);
+            st.lanes.push((0, root));
             // The baton was granted to thread 0 by `reset_for_run`, *before*
             // the lane existed — it must not be touched here: the lane may
             // already be mid-run, and re-assigning `current` would hand the
@@ -1291,15 +886,20 @@ pub(crate) fn explore(
             while !st.done {
                 st = shared.cv.wait(st).expect("conc state poisoned");
             }
-            // Unwind any still-parked lanes.
+            // Unwind any still-parked lanes, and wait until each has exited or
+            // been abandoned.
             st.abort = true;
             shared.cv.notify_all();
-        }
-        let handles: Vec<_> = {
-            let mut st = shared.st.lock().expect("conc state poisoned");
-            st.lane_handles.drain(..).collect()
+            while st.lanes_running > 0 {
+                st = shared.cv.wait(st).expect("conc state poisoned");
+            }
+            let lanes: Vec<_> = st.lanes.drain(..).collect();
+            lanes
+                .into_iter()
+                .filter(|(tid, _)| !st.threads[*tid].abandoned)
+                .collect::<Vec<_>>()
         };
-        for h in handles {
+        for (_, h) in lanes {
             let _ = h.join();
         }
         let mut st = shared.st.lock().expect("conc state poisoned");

@@ -1,15 +1,14 @@
 //! `conc` — an offline, dependency-free, loom-style deterministic model
-//! checker for the workspace's hand-rolled concurrency primitives.
+//! checker for the workspace's hand-rolled concurrency.
 //!
 //! The crate provides drop-in shims for the `std` sync vocabulary the engine
-//! uses — [`atomic`], [`sync`] (`Mutex`/`Condvar`), [`thread`]
-//! (`spawn`/`join`), [`hint`] — plus a [`Builder`] that runs a closure under
+//! and the receiver server use — [`sync`] (`Mutex`/`Condvar`) and [`thread`]
+//! (`spawn`/`join`) — plus a [`Builder`] that runs a closure under
 //! **exhaustive bounded exploration**: every instrumented operation is a
-//! scheduler yield point, a DFS enumerates thread interleavings (and, for
-//! non-`SeqCst` atomics, the coherence-admissible stale values a load may
-//! return), sound state-fingerprint pruning collapses isomorphic branches,
-//! and any failure (assertion panic, deadlock, livelock) is reported with the
-//! exact choice schedule that reaches it, replayable via [`Builder::replay`].
+//! scheduler yield point, a DFS enumerates thread interleavings, sound
+//! state-fingerprint pruning collapses isomorphic branches, and any failure
+//! (assertion panic, deadlock, runaway loop) is reported with the exact choice
+//! schedule that reaches it, replayable via [`Builder::replay`].
 //!
 //! Outside a model run the shims pass straight through to `std`, so one
 //! source tree serves production and checking (the engine swaps its
@@ -18,42 +17,45 @@
 //! # Example
 //!
 //! ```
-//! use conc::{model, atomic::{AtomicUsize, Ordering}};
+//! use conc::{model, sync::Mutex};
 //! use std::sync::Arc;
 //!
 //! model(|| {
-//!     let counter = Arc::new(AtomicUsize::new(0));
+//!     let counter = Arc::new(Mutex::new(0));
 //!     let handles: Vec<_> = (0..2)
 //!         .map(|_| {
 //!             let counter = Arc::clone(&counter);
 //!             conc::thread::spawn(move || {
-//!                 counter.fetch_add(1, Ordering::Relaxed);
+//!                 *counter.lock().unwrap() += 1;
 //!             })
 //!         })
 //!         .collect();
 //!     for h in handles {
 //!         h.join().unwrap();
 //!     }
-//!     assert_eq!(counter.load(Ordering::Relaxed), 2);
+//!     assert_eq!(*counter.lock().unwrap(), 2);
 //! });
 //! ```
 //!
 //! # What the model does and does not cover
 //!
 //! Covered exhaustively (at the configured bounds): all interleavings at
-//! instrumented operations, bounded-stale reads for `Relaxed`/`Acquire`
-//! loads, release/acquire view propagation, a per-location `SeqCst`
-//! total-order constraint, RMW atomicity, mutex/condvar blocking semantics
-//! (including lost-wakeup deadlocks), spawn/join edges, livelock detection
-//! for spin loops.
+//! instrumented operations, mutex/condvar blocking semantics (including
+//! lost-wakeup deadlocks), spawn/join edges, and runaway loops (the per-run
+//! op budget).
 //!
-//! Known approximations (all *under*-approximate reorderings, so the checker
-//! can miss exotic weak-memory bugs but never reports a false failure):
-//! compare-exchange failures read the newest value (no stale failure loads),
-//! `compare_exchange_weak` never fails spuriously, condvars have no spurious
-//! wakeups, and the `SeqCst` order is per-location rather than a single
-//! global total order across locations (IRIW-style distinctions are not
-//! modeled).
+//! Not covered: atomics and weak memory. Memory is sequentially consistent,
+//! which is exact for code that shares state only through the shims, and the
+//! checked code has no atomics (the engine's only atomics drive
+//! `std::thread::scope` workers, which are not modeled either). Condvars
+//! have no spurious wakeups, so a caller relying on one for progress
+//! deadlocks here first.
+//!
+//! A failure ends the run and unwinds every other model thread. A model
+//! thread that waits on a condvar while unwinding — a destructor draining a
+//! server that is still alive, say — is abandoned: its OS thread stays parked
+//! and is never joined, and the failure is reported with the panic it was
+//! unwinding.
 
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -61,8 +63,6 @@
 
 mod exec;
 
-pub mod atomic;
-pub mod hint;
 pub mod sync;
 pub mod thread;
 
@@ -75,7 +75,7 @@ use exec::BuilderCfg;
 /// Configures and runs a model-checking exploration.
 ///
 /// Defaults: unbounded preemptions, 500 000 schedules, 50 000 ops per
-/// schedule, stale-read window 3, visited-state pruning on.
+/// schedule, visited-state pruning on.
 #[derive(Clone, Debug, Default)]
 pub struct Builder {
     cfg: BuilderCfg,
@@ -110,13 +110,6 @@ impl Builder {
         self
     }
 
-    /// How many distinct stale versions a non-`SeqCst` load may branch over
-    /// (newest-first). 1 makes loads effectively sequentially consistent.
-    pub fn stale_window(mut self, n: usize) -> Builder {
-        self.cfg.stale_window = n.max(1);
-        self
-    }
-
     /// Toggles sound visited-state pruning (on by default; turning it off is
     /// only useful for debugging the checker itself).
     pub fn prune_visited(mut self, on: bool) -> Builder {
@@ -137,7 +130,9 @@ impl Builder {
 
     /// Re-runs exactly one schedule (as printed in a [`Failure`]) — for
     /// debugging a failure with prints/debuggers, and for pinning known-hairy
-    /// interleavings as fast regression tests.
+    /// interleavings as fast regression tests. The builder must have the
+    /// preemption bound the failing check had: a spent budget makes no choice,
+    /// so the same schedule means a different run under another bound.
     pub fn replay<F>(&self, schedule: &[u32], f: F) -> Result<Report, Failure>
     where
         F: Fn() + Send + Sync + 'static,

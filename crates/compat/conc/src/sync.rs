@@ -3,8 +3,10 @@
 //! Outside a model execution these delegate to an embedded std mutex/condvar
 //! (passthrough). Inside one, lock acquisition, release, wait and notify are
 //! scheduler operations: the model tracks ownership and waiter queues
-//! explicitly, blocking is a scheduler state rather than an OS park, and the
-//! release→acquire view propagation gives the usual happens-before edge.
+//! explicitly, and blocking is a scheduler state rather than an OS park.
+//!
+//! A condvar wait on a model thread that is unwinding a failed run abandons
+//! the lane instead of blocking (see the [crate docs](crate)).
 //!
 //! Model condvars have **no spurious wakeups** — callers looping on a
 //! predicate (as all std-correct code must) lose no coverage, but a caller
@@ -166,6 +168,11 @@ impl Condvar {
     /// Atomically releases the guard's mutex and parks until notified, then
     /// re-acquires the mutex before returning.
     pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
+        if let Some((shared, tid)) = exec::unwinding_lane() {
+            // Nothing in the model runs again to notify an unwinding lane.
+            drop(guard);
+            shared.abandon(tid);
+        }
         match guard.model.take() {
             Some((shared, tid, mutex_key)) => {
                 let cv_key = self.reg.key(&shared, tid, KIND_CONDVAR);

@@ -1,11 +1,10 @@
 //! Instrumented thread spawn/join, API-compatible with the subset of
 //! `std::thread` the engine uses.
 //!
-//! In a model execution, `spawn` registers a *model thread* (inheriting the
-//! parent's memory view — the spawn happens-before edge) whose closure runs
-//! on a dedicated OS lane under the cooperative scheduler; `join` is a
-//! blocking scheduler op that propagates the child's final view. Outside a
-//! model execution everything passes through to std.
+//! In a model execution, `spawn` registers a *model thread* whose closure runs
+//! on a dedicated OS lane under the cooperative scheduler, and `join` is a
+//! blocking scheduler op. Outside a model execution everything passes through
+//! to std.
 
 use std::sync::{Arc, Mutex};
 
@@ -27,7 +26,7 @@ enum Inner<T> {
 
 impl<T> JoinHandle<T> {
     /// Waits for the thread to finish and returns its value. In the model
-    /// this is a scheduler join (with view propagation); a child that never
+    /// this is a scheduler join; a child that never
     /// produced a value means the execution is aborting, and the join
     /// unwinds with the abort token instead of returning.
     ///
@@ -99,7 +98,7 @@ impl Builder {
                 })
             }
             Some((shared, parent)) => {
-                let target = shared.thread_create(parent);
+                let target = shared.thread_create();
                 let result = Arc::new(Mutex::new(None));
                 let slot = Arc::clone(&result);
                 let lane = exec::launch_lane(
@@ -110,7 +109,7 @@ impl Builder {
                         *slot.lock().expect("result slot poisoned") = Some(v);
                     }),
                 );
-                shared.after_spawn(parent, lane);
+                shared.after_spawn(parent, target, lane);
                 Ok(JoinHandle {
                     inner: Inner::Model {
                         shared,
@@ -130,15 +129,4 @@ where
     T: Send + 'static,
 {
     Builder::new().spawn(f).expect("failed to spawn thread")
-}
-
-/// Instrumented [`std::thread::yield_now`]. In the model the caller blocks
-/// until another thread mutates shared state (the fair reading of "yield so
-/// someone else can make progress"), which keeps spin loops finite and makes
-/// true livelocks detectable.
-pub fn yield_now() {
-    match exec::current() {
-        None => std::thread::yield_now(),
-        Some((shared, tid)) => shared.yield_op(tid),
-    }
 }

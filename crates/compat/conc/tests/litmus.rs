@@ -1,129 +1,12 @@
-//! Litmus tests for the model checker itself: classic weak-memory and
-//! scheduling shapes where the expected verdict (bug found / verified absent)
-//! is known from first principles. These run in tier-1 CI and are the
-//! evidence that the engine model suites' green results mean something.
+//! Litmus tests for the model checker itself: classic scheduling shapes where
+//! the expected verdict (bug found / verified absent) is known from first
+//! principles. These run in tier-1 CI and are the evidence that the engine
+//! and server model suites' green results mean something.
 
 use std::sync::Arc;
 
-use conc::atomic::{AtomicBool, AtomicUsize, Ordering};
 use conc::sync::{Condvar, Mutex};
 use conc::{model, Builder, FailureKind};
-
-/// Two increments from two threads with a CAS loop: exactly-once semantics,
-/// verified over every interleaving.
-#[test]
-fn cas_counter_exactly_once() {
-    model(|| {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let counter = Arc::clone(&counter);
-                conc::thread::spawn(move || loop {
-                    let cur = counter.load(Ordering::Relaxed);
-                    if counter
-                        .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        break;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 2);
-    });
-}
-
-/// Message passing with Release/Acquire: the reader that observes the flag
-/// must observe the data. Verified absent of stale-data reads.
-#[test]
-fn message_passing_release_acquire_safe() {
-    model(|| {
-        let data = Arc::new(AtomicUsize::new(0));
-        let flag = Arc::new(AtomicBool::new(false));
-        let (d2, f2) = (Arc::clone(&data), Arc::clone(&flag));
-        let producer = conc::thread::spawn(move || {
-            d2.store(42, Ordering::Relaxed);
-            f2.store(true, Ordering::Release);
-        });
-        if flag.load(Ordering::Acquire) {
-            assert_eq!(
-                data.load(Ordering::Relaxed),
-                42,
-                "acquire must publish data"
-            );
-        }
-        producer.join().unwrap();
-    });
-}
-
-/// The same shape with Relaxed on the flag: the data read may be stale. The
-/// checker must find the violating schedule.
-#[test]
-fn message_passing_all_relaxed_caught() {
-    let result = Builder::new().check(|| {
-        let data = Arc::new(AtomicUsize::new(0));
-        let flag = Arc::new(AtomicBool::new(false));
-        let (d2, f2) = (Arc::clone(&data), Arc::clone(&flag));
-        let producer = conc::thread::spawn(move || {
-            d2.store(42, Ordering::Relaxed);
-            f2.store(true, Ordering::Relaxed);
-        });
-        if flag.load(Ordering::Relaxed) {
-            assert_eq!(data.load(Ordering::Relaxed), 42, "stale data observed");
-        }
-        producer.join().unwrap();
-    });
-    let failure = result.expect_err("relaxed message passing must be refutable");
-    assert_eq!(failure.kind, FailureKind::Panic);
-    assert!(
-        failure.message.contains("stale data observed"),
-        "unexpected failure: {failure}"
-    );
-}
-
-/// Store buffering: with Relaxed stores and loads, both threads can read the
-/// other's flag as 0 (each load sees the pre-store version).
-#[test]
-fn store_buffering_relaxed_found() {
-    let result = Builder::new().check(|| {
-        let x = Arc::new(AtomicUsize::new(0));
-        let y = Arc::new(AtomicUsize::new(0));
-        let (x2, y2) = (Arc::clone(&x), Arc::clone(&y));
-        let t = conc::thread::spawn(move || {
-            x2.store(1, Ordering::Relaxed);
-            y2.load(Ordering::Relaxed)
-        });
-        y.store(1, Ordering::Relaxed);
-        let saw_x = x.load(Ordering::Relaxed);
-        let saw_y = t.join().unwrap();
-        assert!(saw_x == 1 || saw_y == 1, "both threads read 0");
-    });
-    let failure = result.expect_err("relaxed store buffering must exhibit 0/0");
-    assert!(failure.message.contains("both threads read 0"));
-}
-
-/// Store buffering with SeqCst everywhere: the 0/0 outcome is impossible per
-/// location-wise SC (each load must see the latest SeqCst store to its own
-/// location once ordered after it — at least one thread runs second).
-#[test]
-fn store_buffering_seqcst_safe() {
-    model(|| {
-        let x = Arc::new(AtomicUsize::new(0));
-        let y = Arc::new(AtomicUsize::new(0));
-        let (x2, y2) = (Arc::clone(&x), Arc::clone(&y));
-        let t = conc::thread::spawn(move || {
-            x2.store(1, Ordering::SeqCst);
-            y2.load(Ordering::SeqCst)
-        });
-        y.store(1, Ordering::SeqCst);
-        let saw_x = x.load(Ordering::SeqCst);
-        let saw_y = t.join().unwrap();
-        assert!(saw_x == 1 || saw_y == 1, "SeqCst forbids 0/0");
-    });
-}
 
 /// ABBA lock ordering: the checker must find the deadlock.
 #[test]
@@ -147,26 +30,26 @@ fn abba_deadlock_found() {
     assert!(!failure.schedule.is_empty(), "schedule must be replayable");
 }
 
-/// Classic lost wakeup: the waiter checks the flag *outside* the mutex, then
-/// parks; the notifier can fire between check and park. Must be detected as
+/// Classic lost wakeup: the waiter checks the flag under a different mutex
+/// than the one it parks with, and the notifier never takes the parking
+/// mutex, so the notify can fire between check and park. Must be detected as
 /// a deadlock.
 #[test]
 fn condvar_lost_wakeup_found() {
     let result = Builder::new().check(|| {
-        let ready = Arc::new(AtomicBool::new(false));
+        let ready = Arc::new(Mutex::new(false));
         let pair = Arc::new((Mutex::new(()), Condvar::new()));
         let (r2, p2) = (Arc::clone(&ready), Arc::clone(&pair));
         let notifier = conc::thread::spawn(move || {
-            r2.store(true, Ordering::SeqCst);
+            *r2.lock().unwrap() = true;
             p2.1.notify_all();
         });
-        // BUG: flag check races with the park; correct code re-checks the
-        // predicate under the same mutex the notifier takes.
-        if !ready.load(Ordering::SeqCst) {
-            let guard = pair.0.lock().unwrap();
-            if !ready.load(Ordering::SeqCst) {
-                let _guard = pair.1.wait(guard).unwrap();
-            }
+        // BUG: correct code keeps the predicate under the mutex the waiter
+        // parks with, and the notifier takes that mutex.
+        let guard = pair.0.lock().unwrap();
+        let is_ready = *ready.lock().unwrap();
+        if !is_ready {
+            let _guard = pair.1.wait(guard).unwrap();
         }
         notifier.join().unwrap();
     });
@@ -216,43 +99,19 @@ fn replay_reproduces_failure() {
     assert_eq!(replayed.kind, FailureKind::Deadlock);
 }
 
-/// A spin loop whose exit condition is eventually written terminates under
-/// the blocked-on-change semantics (no false livelock).
-#[test]
-fn spin_wait_terminates() {
-    model(|| {
-        let flag = Arc::new(AtomicBool::new(false));
-        let f2 = Arc::clone(&flag);
-        let t = conc::thread::spawn(move || {
-            f2.store(true, Ordering::Release);
-        });
-        while !flag.load(Ordering::Acquire) {
-            conc::hint::spin_loop();
-        }
-        t.join().unwrap();
+/// A read-modify-write split over two critical sections: the update one
+/// thread makes between the other's read and write is lost.
+fn lost_update_shape() {
+    let x = Arc::new(Mutex::new(0u32));
+    let x2 = Arc::clone(&x);
+    let t = conc::thread::spawn(move || {
+        let v = *x2.lock().unwrap();
+        *x2.lock().unwrap() = v + 1;
     });
-}
-
-/// A spin loop that can never observe its exit condition is reported as a
-/// livelock, not explored forever.
-#[test]
-fn hopeless_spin_is_livelock() {
-    let result = Builder::new().check(|| {
-        let flag = Arc::new(AtomicBool::new(false));
-        let f2 = Arc::clone(&flag);
-        let t = conc::thread::spawn(move || {
-            while !f2.load(Ordering::Acquire) {
-                conc::hint::spin_loop();
-            }
-        });
-        // Nobody ever sets the flag.
-        t.join().unwrap();
-    });
-    let failure = result.expect_err("unsatisfiable spin must be flagged");
-    assert!(
-        matches!(failure.kind, FailureKind::Livelock | FailureKind::Deadlock),
-        "got {failure}"
-    );
+    let v = *x.lock().unwrap();
+    *x.lock().unwrap() = v + 1;
+    t.join().unwrap();
+    assert_eq!(*x.lock().unwrap(), 2, "lost update");
 }
 
 /// Exploration statistics are sane: a two-thread interleaving problem has
@@ -261,15 +120,15 @@ fn hopeless_spin_is_livelock() {
 fn report_counts_schedules() {
     let report = Builder::new()
         .check(|| {
-            let x = Arc::new(AtomicUsize::new(0));
+            let x = Arc::new(Mutex::new(0u32));
             let x2 = Arc::clone(&x);
             let t = conc::thread::spawn(move || {
-                x2.fetch_add(1, Ordering::SeqCst);
-                x2.fetch_add(1, Ordering::SeqCst);
+                *x2.lock().unwrap() += 1;
+                *x2.lock().unwrap() += 1;
             });
-            x.fetch_add(1, Ordering::SeqCst);
+            *x.lock().unwrap() += 1;
             t.join().unwrap();
-            assert_eq!(x.load(Ordering::SeqCst), 3);
+            assert_eq!(*x.lock().unwrap(), 3);
         })
         .expect("counter shape is correct");
     assert!(report.complete, "small shape must be exhausted: {report:?}");
@@ -277,6 +136,7 @@ fn report_counts_schedules() {
         report.schedules > 1,
         "interleavings must branch: {report:?}"
     );
+    assert!(report.pruned > 0, "equal states must be pruned: {report:?}");
     assert!(report.total_ops > 0);
 }
 
@@ -284,7 +144,7 @@ fn report_counts_schedules() {
 /// across real threads.
 #[test]
 fn passthrough_outside_model() {
-    let counter = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::new(Mutex::new(0usize));
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
     let handles: Vec<_> = (0..4)
         .map(|_| {
@@ -293,7 +153,7 @@ fn passthrough_outside_model() {
             conc::thread::spawn(move || {
                 let guard = gate.0.lock().unwrap();
                 let _guard = gate.1.wait_while(guard, |open| !*open).unwrap();
-                counter.fetch_add(1, Ordering::SeqCst);
+                *counter.lock().unwrap() += 1;
             })
         })
         .collect();
@@ -305,40 +165,59 @@ fn passthrough_outside_model() {
     for h in handles {
         h.join().unwrap();
     }
-    assert_eq!(counter.load(Ordering::SeqCst), 4);
+    assert_eq!(*counter.lock().unwrap(), 4);
 }
 
-/// Preemption bounding: with 0 preemptions the buggy relaxed message-passing
-/// interleaving disappears (each thread runs to completion), with the default
-/// unbounded search it is found — the bound is a real knob.
+/// Preemption bounding: the lost update needs one preemption (between the
+/// read and the write), so a 0-preemption search verifies the shape while a
+/// 1-preemption search refutes it — the bound is a real knob.
 #[test]
 fn preemption_bound_is_effective() {
-    let shape = || {
-        let data = Arc::new(AtomicUsize::new(0));
-        let flag = Arc::new(AtomicBool::new(false));
-        let (d2, f2) = (Arc::clone(&data), Arc::clone(&flag));
-        let producer = conc::thread::spawn(move || {
-            d2.store(1, Ordering::Relaxed);
-            f2.store(true, Ordering::Relaxed);
-        });
-        if flag.load(Ordering::Relaxed) {
-            assert_eq!(data.load(Ordering::Relaxed), 1);
-        }
-        producer.join().unwrap();
-    };
-    // Unbounded: found. (Stale reads need no preemption here — the parent
-    // runs first, reads the flag late via join-free interleaving — so use
-    // the report only as a smoke check that both modes terminate.)
-    assert!(
-        Builder::new().check(shape).is_err()
-            || Builder::new().max_preemptions(0).check(shape).is_ok()
-    );
     let bounded = Builder::new()
         .max_preemptions(0)
-        .stale_window(1)
-        .check(shape);
-    assert!(
-        bounded.is_ok(),
-        "no-preemption SC search must not see the stale read"
-    );
+        .check(lost_update_shape)
+        .expect("no interleaving without a preemption loses the update");
+    assert!(bounded.complete);
+    let failure = Builder::new()
+        .max_preemptions(1)
+        .check(lost_update_shape)
+        .expect_err("one preemption is enough to lose the update");
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(failure.message.contains("lost update"), "got {failure}");
+}
+
+/// Waits in `Drop` until a flag is set: the shape of a server that drains its
+/// queues when dropped.
+struct DrainOnDrop(Arc<(Mutex<bool>, Condvar)>);
+
+impl Drop for DrainOnDrop {
+    fn drop(&mut self) {
+        let guard = self.0 .0.lock().unwrap();
+        let _guard = self.0 .1.wait_while(guard, |done| !*done).unwrap();
+    }
+}
+
+/// A user panic while a [`DrainOnDrop`] whose flag nothing has set is alive:
+/// the unwinding thread must not wait for it, and the failure must carry the
+/// user's message — whether the main thread fails, or a spawned thread fails
+/// and the main thread unwinds out of joining it.
+#[test]
+fn failure_with_a_blocking_destructor_is_reported() {
+    for in_child in [false, true] {
+        let result = Builder::new().check(move || {
+            let _drain = DrainOnDrop(Arc::new((Mutex::new(false), Condvar::new())));
+            let failing = conc::thread::spawn(move || {
+                assert!(!in_child, "user failure in the child");
+            });
+            assert!(in_child, "user failure in the main thread");
+            failing.join().unwrap();
+        });
+        let failure = result.expect_err("the assertion must be reported");
+        assert_eq!(failure.kind, FailureKind::Panic);
+        let expected = if in_child { "child" } else { "main thread" };
+        assert!(
+            failure.message.contains(expected),
+            "unexpected failure: {failure}"
+        );
+    }
 }

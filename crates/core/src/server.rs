@@ -85,13 +85,15 @@
 
 use crate::session::{RxEvent, RxSession, SessionConfig, SessionCounters};
 use cprecycle_engine::pool::WorkerPool;
+// Locks and condvars come through the engine's facade: std normally, the `conc`
+// model-checker shims under `--cfg cprecycle_conc` (`tests/conc_server.rs`).
+use cprecycle_engine::sync::{Arc, Condvar, Mutex, MutexGuard};
 use obs::{Log2Histogram, MetricsSnapshot, NoopRecorder, Recorder, StageSnapshot};
 use ofdmphy::rx::FrameReceiver;
 use ofdmphy::PhyError;
 use rfdsp::Complex;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
 /// Why a push into a session's ingress queue was not accepted.
@@ -342,9 +344,10 @@ where
     O: Recorder + Send + 'static,
 {
     config: ServerConfig,
-    /// Read-mostly registry: `add_session` takes the write lock briefly; snapshot,
-    /// drain and shutdown iterate under a read guard without cloning anything.
-    slots: RwLock<Vec<Slot<R, O>>>,
+    /// Registry of every session, touched only by the cold paths: `add_session`,
+    /// `sessions`, `shutdown` and `metrics_snapshot`. Pushes and service turns hold
+    /// their slot's `Arc` and never take this lock.
+    slots: Mutex<Vec<Slot<R, O>>>,
     pool: Arc<WorkerPool<Slot<R, O>>>,
     started: Instant,
 }
@@ -369,10 +372,14 @@ where
         );
         RxServer {
             config,
-            slots: RwLock::new(Vec::new()),
+            slots: Mutex::new(Vec::new()),
             pool: Arc::new(pool),
             started: Instant::now(),
         }
+    }
+
+    fn slots(&self) -> MutexGuard<'_, Vec<Slot<R, O>>> {
+        self.slots.lock().expect("slots poisoned")
     }
 
     /// Services one scheduling of `slot`: feeds its queued items to the session,
@@ -425,7 +432,7 @@ where
         config: SessionConfig,
         recorder: O,
     ) -> SessionHandle<R, O> {
-        let mut slots = self.slots.write().expect("slots poisoned");
+        let mut slots = self.slots();
         let slot = Arc::new(SessionSlot {
             id: slots.len(),
             capacity: self.config.queue_capacity.max(1),
@@ -453,7 +460,7 @@ where
 
     /// Number of sessions ever added.
     pub fn sessions(&self) -> usize {
-        self.slots.read().expect("slots poisoned").len()
+        self.slots().len()
     }
 
     /// The server configuration.
@@ -481,7 +488,7 @@ where
     /// completes even when every queue is full and producers are blocked — they
     /// wake with [`PushError::Closed`] instead of deadlocking against the flush.
     pub fn shutdown(&self) {
-        for slot in self.slots.read().expect("slots poisoned").iter() {
+        for slot in self.slots().iter() {
             let mut ingress = slot.ingress();
             if ingress.closed {
                 continue; // already closed by an earlier shutdown
@@ -510,7 +517,7 @@ where
     /// `session.{id}.` prefix, plus its own `session.{id}.queue_depth` gauge and
     /// `session.{id}.push_decode_p{50,95,99}_ns` gauges.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let slots = self.slots.read().expect("slots poisoned");
+        let slots = self.slots();
         let mut snap = MetricsSnapshot::new();
         let mut active = 0usize;
         let mut total_depth = 0usize;

@@ -20,10 +20,10 @@
 //!   loop ([`pool::run_claiming`]) the executor runs on, and a standing
 //!   [`pool::WorkerPool`] for open-ended workloads (the multi-session receiver
 //!   server in `cprecycle::server`), one mutex-guarded injector queue;
-//! * [`sync`] — the concurrency facade the pool imports its atomics, locks and
-//!   thread handles through: `std` in normal builds, the `conc` model-checker
-//!   shims under `--cfg cprecycle_conc`, so the model-check suite explores the
-//!   *same* source exhaustively;
+//! * [`sync`] — the concurrency facade the pool and the receiver server import
+//!   their locks, condvars and thread handles through: `std` in normal builds,
+//!   the `conc` model-checker shims under `--cfg cprecycle_conc`, so the
+//!   model-check suites explore the *same* source exhaustively;
 //! * [`tally`] — per-point packet-success tallies with Wilson confidence intervals,
 //!   auxiliary metric means and sample streams, plus timing;
 //! * [`checkpoint`] — JSON persistence of a finished or half-finished campaign:

@@ -27,11 +27,11 @@
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-// All sync primitives come through the facade (std normally, the `conc`
-// model-checker shims under `--cfg cprecycle_conc`). `std::thread::scope` in
-// `run_claiming` is the documented exception — see `crate::sync`.
-use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+// All locks, condvars and threads come through the facade (std normally, the
+// `conc` model-checker shims under `--cfg cprecycle_conc`). `run_claiming`'s
+// scoped threads and atomics are the documented exceptions — see `crate::sync`.
 use crate::sync::thread::JoinHandle;
 use crate::sync::{Arc, Condvar, Mutex, MutexGuard};
 

@@ -15,8 +15,6 @@ use crate::mask::mask;
 ///   cursor hands out distinct indices by RMW atomicity alone, and the stop
 ///   flag is a best-effort hint (in-flight items finish regardless); the
 ///   scope join publishes every result.
-/// * `compat/conc/**` — the checker implements the shims, so it names every
-///   ordering by definition.
 pub const RELAXED_ALLOWLIST: &[&str] = &["crates/engine/src/pool.rs"];
 
 /// A `Relaxed` outside the allowlist.
@@ -37,10 +35,8 @@ pub struct Found {
 /// Scans one file; `rel` is its workspace-relative path.
 pub fn scan_file(rel: &str, src: &str) -> Found {
     let masked = mask(src);
-    let exempt_file = RELAXED_ALLOWLIST.contains(&rel)
-        || rel.contains("/tests/")
-        || rel.contains("/benches/")
-        || rel.starts_with("crates/compat/conc/");
+    let exempt_file =
+        RELAXED_ALLOWLIST.contains(&rel) || rel.contains("/tests/") || rel.contains("/benches/");
     // `#[cfg(test)] mod …` heuristic: unit-test modules sit at the bottom of
     // the file; everything from that marker down is test code.
     let test_mod_start = find_test_mod(&masked);
