@@ -11,9 +11,7 @@
 //! * `update/…` — absorbing one further preamble with the incremental dirty-bin
 //!   refit.
 //!
-//! The README "Performance" table records the measured exact-vs-grid query speedup;
-//! CI runs this bench with `--json BENCH_model.json` and uploads the file as the
-//! machine-readable perf-trajectory artifact.
+//! The README "Performance" table records the measured exact-vs-grid query speedup.
 
 use cprecycle::estimator::ModelBackend;
 use cprecycle::segments::SymbolSegments;

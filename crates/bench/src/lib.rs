@@ -1,12 +1,14 @@
-//! Shared plumbing for the figure-regeneration binaries and Criterion benches.
+//! Shared plumbing for the figure-regeneration binaries, and the benchmark [`ledger`].
 //!
 //! Every binary in this crate regenerates one table or figure of the paper by calling
 //! the corresponding driver in `cprecycle-scenarios` and printing the result as an
 //! aligned text table (pass `--json` for machine-readable output). Pass `--smoke` to
 //! run a fast, coarse version of the experiment; the default is the full scale used to
-//! fill in EXPERIMENTS.md.
+//! fill in EXPERIMENTS.md. The Criterion benches are ungated diagnostics.
 
 #![forbid(unsafe_code)]
+
+pub mod ledger;
 
 use cprecycle_scenarios::figures::FigureScale;
 use cprecycle_scenarios::report::ExperimentResult;

@@ -11,18 +11,11 @@
 //! per-benchmark time budget) and the median, minimum and maximum per-iteration times
 //! are printed. No plots, no statistics beyond that — enough for regression eyeballing
 //! and for CI smoke runs, not for publication-grade statistics.
-//!
-//! Machine-readable results: `cargo bench … -- --json <path>` additionally appends
-//! one JSON object per benchmark to `<path>` (JSON Lines, so several bench binaries
-//! of one `cargo bench` invocation can share a file — remove it first for a clean
-//! snapshot). CI uses this to record the perf trajectory as a build artifact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Display;
-use std::io::Write as _;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Target wall-clock duration of one sample (batch of iterations).
@@ -157,7 +150,6 @@ impl<'a> BenchmarkGroup<'a> {
         f(&mut bencher);
         if test_mode {
             println!("{}/{}: test passed (1 iteration, --test)", self.name, id);
-            self.criterion.record_json(&self.name, id, None, 1);
             return;
         }
         match bencher.result {
@@ -168,12 +160,6 @@ impl<'a> BenchmarkGroup<'a> {
                     format_nanos(min),
                     format_nanos(median),
                     format_nanos(max),
-                    bencher.iters_per_sample,
-                );
-                self.criterion.record_json(
-                    &self.name,
-                    id,
-                    Some((median, min, max)),
                     bencher.iters_per_sample,
                 );
             }
@@ -211,41 +197,17 @@ impl<'a> BenchmarkGroup<'a> {
 ///
 /// `Default` reads the process arguments: `--test` (upstream criterion's smoke flag,
 /// `cargo bench -- --test`) switches every benchmark to a single untimed iteration so
-/// CI can prove bench code still runs without paying for measurement, and
-/// `--json <path>` appends one JSON-Lines record per benchmark to `<path>`.
+/// CI can prove bench code still runs without paying for measurement.
 pub struct Criterion {
     test_mode: bool,
-    json_path: Option<PathBuf>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let json_path = args
-            .iter()
-            .position(|a| a == "--json")
-            .and_then(|i| args.get(i + 1))
-            .map(PathBuf::from);
         Criterion {
-            test_mode: args.iter().any(|a| a == "--test"),
-            json_path,
+            test_mode: std::env::args().any(|a| a == "--test"),
         }
     }
-}
-
-/// Minimal JSON string escaping for benchmark ids (quotes, backslashes, control
-/// characters — ids are plain identifiers in practice).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl Criterion {
@@ -255,45 +217,6 @@ impl Criterion {
             name: name.into(),
             sample_size: 10,
             criterion: self,
-        }
-    }
-
-    /// Appends one benchmark record to the `--json` file, if configured. `timing` is
-    /// `(median, min, max)` nanoseconds per iteration, absent in `--test` mode.
-    fn record_json(
-        &mut self,
-        group: &str,
-        id: &str,
-        timing: Option<(f64, f64, f64)>,
-        iters_per_sample: u64,
-    ) {
-        let Some(path) = &self.json_path else {
-            return;
-        };
-        let line = match timing {
-            Some((median, min, max)) => format!(
-                "{{\"group\":\"{}\",\"id\":\"{}\",\"mode\":\"measured\",\
-                 \"median_ns\":{median},\"min_ns\":{min},\"max_ns\":{max},\
-                 \"iters_per_sample\":{iters_per_sample}}}",
-                escape_json(group),
-                escape_json(id),
-            ),
-            None => format!(
-                "{{\"group\":\"{}\",\"id\":\"{}\",\"mode\":\"test\"}}",
-                escape_json(group),
-                escape_json(id),
-            ),
-        };
-        let written = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|mut f| writeln!(f, "{line}"));
-        if let Err(e) = written {
-            eprintln!(
-                "warning: could not append bench JSON to {}: {e}",
-                path.display()
-            );
         }
     }
 
@@ -351,43 +274,8 @@ mod tests {
     }
 
     #[test]
-    fn json_records_are_appended_and_escaped() {
-        let path =
-            std::env::temp_dir().join(format!("criterion-json-test-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut c = Criterion {
-                test_mode: false,
-                json_path: Some(path.clone()),
-            };
-            let mut group = c.benchmark_group("json");
-            group.sample_size(2);
-            group.bench_function("mul", |b| b.iter(|| black_box(3u64) * black_box(7u64)));
-            group.finish();
-            // Test mode emits a record too, so the CI smoke run proves the wiring.
-            let mut smoke = Criterion {
-                test_mode: true,
-                json_path: Some(path.clone()),
-            };
-            smoke.bench_function("quo\"te", |b| b.iter(|| black_box(1)));
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "{text}");
-        assert!(lines[0].contains("\"group\":\"json\""));
-        assert!(lines[0].contains("\"mode\":\"measured\""));
-        assert!(lines[0].contains("\"median_ns\":"));
-        assert!(lines[1].contains("\"mode\":\"test\""));
-        assert!(lines[1].contains("quo\\\"te"));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn test_mode_runs_each_benchmark_once() {
-        let mut c = Criterion {
-            test_mode: true,
-            json_path: None,
-        };
+        let mut c = Criterion { test_mode: true };
         let mut calls = 0usize;
         let mut group = c.benchmark_group("smoke");
         group.bench_function("counted", |b| {
