@@ -5,8 +5,11 @@
 //!
 //! `sphere_exhaustive` scores every sphere candidate against every observation in
 //! one batch — the sphere decoder before branch-and-bound pruning — on the same
-//! inputs as `sphere`, so the pair reports what pruning saves; the measured figures
-//! are recorded in the README "decision stage" table.
+//! inputs as `sphere`, so the pair reports what pruning saves. `sphere_clustered`
+//! and `sphere_clustered_exhaustive` are the same pair on a model whose
+//! deviations sit in one tight cluster, where the nearest candidate is mostly
+//! certified without scoring a query. The measured figures are recorded in the
+//! README "decision stage" table.
 
 use cprecycle::decision::{
     DecoderScratch, NaiveCentroidDecoder, OracleSegmentDecoder, StandardNearestDecoder,
@@ -27,6 +30,16 @@ const RADIUS: f64 = 2.0;
 /// Trains an interference model on synthetic preamble segments covering every
 /// occupied bin (moderate per-segment interference, like a busy ACI capture).
 fn trained_model(engine: &OfdmEngine, num_segments: usize) -> InterferenceModel {
+    model_with_deviations(engine, num_segments, 0.5)
+}
+
+/// Trains an interference model whose per-segment deviations have random phases
+/// and amplitudes below `spread`.
+fn model_with_deviations(
+    engine: &OfdmEngine,
+    num_segments: usize,
+    spread: f64,
+) -> InterferenceModel {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let reference: Vec<Complex> = (0..64)
         .map(|bin| {
@@ -45,7 +58,10 @@ fn trained_model(engine: &OfdmEngine, num_segments: usize) -> InterferenceModel 
                     if r.norm_sqr() == 0.0 {
                         Complex::zero()
                     } else {
-                        *r + Complex::from_polar(rng.gen_range(0.0..0.5), rng.gen_range(-3.1..3.1))
+                        *r + Complex::from_polar(
+                            rng.gen_range(0.0..spread),
+                            rng.gen_range(-3.1..3.1),
+                        )
                     }
                 })
                 .collect()
@@ -60,6 +76,10 @@ fn trained_model(engine: &OfdmEngine, num_segments: usize) -> InterferenceModel 
     .expect("training on synthetic preamble succeeds")
 }
 
+/// The deviation spread of the clustered model: a bin whose preamble saw little
+/// interference, as most bins of the interfered benchmark link are.
+const CLUSTER_SPREAD: f64 = 0.05;
+
 /// One symbol's observations: per bin, a random lattice point plus per-segment noise.
 fn symbol_segments(modulation: Modulation, p: usize, seed: u64) -> SymbolSegments {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -71,6 +91,29 @@ fn symbol_segments(modulation: Modulation, p: usize, seed: u64) -> SymbolSegment
         .map(|j| {
             tx.iter()
                 .map(|t| *t + Complex::from_polar(0.1, j as f64 * 0.7 + rng.gen_range(0.0..0.3)))
+                .collect()
+        })
+        .collect();
+    SymbolSegments::from_rows(rows)
+}
+
+/// One symbol's observations from the clustered model: per bin, a random lattice
+/// point plus a deviation drawn like the model's samples.
+fn clustered_segments(modulation: Modulation, p: usize, seed: u64) -> SymbolSegments {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let points = modulation.points();
+    let tx: Vec<Complex> = (0..64)
+        .map(|_| points[rng.gen_range(0..points.len())])
+        .collect();
+    let rows: Vec<Vec<Complex>> = (0..p)
+        .map(|_| {
+            tx.iter()
+                .map(|t| {
+                    *t + Complex::from_polar(
+                        rng.gen_range(0.0..CLUSTER_SPREAD),
+                        rng.gen_range(-3.1..3.1),
+                    )
+                })
                 .collect()
         })
         .collect();
@@ -171,6 +214,51 @@ fn bench_decision(c: &mut Criterion) {
                 |b, segs| {
                     b.iter(|| {
                         exhaustive_decode_symbol(&sphere, &model, segs, &data_bins, &mut planes)
+                    });
+                },
+            );
+
+            let clustered_model = model_with_deviations(&engine, p, CLUSTER_SPREAD);
+            let clustered = FixedSphereMlDecoder::new(&clustered_model, modulation, RADIUS);
+            let clustered_segs = clustered_segments(modulation, p, 7 + p as u64);
+            scratch.take_search_counts();
+            assert_eq!(
+                clustered.decide_symbol(&clustered_segs, &data_bins, &mut scratch),
+                exhaustive_decode_symbol(
+                    &clustered,
+                    &clustered_model,
+                    &clustered_segs,
+                    &data_bins,
+                    &mut planes
+                ),
+                "certified and exhaustive sphere decisions diverged"
+            );
+            assert!(
+                scratch.take_search_counts().certified > 0,
+                "the clustered arm never took the certified path"
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("sphere_clustered_{}", modulation.name()), p),
+                &clustered_segs,
+                |b, segs| {
+                    b.iter(|| clustered.decide_symbol(segs, &data_bins, &mut scratch));
+                },
+            );
+            group.bench_with_input(
+                BenchmarkId::new(
+                    format!("sphere_clustered_exhaustive_{}", modulation.name()),
+                    p,
+                ),
+                &clustered_segs,
+                |b, segs| {
+                    b.iter(|| {
+                        exhaustive_decode_symbol(
+                            &clustered,
+                            &clustered_model,
+                            segs,
+                            &data_bins,
+                            &mut planes,
+                        )
                     });
                 },
             );

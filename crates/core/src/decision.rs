@@ -64,6 +64,13 @@ pub struct DecoderScratch {
     /// observation order); a candidate that survives pruning sums them into its
     /// score.
     pub(crate) log_likes: Vec<f64>,
+    /// Per-query upper bounds on the model's answers, parallel to `dev_amp`,
+    /// turned in place into each candidate's suffix sums: entry `k·P + q` bounds
+    /// the sum of candidate `k`'s answers to observations `q..P`.
+    pub(crate) bound_sums: Vec<f64>,
+    /// Suffix sums of the bounds' magnitudes, parallel to `bound_sums` — the
+    /// scale of the pruning slack.
+    pub(crate) bound_mags: Vec<f64>,
     /// Work done by the sphere search since the last
     /// [`take_search_counts`](Self::take_search_counts).
     pub(crate) search: SearchCounts,
@@ -72,8 +79,8 @@ pub struct DecoderScratch {
 /// How much work the sphere search did: plain counters the sphere decoder bumps on
 /// every subcarrier, so a trace can tell a smaller search space from cheaper
 /// scoring. The receiver flushes them once per `decide` span, as the
-/// `sphere_candidates` and `sphere_queries_scored` counters, when its recorder is
-/// enabled.
+/// `sphere_candidates`, `sphere_queries_scored` and `sphere_certified` counters,
+/// when its recorder is enabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchCounts {
     /// Lattice candidates enumerated inside the sphere (the nearest-point fallback
@@ -82,6 +89,10 @@ pub struct SearchCounts {
     /// (candidate, observation) log-likelihood queries actually evaluated; an
     /// exhaustive scan would evaluate `candidates × P` of them.
     pub queries_scored: u64,
+    /// Multi-candidate bins decided by the certificate alone: the nearest
+    /// candidate's lower bound beat every challenger's upper bound, so no query
+    /// was scored.
+    pub certified: u64,
 }
 
 impl DecoderScratch {

@@ -110,8 +110,13 @@ impl BinSamples {
 ///   query to ≤ 1e-9 per element (bit-for-bit for the grid and Gaussian backends,
 ///   whose batch paths run the identical arithmetic), and each element depends
 ///   only on its own query, never on how queries are split into batches;
-/// * every value the batch path returns for a bin is ≤
-///   [`log_likelihood_ceiling`](Self::log_likelihood_ceiling) of that bin;
+/// * every value the batch path returns for a query is ≤ that query's
+///   [`log_likelihood_upper_bounds`](Self::log_likelihood_upper_bounds) entry,
+///   which is ≤ [`log_likelihood_ceiling`](Self::log_likelihood_ceiling) of the
+///   bin;
+/// * the in-order sum of a query slice's batch answers is ≥
+///   [`log_likelihood_sum_lower_bound`](Self::log_likelihood_sum_lower_bound) of
+///   that slice, and a finite lower bound means every answer is finite;
 /// * queries are allocation-free.
 pub trait InterferenceEstimator {
     /// Which backend this is (for labels and diagnostics).
@@ -170,14 +175,61 @@ pub trait InterferenceEstimator {
 
     /// An upper bound on every value
     /// [`log_likelihood_batch`](Self::log_likelihood_batch) can return for `bin`
-    /// (NaN answers to NaN queries aside). The sphere decoder abandons a candidate
-    /// once its partial score plus this bound for every unscored observation
-    /// cannot reach the best score so far, so the bound must hold exactly,
+    /// (NaN answers to NaN queries aside), and the default per-query bound of
+    /// [`log_likelihood_upper_bounds`](Self::log_likelihood_upper_bounds), which
+    /// the sphere decoder prunes against — so the bound must hold exactly,
     /// rounding included. `+∞` is always valid and disables pruning; it is the
     /// default for backends that cannot bound their answers.
     fn log_likelihood_ceiling(&self, bin: usize) -> f64 {
         let _ = bin;
         f64::INFINITY
+    }
+
+    /// Writes, for each query, an upper bound on the value
+    /// [`log_likelihood_batch`](Self::log_likelihood_batch) returns for it (NaN
+    /// answers aside), at most the bin's
+    /// [`log_likelihood_ceiling`](Self::log_likelihood_ceiling). The sphere
+    /// decoder prunes challengers against these, so like the ceiling they must
+    /// hold exactly, rounding included. The default writes the ceiling for every
+    /// query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query planes or the output have mismatched lengths.
+    fn log_likelihood_upper_bounds(
+        &self,
+        bin: usize,
+        amplitudes: &[f64],
+        phases: &[f64],
+        bounds: &mut [f64],
+    ) {
+        uniform_bounds(amplitudes, phases, bounds, self.log_likelihood_ceiling(bin));
+    }
+
+    /// A lower bound on the in-order sum of the
+    /// [`log_likelihood_batch`](Self::log_likelihood_batch) answers to a query
+    /// slice — the score the sphere decoder would compute for the candidate the
+    /// slice belongs to. A finite bound must also guarantee that every answer is
+    /// finite. The sphere decoder returns its nearest candidate unscored when this
+    /// bound beats every challenger's upper bounds. `−∞` means "cannot certify"
+    /// and is the default.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query planes have different lengths.
+    fn log_likelihood_sum_lower_bound(
+        &self,
+        bin: usize,
+        amplitudes: &[f64],
+        phases: &[f64],
+    ) -> f64 {
+        let _ = bin;
+        assert_eq!(
+            amplitudes.len(),
+            phases.len(),
+            "query planes must have equal lengths"
+        );
+        f64::NEG_INFINITY
     }
 
     /// Refits the listed bins from their current sample sets (bins with no samples
@@ -231,6 +283,22 @@ fn fallback_batch(amplitudes: &[f64], log_likes: &mut [f64]) {
     for (a, o) in amplitudes.iter().zip(log_likes.iter_mut()) {
         *o = fallback_log_likelihood_deviation(*a);
     }
+}
+
+/// One upper bound for every query: the default
+/// [`InterferenceEstimator::log_likelihood_upper_bounds`], and the unfitted bins'.
+fn uniform_bounds(amplitudes: &[f64], phases: &[f64], bounds: &mut [f64], ceiling: f64) {
+    assert_eq!(
+        amplitudes.len(),
+        phases.len(),
+        "query planes must have equal lengths"
+    );
+    assert_eq!(
+        amplitudes.len(),
+        bounds.len(),
+        "output must match the query count"
+    );
+    bounds.fill(ceiling);
 }
 
 /// Per-axis kernel bandwidths for one bin: the configured selector, floored by the
@@ -306,6 +374,33 @@ impl InterferenceEstimator for ExactKdeEstimator {
     fn log_likelihood_ceiling(&self, bin: usize) -> f64 {
         self.kde(bin)
             .map_or(FALLBACK_CEILING, ProductKde2d::log_eval_ceiling)
+    }
+
+    fn log_likelihood_upper_bounds(
+        &self,
+        bin: usize,
+        amplitudes: &[f64],
+        phases: &[f64],
+        bounds: &mut [f64],
+    ) {
+        match self.kde(bin) {
+            // Distance to the whitened sample box (see the method's proof).
+            Some(kde) => kde.log_eval_upper_bounds(amplitudes, phases, bounds),
+            // The fallback penalty has no box: its ceiling for every query.
+            None => uniform_bounds(amplitudes, phases, bounds, FALLBACK_CEILING),
+        }
+    }
+
+    fn log_likelihood_sum_lower_bound(
+        &self,
+        bin: usize,
+        amplitudes: &[f64],
+        phases: &[f64],
+    ) -> f64 {
+        match self.kde(bin) {
+            Some(kde) => kde.log_eval_sum_lower_bound(amplitudes, phases),
+            None => f64::NEG_INFINITY,
+        }
     }
 
     fn update(
@@ -608,6 +703,41 @@ impl InterferenceEstimator for EstimatorState {
             EstimatorState::Exact(e) => e.log_likelihood_ceiling(bin),
             EstimatorState::Grid(e) => e.log_likelihood_ceiling(bin),
             EstimatorState::Gaussian(e) => e.log_likelihood_ceiling(bin),
+        }
+    }
+
+    fn log_likelihood_upper_bounds(
+        &self,
+        bin: usize,
+        amplitudes: &[f64],
+        phases: &[f64],
+        bounds: &mut [f64],
+    ) {
+        match self {
+            EstimatorState::Exact(e) => {
+                e.log_likelihood_upper_bounds(bin, amplitudes, phases, bounds)
+            }
+            EstimatorState::Grid(e) => {
+                e.log_likelihood_upper_bounds(bin, amplitudes, phases, bounds)
+            }
+            EstimatorState::Gaussian(e) => {
+                e.log_likelihood_upper_bounds(bin, amplitudes, phases, bounds)
+            }
+        }
+    }
+
+    fn log_likelihood_sum_lower_bound(
+        &self,
+        bin: usize,
+        amplitudes: &[f64],
+        phases: &[f64],
+    ) -> f64 {
+        match self {
+            EstimatorState::Exact(e) => e.log_likelihood_sum_lower_bound(bin, amplitudes, phases),
+            EstimatorState::Grid(e) => e.log_likelihood_sum_lower_bound(bin, amplitudes, phases),
+            EstimatorState::Gaussian(e) => {
+                e.log_likelihood_sum_lower_bound(bin, amplitudes, phases)
+            }
         }
     }
 

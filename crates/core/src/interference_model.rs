@@ -296,12 +296,41 @@ impl InterferenceModel {
             .log_likelihood_batch(bin, amplitudes, phases, log_likes)
     }
 
-    /// An upper bound on every value
-    /// [`log_likelihood_batch`](Self::log_likelihood_batch) returns for `bin` — the
-    /// sphere decoder's pruning bound (see
-    /// [`InterferenceEstimator::log_likelihood_ceiling`]).
-    pub fn log_likelihood_ceiling(&self, bin: usize) -> f64 {
-        self.estimator.log_likelihood_ceiling(bin)
+    /// Per-query upper bounds on the
+    /// [`log_likelihood_batch`](Self::log_likelihood_batch) answers for `bin` — the
+    /// sphere decoder's pruning bounds (see
+    /// [`InterferenceEstimator::log_likelihood_upper_bounds`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query planes or the output have mismatched lengths.
+    pub fn log_likelihood_upper_bounds(
+        &self,
+        bin: usize,
+        amplitudes: &[f64],
+        phases: &[f64],
+        bounds: &mut [f64],
+    ) {
+        self.estimator
+            .log_likelihood_upper_bounds(bin, amplitudes, phases, bounds)
+    }
+
+    /// A lower bound on the in-order sum of the
+    /// [`log_likelihood_batch`](Self::log_likelihood_batch) answers to a query
+    /// slice — the sphere decoder's certificate (see
+    /// [`InterferenceEstimator::log_likelihood_sum_lower_bound`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query planes have different lengths.
+    pub fn log_likelihood_sum_lower_bound(
+        &self,
+        bin: usize,
+        amplitudes: &[f64],
+        phases: &[f64],
+    ) -> f64 {
+        self.estimator
+            .log_likelihood_sum_lower_bound(bin, amplitudes, phases)
     }
 }
 

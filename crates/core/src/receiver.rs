@@ -249,8 +249,8 @@ impl CpRecycleReceiver {
     /// `("extract", kind)` and `("decide", kind)` per OFDM symbol,
     /// `("bits", kind)`, and `("model_update", backend)` when a rolling model
     /// absorbs a preamble. A sphere decode also adds each DATA symbol's search
-    /// work to the `sphere_candidates` and `sphere_queries_scored` counters
-    /// (see [`crate::decision::SearchCounts`]). With a no-op recorder this
+    /// work to the `sphere_candidates`, `sphere_queries_scored` and
+    /// `sphere_certified` counters (see [`crate::decision::SearchCounts`]). With a no-op recorder this
     /// monomorphises to exactly the uninstrumented pipeline — decodes are
     /// bit-for-bit identical either way (pinned by the `obs_equivalence`
     /// integration test).
@@ -391,6 +391,7 @@ impl CpRecycleReceiver {
                 if counts.candidates > 0 {
                     obs.counter("sphere_candidates", counts.candidates);
                     obs.counter("sphere_queries_scored", counts.queries_scored);
+                    obs.counter("sphere_certified", counts.certified);
                 }
             }
         }
@@ -978,6 +979,10 @@ mod tests {
         );
         assert!(candidates <= bins * mcs.modulation.num_points() as u64);
         assert!(scored <= candidates * rx.effective_segments() as u64);
+        // A certified bin had at least two candidates and scored nothing.
+        let certified = snap.counter("sphere_certified");
+        assert!(2 * certified <= candidates, "{certified} certified bins");
+        assert!(certified <= bins);
 
         let standard = CpRecycleReceiver::new(
             params,

@@ -10,15 +10,22 @@
 //!    per-subcarrier interference model (the product of Eq. 5 in log domain) and picks
 //!    the maximum.
 //!
-//! Step 3 is an exact branch-and-bound. A lone candidate is returned unscored. The
-//! candidate nearest the centroid is scored first, in full; every other candidate is
-//! scored a few observations at a time and abandoned as soon as its partial sum plus
-//! the model's per-bin [`log_likelihood_ceiling`] for each unscored observation
-//! cannot reach the best score so far. Per-query log-likelihoods do not depend on
-//! how queries are batched, a survivor's score is the same in-order sum the
-//! exhaustive scan computes, and ties go to the lowest lattice index, so the decision
-//! is bit-for-bit that of scoring every candidate (pinned by the
-//! `decision_equivalence` property tests against an exhaustive oracle).
+//! Step 3 is exact, and scores as few queries as it can prove it needs. A lone
+//! candidate is returned unscored. Otherwise the model bounds every query from
+//! above ([`log_likelihood_upper_bounds`], at most the per-bin ceiling) and the
+//! candidate nearest the centroid's whole score from below
+//! ([`log_likelihood_sum_lower_bound`]), neither of which scores a query. If
+//! that lower bound is finite and strictly above every other candidate's summed
+//! upper bounds plus slack, the nearest candidate is the unique maximum and is
+//! returned unscored: the *certificate*. Otherwise the nearest candidate is
+//! scored in full, and every other candidate is checked before each block of a
+//! few observations and abandoned as soon as its partial sum plus the upper
+//! bounds of its unscored observations cannot reach the best score so far.
+//! Per-query log-likelihoods do not depend on how queries are batched, a
+//! survivor's score is the same in-order sum the exhaustive scan computes, and
+//! ties go to the lowest lattice index, so the decision is bit-for-bit that of
+//! scoring every candidate (pinned by the `decision_equivalence` property tests
+//! against an exhaustive oracle).
 //!
 //! The decoder implements [`SubcarrierDecoder`] over the cached
 //! [`Modulation::lattice`] table: candidates are `u16` lattice indices accumulated in
@@ -26,7 +33,8 @@
 //! performs **zero heap allocations** after the scratch has warmed up (previously
 //! every candidate of every bin of every symbol cloned a `(Complex, Vec<u8>)` pair).
 //!
-//! [`log_likelihood_ceiling`]: InterferenceModel::log_likelihood_ceiling
+//! [`log_likelihood_upper_bounds`]: InterferenceModel::log_likelihood_upper_bounds
+//! [`log_likelihood_sum_lower_bound`]: InterferenceModel::log_likelihood_sum_lower_bound
 
 use crate::decision::{DecoderScratch, LatticePoint, SubcarrierDecoder};
 use crate::interference_model::{deviation_planes, InterferenceModel};
@@ -41,10 +49,11 @@ use rfdsp::Complex;
 /// no throughput over 2 once the extra per-call overhead was paid.
 const PRUNE_BLOCK: usize = 2;
 
-/// Relative slack on the pruning bound, in units of the magnitudes summed so far
-/// plus the ceiling's share. It must cover the rounding of a `P`-term sum
-/// (`≈ 2·P·ε` relative) and of the bound itself; `1e-9` does so for any `P` below
-/// about two million while loosening the bound by a negligible amount.
+/// Relative slack on the pruning and certificate bounds, in units of the
+/// magnitudes summed so far plus those of the unscored observations' upper
+/// bounds. It must cover the rounding of a `P`-term sum (`≈ 2·P·ε` relative) and
+/// of the bound itself; `1e-9` does so for any `P` below about two million while
+/// loosening the bound by a negligible amount.
 const PRUNE_SLACK: f64 = 1e-9;
 
 /// The fixed-sphere ML decoder for one modulation order, bound to the interference
@@ -180,7 +189,64 @@ impl SubcarrierDecoder for FixedSphereMlDecoder<'_> {
             }
         }
         deviation_planes(&mut scratch.dev_amp, &mut scratch.dev_phase);
-        let ceiling = self.model.log_likelihood_ceiling(bin);
+        // Every query's upper bound, then each candidate's suffix sums of the
+        // bounds and of their magnitudes: `bound_sums[k·P + q]` bounds what
+        // candidate `k` can still add from observation `q` on.
+        let len = n * p;
+        scratch.bound_sums.clear();
+        scratch.bound_sums.resize(len, 0.0);
+        scratch.bound_mags.clear();
+        scratch.bound_mags.resize(len, 0.0);
+        self.model.log_likelihood_upper_bounds(
+            bin,
+            &scratch.dev_amp,
+            &scratch.dev_phase,
+            &mut scratch.bound_sums,
+        );
+        for k in 0..n {
+            let (mut sum, mut magnitude) = (0.0, 0.0);
+            let range = k * p..(k + 1) * p;
+            for (b, m) in scratch.bound_sums[range.clone()]
+                .iter_mut()
+                .zip(&mut scratch.bound_mags[range])
+                .rev()
+            {
+                magnitude += b.abs();
+                sum += *b;
+                (*b, *m) = (sum, magnitude);
+            }
+        }
+        // The most candidate `k` can still score after `done` observations whose
+        // answers sum to `partial` (magnitudes `magnitude`), rounding included.
+        let bound = |k: usize, done: usize, partial: f64, magnitude: f64| {
+            partial
+                + scratch.bound_sums[k * p + done]
+                + PRUNE_SLACK * (magnitude + scratch.bound_mags[k * p + done])
+        };
+        // The certificate: the nearest candidate's score is at least `floor`, so
+        // if every challenger's bound falls strictly below it the nearest
+        // candidate is the unique maximum, the exhaustive scan's answer. The
+        // floor cannot exceed the nearest candidate's own summed upper bounds
+        // (beyond rounding), so it is only computed when those already beat
+        // every challenger, which spares its exponent pass in bins that cannot
+        // certify.
+        let beats_challengers = |score: f64| {
+            (0..n)
+                .filter(|&k| k != nearest)
+                .all(|k| score > bound(k, 0, 0.0, 0.0))
+        };
+        if p > 0 && beats_challengers(scratch.bound_sums[nearest * p]) {
+            let queries = nearest * p..(nearest + 1) * p;
+            let floor = self.model.log_likelihood_sum_lower_bound(
+                bin,
+                &scratch.dev_amp[queries.clone()],
+                &scratch.dev_phase[queries],
+            );
+            if floor > f64::NEG_INFINITY && beats_challengers(floor) {
+                scratch.search.certified += 1;
+                return lattice_point(scratch.candidates[nearest]);
+            }
+        }
         scratch.log_likes.clear();
         scratch.log_likes.resize(p, 0.0);
         // The best score so far and its candidate position. Position 0 with −∞ is
@@ -192,14 +258,18 @@ impl SubcarrierDecoder for FixedSphereMlDecoder<'_> {
             let amp = &scratch.dev_amp[k * p..(k + 1) * p];
             let phase = &scratch.dev_phase[k * p..(k + 1) * p];
             // The first (nearest) candidate sets the bar in one batch; challengers
-            // are scored block by block and dropped once they provably cannot beat
-            // it. Only a strict bound prunes, so a challenger that could tie is
-            // always scored in full.
+            // are checked before each block, their first included, and dropped
+            // once they provably cannot beat it. Nothing is below the first
+            // candidate's −∞ bar, and only a strict bound prunes, so a challenger
+            // that could tie is always scored in full.
             let block = if rank == 0 { p } else { PRUNE_BLOCK };
             let mut partial = 0.0;
             let mut magnitude = 0.0;
             let mut done = 0;
             while done < p {
+                if bound(k, done, partial, magnitude) < best_score {
+                    break;
+                }
                 let end = (done + block).min(p);
                 self.model.log_likelihood_batch(
                     bin,
@@ -213,15 +283,6 @@ impl SubcarrierDecoder for FixedSphereMlDecoder<'_> {
                     magnitude += v.abs();
                 }
                 done = end;
-                if done < p {
-                    let remaining = (p - done) as f64;
-                    let bound = partial
-                        + remaining * ceiling
-                        + PRUNE_SLACK * (magnitude + remaining * ceiling.abs());
-                    if bound < best_score {
-                        break;
-                    }
-                }
             }
             if done < p {
                 continue;
@@ -248,6 +309,38 @@ mod tests {
 
     fn scratch() -> DecoderScratch {
         DecoderScratch::new()
+    }
+
+    /// A model whose bin `bin` was trained on one preamble symbol with reference
+    /// `+1` there and one segment per entry of `interference`, each observing
+    /// `+1 + interference[j]` plus noise below `0.02`.
+    fn model_trained_on(interference: &[Complex], seed: u64) -> (InterferenceModel, usize) {
+        use ofdmphy::ofdm::OfdmEngine;
+        use ofdmphy::params::OfdmParams;
+
+        let engine = OfdmEngine::new(OfdmParams::ieee80211ag());
+        let bin = engine.params().data_bins()[10];
+        let reference_value = Complex::new(1.0, 0.0);
+        let mut reference = vec![Complex::zero(); 64];
+        reference[bin] = reference_value;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let rows = interference
+            .iter()
+            .map(|i| {
+                let mut seg = vec![Complex::zero(); 64];
+                let noise = Complex::new(rng.gen::<f64>() * 0.02, rng.gen::<f64>() * 0.02);
+                seg[bin] = reference_value + *i + noise;
+                seg
+            })
+            .collect();
+        let model = InterferenceModel::train(
+            &engine,
+            &[SymbolSegments::from_rows(rows)],
+            &[reference],
+            CpRecycleConfig::default(),
+        )
+        .unwrap();
+        (model, bin)
     }
 
     #[test]
@@ -308,6 +401,23 @@ mod tests {
         narrow.decide(1, &[Complex::new(10.0, 10.0); 4], &mut s);
         let counts = s.take_search_counts();
         assert_eq!((counts.candidates, counts.queries_scored), (1, 0));
+
+        // A model trained on a clean channel: its samples sit within 0.03 of
+        // zero deviation, so every challenger's deviations lie far outside the
+        // samples' box and the nearest candidate is certified unscored.
+        let (trained, bin) = model_trained_on(&[Complex::zero(); 8], 11);
+        let dec = FixedSphereMlDecoder::new(&trained, Modulation::Qam16, 2.0);
+        let decided = dec.decide(bin, &obs, &mut s);
+        assert!((decided.value - point).norm() < 1e-12);
+        let counts = s.take_search_counts();
+        assert_eq!(
+            counts,
+            SearchCounts {
+                candidates: n,
+                queries_scored: 0,
+                certified: 1,
+            }
+        );
     }
 
     #[test]
@@ -347,39 +457,19 @@ mod tests {
         // deviation amplitudes ≈ 0 and ≈ 3.1 but not at ≈ 2 (the distance to the wrong
         // lattice point), so the ML decoder keeps the correct decision while the naive
         // average-distance decoder flips.
-        use crate::segments::SymbolSegments;
-        use ofdmphy::ofdm::OfdmEngine;
-        use ofdmphy::params::OfdmParams;
-
-        let engine = OfdmEngine::new(OfdmParams::ieee80211ag());
-        let bin = engine.params().data_bins()[10];
-        let reference_value = Complex::new(1.0, 0.0);
-        let mut reference = vec![Complex::zero(); 64];
-        reference[bin] = reference_value;
+        //
         // Synthetic preamble segments: 5 segments, two clean, three interfered with an
         // amplitude-≈3.1 error vector at assorted phases.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut values = Vec::new();
-        for j in 0..5 {
-            let mut seg = vec![Complex::zero(); 64];
-            let noise = Complex::new(rng.gen::<f64>() * 0.02, rng.gen::<f64>() * 0.02);
-            let interference = match j {
-                0 | 1 => Complex::zero(),
-                2 => Complex::from_polar(3.1, 2.8),
-                3 => Complex::from_polar(3.15, -3.0),
-                _ => Complex::from_polar(3.05, 3.05),
-            };
-            seg[bin] = reference_value + interference + noise;
-            values.push(seg);
-        }
-        let segments = SymbolSegments::from_rows(values);
-        let model = InterferenceModel::train(
-            &engine,
-            &[segments],
-            &[reference],
-            CpRecycleConfig::default(),
-        )
-        .unwrap();
+        let (model, bin) = model_trained_on(
+            &[
+                Complex::zero(),
+                Complex::zero(),
+                Complex::from_polar(3.1, 2.8),
+                Complex::from_polar(3.15, -3.0),
+                Complex::from_polar(3.05, 3.05),
+            ],
+            7,
+        );
 
         // Data-symbol observations with the same structure, transmitted point = +1:
         // three segments pushed to ≈ −2.1 (error amplitude ≈ 3.1), two clean.

@@ -8,7 +8,9 @@
 //!
 //! The sphere decoder's branch-and-bound search is pinned separately against
 //! [`exhaustive_sphere_decode`], the batch scorer that scores every candidate in
-//! full: same decisions for every backend, on near-ties and on non-finite input.
+//! full: same decisions for every backend, on near-ties and on non-finite input,
+//! and on a clustered model where the certificate (the nearest candidate returned
+//! unscored) actually fires.
 
 use cprecycle::decision::{
     DecoderScratch, NaiveCentroidDecoder, StandardNearestDecoder, SubcarrierDecoder,
@@ -198,6 +200,75 @@ fn trained_model_with(
     .expect("synthetic training succeeds")
 }
 
+/// A model with the two clusters of the paper's §3.3 example on every occupied
+/// bin: three clean segments (noise below 0.02, both components positive) and
+/// three hit by an amplitude-≈3 interference vector at phase ≈ π/2. The samples'
+/// bounding box spans phases 0..≈1.7 only, so a challenger whose clean
+/// deviations point elsewhere (one to the right of or above the transmitted
+/// point) is bounded far below the nearest candidate, and when every challenger
+/// is, the certificate fires.
+fn clustered_model_with(
+    engine: &OfdmEngine,
+    seed: u64,
+    config: CpRecycleConfig,
+) -> InterferenceModel {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let reference: Vec<Complex> = (0..64)
+        .map(|bin| {
+            if engine.params().occupied_bins().contains(&bin) {
+                Complex::new(1.0, 0.0)
+            } else {
+                Complex::zero()
+            }
+        })
+        .collect();
+    let rows: Vec<Vec<Complex>> = (0..6)
+        .map(|row| {
+            reference
+                .iter()
+                .map(|r| {
+                    if r.norm_sqr() == 0.0 {
+                        Complex::zero()
+                    } else {
+                        *r + clustered_error(&mut rng, row >= 3)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    InterferenceModel::train(
+        engine,
+        &[SymbolSegments::from_rows(rows)],
+        &[reference],
+        config,
+    )
+    .expect("synthetic training succeeds")
+}
+
+/// One error vector of [`clustered_model_with`]'s two clusters: small positive
+/// noise, plus the amplitude-≈3 interference vector when `interfered`.
+fn clustered_error<R: Rng>(rng: &mut R, interfered: bool) -> Complex {
+    let noise = Complex::new(rng.gen_range(0.0..0.02), rng.gen_range(0.0..0.02));
+    if interfered {
+        noise + Complex::from_polar(rng.gen_range(2.9..3.1), rng.gen_range(1.5..1.7))
+    } else {
+        noise
+    }
+}
+
+/// Observations drawn from [`clustered_model_with`]'s clusters around a random
+/// lattice point: a third of the segments interfered.
+fn clustered_observations<R: Rng>(rng: &mut R, modulation: Modulation, p: usize) -> Vec<Complex> {
+    let points = modulation.points();
+    let tx = points[rng.gen_range(0..points.len())];
+    (0..p)
+        .map(|_| {
+            let interfered = rng.gen_range(0..3) == 0;
+            tx + clustered_error(rng, interfered)
+        })
+        .collect()
+}
+
 /// Every scoring backend the sphere decoder can run against, the reduced-precision
 /// grid kernel included.
 fn every_backend() -> [CpRecycleConfig; 4] {
@@ -329,6 +400,31 @@ proptest! {
         }
     }
 
+    /// The certificate's decisions are the exhaustive scan's: on a clustered model
+    /// with observations from its clusters, for every backend, modulation and
+    /// `P ∈ 1..=17`, and the certificate fires on some of those bins.
+    #[test]
+    fn certified_sphere_matches_exhaustive_bit_for_bit(seed in any::<u64>(), radius in 0.5f64..4.0) {
+        let engine = OfdmEngine::new(OfdmParams::ieee80211ag());
+        let bin = engine.params().data_bins()[10];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC1A5);
+        let mut scratch = DecoderScratch::new();
+        let mut certified = 0;
+        for config in every_backend() {
+            let model = clustered_model_with(&engine, seed, config);
+            for modulation in ALL_MODULATIONS {
+                let decoder = FixedSphereMlDecoder::new(&model, modulation, radius);
+                for p in 1..=17 {
+                    let obs = clustered_observations(&mut rng, modulation, p);
+                    let context = format!("{config:?} {modulation:?} P {p} radius {radius}");
+                    assert_matches_exhaustive(&decoder, &model, bin, &obs, &mut scratch, &context);
+                    certified += scratch.take_search_counts().certified;
+                }
+            }
+        }
+        prop_assert!(certified > 0, "no bin certified");
+    }
+
     /// Observations on (or a rounding error off) the midpoint between two lattice
     /// points make candidates tie or nearly tie; the lowest index must still win
     /// exactly as in the exhaustive scan.
@@ -381,7 +477,7 @@ fn exact_tie_goes_to_the_lowest_lattice_index() {
 
 /// NaN, ±Inf and finite-but-overflowing observations: the pruned decoder must agree
 /// with the exhaustive scan, which falls back to the first candidate when no score
-/// beats −∞.
+/// beats −∞, and never certifies a bin.
 #[test]
 fn non_finite_observations_decide_like_the_exhaustive_scan() {
     let engine = OfdmEngine::new(OfdmParams::ieee80211ag());
@@ -418,18 +514,59 @@ fn non_finite_observations_decide_like_the_exhaustive_scan() {
         ],
     ];
     let mut scratch = DecoderScratch::new();
-    for config in every_backend() {
-        let model = trained_model_with(&engine, 0xABC, config);
-        for modulation in ALL_MODULATIONS {
-            let decoder = FixedSphereMlDecoder::new(&model, modulation, 3.0);
-            for (case, obs) in cases.iter().enumerate() {
-                for bin in bins {
-                    let context = format!("{config:?} {modulation:?} case {case} bin {bin}");
-                    assert_matches_exhaustive(&decoder, &model, bin, obs, &mut scratch, &context);
+    for (model_of, extra_cases) in [
+        (trained_model_with as fn(_, _, _) -> _, vec![]),
+        (clustered_model_with, nearest_only_non_finite_cases()),
+    ] {
+        for config in every_backend() {
+            let model = model_of(&engine, 0xABC, config);
+            for modulation in ALL_MODULATIONS {
+                let decoder = FixedSphereMlDecoder::new(&model, modulation, 3.0);
+                for (case, obs) in cases.iter().chain(&extra_cases).enumerate() {
+                    for bin in bins {
+                        let context = format!("{config:?} {modulation:?} case {case} bin {bin}");
+                        assert_matches_exhaustive(
+                            &decoder,
+                            &model,
+                            bin,
+                            obs,
+                            &mut scratch,
+                            &context,
+                        );
+                        let counts = scratch.take_search_counts();
+                        assert_eq!(counts.certified, 0, "{context}: certified");
+                    }
                 }
             }
         }
     }
+}
+
+/// Clean observations of the constellation's bottom-left corner plus one
+/// cancelling pair of huge observations. Every challenger lies right of or above
+/// the corner, outside [`clustered_model_with`]'s sample box, so the clean
+/// queries alone would certify the nearest candidate; the pair's queries do not
+/// score, so every score is NaN and the exhaustive scan answers the first
+/// candidate. At `1e300` the pair's deviation amplitudes overflow to `+∞`; at
+/// `1e154` they stay finite but their kernel exponents overflow to `−∞`. Only
+/// the nearest candidate's lower bound (`−∞` either way) stands between the
+/// certificate and a wrong answer: the challengers' overflowing queries fall
+/// back to their finite ceilings.
+fn nearest_only_non_finite_cases() -> Vec<Vec<Complex>> {
+    let mut cases = Vec::new();
+    for huge in [1e300, 1e154] {
+        for m in ALL_MODULATIONS {
+            let corner = m
+                .points()
+                .into_iter()
+                .min_by(|a, b| (a.re + a.im).total_cmp(&(b.re + b.im)))
+                .unwrap();
+            let mut obs = vec![corner + Complex::new(0.01, 0.01); 14];
+            obs.extend([Complex::new(huge, 0.0), Complex::new(-huge, 0.0)]);
+            cases.push(obs);
+        }
+    }
+    cases
 }
 
 /// Regression for the old per-candidate allocation bug: across a 1000-symbol sphere

@@ -13,7 +13,10 @@
 //!   **bit-for-bit identical** to batch `train()` on the same preambles, for every
 //!   backend;
 //! * no batched answer ever exceeds the backend's per-bin
-//!   `log_likelihood_ceiling`, the bound the sphere decoder prunes against.
+//!   `log_likelihood_ceiling`, nor its per-query `log_likelihood_upper_bounds`
+//!   entry (which is itself within the ceiling), and no slice's in-order answer
+//!   sum falls below `log_likelihood_sum_lower_bound` — the bounds the sphere
+//!   decoder prunes and certifies with.
 
 use cprecycle::estimator::{
     BinSamples, EstimatorState, ExactKdeEstimator, GridKdeEstimator, InterferenceEstimator,
@@ -176,12 +179,18 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every batched answer is at or below the bin's ceiling, for every backend and
-    /// kernel precision and for unfitted bins: queries on the samples themselves
-    /// (where the density peaks), around them, and far out in the tails (the exact
-    /// backend's log-sum-exp path, the grid's tail continuation). A degenerate bin
-    /// whose samples all coincide fits at the `min_bandwidth_*` floors, the
-    /// narrowest and tallest density the configuration allows.
+    /// Every batched answer is at or below its per-query upper bound, which is at
+    /// or below the bin's ceiling, and the lower bound of every query slice is at
+    /// or below the in-order sum of its answers — for every backend and kernel
+    /// precision and for unfitted bins. Queries sit on the samples themselves
+    /// (where the density peaks), around them, far out in the tails (the exact
+    /// backend's log-sum-exp path, the grid's tail continuation) and across the
+    /// polynomial `exp`'s underflow clamp. A degenerate bin whose samples all
+    /// coincide fits at the `min_bandwidth_*` floors, the narrowest and tallest
+    /// density the configuration allows; a single-sample bin has a kernel sum of
+    /// one term, where the lower bound is tightest. Non-finite queries, and
+    /// finite ones whose kernel exponents overflow, get no lower bound (`−∞`) and
+    /// an upper bound within the ceiling.
     #[test]
     fn batch_answers_never_exceed_the_ceiling(
         seed in any::<u64>(),
@@ -189,7 +198,7 @@ proptest! {
         spread in 0.0f64..2.0,
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let (fitted, degenerate, unfitted) = (3usize, 4usize, 5usize);
+        let (fitted, degenerate, unfitted, single) = (3usize, 4usize, 5usize, 6usize);
         let mut samples = vec![BinSamples::default(); 8];
         let (da, dp) = (rng.gen_range(0.0..1.5), rng.gen_range(-3.0f64..3.0));
         for _ in 0..n {
@@ -214,7 +223,37 @@ proptest! {
         }
         amps.push(0.0);
         phases.push(0.0);
+        // The single-sample bin's point, then for each fitted bin its samples'
+        // close neighbours and amplitudes whose whitened squared distance to the
+        // outermost sample spans 600..800: the linear kernel sum's underflow
+        // switch (≈ 667) and the `exp` clamp (≈ 708).
+        let (sa, sp) = (rng.gen_range(0.0..1.5), rng.gen_range(-3.0f64..3.0));
+        samples[single].push(sa, sp);
+        amps.push(sa);
+        phases.push(sp);
+        let mut exact = ExactKdeEstimator::new(8);
+        exact.train(&samples, &CpRecycleConfig::default()).unwrap();
+        for bin in [fitted, degenerate, single] {
+            for (&a, &p) in samples[bin].amplitudes().iter().zip(samples[bin].phases()) {
+                amps.push(a + rng.gen_range(-0.05..0.05));
+                phases.push(p + rng.gen_range(-0.1..0.1));
+            }
+            let kde = exact.kde(bin).unwrap();
+            let (edge_a, edge_p) = kde
+                .amplitudes()
+                .iter()
+                .zip(kde.phases())
+                .fold((f64::NEG_INFINITY, 0.0), |m, (&a, &p)| if a > m.0 { (a, p) } else { m });
+            for _ in 0..8 {
+                let distance = rng.gen_range(600.0f64..800.0).sqrt();
+                amps.push(edge_a + distance * std::f64::consts::SQRT_2 * kde.bandwidth_amplitude());
+                phases.push(edge_p);
+            }
+        }
         let mut out = vec![0.0; amps.len()];
+        let mut upper = vec![0.0; amps.len()];
+        // Non-finite queries, and a finite one whose whitened square overflows.
+        let unscorable = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200];
         for (backend, precision) in [
             (ModelBackend::ExactKde, KernelPrecision::F64),
             (ModelBackend::GridKde, KernelPrecision::F64),
@@ -234,16 +273,53 @@ proptest! {
                 prop_assert_eq!(kde.bandwidth_amplitude(), config.min_bandwidth_amplitude);
                 prop_assert_eq!(kde.bandwidth_phase(), config.min_bandwidth_phase);
             }
-            for bin in [fitted, degenerate, unfitted] {
+            for bin in [fitted, degenerate, unfitted, single] {
                 let ceiling = est.log_likelihood_ceiling(bin);
                 prop_assert!(ceiling.is_finite(), "{:?} bin {}: ceiling {}", backend, bin, ceiling);
                 est.log_likelihood_batch(bin, &amps, &phases, &mut out);
-                for (q, v) in out.iter().enumerate() {
+                est.log_likelihood_upper_bounds(bin, &amps, &phases, &mut upper);
+                for (q, (v, u)) in out.iter().zip(&upper).enumerate() {
                     prop_assert!(
                         *v <= ceiling,
                         "{:?}/{:?} bin {} query ({}, {}): {} above ceiling {}",
                         backend, precision, bin, amps[q], phases[q], v, ceiling
                     );
+                    prop_assert!(
+                        *v <= *u && *u <= ceiling,
+                        "{:?}/{:?} bin {} query ({}, {}): answer {} bound {} ceiling {}",
+                        backend, precision, bin, amps[q], phases[q], v, u, ceiling
+                    );
+                }
+                // Slices of one, two and sixteen queries, in the decoder's
+                // candidate-major order.
+                for len in [1usize, 2, 16] {
+                    for ((a, p), v) in amps.chunks(len).zip(phases.chunks(len)).zip(out.chunks(len)) {
+                        let floor = est.log_likelihood_sum_lower_bound(bin, a, p);
+                        let score: f64 = v.iter().sum();
+                        prop_assert!(
+                            floor <= score,
+                            "{:?}/{:?} bin {} queries {:?}/{:?}: lower bound {} above score {}",
+                            backend, precision, bin, a, p, floor, score
+                        );
+                        // The exact backend bounds every finite fitted slice.
+                        if backend == ModelBackend::ExactKde && bin != unfitted {
+                            prop_assert!(floor.is_finite(), "bin {}: {:?}/{:?}", bin, a, p);
+                        }
+                    }
+                }
+                for bad in unscorable {
+                    for (a, p) in [(bad, 0.3), (0.3, bad)] {
+                        let qa = [0.1, a, 0.2];
+                        let qp = [0.0, p, -0.4];
+                        prop_assert_eq!(
+                            est.log_likelihood_sum_lower_bound(bin, &qa, &qp),
+                            f64::NEG_INFINITY,
+                            "{:?} bin {} query ({}, {})", backend, bin, a, p
+                        );
+                        let mut bounds = [0.0; 3];
+                        est.log_likelihood_upper_bounds(bin, &qa, &qp, &mut bounds);
+                        prop_assert!(bounds.iter().all(|b| *b <= ceiling), "{:?}", bounds);
+                    }
                 }
             }
         }

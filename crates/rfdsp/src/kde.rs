@@ -240,6 +240,10 @@ pub struct ProductKde2d {
     /// Both are recomputed with the whitened half, so a batched query pays no
     /// per-call division or `ln`.
     log_norm: f64,
+    /// The whitened samples' bounding box `[min_a, max_a, min_φ, max_φ]`, the
+    /// support [`log_eval_upper_bounds`](Self::log_eval_upper_bounds) measures
+    /// query distances to. Recomputed with the whitened half.
+    white_box: [f64; 4],
     /// Sort and leave-one-out scratch reused by bandwidth reselection in
     /// [`ProductKde2d::update`].
     scratch: Vec<f64>,
@@ -264,6 +268,7 @@ impl ProductKde2d {
             bw_p,
             whitening: (1.0, 1.0),
             log_norm: 0.0,
+            white_box: [0.0; 4],
             scratch,
         };
         kde.whiten();
@@ -288,6 +293,7 @@ impl ProductKde2d {
             bw_p: 1.0,
             whitening: (1.0, 1.0),
             log_norm: 0.0,
+            white_box: [0.0; 4],
             scratch: Vec::new(),
         };
         kde.refit_axes(amps, phases, bw_a, bw_p)?;
@@ -321,7 +327,8 @@ impl ProductKde2d {
     }
 
     /// Appends the whitened half to axis buffers that hold only the raw samples, and
-    /// refreshes the whitening factors and the log normalisation.
+    /// refreshes the whitening factors, the log normalisation and the whitened
+    /// bounding box.
     fn whiten(&mut self) {
         self.log_norm = (self.amps.len() as f64 * self.bw_a * self.bw_p * TWO_PI_SQ).ln();
         self.whitening = (
@@ -336,6 +343,15 @@ impl ProductKde2d {
                 *x *= c;
             }
         }
+        let range = |xs: &[f64]| {
+            xs.iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
+                    (lo.min(x), hi.max(x))
+                })
+        };
+        let (white_a, white_p) = self.whitened();
+        let ((min_a, max_a), (min_p, max_p)) = (range(white_a), range(white_p));
+        self.white_box = [min_a, max_a, min_p, max_p];
     }
 
     /// The whitened sample coordinates `(amplitudes, phases)`.
@@ -509,9 +525,115 @@ impl ProductKde2d {
     /// and the subtraction. The sphere decoder prunes candidates against this
     /// bound, so it must never be below a value the batch path returns.
     pub fn log_eval_ceiling(&self) -> f64 {
+        let peak = (self.len() as f64).ln() - self.log_norm;
+        peak + self.log_slack()
+    }
+
+    /// Rounding slack for a bound `ln n − log_norm ± x` on a batched answer,
+    /// where `x ≥ 0` is the magnitude of the kernel exponent the bound is built
+    /// from: this plus [`SLACK_ULPS`]`·x`. It covers, with a 64× margin: the
+    /// polynomial `exp`'s ~1 ulp relative error and the `n`-term kernel sum's
+    /// `n·ε` relative growth, both of which become absolute errors after the
+    /// `ln`; the `ln`'s own rounding, relative to its result (at most `x + ln n`
+    /// in magnitude); and the roundings of the subtraction of `log_norm` and of
+    /// the bound's own arithmetic.
+    fn log_slack(&self) -> f64 {
         let n = self.len() as f64;
-        let peak = n.ln() - self.log_norm;
-        peak + 64.0 * f64::EPSILON * (n + n.ln() + self.log_norm.abs() + 1.0)
+        SLACK_ULPS * (n + n.ln() + self.log_norm.abs() + 1.0)
+    }
+
+    /// Per-query upper bounds on [`log_eval_batch`](Self::log_eval_batch):
+    /// `bounds[q]` is at least the answer to `(amplitudes[q], phases[q])`, and at
+    /// most [`log_eval_ceiling`](Self::log_eval_ceiling). No `exp` is evaluated.
+    ///
+    /// Let `d²` be the whitened query's squared distance to the whitened samples'
+    /// bounding box. Every kernel exponent `e_j = −((a − A_j)² + (φ − Φ_j)²)` is
+    /// at most `−d²` — in floating point too, since rounding is monotone: for a
+    /// query beyond the box's upper amplitude edge, `fl(a − A_j) ≥ fl(a − max_a)
+    /// ≥ 0`, below the lower edge the mirror image, and squares and the sum keep
+    /// the order. So the linear kernel sum is at most `n·e^{−d²}` (each polynomial
+    /// `exp` term within ~1 ulp of its true value), the log-sum-exp tail path's
+    /// shift is at most `−d²` and its shifted sum at most `n`, and the answer is
+    /// at most `ln n − d² − log_norm`, plus a rounding slack of
+    /// `64·ε·(n + ln n + |log_norm| + 1 + d²)` for the polynomial `exp`, the sum,
+    /// the `ln` and the subtractions (the ceiling's slack at `d² = 0`).
+    /// Queries inside the box get the ceiling; non-finite queries (whose answers
+    /// are NaN or `−∞`) get the ceiling as well.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query slices and `bounds` have different lengths.
+    pub fn log_eval_upper_bounds(&self, amplitudes: &[f64], phases: &[f64], bounds: &mut [f64]) {
+        assert_eq!(
+            amplitudes.len(),
+            phases.len(),
+            "query planes must have equal lengths"
+        );
+        assert_eq!(
+            amplitudes.len(),
+            bounds.len(),
+            "output must match the query count"
+        );
+        let (ca, cp) = self.whitening;
+        let [min_a, max_a, min_p, max_p] = self.white_box;
+        // `ln n − log_norm` plus the slack: the bound at `d² = 0`.
+        let ceiling = self.log_eval_ceiling();
+        for ((&a, &p), b) in amplitudes.iter().zip(phases).zip(bounds.iter_mut()) {
+            // The batch path's whitened query, rounded identically.
+            let da = box_gap(a * ca, min_a, max_a);
+            let dp = box_gap(p * cp, min_p, max_p);
+            let d2 = da * da + dp * dp;
+            let bound = ceiling - d2 + SLACK_ULPS * d2;
+            // `<` rather than `min`: a NaN bound (an infinite query) falls to the
+            // ceiling.
+            *b = if bound < ceiling { bound } else { ceiling };
+        }
+    }
+
+    /// A lower bound on the in-order sum of the [`log_eval_batch`](Self::log_eval_batch)
+    /// answers to the given queries, or `−∞` if a query is not finite.
+    ///
+    /// A kernel sum is at least its largest term, so each answer is at least
+    /// `max_j e_j − log_norm` ([`crate::simd::kde_max_exponent`], the exponent loop
+    /// without the `exp`). On the log-sum-exp tail path this holds exactly: the
+    /// shift is that same `max_j e_j`, and the shifted sum includes `exp(0) = 1`,
+    /// so its `ln` is non-negative. On the linear path (which `max_j e_j` below
+    /// the polynomial `exp`'s underflow clamp never takes) it holds up to a
+    /// rounding slack of `64·ε·(n + ln n + |log_norm| + 1 + |max_j e_j|)`, which
+    /// each query's bound gives away. The `P` per-query bounds are summed in
+    /// order and lowered by `1e-9` times the sum of their magnitudes, which
+    /// covers the rounding of both the bounds' sum and the answers' in-order
+    /// sum (`≈ P·ε` relative each, for any `P` below about two million). A query
+    /// whose exponents are all `−∞` or NaN (its whitened coordinates overflow)
+    /// also gives `−∞`, so a finite bound certifies that every answer is finite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query slices have different lengths.
+    pub fn log_eval_sum_lower_bound(&self, amplitudes: &[f64], phases: &[f64]) -> f64 {
+        assert_eq!(
+            amplitudes.len(),
+            phases.len(),
+            "query planes must have equal lengths"
+        );
+        let (ca, cp) = self.whitening;
+        let (white_a, white_p) = self.whitened();
+        let floor = self.log_norm + self.log_slack();
+        let mut sum = 0.0;
+        let mut magnitude = 0.0;
+        for (&a, &p) in amplitudes.iter().zip(phases) {
+            if !(a.is_finite() && p.is_finite()) {
+                return f64::NEG_INFINITY;
+            }
+            let max_e = crate::simd::kde_max_exponent(a * ca, p * cp, white_a, white_p);
+            if !max_e.is_finite() {
+                return f64::NEG_INFINITY;
+            }
+            let bound = max_e - floor - SLACK_ULPS * max_e.abs();
+            sum += bound;
+            magnitude += bound.abs();
+        }
+        sum - SUM_SLACK * magnitude
     }
 
     /// Merges additional samples into the estimate and reselects bandwidths with the
@@ -543,6 +665,32 @@ impl ProductKde2d {
 
 /// `4π²`, the product-kernel normalisation (`1/2π` per axis).
 const TWO_PI_SQ: f64 = 4.0 * std::f64::consts::PI * std::f64::consts::PI;
+
+/// Rounding slack per unit of log magnitude in the KDE's log-domain bounds
+/// (see [`ProductKde2d::log_eval_ceiling`]): 64 ulps.
+const SLACK_ULPS: f64 = 64.0 * f64::EPSILON;
+
+/// Relative slack, in units of the summed magnitudes, that
+/// [`ProductKde2d::log_eval_sum_lower_bound`] gives away for summing `P` terms.
+/// An in-order `P`-term sum is off by at most `≈ P·ε` relative to the
+/// magnitudes, once for the bounds and once for the answers; `1e-9` covers both
+/// for any `P` below about two million (the sphere decoder's pruning slack is
+/// sized the same way).
+const SUM_SLACK: f64 = 1e-9;
+
+/// Distance from `x` to the interval `[lo, hi]`, computed the way the kernel
+/// exponent computes `x − sample`, so it rounds no further from zero than any
+/// `x − sample` with `sample` inside the interval.
+#[inline(always)]
+fn box_gap(x: f64, lo: f64, hi: f64) -> f64 {
+    if x > hi {
+        x - hi
+    } else if x < lo {
+        lo - x
+    } else {
+        0.0
+    }
+}
 
 /// Resolution and extent policy for building a [`GridKde2d`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1236,6 +1384,44 @@ mod tests {
             );
         }
         assert!(tail[1] < tail[0], "tails must stay strictly ordered");
+    }
+
+    #[test]
+    fn product_kde_bounds_bracket_the_batch_answers() {
+        let samples: Vec<(f64, f64)> = (0..9)
+            .map(|i| (0.1 + 0.02 * i as f64, 0.1 * i as f64 - 0.4))
+            .collect();
+        let kde = ProductKde2d::with_bandwidths(&samples, 0.05, 0.2).unwrap();
+        // On a sample, inside the box, just outside it, and far out.
+        let amps = [0.14, 0.2, 0.5, 3.0];
+        let phases = [-0.2, 0.0, 0.0, 2.0];
+        let mut out = [0.0; 4];
+        let mut upper = [0.0; 4];
+        kde.log_eval_batch(&amps, &phases, &mut out);
+        kde.log_eval_upper_bounds(&amps, &phases, &mut upper);
+        let ceiling = kde.log_eval_ceiling();
+        assert_eq!(
+            upper[..2],
+            [ceiling; 2],
+            "inside the box the bound is the ceiling"
+        );
+        assert!(upper[2] < ceiling && upper[3] < upper[2]);
+        for q in 0..4 {
+            assert!(
+                out[q] <= upper[q],
+                "query {q}: {} above {}",
+                out[q],
+                upper[q]
+            );
+            let floor = kde.log_eval_sum_lower_bound(&amps[q..=q], &phases[q..=q]);
+            assert!(floor <= out[q] && out[q] - floor < (samples.len() as f64).ln() + 1e-6);
+        }
+        let floor = kde.log_eval_sum_lower_bound(&amps, &phases);
+        assert!(floor.is_finite() && floor <= out.iter().sum::<f64>());
+        assert_eq!(
+            kde.log_eval_sum_lower_bound(&[0.1, f64::NAN], &[0.0, 0.0]),
+            f64::NEG_INFINITY
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! rounding each, and the AVX2 path is **bit-identical** to the scalar and chunked
 //! paths (property-tested in `tests/simd_equivalence.rs`).
 //!
-//! The KDE kernels ([`kde_kernel_sum`], [`kde_log_sum_exp`], [`loo_kernel_sums`])
-//! and the polar conversion ([`polar_planes`]) take the other route: one safe
+//! The KDE kernels ([`kde_kernel_sum`], [`kde_log_sum_exp`], [`kde_max_exponent`],
+//! [`loo_kernel_sums`]) and the polar conversion ([`polar_planes`]) take the other route: one safe
 //! autovectorizable body compiled twice, for the baseline target and under
 //! `#[target_feature(enable = "avx2")]`, with the same runtime dispatch.
 
@@ -252,32 +252,14 @@ pub fn kde_log_sum_exp(a: f64, p: f64, amps: &[f64], phases: &[f64]) -> f64 {
     kde_log_sum_exp_inner(a, p, amps, phases)
 }
 
-/// The shared body of [`kde_log_sum_exp`]: pass one takes the lane-wise maximum
-/// exponent, pass two sums the shifted exponentials; the remainder runs the
-/// identical scalar arithmetic.
+/// The shared body of [`kde_log_sum_exp`]: pass one takes the largest exponent
+/// ([`kde_max_exponent_inner`]), pass two sums the shifted exponentials; the
+/// remainder runs the identical scalar arithmetic.
 #[inline(always)]
 fn kde_log_sum_exp_inner(a: f64, p: f64, amps: &[f64], phases: &[f64]) -> f64 {
     use crate::lanes::{exp_approx, LANES};
     let main = amps.len() - amps.len() % LANES;
-    let mut m = [f64::NEG_INFINITY; LANES];
-    for (sa, sp) in amps[..main]
-        .chunks_exact(LANES)
-        .zip(phases[..main].chunks_exact(LANES))
-    {
-        let sa: &[f64; LANES] = sa.try_into().unwrap();
-        let sp: &[f64; LANES] = sp.try_into().unwrap();
-        for l in 0..LANES {
-            let e = kernel_exponent(a, p, sa[l], sp[l]);
-            m[l] = if e > m[l] { e } else { m[l] };
-        }
-    }
-    let mut max_e = m
-        .iter()
-        .fold(f64::NEG_INFINITY, |acc, &v| if v > acc { v } else { acc });
-    for (sa, sp) in amps[main..].iter().zip(&phases[main..]) {
-        let e = kernel_exponent(a, p, *sa, *sp);
-        max_e = if e > max_e { e } else { max_e };
-    }
+    let max_e = kde_max_exponent_inner(a, p, amps, phases);
     let mut s = [0.0f64; LANES];
     for (sa, sp) in amps[..main]
         .chunks_exact(LANES)
@@ -309,6 +291,73 @@ fn kde_log_sum_exp_inner(a: f64, p: f64, amps: &[f64], phases: &[f64]) -> f64 {
 #[target_feature(enable = "avx2")]
 unsafe fn kde_log_sum_exp_avx2(a: f64, p: f64, amps: &[f64], phases: &[f64]) -> f64 {
     kde_log_sum_exp_inner(a, p, amps, phases)
+}
+
+/// The largest whitened kernel exponent `max_j −((a − A_j)² + (p − P_j)²)` — the
+/// exponent loop of [`kde_kernel_sum`] without the polynomial `exp`. Every
+/// exponent is computed exactly as the kernel sums compute it, so the result is
+/// bit-for-bit the shift [`kde_log_sum_exp`] uses, and the kernel sum is at least
+/// `exp` of it. [`crate::kde::ProductKde2d::log_eval_sum_lower_bound`] builds
+/// its certified lower bound from this. `−∞` for no samples and for queries whose
+/// exponents are all NaN or `−∞`. A lane max is exact, so dispatch is
+/// bit-identical as for [`kde_kernel_sum`].
+///
+/// # Panics
+///
+/// Panics if the sample slices have different lengths.
+#[inline]
+pub fn kde_max_exponent(a: f64, p: f64, amps: &[f64], phases: &[f64]) -> f64 {
+    assert_eq!(amps.len(), phases.len(), "sample axis slices must match");
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 presence was just verified at runtime.
+        #[allow(unsafe_code)]
+        return unsafe { kde_max_exponent_avx2(a, p, amps, phases) };
+    }
+    kde_max_exponent_inner(a, p, amps, phases)
+}
+
+/// The shared body of [`kde_max_exponent`]: a `LANES`-wide running maximum, then
+/// the remainder with the identical scalar comparison.
+#[inline(always)]
+fn kde_max_exponent_inner(a: f64, p: f64, amps: &[f64], phases: &[f64]) -> f64 {
+    use crate::lanes::LANES;
+    let main = amps.len() - amps.len() % LANES;
+    let mut m = [f64::NEG_INFINITY; LANES];
+    for (sa, sp) in amps[..main]
+        .chunks_exact(LANES)
+        .zip(phases[..main].chunks_exact(LANES))
+    {
+        let sa: &[f64; LANES] = sa.try_into().unwrap();
+        let sp: &[f64; LANES] = sp.try_into().unwrap();
+        for l in 0..LANES {
+            let e = kernel_exponent(a, p, sa[l], sp[l]);
+            m[l] = if e > m[l] { e } else { m[l] };
+        }
+    }
+    let mut max_e = m
+        .iter()
+        .fold(f64::NEG_INFINITY, |acc, &v| if v > acc { v } else { acc });
+    for (sa, sp) in amps[main..].iter().zip(&phases[main..]) {
+        let e = kernel_exponent(a, p, *sa, *sp);
+        max_e = if e > max_e { e } else { max_e };
+    }
+    max_e
+}
+
+/// [`kde_max_exponent_inner`] recompiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime
+/// (`is_x86_feature_detected!("avx2")`) before calling; [`kde_max_exponent`] is
+/// the only caller and does exactly that. The body itself is the safe
+/// fallback, so there is no other obligation.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+unsafe fn kde_max_exponent_avx2(a: f64, p: f64, amps: &[f64], phases: &[f64]) -> f64 {
+    kde_max_exponent_inner(a, p, amps, phases)
 }
 
 /// Leave-one-out kernel sums `dens[i] = Σ_{j≠i} exp(−(y_i − y_j)²)` over samples
@@ -523,6 +572,9 @@ mod tests {
                     let want = kde_log_sum_exp_inner(a * scale, p, &amps, &phs);
                     let got = kde_log_sum_exp(a * scale, p, &amps, &phs);
                     assert_eq!(got.to_bits(), want.to_bits(), "lse n={n} query=({a},{p})");
+                    let want = kde_max_exponent_inner(a * scale, p, &amps, &phs);
+                    let got = kde_max_exponent(a * scale, p, &amps, &phs);
+                    assert_eq!(got.to_bits(), want.to_bits(), "max n={n} query=({a},{p})");
                 }
             }
             // Leave-one-out pair sums over the amplitude axis at two bandwidths.

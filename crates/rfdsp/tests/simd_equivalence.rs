@@ -7,7 +7,8 @@
 //! * **bit-for-bit** where the restructure preserves elementwise operation order —
 //!   the sliding-DFT update (both the autovectorized chunk path and the
 //!   runtime-dispatched AVX2 path, which deliberately avoids FMA), the grid-KDE
-//!   batch lookup, and the polynomial `exp` batch;
+//!   batch lookup, the polynomial `exp` batch, and the KDE's largest kernel
+//!   exponent (a lane max is exact);
 //! * **≤ 1e-9** where the batch path substitutes the polynomial `exp` for libm in
 //!   the exact-KDE log-sum (operation order differs, so exact equality is not the
 //!   contract);
@@ -17,7 +18,7 @@
 use proptest::prelude::*;
 use rfdsp::kde::{BandwidthSelector, GridKde2d, GridSpec, ProductKde2d};
 use rfdsp::lanes::{exp_approx, exp_batch};
-use rfdsp::simd::{slide_update, slide_update_lanes};
+use rfdsp::simd::{kde_max_exponent, slide_update, slide_update_lanes};
 use rfdsp::sliding::SlidingDft;
 use rfdsp::Complex;
 
@@ -178,6 +179,29 @@ proptest! {
             if k > 0 {
                 prop_assert!(*got < batch[k - 1], "tail not strictly decreasing at {k}: {got} vs {}", batch[k - 1]);
             }
+        }
+    }
+
+    /// The runtime-dispatched largest kernel exponent (AVX2 where available) is
+    /// bit-for-bit the scalar running maximum of the same exponents, for any
+    /// sample count (lane chunks + remainder) and for queries on, near and far
+    /// from the samples. A lane max is exact, so this is `==`, not a tolerance.
+    #[test]
+    fn kde_max_exponent_is_bit_identical(
+        samples in prop::collection::vec((-40.0f64..40.0, -40.0f64..40.0), 0..37),
+        queries in prop::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 1..9),
+    ) {
+        let amps: Vec<f64> = samples.iter().map(|s| s.0).collect();
+        let phases: Vec<f64> = samples.iter().map(|s| s.1).collect();
+        let on_samples = samples.iter().take(2).copied();
+        for (a, p) in queries.into_iter().chain(on_samples) {
+            let want = amps.iter().zip(&phases).fold(f64::NEG_INFINITY, |m, (sa, sp)| {
+                let (ua, up) = (a - sa, p - sp);
+                let e = -(ua * ua + up * up);
+                if e > m { e } else { m }
+            });
+            let got = kde_max_exponent(a, p, &amps, &phases);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "query ({}, {}): {} vs {}", a, p, got, want);
         }
     }
 
