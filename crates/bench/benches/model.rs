@@ -3,9 +3,10 @@
 //! (segments per preamble symbol) and `N_p` (preamble symbols), for both halves of
 //! the estimator's life:
 //!
-//! * `query/…` — one `log_likelihood(bin, observed, candidate)` call, the operation
-//!   the sphere decoder performs per candidate × per segment × per bin (the
-//!   `O(P·N_p)` term the grid backend turns into an O(1) lookup);
+//! * `query/…` — one `log_likelihood_batch` call over a bin's deviation plane of
+//!   4 lattice candidates × `P` segment observations, the call the sphere decoder
+//!   makes per bin (each query is the `O(P·N_p)` kernel sum the grid backend turns
+//!   into an O(1) lookup);
 //! * `train/…` — fitting the model from `N_p` synthetic preamble symbols (where the
 //!   grid backend pays its precomputation);
 //! * `update/…` — absorbing one further preamble with the incremental dirty-bin
@@ -13,9 +14,9 @@
 //!
 //! The README "Performance" table records the measured exact-vs-grid query speedup.
 
-use cprecycle::estimator::ModelBackend;
+use cprecycle::interference_model::deviation;
 use cprecycle::segments::SymbolSegments;
-use cprecycle::{CpRecycleConfig, InterferenceModel};
+use cprecycle::{CpRecycleConfig, InterferenceModel, ModelBackend};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ofdmphy::ofdm::OfdmEngine;
 use ofdmphy::params::OfdmParams;
@@ -28,6 +29,21 @@ const BACKENDS: [ModelBackend; 3] = [
     ModelBackend::GridKde,
     ModelBackend::Gaussian,
 ];
+
+/// The deviation planes of one bin's sphere search: `P` observations around the
+/// first QPSK point, each against all four QPSK candidates (about the mean sphere
+/// size on an interfered link), candidate-major like the decoder's planes.
+fn query_planes(p: usize) -> (Vec<f64>, Vec<f64>) {
+    let s = std::f64::consts::FRAC_1_SQRT_2;
+    let candidates = [(s, s), (-s, s), (-s, -s), (s, -s)].map(|(re, im)| Complex::new(re, im));
+    let observations: Vec<Complex> = (0..p)
+        .map(|j| candidates[0] + Complex::from_polar(0.1 + 0.05 * j as f64, 0.7 * j as f64))
+        .collect();
+    candidates
+        .iter()
+        .flat_map(|&cand| observations.iter().map(move |&obs| deviation(obs, cand)))
+        .unzip()
+}
 
 /// Synthetic preamble symbols: per occupied bin, per segment, the reference value
 /// plus a moderate random interference vector (a busy ACI capture).
@@ -77,18 +93,20 @@ fn bench_model(c: &mut Criterion) {
     let mut group = c.benchmark_group("model");
     group.sample_size(30);
 
-    // Query cost: the acceptance target is GridKde ≥ 5× faster than ExactKde per
-    // log_likelihood call at P = 16, N_p ≥ 2.
+    // Query cost: one batched call over a bin's candidates × P deviation plane.
     for (p, np) in [(4, 2), (16, 1), (16, 2), (16, 4)] {
+        let (amps, phases) = query_planes(p);
+        let mut out = vec![0.0; amps.len()];
         for backend in BACKENDS {
             let model = trained(&engine, backend, p, np);
-            let obs = Complex::new(1.2, 0.3);
-            let cand = Complex::new(1.0, 0.0);
             group.bench_with_input(
                 BenchmarkId::new(format!("query/{}", backend.label()), format!("P{p}xNp{np}")),
                 &model,
                 |b, model| {
-                    b.iter(|| model.log_likelihood(black_box(bin), black_box(obs), black_box(cand)))
+                    b.iter(|| {
+                        model.log_likelihood_batch(black_box(bin), &amps, &phases, &mut out);
+                        black_box(out[0])
+                    })
                 },
             );
         }

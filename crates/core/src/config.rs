@@ -1,6 +1,6 @@
 //! Configuration of the CPRecycle receiver.
 
-use crate::estimator::ModelBackend;
+use crate::interference_model::ModelBackend;
 use crate::segments::SegmentExtraction;
 use rfdsp::kde::BandwidthSelector;
 
@@ -196,11 +196,12 @@ pub struct CpRecycleConfig {
     /// The two agree to ≤ 1e-9 (property-tested); the switch exists for validation and
     /// A/B timing.
     pub extraction: SegmentExtraction,
-    /// Which interference-estimator backend the receiver fits from the preamble
-    /// ([`crate::estimator`]): the paper's exact per-sample kernel sum (default, the
-    /// reference), the precomputed log-likelihood grid with O(1) lookups, or the cheap
-    /// parametric Gaussian fit. Like the decision stage, the backend is part of every
-    /// campaign point key, so estimator sweeps are ordinary grid dimensions.
+    /// Which density family the receiver fits to each bin from the preamble
+    /// ([`BinDensity`](crate::interference_model::BinDensity)): the paper's exact
+    /// per-sample kernel sum (default, the reference), the precomputed
+    /// log-likelihood grid with O(1) lookups, or the cheap parametric Gaussian fit.
+    /// Like the decision stage, the backend is part of every campaign point key, so
+    /// estimator sweeps are ordinary grid dimensions.
     pub model: ModelBackend,
     /// Floating-point width of the vectorized inner kernels (sliding-DFT slides,
     /// grid-KDE batched queries). [`KernelPrecision::F64`] is the reference and the
@@ -463,7 +464,7 @@ mod tests {
             .min_bandwidth_amplitude(0.01)
             .min_bandwidth_phase(0.02)
             .extraction(SegmentExtraction::Direct)
-            .model(crate::estimator::ModelBackend::Gaussian)
+            .model(ModelBackend::Gaussian)
             .build();
         assert_eq!(c.num_segments, 4);
         assert_eq!(c.bandwidth_amplitude, Some(0.3));
@@ -474,7 +475,7 @@ mod tests {
         assert_eq!(c.min_bandwidth_amplitude, 0.01);
         assert_eq!(c.min_bandwidth_phase, 0.02);
         assert_eq!(c.extraction, SegmentExtraction::Direct);
-        assert_eq!(c.model, crate::estimator::ModelBackend::Gaussian);
+        assert_eq!(c.model, ModelBackend::Gaussian);
         // The builder agrees with the one-field conveniences.
         assert_eq!(
             CpRecycleConfig::builder().num_segments(7).build(),

@@ -16,14 +16,21 @@
 //! modulation (the paper's "facilitate this" paragraph), and because the model is
 //! per-subcarrier it adapts to the frequency-selective structure of adjacent-channel
 //! interference.
+//!
+//! [`CpRecycleConfig::model`] picks the density family each bin is fitted with
+//! ([`BinDensity`]): the exact Eq. 4 kernel sum (the reference), the same density
+//! precomputed on a log-likelihood grid with O(1) lookups, or a parametric
+//! bivariate Gaussian (related work replaces the density model wholesale; this is
+//! the smallest such replacement). The sphere decoder asks the model for batches of
+//! log-likelihoods, per-query upper bounds and a lower bound on a slice's sum.
 
-use crate::config::CpRecycleConfig;
-use crate::estimator::{BinSamples, EstimatorState, InterferenceEstimator, ModelBackend};
+use crate::config::{CpRecycleConfig, KernelPrecision};
 use crate::segments::SymbolSegments;
 use crate::Result;
 use ofdmphy::ofdm::OfdmEngine;
 use ofdmphy::PhyError;
-use rfdsp::kde::ProductKde2d;
+use rfdsp::kde::{select_bandwidth_scratch, GridKde2d, GridSpec, ProductKde2d};
+use rfdsp::stats::BivariateGaussian;
 use rfdsp::Complex;
 
 /// Amplitude/phase deviation of an observation from a reference lattice point
@@ -69,25 +76,270 @@ pub fn deviation_planes(amp: &mut [f64], phase: &mut [f64]) {
     }
 }
 
-/// A trained per-subcarrier interference model.
+/// Which density family the receiver fits to each bin's deviation samples — a
+/// field of [`CpRecycleConfig`], so campaigns sweep it alongside SNR, `P` and the
+/// decision stage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ModelBackend {
+    /// The paper's exact per-sample kernel sum (Eq. 4) — the reference backend and
+    /// the default.
+    #[default]
+    ExactKde,
+    /// Precomputed per-bin log-likelihood grid with O(1) bilinear lookup.
+    GridKde,
+    /// Parametric per-bin bivariate Gaussian fit.
+    Gaussian,
+}
+
+impl ModelBackend {
+    /// Short name used in campaign arm labels and reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ModelBackend::ExactKde => "ExactKde",
+            ModelBackend::GridKde => "GridKde",
+            ModelBackend::Gaussian => "Gaussian",
+        }
+    }
+}
+
+/// The fitted density of one FFT bin, of the family [`CpRecycleConfig::model`]
+/// selects.
 ///
-/// The model owns the deviation-sample bookkeeping (per-bin [`BinSamples`], dirty-bin
-/// tracking, the preamble count) and delegates density fitting and scoring to the
-/// configured [`InterferenceEstimator`] backend ([`CpRecycleConfig::model`]): the
-/// exact Eq. 4 kernel sum, the precomputed log-likelihood grid, or the parametric
-/// Gaussian fit — see [`crate::estimator`].
+/// Contract shared by every variant (pinned by the `estimator_equivalence`
+/// property tests):
+///
+/// * answers are finite and strictly ordered in the far tail, so distant lattice
+///   candidates never tie;
+/// * [`log_eval_batch`](Self::log_eval_batch) agrees with
+///   [`log_eval`](Self::log_eval) to ≤ 1e-9 per query under
+///   [`KernelPrecision::F64`] (bit for bit for `Grid` and `Gaussian`), and each
+///   answer depends only on its own query, never on how queries are batched;
+/// * every batch answer is ≤ its [`upper_bounds`](Self::upper_bounds) entry,
+///   which is ≤ [`ceiling`](Self::ceiling), rounding included — the sphere
+///   decoder prunes against them;
+/// * the in-order sum of a query slice's batch answers is ≥
+///   [`sum_lower_bound`](Self::sum_lower_bound), and a finite lower bound means
+///   every answer is finite;
+/// * queries are allocation-free, and the plane queries panic on mismatched
+///   lengths.
+#[derive(Debug, Clone)]
+pub enum BinDensity {
+    /// The exact Eq. 4 kernel sum, `O(P·N_p)` per query.
+    Exact(ProductKde2d),
+    /// The exact log density tabulated on an (amplitude, phase) grid at fit time
+    /// and queried with an O(1) bilinear lookup.
+    Grid(GridKde2d),
+    /// A bivariate Gaussian: far cheaper to fit and query than any KDE, but blind
+    /// to the multi-modal deviation structure bursty interference produces.
+    Gaussian(BivariateGaussian),
+}
+
+impl BinDensity {
+    /// Fits a density of `config.model`'s family to one bin's deviation samples.
+    /// The KDE families select per-axis bandwidths with the configured selector
+    /// (or take the fixed ones), floored at `min_bandwidth_*`; the Gaussian floors
+    /// its standard deviations at the same values.
+    pub fn fit(amplitudes: &[f64], phases: &[f64], config: &CpRecycleConfig) -> Result<Self> {
+        let mut density = None;
+        Self::refit(&mut density, amplitudes, phases, config, &mut Vec::new())?;
+        Ok(density.expect("refit fills the slot"))
+    }
+
+    /// [`fit`](Self::fit) into `slot` with a caller-owned bandwidth scratch. An
+    /// exact KDE already in the slot is refit in place, reusing its sample
+    /// buffers, so a refit allocates only when the bin's sample count outgrows
+    /// them.
+    fn refit(
+        slot: &mut Option<Self>,
+        amplitudes: &[f64],
+        phases: &[f64],
+        config: &CpRecycleConfig,
+        scratch: &mut Vec<f64>,
+    ) -> Result<()> {
+        let (min_a, min_p) = (config.min_bandwidth_amplitude, config.min_bandwidth_phase);
+        if config.model == ModelBackend::Gaussian {
+            *slot = Some(BinDensity::Gaussian(BivariateGaussian::fit(
+                amplitudes, phases, min_a, min_p,
+            )?));
+            return Ok(());
+        }
+        let selector_a = config.bandwidth_selector(config.bandwidth_amplitude);
+        let selector_p = config.bandwidth_selector(config.bandwidth_phase);
+        let ba = select_bandwidth_scratch(amplitudes, selector_a, scratch)?.max(min_a);
+        let bp = select_bandwidth_scratch(phases, selector_p, scratch)?.max(min_p);
+        match (config.model, slot) {
+            (ModelBackend::ExactKde, Some(BinDensity::Exact(kde))) => {
+                kde.refit_axes(amplitudes, phases, ba, bp)?
+            }
+            (ModelBackend::ExactKde, slot) => {
+                *slot = Some(BinDensity::Exact(ProductKde2d::from_axes(
+                    amplitudes, phases, ba, bp,
+                )?))
+            }
+            // `GridKde`: the Gaussian returned above.
+            (_, slot) => {
+                *slot = Some(BinDensity::Grid(GridKde2d::from_axes(
+                    amplitudes,
+                    phases,
+                    ba,
+                    bp,
+                    &GridSpec::default(),
+                )?))
+            }
+        }
+        Ok(())
+    }
+
+    /// Log-likelihood of one (amplitude, phase) deviation — [`deviation`]'s
+    /// convention — under this density.
+    pub fn log_eval(&self, amplitude: f64, phase: f64) -> f64 {
+        match self {
+            BinDensity::Exact(kde) => kde.log_eval(amplitude, phase),
+            BinDensity::Grid(grid) => grid.log_eval(amplitude, phase),
+            BinDensity::Gaussian(g) => g.log_pdf(amplitude, phase),
+        }
+    }
+
+    /// Scores a whole plane of deviations, writing `out[i]` for query
+    /// `(amplitudes[i], phases[i])`. The KDE families run their lane-parallel
+    /// kernels; under [`KernelPrecision::F32`] the grid runs its all-f32 bilinear
+    /// kernel (≤ 1e-3 per query from the f64 answer), which the other families
+    /// ignore.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query planes or the output have mismatched lengths.
+    pub fn log_eval_batch(
+        &self,
+        amplitudes: &[f64],
+        phases: &[f64],
+        out: &mut [f64],
+        precision: KernelPrecision,
+    ) {
+        check_planes(amplitudes, phases, Some(out));
+        match (self, precision) {
+            (BinDensity::Exact(kde), _) => kde.log_eval_batch(amplitudes, phases, out),
+            (BinDensity::Grid(grid), KernelPrecision::F64) => {
+                grid.log_eval_batch(amplitudes, phases, out)
+            }
+            (BinDensity::Grid(grid), KernelPrecision::F32) => {
+                grid.log_eval_batch_f32(amplitudes, phases, out)
+            }
+            (BinDensity::Gaussian(g), _) => {
+                for ((a, p), o) in amplitudes.iter().zip(phases).zip(out.iter_mut()) {
+                    *o = g.log_pdf(*a, *p);
+                }
+            }
+        }
+    }
+
+    /// An upper bound on every answer of either batch precision (NaN answers to
+    /// NaN queries aside).
+    pub fn ceiling(&self) -> f64 {
+        match self {
+            BinDensity::Exact(kde) => kde.log_eval_ceiling(),
+            // One bound for both precisions: the grid sizes its slack for the f32
+            // kernel.
+            BinDensity::Grid(grid) => grid.log_eval_ceiling(),
+            BinDensity::Gaussian(g) => g.log_pdf_ceiling(),
+        }
+    }
+
+    /// Writes, for each query, an upper bound on its batch answer, at most the
+    /// [`ceiling`](Self::ceiling): the exact KDE bounds by the distance to its
+    /// whitened sample box, the other families by their ceiling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query planes or the output have mismatched lengths.
+    pub fn upper_bounds(&self, amplitudes: &[f64], phases: &[f64], bounds: &mut [f64]) {
+        check_planes(amplitudes, phases, Some(bounds));
+        match self {
+            BinDensity::Exact(kde) => kde.log_eval_upper_bounds(amplitudes, phases, bounds),
+            BinDensity::Grid(_) | BinDensity::Gaussian(_) => bounds.fill(self.ceiling()),
+        }
+    }
+
+    /// A lower bound on the in-order sum of a query slice's batch answers; `−∞`
+    /// means "cannot certify", which is all the grid and the Gaussian offer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query planes have different lengths.
+    pub fn sum_lower_bound(&self, amplitudes: &[f64], phases: &[f64]) -> f64 {
+        check_planes(amplitudes, phases, None);
+        match self {
+            BinDensity::Exact(kde) => kde.log_eval_sum_lower_bound(amplitudes, phases),
+            BinDensity::Grid(_) | BinDensity::Gaussian(_) => f64::NEG_INFINITY,
+        }
+    }
+}
+
+/// Log-likelihood of a deviation on a bin with no fitted density (e.g. a bin that
+/// carried nothing during the preamble): a Gaussian-like penalty on the deviation
+/// amplitude, so the ML decoder always has a usable metric. It never exceeds
+/// [`FALLBACK_CEILING`].
+#[inline]
+fn fallback_log_likelihood(amplitude: f64) -> f64 {
+    -0.5 * amplitude * amplitude
+}
+
+/// The ceiling of [`fallback_log_likelihood`], and so the upper bound of every
+/// unfitted-bin query.
+const FALLBACK_CEILING: f64 = 0.0;
+
+/// Panics unless the query planes, and the output if there is one, have equal
+/// lengths.
+fn check_planes(amplitudes: &[f64], phases: &[f64], out: Option<&[f64]>) {
+    assert_eq!(
+        amplitudes.len(),
+        phases.len(),
+        "query planes must have equal lengths"
+    );
+    if let Some(out) = out {
+        assert_eq!(
+            amplitudes.len(),
+            out.len(),
+            "output must match the query count"
+        );
+    }
+}
+
+/// The (amplitude, phase) deviation samples of one FFT bin, stored as two parallel
+/// axis vectors so bandwidth selection and the parametric fit read each axis as a
+/// slice without collecting temporaries.
+#[derive(Debug, Clone, Default)]
+struct BinSamples {
+    amp: Vec<f64>,
+    phase: Vec<f64>,
+}
+
+impl BinSamples {
+    fn push(&mut self, amplitude: f64, phase: f64) {
+        self.amp.push(amplitude);
+        self.phase.push(phase);
+    }
+}
+
+/// A trained per-subcarrier interference model: one optional [`BinDensity`] per
+/// FFT bin, of the family [`CpRecycleConfig::model`] selects, fitted to the
+/// deviation samples the model collects from the preamble symbols. Bins without a
+/// density answer with a Gaussian-like distance penalty on the deviation
+/// amplitude.
 #[derive(Debug, Clone)]
 pub struct InterferenceModel {
-    /// The fitted per-bin densities, behind the configured backend.
-    estimator: EstimatorState,
+    /// The fitted density of each bin; `None` until the bin receives samples.
+    densities: Vec<Option<BinDensity>>,
     /// Raw deviation samples per bin, kept so the model can be updated when further
     /// preambles arrive and so diagnostics (paper Fig. 6b) can compare samples against
     /// the fitted density.
     samples: Vec<BinSamples>,
-    /// Which bins received samples since the last refit (flags + the dense list the
-    /// incremental `update` hands to the estimator).
+    /// Which bins received samples since the last refit (flags + the dense list
+    /// the refit walks).
     dirty: Vec<bool>,
     dirty_bins: Vec<usize>,
+    /// Bandwidth-selection sort scratch, reused across bins and refits.
+    scratch: Vec<f64>,
     config: CpRecycleConfig,
     /// Number of preamble symbols absorbed so far (`N_p`).
     num_preambles: usize,
@@ -97,10 +349,11 @@ impl InterferenceModel {
     /// Creates an empty (untrained) model for an FFT of `fft_size` bins.
     pub fn new(fft_size: usize, config: CpRecycleConfig) -> Self {
         InterferenceModel {
-            estimator: EstimatorState::with_precision(config.model, fft_size, config.precision),
+            densities: vec![None; fft_size],
             samples: vec![BinSamples::default(); fft_size],
             dirty: vec![false; fft_size],
             dirty_bins: Vec::new(),
+            scratch: Vec::new(),
             config,
             num_preambles: 0,
         }
@@ -207,11 +460,20 @@ impl InterferenceModel {
     }
 
     /// Refits exactly the bins that received samples since the last refit, then
-    /// clears the dirty set. Bandwidth selection (per-axis, honouring fixed
-    /// bandwidths, floored against degenerate preambles) lives in the backends.
+    /// clears the dirty set.
     fn refit_dirty(&mut self) -> Result<()> {
-        self.estimator
-            .update(&self.samples, &self.dirty_bins, &self.config)?;
+        for &bin in &self.dirty_bins {
+            let s = &self.samples[bin];
+            if !s.amp.is_empty() {
+                BinDensity::refit(
+                    &mut self.densities[bin],
+                    &s.amp,
+                    &s.phase,
+                    &self.config,
+                    &mut self.scratch,
+                )?;
+            }
+        }
         for &bin in &self.dirty_bins {
             self.dirty[bin] = false;
         }
@@ -224,63 +486,44 @@ impl InterferenceModel {
         self.num_preambles
     }
 
-    /// The estimator backend this model was configured with.
-    pub fn backend(&self) -> ModelBackend {
-        self.estimator.backend()
-    }
-
-    /// The fitted estimator (for diagnostics and direct backend access).
-    pub fn estimator(&self) -> &EstimatorState {
-        &self.estimator
+    /// The fitted density of a bin, if any (diagnostics and tests).
+    pub fn density(&self, bin: usize) -> Option<&BinDensity> {
+        self.densities.get(bin).and_then(Option::as_ref)
     }
 
     /// Whether a model exists for the given bin.
     pub fn has_model(&self, bin: usize) -> bool {
-        self.estimator.has_model(bin)
+        self.density(bin).is_some()
     }
 
     /// Number of deviation samples collected for a bin.
     pub fn num_samples(&self, bin: usize) -> usize {
-        self.samples[bin].len()
+        self.samples[bin].amp.len()
     }
 
     /// The amplitude deviations collected for a bin (used by the Fig. 6b diagnostic).
     pub fn samples_amplitude(&self, bin: usize) -> &[f64] {
-        self.samples[bin].amplitudes()
+        &self.samples[bin].amp
     }
 
     /// The phase deviations collected for a bin.
     pub fn samples_phase(&self, bin: usize) -> &[f64] {
-        self.samples[bin].phases()
-    }
-
-    /// The fitted KDE for a bin — `Some` only under the [`ModelBackend::ExactKde`]
-    /// backend (the grid and Gaussian backends do not materialise per-sample KDEs).
-    pub fn kde(&self, bin: usize) -> Option<&ProductKde2d> {
-        match &self.estimator {
-            EstimatorState::Exact(e) => e.kde(bin),
-            _ => None,
-        }
+        &self.samples[bin].phase
     }
 
     /// Log-likelihood of observing `observed` on `bin` given that lattice point
     /// `candidate` was transmitted — `ln P(X̂^j | X)` of Eq. 5 for one segment.
-    ///
-    /// Falls back to a Gaussian-like distance penalty when no model exists for the bin
-    /// (e.g. a bin that carried nothing during the preamble), so the ML decoder always
-    /// has a usable metric.
     pub fn log_likelihood(&self, bin: usize, observed: Complex, candidate: Complex) -> f64 {
-        // The unfitted-bin fallback lives in the backends (shared
-        // `estimator::fallback_log_likelihood`), so delegation is unconditional — no
-        // extra `has_model` lookup on the hottest query path.
-        self.estimator.log_likelihood(bin, observed, candidate)
+        let (a, p) = deviation(observed, candidate);
+        match self.density(bin) {
+            Some(d) => d.log_eval(a, p),
+            None => fallback_log_likelihood(a),
+        }
     }
 
     /// Scores a whole plane of precomputed (amplitude, phase) deviations against
     /// `bin`'s density in one call — the sphere decoder's batched hot path (see
-    /// [`InterferenceEstimator::log_likelihood_batch`] for the contract). Agrees
-    /// with per-query [`log_likelihood`](Self::log_likelihood) to ≤ 1e-9 per
-    /// element.
+    /// [`BinDensity::log_eval_batch`]), at the configured kernel precision.
     ///
     /// # Panics
     ///
@@ -292,14 +535,20 @@ impl InterferenceModel {
         phases: &[f64],
         log_likes: &mut [f64],
     ) {
-        self.estimator
-            .log_likelihood_batch(bin, amplitudes, phases, log_likes)
+        match self.density(bin) {
+            Some(d) => d.log_eval_batch(amplitudes, phases, log_likes, self.config.precision),
+            None => {
+                check_planes(amplitudes, phases, Some(log_likes));
+                for (a, o) in amplitudes.iter().zip(log_likes.iter_mut()) {
+                    *o = fallback_log_likelihood(*a);
+                }
+            }
+        }
     }
 
     /// Per-query upper bounds on the
     /// [`log_likelihood_batch`](Self::log_likelihood_batch) answers for `bin` — the
-    /// sphere decoder's pruning bounds (see
-    /// [`InterferenceEstimator::log_likelihood_upper_bounds`]).
+    /// sphere decoder's pruning bounds (see [`BinDensity::upper_bounds`]).
     ///
     /// # Panics
     ///
@@ -311,14 +560,19 @@ impl InterferenceModel {
         phases: &[f64],
         bounds: &mut [f64],
     ) {
-        self.estimator
-            .log_likelihood_upper_bounds(bin, amplitudes, phases, bounds)
+        match self.density(bin) {
+            Some(d) => d.upper_bounds(amplitudes, phases, bounds),
+            None => {
+                check_planes(amplitudes, phases, Some(bounds));
+                bounds.fill(FALLBACK_CEILING);
+            }
+        }
     }
 
     /// A lower bound on the in-order sum of the
     /// [`log_likelihood_batch`](Self::log_likelihood_batch) answers to a query
     /// slice — the sphere decoder's certificate (see
-    /// [`InterferenceEstimator::log_likelihood_sum_lower_bound`]).
+    /// [`BinDensity::sum_lower_bound`]).
     ///
     /// # Panics
     ///
@@ -329,8 +583,13 @@ impl InterferenceModel {
         amplitudes: &[f64],
         phases: &[f64],
     ) -> f64 {
-        self.estimator
-            .log_likelihood_sum_lower_bound(bin, amplitudes, phases)
+        match self.density(bin) {
+            Some(d) => d.sum_lower_bound(amplitudes, phases),
+            None => {
+                check_planes(amplitudes, phases, None);
+                f64::NEG_INFINITY
+            }
+        }
     }
 }
 
@@ -560,8 +819,223 @@ mod tests {
         };
         let model = InterferenceModel::train(&e, &[segs], &[reference], config).unwrap();
         let bin = e.params().data_bins()[3];
-        let kde = model.kde(bin).unwrap();
+        let kde = exact(&model, bin);
         assert!((kde.bandwidth_amplitude() - 0.25).abs() < 1e-12);
         assert!((kde.bandwidth_phase() - 0.5).abs() < 1e-12);
+    }
+
+    const BACKENDS: [ModelBackend; 3] = [
+        ModelBackend::ExactKde,
+        ModelBackend::GridKde,
+        ModelBackend::Gaussian,
+    ];
+
+    /// Samples on bins 2..12 of an `fft_size`-bin model, `per_bin` each.
+    fn synthetic_samples(fft_size: usize, per_bin: usize) -> Vec<BinSamples> {
+        let mut samples = vec![BinSamples::default(); fft_size];
+        for (bin, s) in samples.iter_mut().enumerate().take(12).skip(2) {
+            for j in 0..per_bin {
+                let a = 0.1 + 0.05 * ((bin * 7 + j * 3) % 11) as f64;
+                let p = -1.0 + 0.2 * ((bin * 5 + j) % 10) as f64;
+                s.push(a, p);
+            }
+        }
+        samples
+    }
+
+    /// A model fitted to `samples`, every non-empty bin refit as dirty.
+    fn model_with(samples: &[BinSamples], config: CpRecycleConfig) -> InterferenceModel {
+        let mut model = InterferenceModel::new(samples.len(), config);
+        model.samples = samples.to_vec();
+        model.dirty_bins = (0..samples.len())
+            .filter(|&bin| !samples[bin].amp.is_empty())
+            .collect();
+        model.refit_dirty().unwrap();
+        model
+    }
+
+    fn exact(model: &InterferenceModel, bin: usize) -> &ProductKde2d {
+        match model.density(bin) {
+            Some(BinDensity::Exact(kde)) => kde,
+            other => panic!("bin {bin}: expected an exact KDE, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn backend_labels() {
+        assert_eq!(ModelBackend::ExactKde.label(), "ExactKde");
+        assert_eq!(ModelBackend::GridKde.label(), "GridKde");
+        assert_eq!(ModelBackend::Gaussian.label(), "Gaussian");
+        assert_eq!(ModelBackend::default(), ModelBackend::ExactKde);
+    }
+
+    #[test]
+    fn bin_samples_push_and_axes() {
+        let mut s = BinSamples::default();
+        assert!(s.amp.is_empty());
+        s.push(0.5, -0.2);
+        s.push(0.7, 0.1);
+        assert_eq!(s.amp, [0.5, 0.7]);
+        assert_eq!(s.phase, [-0.2, 0.1]);
+    }
+
+    #[test]
+    fn every_backend_trains_and_scores() {
+        let samples = synthetic_samples(64, 10);
+        for backend in BACKENDS {
+            let config = CpRecycleConfig::with_model(backend);
+            assert!(!InterferenceModel::new(64, config).has_model(5));
+            let model = model_with(&samples, config);
+            let family = match model.density(5) {
+                Some(BinDensity::Exact(_)) => ModelBackend::ExactKde,
+                Some(BinDensity::Grid(_)) => ModelBackend::GridKde,
+                Some(BinDensity::Gaussian(_)) => ModelBackend::Gaussian,
+                None => panic!("{backend:?}: bin 5 unfitted"),
+            };
+            assert_eq!(family, backend);
+            assert!(
+                !model.has_model(40),
+                "{backend:?}: empty bin stays unmodelled"
+            );
+            // Scoring prefers the transmitted point over a distant one.
+            let obs = Complex::new(1.1, 0.1);
+            let near = model.log_likelihood(5, obs, Complex::new(1.0, 0.0));
+            let far = model.log_likelihood(5, obs, Complex::new(-3.0, 0.0));
+            assert!(near.is_finite() && far.is_finite(), "{backend:?}");
+            assert!(near > far, "{backend:?}: near {near}, far {far}");
+        }
+    }
+
+    #[test]
+    fn grid_tracks_exact_on_trained_bins() {
+        let samples = synthetic_samples(64, 16);
+        let exact = model_with(&samples, CpRecycleConfig::default());
+        let grid = model_with(&samples, CpRecycleConfig::with_model(ModelBackend::GridKde));
+        for bin in 2..12 {
+            for k in 0..8 {
+                let obs = Complex::new(1.0 + 0.04 * k as f64, 0.03 * k as f64);
+                let cand = Complex::new(1.0, 0.0);
+                let e = exact.log_likelihood(bin, obs, cand);
+                let g = grid.log_likelihood(bin, obs, cand);
+                assert!((e - g).abs() < 0.1, "bin {bin}: exact {e}, grid {g}");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_scoring_matches_scalar_for_every_backend() {
+        let samples = synthetic_samples(64, 12);
+        // Deviation queries spanning the fitted support and its tails, with a length
+        // that leaves an unaligned lane remainder.
+        let amps: Vec<f64> = (0..13).map(|i| 0.05 + 0.11 * i as f64).collect();
+        let phases: Vec<f64> = (0..13).map(|i| -1.4 + 0.23 * i as f64).collect();
+        let mut batch = vec![0.0; amps.len()];
+        for backend in BACKENDS {
+            let model = model_with(&samples, CpRecycleConfig::with_model(backend));
+            // Trained bin: batch must agree with the scalar query path.
+            model.log_likelihood_batch(5, &amps, &phases, &mut batch);
+            let density = model.density(5).unwrap();
+            for (i, (&a, &p)) in amps.iter().zip(&phases).enumerate() {
+                let scalar = density.log_eval(a, p);
+                assert!(
+                    (batch[i] - scalar).abs() < 1e-9,
+                    "{backend:?} query {i}: batch {} vs scalar {scalar}",
+                    batch[i]
+                );
+            }
+            // Unfitted bin: bit-for-bit the shared fallback penalty.
+            model.log_likelihood_batch(40, &amps, &phases, &mut batch);
+            for (i, &a) in amps.iter().enumerate() {
+                assert_eq!(
+                    batch[i].to_bits(),
+                    fallback_log_likelihood(a).to_bits(),
+                    "{backend:?} fallback query {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn f32_grid_batch_tracks_the_f64_batch() {
+        let samples = synthetic_samples(64, 16);
+        let f64_model = model_with(&samples, CpRecycleConfig::with_model(ModelBackend::GridKde));
+        let f32_config = CpRecycleConfig::builder()
+            .model(ModelBackend::GridKde)
+            .precision(KernelPrecision::F32)
+            .build();
+        let f32_model = model_with(&samples, f32_config);
+        assert_eq!(f32_model.config.precision, KernelPrecision::F32);
+        let amps: Vec<f64> = (0..9).map(|i| 0.1 + 0.09 * i as f64).collect();
+        let phases: Vec<f64> = (0..9).map(|i| -0.8 + 0.21 * i as f64).collect();
+        let mut want = vec![0.0; amps.len()];
+        let mut got = vec![0.0; amps.len()];
+        f64_model.log_likelihood_batch(5, &amps, &phases, &mut want);
+        f32_model.log_likelihood_batch(5, &amps, &phases, &mut got);
+        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+            assert!((w - g).abs() < 1e-3, "query {i}: f64 {w} vs f32 {g}");
+        }
+    }
+
+    #[test]
+    fn batch_scoring_rejects_mismatched_output() {
+        // Every plane query panics on a short phase plane or a short output, on
+        // fitted and unfitted bins alike, for every backend and precision.
+        let samples = synthetic_samples(8, 6);
+        let planes: [(&[f64], &[f64], usize); 2] = [
+            (&[0.1, 0.2], &[0.0], 2),      // short phases
+            (&[0.1, 0.2], &[0.0, 0.3], 1), // short output
+        ];
+        fn panics(query: impl FnOnce()) -> bool {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(query)).is_err()
+        }
+        for (backend, precision) in [
+            (ModelBackend::ExactKde, KernelPrecision::F64),
+            (ModelBackend::GridKde, KernelPrecision::F64),
+            (ModelBackend::GridKde, KernelPrecision::F32),
+            (ModelBackend::Gaussian, KernelPrecision::F64),
+        ] {
+            let config = CpRecycleConfig::builder()
+                .model(backend)
+                .precision(precision)
+                .build();
+            let model = model_with(&samples, config);
+            for (bin, fitted) in [(5, true), (0, false)] {
+                assert_eq!(model.has_model(bin), fitted);
+                for (amps, phases, outputs) in planes {
+                    let case = format!("{backend:?}/{precision:?} bin {bin} {amps:?}/{phases:?}");
+                    let out = || vec![0.0; outputs];
+                    assert!(
+                        panics(|| model.log_likelihood_batch(bin, amps, phases, &mut out())),
+                        "batch: {case}"
+                    );
+                    assert!(
+                        panics(|| model.log_likelihood_upper_bounds(bin, amps, phases, &mut out())),
+                        "upper bounds: {case}"
+                    );
+                    // The lower bound has no output: only short phases are wrong.
+                    if phases.len() != amps.len() {
+                        assert!(
+                            panics(|| {
+                                model.log_likelihood_sum_lower_bound(bin, amps, phases);
+                            }),
+                            "lower bound: {case}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dirty_bin_update_refits_only_the_listed_bins() {
+        let samples = synthetic_samples(64, 8);
+        let mut model = model_with(&samples, CpRecycleConfig::default());
+        let before_len = exact(&model, 3).len();
+        // New samples land on bin 5 only; bin 3 is not in the dirty list.
+        model.samples[5].push(0.9, 0.4);
+        model.dirty_bins.push(5);
+        model.refit_dirty().unwrap();
+        assert_eq!(exact(&model, 3).len(), before_len);
+        assert_eq!(exact(&model, 5).len(), 9);
     }
 }

@@ -22,11 +22,12 @@
 //! standard-window decision — implements the [`decision::SubcarrierDecoder`] trait
 //! over the cached lattice-index tables of `ofdmphy::modulation`, and
 //! [`config::DecisionStage`] selects which one the frame-level receiver
-//! ([`receiver`]) dispatches. The interference estimator behind the sphere decoder
-//! is equally pluggable ([`estimator`]): the exact Eq. 4 kernel sum, a precomputed
-//! per-bin log-likelihood grid with O(1) lookups, or a parametric Gaussian fit,
-//! selected by [`config::CpRecycleConfig::model`]. The crate also provides Oracle
-//! selection diagnostics ([`oracle`]) and ISI-free-region detection ([`isi_free`]).
+//! ([`receiver`]) dispatches. The per-bin density behind the sphere decoder is
+//! equally selectable ([`interference_model::BinDensity`]): the exact Eq. 4 kernel
+//! sum, a precomputed per-bin log-likelihood grid with O(1) lookups, or a
+//! parametric Gaussian fit, chosen by [`config::CpRecycleConfig::model`]. The
+//! crate also provides Oracle selection diagnostics ([`oracle`]) and
+//! ISI-free-region detection ([`isi_free`]).
 //!
 //! For continuous reception, [`session::RxSession`] wraps any
 //! [`FrameReceiver`] — push arbitrary-length sample chunks, drain decoded-frame
@@ -63,7 +64,6 @@
 
 pub mod config;
 pub mod decision;
-pub mod estimator;
 pub mod interference_model;
 pub mod isi_free;
 pub mod oracle;
@@ -78,11 +78,7 @@ pub use decision::{
     DecoderScratch, LatticePoint, NaiveCentroidDecoder, OracleSegmentDecoder, SearchCounts,
     StandardNearestDecoder, SubcarrierDecoder,
 };
-pub use estimator::{
-    EstimatorState, ExactKdeEstimator, GaussianEstimator, GridKdeEstimator, InterferenceEstimator,
-    ModelBackend,
-};
-pub use interference_model::InterferenceModel;
+pub use interference_model::{BinDensity, InterferenceModel, ModelBackend};
 pub use receiver::{CpRecycleReceiver, RxStream};
 pub use segments::{SegmentExtraction, SegmentPowers, SegmentScratch, SymbolSegments};
 pub use server::{PushError, RxServer, ServerConfig, SessionHandle};

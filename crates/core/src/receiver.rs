@@ -998,7 +998,7 @@ mod tests {
 
     #[test]
     fn every_estimator_backend_roundtrips_a_clean_channel() {
-        use crate::estimator::ModelBackend;
+        use crate::ModelBackend;
         let params = OfdmParams::ieee80211ag();
         let tx = Transmitter::new(params.clone());
         let payload = random_payload(90, 27);
@@ -1028,7 +1028,7 @@ mod tests {
         // razor-thin, so bit-for-bit equality is not the contract — decision-error
         // parity is: on an interfered capture the two backends' uncoded symbol error
         // rates must agree to within a handful of subcarrier decisions.
-        use crate::estimator::ModelBackend;
+        use crate::ModelBackend;
         let params = OfdmParams::ieee80211ag();
         let tx = Transmitter::new(params.clone());
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
@@ -1193,7 +1193,7 @@ mod tests {
         // decode that failed half-way) may leak into the next. The full
         // chunked-session property lives in tests/session_equivalence.rs.
         use crate::config::DecisionStage;
-        use crate::estimator::ModelBackend;
+        use crate::ModelBackend;
         let params = OfdmParams::ieee80211ag();
         let tx = Transmitter::new(params.clone());
         let mut rng = rand::rngs::StdRng::seed_from_u64(44);

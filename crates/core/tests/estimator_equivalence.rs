@@ -1,5 +1,5 @@
-//! Property tests for the pluggable interference-estimator subsystem (the tentpole
-//! invariants of the estimator refactor):
+//! Property tests for the per-bin interference densities ([`BinDensity`]) and the
+//! model that fits and queries them:
 //!
 //! * `GridKde` tracks `ExactKde`: over random sample sets, bandwidths and query
 //!   points inside the grid, the precomputed log-likelihood agrees with the exact
@@ -11,19 +11,16 @@
 //!   lattice candidates never tie (the old linear-domain floor collapsed them);
 //! * incremental `update()` (dirty-bin refit after each preamble) produces a model
 //!   **bit-for-bit identical** to batch `train()` on the same preambles, for every
-//!   backend;
-//! * no batched answer ever exceeds the backend's per-bin
-//!   `log_likelihood_ceiling`, nor its per-query `log_likelihood_upper_bounds`
-//!   entry (which is itself within the ceiling), and no slice's in-order answer
-//!   sum falls below `log_likelihood_sum_lower_bound` — the bounds the sphere
+//!   backend and precision: scalar and batch answers, upper bounds and slice lower
+//!   bounds alike;
+//! * no batched answer ever exceeds the density's `ceiling`, nor its per-query
+//!   `upper_bounds` entry (which is itself within the ceiling), and no slice's
+//!   in-order answer sum falls below `sum_lower_bound` — the bounds the sphere
 //!   decoder prunes and certifies with.
 
-use cprecycle::estimator::{
-    BinSamples, EstimatorState, ExactKdeEstimator, GridKdeEstimator, InterferenceEstimator,
-    ModelBackend,
-};
+use cprecycle::interference_model::deviation;
 use cprecycle::segments::{extract_segments, SymbolSegments};
-use cprecycle::{CpRecycleConfig, InterferenceModel, KernelPrecision};
+use cprecycle::{BinDensity, CpRecycleConfig, InterferenceModel, KernelPrecision, ModelBackend};
 use ofdmphy::ofdm::OfdmEngine;
 use ofdmphy::params::OfdmParams;
 use ofdmphy::preamble;
@@ -34,6 +31,24 @@ use rfdsp::Complex;
 
 fn engine() -> OfdmEngine {
     OfdmEngine::new(OfdmParams::ieee80211ag())
+}
+
+/// One bin's (amplitude, phase) deviation samples.
+#[derive(Debug, Clone, Default)]
+struct Samples {
+    amps: Vec<f64>,
+    phases: Vec<f64>,
+}
+
+impl Samples {
+    fn push(&mut self, amplitude: f64, phase: f64) {
+        self.amps.push(amplitude);
+        self.phases.push(phase);
+    }
+
+    fn fit(&self, config: &CpRecycleConfig) -> BinDensity {
+        BinDensity::fit(&self.amps, &self.phases, config).unwrap()
+    }
 }
 
 /// Synthetic preamble segment sets with per-bin interference of varying strength.
@@ -142,12 +157,16 @@ proptest! {
         let reference = preamble::ltf_bins(e.params());
         let preambles = synthetic_preambles(seed, num_preambles, p);
         let references = vec![reference.clone(); num_preambles];
-        for backend in [
-            ModelBackend::ExactKde,
-            ModelBackend::GridKde,
-            ModelBackend::Gaussian,
+        for (backend, precision) in [
+            (ModelBackend::ExactKde, KernelPrecision::F64),
+            (ModelBackend::GridKde, KernelPrecision::F64),
+            (ModelBackend::GridKde, KernelPrecision::F32),
+            (ModelBackend::Gaussian, KernelPrecision::F64),
         ] {
-            let config = CpRecycleConfig::with_model(backend);
+            let config = CpRecycleConfig::builder()
+                .model(backend)
+                .precision(precision)
+                .build();
             let batch = InterferenceModel::train(&e, &preambles, &references, config).unwrap();
             let mut incremental =
                 InterferenceModel::train(&e, &preambles[..1], &references[..1], config).unwrap();
@@ -156,12 +175,24 @@ proptest! {
             }
             prop_assert_eq!(batch.num_preambles(), incremental.num_preambles());
             // Every occupied bin scores identically, bit for bit, across a spread of
-            // (observation, candidate) queries.
-            for bin in e.params().data_bins() {
-                prop_assert_eq!(batch.num_samples(bin), incremental.num_samples(bin));
-                for k in 0..6 {
+            // (observation, candidate) queries — one at a time and as the sphere
+            // decoder's deviation planes, whose upper bounds and slice lower bounds
+            // must match too.
+            let queries: Vec<(Complex, Complex)> = (0..6)
+                .map(|k| {
                     let obs = Complex::new(1.0 + 0.4 * k as f64, 0.2 * k as f64 - 0.5);
                     let cand = Complex::new(if k % 2 == 0 { 1.0 } else { -1.0 }, 0.0);
+                    (obs, cand)
+                })
+                .collect();
+            let (amps, phases): (Vec<f64>, Vec<f64>) = queries
+                .iter()
+                .map(|&(obs, cand)| deviation(obs, cand))
+                .unzip();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for bin in e.params().data_bins() {
+                prop_assert_eq!(batch.num_samples(bin), incremental.num_samples(bin));
+                for (k, &(obs, cand)) in queries.iter().enumerate() {
                     let b = batch.log_likelihood(bin, obs, cand);
                     let i = incremental.log_likelihood(bin, obs, cand);
                     prop_assert_eq!(
@@ -170,6 +201,24 @@ proptest! {
                         "backend {:?} bin {} query {}: batch {} vs incremental {}",
                         backend, bin, k, b, i
                     );
+                }
+                let [mut b, mut i] = [vec![0.0; amps.len()], vec![0.0; amps.len()]];
+                batch.log_likelihood_batch(bin, &amps, &phases, &mut b);
+                incremental.log_likelihood_batch(bin, &amps, &phases, &mut i);
+                prop_assert_eq!(bits(&b), bits(&i), "{:?}/{:?} bin {} batch", backend, precision, bin);
+                batch.log_likelihood_upper_bounds(bin, &amps, &phases, &mut b);
+                incremental.log_likelihood_upper_bounds(bin, &amps, &phases, &mut i);
+                prop_assert_eq!(bits(&b), bits(&i), "{:?}/{:?} bin {} upper", backend, precision, bin);
+                for len in [1usize, 2, 6] {
+                    for (a, p) in amps.chunks(len).zip(phases.chunks(len)) {
+                        let b = batch.log_likelihood_sum_lower_bound(bin, a, p);
+                        let i = incremental.log_likelihood_sum_lower_bound(bin, a, p);
+                        prop_assert_eq!(
+                            b.to_bits(),
+                            i.to_bits(),
+                            "{:?}/{:?} bin {} lower bound of {:?}/{:?}", backend, precision, bin, a, p
+                        );
+                    }
                 }
             }
         }
@@ -199,7 +248,7 @@ proptest! {
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let (fitted, degenerate, unfitted, single) = (3usize, 4usize, 5usize, 6usize);
-        let mut samples = vec![BinSamples::default(); 8];
+        let mut samples = vec![Samples::default(); 8];
         let (da, dp) = (rng.gen_range(0.0..1.5), rng.gen_range(-3.0f64..3.0));
         for _ in 0..n {
             samples[fitted].push(
@@ -212,8 +261,8 @@ proptest! {
         let mut amps = Vec::new();
         let mut phases = Vec::new();
         for bin in [fitted, degenerate] {
-            amps.extend_from_slice(samples[bin].amplitudes());
-            phases.extend_from_slice(samples[bin].phases());
+            amps.extend_from_slice(&samples[bin].amps);
+            phases.extend_from_slice(&samples[bin].phases);
         }
         for _ in 0..24 {
             amps.push(rng.gen_range(0.0..3.0));
@@ -231,14 +280,15 @@ proptest! {
         samples[single].push(sa, sp);
         amps.push(sa);
         phases.push(sp);
-        let mut exact = ExactKdeEstimator::new(8);
-        exact.train(&samples, &CpRecycleConfig::default()).unwrap();
         for bin in [fitted, degenerate, single] {
-            for (&a, &p) in samples[bin].amplitudes().iter().zip(samples[bin].phases()) {
+            for (&a, &p) in samples[bin].amps.iter().zip(&samples[bin].phases) {
                 amps.push(a + rng.gen_range(-0.05..0.05));
                 phases.push(p + rng.gen_range(-0.1..0.1));
             }
-            let kde = exact.kde(bin).unwrap();
+            let exact = samples[bin].fit(&CpRecycleConfig::default());
+            let BinDensity::Exact(kde) = &exact else {
+                unreachable!("the default config fits exact KDEs")
+            };
             let (edge_a, edge_p) = kde
                 .amplitudes()
                 .iter()
@@ -264,20 +314,37 @@ proptest! {
                 .model(backend)
                 .precision(precision)
                 .build();
-            let mut est = EstimatorState::with_precision(backend, 8, precision);
-            est.train(&samples, &config).unwrap();
-            prop_assert!(!est.has_model(unfitted));
+            // Fitted bins are queried through their density, the unfitted bin
+            // through a model that never saw a sample.
+            let densities: Vec<Option<BinDensity>> = (0..8)
+                .map(|bin| (!samples[bin].amps.is_empty()).then(|| samples[bin].fit(&config)))
+                .collect();
+            let model = InterferenceModel::new(8, config);
+            prop_assert!(!model.has_model(unfitted));
             // (A single sample has no spread to select from and fits bandwidth 1.)
-            if let (EstimatorState::Exact(exact), true) = (&est, n >= 2) {
-                let kde = exact.kde(degenerate).unwrap();
+            if let (Some(BinDensity::Exact(kde)), true) = (&densities[degenerate], n >= 2) {
                 prop_assert_eq!(kde.bandwidth_amplitude(), config.min_bandwidth_amplitude);
                 prop_assert_eq!(kde.bandwidth_phase(), config.min_bandwidth_phase);
             }
             for bin in [fitted, degenerate, unfitted, single] {
-                let ceiling = est.log_likelihood_ceiling(bin);
+                let density = densities[bin].as_ref();
+                let batch = |a: &[f64], p: &[f64], out: &mut [f64]| match density {
+                    Some(d) => d.log_eval_batch(a, p, out, precision),
+                    None => model.log_likelihood_batch(bin, a, p, out),
+                };
+                let upper_bounds = |a: &[f64], p: &[f64], out: &mut [f64]| match density {
+                    Some(d) => d.upper_bounds(a, p, out),
+                    None => model.log_likelihood_upper_bounds(bin, a, p, out),
+                };
+                let lower_bound = |a: &[f64], p: &[f64]| match density {
+                    Some(d) => d.sum_lower_bound(a, p),
+                    None => model.log_likelihood_sum_lower_bound(bin, a, p),
+                };
+                // The unfitted bin's penalty −½a² peaks at 0.
+                let ceiling = density.map_or(0.0, BinDensity::ceiling);
                 prop_assert!(ceiling.is_finite(), "{:?} bin {}: ceiling {}", backend, bin, ceiling);
-                est.log_likelihood_batch(bin, &amps, &phases, &mut out);
-                est.log_likelihood_upper_bounds(bin, &amps, &phases, &mut upper);
+                batch(&amps, &phases, &mut out);
+                upper_bounds(&amps, &phases, &mut upper);
                 for (q, (v, u)) in out.iter().zip(&upper).enumerate() {
                     prop_assert!(
                         *v <= ceiling,
@@ -294,7 +361,7 @@ proptest! {
                 // candidate-major order.
                 for len in [1usize, 2, 16] {
                     for ((a, p), v) in amps.chunks(len).zip(phases.chunks(len)).zip(out.chunks(len)) {
-                        let floor = est.log_likelihood_sum_lower_bound(bin, a, p);
+                        let floor = lower_bound(a, p);
                         let score: f64 = v.iter().sum();
                         prop_assert!(
                             floor <= score,
@@ -312,12 +379,12 @@ proptest! {
                         let qa = [0.1, a, 0.2];
                         let qp = [0.0, p, -0.4];
                         prop_assert_eq!(
-                            est.log_likelihood_sum_lower_bound(bin, &qa, &qp),
+                            lower_bound(&qa, &qp),
                             f64::NEG_INFINITY,
                             "{:?} bin {} query ({}, {})", backend, bin, a, p
                         );
                         let mut bounds = [0.0; 3];
-                        est.log_likelihood_upper_bounds(bin, &qa, &qp, &mut bounds);
+                        upper_bounds(&qa, &qp, &mut bounds);
                         prop_assert!(bounds.iter().all(|b| *b <= ceiling), "{:?}", bounds);
                     }
                 }
@@ -330,27 +397,29 @@ proptest! {
 /// point reaches it up to the rounding slack, so pruning against it loses nothing.
 #[test]
 fn exact_ceiling_is_reached_at_a_degenerate_peak() {
-    let mut samples = vec![BinSamples::default(); 4];
+    let mut samples = Samples::default();
     for _ in 0..34 {
-        samples[2].push(0.4, -1.0);
+        samples.push(0.4, -1.0);
     }
     let config = CpRecycleConfig::default();
-    let mut est = ExactKdeEstimator::new(4);
-    est.train(&samples, &config).unwrap();
-    let ceiling = est.log_likelihood_ceiling(2);
+    let density = samples.fit(&config);
+    let ceiling = density.ceiling();
     let mut out = [0.0];
-    est.log_likelihood_batch(2, &[0.4], &[-1.0], &mut out);
+    density.log_eval_batch(&[0.4], &[-1.0], &mut out, config.precision);
     assert!(out[0] <= ceiling);
     assert!(
         ceiling - out[0] < 1e-9,
         "peak {} vs ceiling {ceiling}",
         out[0]
     );
-    assert_eq!(
-        est.log_likelihood_ceiling(3),
-        0.0,
-        "unfitted bins bound the fallback"
+    let mut bounds = [f64::NAN; 3];
+    InterferenceModel::new(4, config).log_likelihood_upper_bounds(
+        3,
+        &[0.0, 0.4, 50.0],
+        &[0.0, -1.0, 3.0],
+        &mut bounds,
     );
+    assert_eq!(bounds, [0.0; 3], "unfitted bins bound the fallback");
 }
 
 /// Dirty-bin tracking at the estimator level: updating with a preamble that only
@@ -395,8 +464,8 @@ fn update_refits_only_bins_that_received_samples() {
     }
 }
 
-/// The trait's default `train` and the backends' direct use agree with the model path
-/// on real extracted segments (the receiver's LTF framing).
+/// Densities fitted directly agree with the model path on real extracted segments
+/// (the receiver's LTF framing).
 #[test]
 fn backends_agree_with_model_dispatch_on_real_segments() {
     use ofdmphy::chanest::ChannelEstimate;
@@ -413,36 +482,35 @@ fn backends_agree_with_model_dispatch_on_real_segments() {
         config,
     )
     .unwrap();
-    assert_eq!(model.backend(), ModelBackend::ExactKde);
-
-    // Rebuild the same fit through the standalone backends.
-    let mut exact = ExactKdeEstimator::new(64);
-    let mut grid = GridKdeEstimator::new(64);
-    let mut samples = vec![cprecycle::estimator::BinSamples::default(); 64];
-    for bin in e.params().occupied_bins() {
-        if reference[bin].norm_sqr() == 0.0 {
-            continue;
-        }
-        for obs in segs.bin_observations(bin) {
-            let (a, p) = cprecycle::interference_model::deviation(*obs, reference[bin]);
-            samples[bin].push(a, p);
-        }
-    }
-    exact.train(&samples, &config).unwrap();
-    grid.train(&samples, &config).unwrap();
     let bin = e.params().data_bins()[7];
+    assert!(matches!(model.density(bin), Some(BinDensity::Exact(_))));
+
+    // Rebuild the same fit from the bin's own deviations.
+    let mut samples = Samples::default();
+    for obs in segs.bin_observations(bin) {
+        let (a, p) = deviation(*obs, reference[bin]);
+        samples.push(a, p);
+    }
+    let exact = samples.fit(&config);
+    let grid_config = CpRecycleConfig::with_model(ModelBackend::GridKde);
+    let grid = samples.fit(&grid_config);
     let obs = Complex::new(0.9, 0.1);
     let cand = Complex::one();
+    let (a, p) = deviation(obs, cand);
     assert_eq!(
         model.log_likelihood(bin, obs, cand).to_bits(),
-        exact.log_likelihood(bin, obs, cand).to_bits(),
-        "standalone exact backend must match the model dispatch"
+        exact.log_eval(a, p).to_bits(),
+        "a directly fitted exact density must match the model's"
     );
-    let g = grid.log_likelihood(bin, obs, cand);
-    assert!((g - exact.log_likelihood(bin, obs, cand)).abs() < 0.1);
-    // EstimatorState::new builds the same backends the enum dispatch uses.
-    assert!(matches!(
-        EstimatorState::new(ModelBackend::GridKde, 64),
-        EstimatorState::Grid(_)
-    ));
+    let g = grid.log_eval(a, p);
+    assert!((g - exact.log_eval(a, p)).abs() < 0.1);
+    // The model fits the family its config selects.
+    let grid_model = InterferenceModel::train(
+        &e,
+        std::slice::from_ref(&segs),
+        std::slice::from_ref(&reference),
+        grid_config,
+    )
+    .unwrap();
+    assert!(matches!(grid_model.density(bin), Some(BinDensity::Grid(_))));
 }

@@ -3,11 +3,10 @@
 //!
 //! Before the refactor, every `InterferenceModel` refit collected two temporary
 //! axis `Vec<f64>`s per bin for bandwidth selection and rebuilt each bin's KDE from
-//! a fresh sample copy, and `ProductKde2d::update` collected two more — hundreds of
-//! `O(P·N_p)`-sized allocations per preamble update. The split-axis sample store
-//! selects bandwidths straight from the stored slices (with one reusable sort
-//! scratch), so the counts pinned here would jump by at least two per occupied bin
-//! if the temporaries ever came back.
+//! a fresh sample copy — hundreds of `O(P·N_p)`-sized allocations per preamble
+//! update. The split-axis sample store selects bandwidths straight from the stored
+//! slices (with one reusable sort scratch), so the counts pinned here would jump
+//! by at least two per occupied bin if the temporaries ever came back.
 //!
 //! The test binary installs a counting global allocator that counts only the
 //! allocations of the thread inside [`allocations_during`], so the test harness
@@ -20,7 +19,6 @@ use ofdmphy::ofdm::OfdmEngine;
 use ofdmphy::params::OfdmParams;
 use ofdmphy::preamble;
 use rand::{Rng, SeedableRng};
-use rfdsp::kde::{BandwidthSelector, ProductKde2d};
 use rfdsp::Complex;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -110,25 +108,6 @@ fn viterbi_decode_is_allocation_free_after_warmup() {
         );
         assert_eq!(out, data);
     }
-}
-
-#[test]
-fn kde_update_is_allocation_free_after_reserve() {
-    // The satellite pin: `ProductKde2d::update` used to collect both axes into fresh
-    // vectors to reselect bandwidths on every call. With split-axis storage, the
-    // internal sort scratch and a `reserve`, an update allocates nothing at all.
-    let samples: Vec<(f64, f64)> = (0..64)
-        .map(|i| (0.1 + 0.01 * (i % 13) as f64, -1.0 + 0.07 * (i % 29) as f64))
-        .collect();
-    let mut kde = ProductKde2d::new(&samples, BandwidthSelector::LeaveOneOut).unwrap();
-    let new: Vec<(f64, f64)> = (0..16).map(|i| (0.3 + 0.01 * i as f64, 0.5)).collect();
-    kde.reserve(new.len());
-    let during = allocations_during(|| kde.update(&new, BandwidthSelector::LeaveOneOut).unwrap());
-    assert_eq!(
-        during, 0,
-        "ProductKde2d::update allocated {during} times after reserve"
-    );
-    assert_eq!(kde.len(), 80);
 }
 
 #[test]

@@ -83,8 +83,7 @@ pub fn silverman_bandwidth_scratch(samples: &[f64], scratch: &mut Vec<f64>) -> R
 /// The `n(n−1)` leave-one-out kernels are symmetric, so each pair is evaluated
 /// once, lane-parallel with the polynomial `exp` ([`crate::simd::loo_kernel_sums`]).
 /// `scratch` is the workspace: `n` per-sample kernel sums followed by the `n`
-/// samples whitened by `1/(√2·bw)` (hence `2·n` entries, see
-/// [`ProductKde2d::reserve`]).
+/// samples whitened by `1/(√2·bw)` (hence `2·n` entries).
 fn loo_log_likelihood(samples: &[f64], bw: f64, scratch: &mut Vec<f64>) -> f64 {
     let n = samples.len();
     scratch.clear();
@@ -219,9 +218,9 @@ impl KernelDensity1d {
 /// bandwidths are selected independently, which is what lets CPRecycle weight amplitude
 /// and phase errors separately.
 ///
-/// Samples are stored as two parallel axis vectors, so bandwidth reselection (which
-/// operates per axis) reads the stored slices directly instead of collecting
-/// temporary axis vectors on every refit.
+/// Samples are stored as two parallel axis vectors, so a refit from per-axis
+/// slices ([`refit_axes`](Self::refit_axes)) copies them in place instead of
+/// collecting temporaries.
 #[derive(Debug, Clone)]
 pub struct ProductKde2d {
     /// The `n` amplitude samples followed by the same samples divided by `√2·B_a`:
@@ -244,9 +243,6 @@ pub struct ProductKde2d {
     /// support [`log_eval_upper_bounds`](Self::log_eval_upper_bounds) measures
     /// query distances to. Recomputed with the whitened half.
     white_box: [f64; 4],
-    /// Sort and leave-one-out scratch reused by bandwidth reselection in
-    /// [`ProductKde2d::update`].
-    scratch: Vec<f64>,
 }
 
 impl ProductKde2d {
@@ -269,7 +265,6 @@ impl ProductKde2d {
             whitening: (1.0, 1.0),
             log_norm: 0.0,
             white_box: [0.0; 4],
-            scratch,
         };
         kde.whiten();
         Ok(kde)
@@ -294,7 +289,6 @@ impl ProductKde2d {
             whitening: (1.0, 1.0),
             log_norm: 0.0,
             white_box: [0.0; 4],
-            scratch: Vec::new(),
         };
         kde.refit_axes(amps, phases, bw_a, bw_p)?;
         Ok(kde)
@@ -388,23 +382,6 @@ impl ProductKde2d {
     /// The phase coordinates of the backing samples.
     pub fn phases(&self) -> &[f64] {
         &self.phases[..self.len()]
-    }
-
-    /// Pre-grows the sample and scratch buffers for `additional` further samples, so a
-    /// subsequent [`ProductKde2d::update`] of at most that many samples allocates
-    /// nothing (pinned by the `model_alloc` regression test). The scratch serves
-    /// both the Silverman sort (`n` entries) and the leave-one-out workspace
-    /// (`2·n`), so it is sized for the latter.
-    pub fn reserve(&mut self, additional: usize) {
-        // Each axis buffer holds raw and whitened halves.
-        self.amps.reserve(2 * additional);
-        self.phases.reserve(2 * additional);
-        // `Vec::reserve(n)` guarantees capacity ≥ len + n, so size the request off
-        // the scratch's *length* — subtracting its capacity would under-reserve
-        // whenever capacity already exceeds length.
-        let total = 2 * (self.len() + additional);
-        self.scratch
-            .reserve(total.saturating_sub(self.scratch.len()));
     }
 
     /// Evaluates the joint density at `(amplitude, phase)` (Eq. 4 of the paper).
@@ -634,32 +611,6 @@ impl ProductKde2d {
             magnitude += bound.abs();
         }
         sum - SUM_SLACK * magnitude
-    }
-
-    /// Merges additional samples into the estimate and reselects bandwidths with the
-    /// given strategy — used when a new preamble arrives (paper §4.3: "probability
-    /// density functions are constantly updated when subsequent preambles are received").
-    ///
-    /// Bandwidth reselection reads the stored axis vectors directly (with an internal
-    /// reusable sort scratch), so the call performs no allocation when the buffers
-    /// have spare capacity (see [`ProductKde2d::reserve`]).
-    pub fn update(
-        &mut self,
-        new_samples: &[(f64, f64)],
-        selector: BandwidthSelector,
-    ) -> Result<()> {
-        if new_samples.is_empty() {
-            return Ok(());
-        }
-        let n = self.len();
-        self.amps.truncate(n);
-        self.phases.truncate(n);
-        self.amps.extend(new_samples.iter().map(|s| s.0));
-        self.phases.extend(new_samples.iter().map(|s| s.1));
-        self.bw_a = select_bandwidth_scratch(&self.amps, selector, &mut self.scratch)?;
-        self.bw_p = select_bandwidth_scratch(&self.phases, selector, &mut self.scratch)?;
-        self.whiten();
-        Ok(())
     }
 }
 
@@ -1240,34 +1191,6 @@ mod tests {
     }
 
     #[test]
-    fn product_kde_update_after_reserve_keeps_capacity() {
-        let mut kde = ProductKde2d::new(
-            &[(0.0, 0.0), (0.1, 0.1), (0.2, -0.1)],
-            BandwidthSelector::Silverman,
-        )
-        .unwrap();
-        kde.reserve(8);
-        // Buffer-pointer stability across the update proves no reallocation took
-        // place (the allocation-count pin lives in core's `model_alloc` test; this
-        // is the dependency-free version).
-        let amp_ptr = kde.amplitudes().as_ptr();
-        let phase_ptr = kde.phases().as_ptr();
-        let new: Vec<(f64, f64)> = (0..8).map(|i| (i as f64 * 0.01, 0.0)).collect();
-        kde.update(&new, BandwidthSelector::LeaveOneOut).unwrap();
-        assert_eq!(kde.len(), 11);
-        assert_eq!(
-            kde.amplitudes().as_ptr(),
-            amp_ptr,
-            "amplitude buffer reallocated despite reserve"
-        );
-        assert_eq!(
-            kde.phases().as_ptr(),
-            phase_ptr,
-            "phase buffer reallocated despite reserve"
-        );
-    }
-
-    #[test]
     fn grid_kde_matches_exact_inside_the_sample_region() {
         let samples: Vec<(f64, f64)> = (0..30)
             .map(|i| {
@@ -1475,21 +1398,6 @@ mod tests {
                 f32_out[q]
             );
         }
-    }
-
-    #[test]
-    fn product_kde_update_extends_samples() {
-        let mut kde =
-            ProductKde2d::new(&[(0.0, 0.0), (0.1, 0.1)], BandwidthSelector::Silverman).unwrap();
-        assert_eq!(kde.len(), 2);
-        kde.update(&[(0.05, 0.02), (0.07, -0.03)], BandwidthSelector::Silverman)
-            .unwrap();
-        assert_eq!(kde.len(), 4);
-        kde.update(&[], BandwidthSelector::Silverman).unwrap();
-        assert_eq!(kde.len(), 4);
-        assert!(kde.bandwidth_amplitude() > 0.0);
-        assert!(kde.bandwidth_phase() > 0.0);
-        assert!(!kde.is_empty());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   `#![deny(unsafe_code)]` + `#![deny(unsafe_op_in_unsafe_fn)]`.
 //!
 //! Run locally with `cargo xtask lint`; CI uploads the JSON report
-//! (`UNSAFE_inventory.json`) as an artifact next to the `BENCH_*.json` files.
+//! (`UNSAFE_inventory.json`) as its own `unsafe-inventory-json` artifact.
 
 #![forbid(unsafe_code)]
 
