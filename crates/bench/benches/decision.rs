@@ -1,5 +1,5 @@
-//! Decision-stage cost: every `SubcarrierDecoder` (sphere ML, naive, Oracle,
-//! standard-window) decoding one full symbol (48 data subcarriers) across
+//! Decision-stage cost: every `DecisionStage` rule (sphere ML, naive, Oracle,
+//! standard-window) run by `decision::decide_symbol` on one full symbol (48 data subcarriers) across
 //! Modulation × `P` — the scaling the paper's §6 discusses and the justification for
 //! the fixed sphere.
 //!
@@ -11,13 +11,10 @@
 //! certified without scoring a query. The measured figures are recorded in the
 //! README "decision stage" table.
 
-use cprecycle::decision::{
-    DecoderScratch, NaiveCentroidDecoder, OracleSegmentDecoder, StandardNearestDecoder,
-    SubcarrierDecoder,
-};
+use cprecycle::decision::{decide_symbol, DecoderScratch};
 use cprecycle::interference_model::{deviation_planes, InterferenceModel};
 use cprecycle::segments::{SegmentPowers, SymbolSegments};
-use cprecycle::{CpRecycleConfig, FixedSphereMlDecoder};
+use cprecycle::{CpRecycleConfig, DecisionStage, FixedSphereMlDecoder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ofdmphy::modulation::Modulation;
 use ofdmphy::ofdm::OfdmEngine;
@@ -26,6 +23,10 @@ use rand::{Rng, SeedableRng};
 use rfdsp::Complex;
 
 const RADIUS: f64 = 2.0;
+
+const SPHERE: DecisionStage = DecisionStage::Sphere {
+    radius_min_distances: RADIUS,
+};
 
 /// Trains an interference model on synthetic preamble segments covering every
 /// occupied bin (moderate per-segment interference, like a busy ACI capture).
@@ -191,20 +192,36 @@ fn bench_decision(c: &mut Criterion) {
                     .collect(),
             );
             let mut scratch = DecoderScratch::new();
+            // Every arm runs through the receiver's dispatch; each rule reads only
+            // its own input (the model or the genie powers).
+            let decide = |stage: DecisionStage,
+                          model: &InterferenceModel,
+                          segs: &SymbolSegments,
+                          scratch: &mut DecoderScratch| {
+                decide_symbol(
+                    stage,
+                    modulation,
+                    Some(model),
+                    Some(&powers),
+                    segs,
+                    &data_bins,
+                    scratch,
+                )
+            };
 
             let sphere = FixedSphereMlDecoder::new(&model, modulation, RADIUS);
             group.bench_with_input(
                 BenchmarkId::new(format!("sphere_{}", modulation.name()), p),
                 &segments,
                 |b, segs| {
-                    b.iter(|| sphere.decide_symbol(segs, &data_bins, &mut scratch));
+                    b.iter(|| decide(SPHERE, &model, segs, &mut scratch));
                 },
             );
 
             let mut planes = ExhaustivePlanes::default();
             // Same inputs, same decisions: the pair differs only in work done.
             assert_eq!(
-                sphere.decide_symbol(&segments, &data_bins, &mut scratch),
+                decide(SPHERE, &model, &segments, &mut scratch),
                 exhaustive_decode_symbol(&sphere, &model, &segments, &data_bins, &mut planes),
                 "pruned and exhaustive sphere decisions diverged"
             );
@@ -223,7 +240,7 @@ fn bench_decision(c: &mut Criterion) {
             let clustered_segs = clustered_segments(modulation, p, 7 + p as u64);
             scratch.take_search_counts();
             assert_eq!(
-                clustered.decide_symbol(&clustered_segs, &data_bins, &mut scratch),
+                decide(SPHERE, &clustered_model, &clustered_segs, &mut scratch),
                 exhaustive_decode_symbol(
                     &clustered,
                     &clustered_model,
@@ -241,7 +258,7 @@ fn bench_decision(c: &mut Criterion) {
                 BenchmarkId::new(format!("sphere_clustered_{}", modulation.name()), p),
                 &clustered_segs,
                 |b, segs| {
-                    b.iter(|| clustered.decide_symbol(segs, &data_bins, &mut scratch));
+                    b.iter(|| decide(SPHERE, &clustered_model, segs, &mut scratch));
                 },
             );
             group.bench_with_input(
@@ -263,32 +280,19 @@ fn bench_decision(c: &mut Criterion) {
                 },
             );
 
-            let naive = NaiveCentroidDecoder::new(modulation);
-            group.bench_with_input(
-                BenchmarkId::new(format!("naive_{}", modulation.name()), p),
-                &segments,
-                |b, segs| {
-                    b.iter(|| naive.decide_symbol(segs, &data_bins, &mut scratch));
-                },
-            );
-
-            let oracle = OracleSegmentDecoder::new(modulation, &powers);
-            group.bench_with_input(
-                BenchmarkId::new(format!("oracle_{}", modulation.name()), p),
-                &segments,
-                |b, segs| {
-                    b.iter(|| oracle.decide_symbol(segs, &data_bins, &mut scratch));
-                },
-            );
-
-            let standard = StandardNearestDecoder::new(modulation);
-            group.bench_with_input(
-                BenchmarkId::new(format!("standard_{}", modulation.name()), p),
-                &segments,
-                |b, segs| {
-                    b.iter(|| standard.decide_symbol(segs, &data_bins, &mut scratch));
-                },
-            );
+            for (name, stage) in [
+                ("naive", DecisionStage::Naive),
+                ("oracle", DecisionStage::Oracle),
+                ("standard", DecisionStage::Standard),
+            ] {
+                group.bench_with_input(
+                    BenchmarkId::new(format!("{name}_{}", modulation.name()), p),
+                    &segments,
+                    |b, segs| {
+                        b.iter(|| decide(stage, &model, segs, &mut scratch));
+                    },
+                );
+            }
         }
     }
     group.finish();

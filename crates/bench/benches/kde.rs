@@ -3,26 +3,35 @@
 //! (`P × N_p`) — the `O(P · N_p · f)` term in the paper's complexity discussion (§6).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rfdsp::kde::{BandwidthSelector, ProductKde2d};
+use rfdsp::kde::{select_bandwidth, BandwidthSelector, ProductKde2d};
 
-fn samples(n: usize) -> Vec<(f64, f64)> {
+/// `n` (amplitude, phase) samples, split into the two axes.
+fn samples(n: usize) -> (Vec<f64>, Vec<f64>) {
     (0..n)
         .map(|i| {
             let x = i as f64 / n as f64;
             (0.3 * (x * 12.7).sin().abs(), 3.0 * (x * 5.1).cos())
         })
-        .collect()
+        .unzip()
+}
+
+/// A product KDE over `(amps, phases)` with each axis's bandwidth picked by
+/// `selector`: what the interference model's per-bin fit does.
+fn fit(amps: &[f64], phases: &[f64], selector: BandwidthSelector) -> ProductKde2d {
+    let bw_a = select_bandwidth(amps, selector).unwrap();
+    let bw_p = select_bandwidth(phases, selector).unwrap();
+    ProductKde2d::from_axes(amps, phases, bw_a, bw_p).unwrap()
 }
 
 fn bench_kde(c: &mut Criterion) {
     let mut group = c.benchmark_group("kde");
     group.sample_size(30);
     for n in [16usize, 32, 80] {
-        let s = samples(n);
-        group.bench_with_input(BenchmarkId::new("train_loo", n), &s, |b, s| {
-            b.iter(|| ProductKde2d::new(s, BandwidthSelector::LeaveOneOut).unwrap());
+        let (amps, phases) = samples(n);
+        group.bench_with_input(BenchmarkId::new("train_loo", n), &n, |b, _| {
+            b.iter(|| fit(&amps, &phases, BandwidthSelector::LeaveOneOut));
         });
-        let kde = ProductKde2d::new(&s, BandwidthSelector::Silverman).unwrap();
+        let kde = fit(&amps, &phases, BandwidthSelector::Silverman);
         group.bench_with_input(BenchmarkId::new("eval", n), &kde, |b, kde| {
             b.iter(|| kde.log_eval(0.21, -0.4));
         });

@@ -3,8 +3,8 @@
 //! Every binary in this crate regenerates one table or figure of the paper by calling
 //! the corresponding driver in `cprecycle-scenarios` and printing the result as an
 //! aligned text table (pass `--json` for machine-readable output). Pass `--smoke` to
-//! run a fast, coarse version of the experiment; the default is the full scale used to
-//! fill in EXPERIMENTS.md. The Criterion benches are ungated diagnostics.
+//! run a fast, coarse version of the experiment; the default is the full scale the
+//! README's reproduction notes discuss. The Criterion benches are ungated diagnostics.
 
 #![forbid(unsafe_code)]
 

@@ -6,7 +6,7 @@ use rfdsp::kde::BandwidthSelector;
 
 /// Which decoder runs the subcarrier-decision stage (paper §3–§4): the receiver
 /// pipeline — sync → extract → **decide** → bit pipeline — is identical for every
-/// variant; only the [`SubcarrierDecoder`] dispatched per symbol changes.
+/// variant; only the per-bin rule that [`decide_symbol`] runs on every symbol changes.
 ///
 /// Because the stage is part of [`CpRecycleConfig`], it flows into the campaign
 /// engine's point keys: one campaign sweeps decoders alongside SNR and `P`, and
@@ -33,7 +33,7 @@ use rfdsp::kde::BandwidthSelector;
 /// assert_eq!(rx.config().decision.label(), "Naive");
 /// ```
 ///
-/// [`SubcarrierDecoder`]: crate::decision::SubcarrierDecoder
+/// [`decide_symbol`]: crate::decision::decide_symbol
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DecisionStage {
     /// Fixed-sphere ML over all `P` observations, scored by the preamble-trained
@@ -43,18 +43,17 @@ pub enum DecisionStage {
         radius_min_distances: f64,
     },
     /// Minimum average Euclidean distance over all `P` observations (§3.3, Eq. 3 —
-    /// the ShiftFFT strawman; [`crate::decision::NaiveCentroidDecoder`]).
+    /// the ShiftFFT strawman).
     Naive,
     /// Genie-aided best-segment selection from the interference-only waveform (§3.2;
-    /// [`crate::decision::OracleSegmentDecoder`]). Requires the interference-only
+    /// [`crate::oracle::least_interfered`]). Requires the interference-only
     /// capture, passed as the `interference_only` argument of
     /// [`CpRecycleReceiver::decode_frame_session`].
     ///
     /// [`CpRecycleReceiver::decode_frame_session`]: crate::receiver::CpRecycleReceiver::decode_frame_session
     Oracle,
-    /// Nearest lattice point on the standard FFT window only
-    /// ([`crate::decision::StandardNearestDecoder`]) — the conventional receiver's
-    /// decision, as an explicit arm for decoder sweeps.
+    /// Nearest lattice point on the standard FFT window only — the conventional
+    /// receiver's decision, as an explicit arm for decoder sweeps.
     Standard,
 }
 

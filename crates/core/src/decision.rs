@@ -1,54 +1,36 @@
-//! The subcarrier-decision stage: one trait, four decoders.
+//! The subcarrier-decision stage: one per-symbol loop over four per-bin rules.
 //!
 //! The paper's receivers differ *only* in how they map a subcarrier's `P` segment
 //! observations to a lattice point — the fixed-sphere ML search of §4.2 (Eq. 5), the
-//! naive average-distance decoder of §3.3 (Eq. 3), the genie-aided Oracle of §3.2 and
-//! the conventional single-window nearest-point decision. [`SubcarrierDecoder`] makes
-//! that stage a first-class extension point: every decoder consumes the bin-major
-//! observation slices of [`SymbolSegments`], emits `u16` lattice indices into the
-//! cached [`Modulation::lattice`] table (no per-candidate bit-vector clones), and
-//! shares one [`DecoderScratch`] so candidate enumeration is allocation-free after
-//! warm-up.
+//! naive average-distance rule of §3.3 (Eq. 3), the genie-aided Oracle of §3.2 and
+//! the conventional single-window nearest-point decision. [`DecisionStage`] names the
+//! rule and [`decide_symbol`] runs it: one `match` picks the per-bin rule, then one
+//! statically dispatched loop decides every bin from the bin-major observation slices
+//! of [`SymbolSegments`] as a `u16` index into the cached [`Modulation::lattice`]
+//! table (no per-candidate bit-vector clones). All rules share one
+//! [`DecoderScratch`], so candidate enumeration is allocation-free after warm-up.
 //!
-//! Which decoder runs is selected by [`crate::config::DecisionStage`] and dispatched
-//! by [`crate::receiver::CpRecycleReceiver`]; future receivers (soft-decision,
-//! learned equalizers) slot in by implementing the trait.
-//!
-//! The sphere decoder itself lives in [`crate::sphere_ml`]; this module holds the
-//! trait, the scratch and the three lattice-geometry decoders.
+//! A new rule (soft-decision, learned equalizer) is a new [`DecisionStage`] arm. The
+//! sphere search itself lives in [`crate::sphere_ml`] and the Oracle's segment
+//! selection in [`crate::oracle`]; this module holds the dispatch, the naive rule and
+//! the scratch.
 
+use crate::config::DecisionStage;
+use crate::interference_model::InterferenceModel;
+use crate::oracle::least_interfered;
 use crate::segments::{SegmentPowers, SymbolSegments};
+use crate::sphere_ml::FixedSphereMlDecoder;
 use ofdmphy::modulation::{Lattice, Modulation};
 use rfdsp::Complex;
-
-/// One decided lattice point: its index into [`Modulation::lattice`] plus the
-/// constellation value. The index is the stable identity (the bits of index `i` are
-/// `i` itself, MSB first), so downstream stages can recover bits without cloning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatticePoint {
-    /// Index into the modulation's lattice table.
-    pub index: u16,
-    /// The constellation value at that index.
-    pub value: Complex,
-}
-
-impl LatticePoint {
-    /// The bits this point encodes under `modulation`, borrowed from the cached
-    /// lattice table.
-    pub fn bits(self, modulation: Modulation) -> &'static [u8] {
-        modulation.lattice().bits_of(self.index)
-    }
-}
 
 /// Reusable decision buffers — the candidate lattice-index buffer and the sphere
 /// decoder's scoring planes — plus the sphere search's work counters.
 ///
 /// Construct one per worker (the receiver threads the one inside
-/// [`crate::segments::SegmentScratch`]) and pass it to every
-/// [`SubcarrierDecoder::decide`] call; after the first symbol of a given modulation
-/// the buffers are at full lattice capacity and never reallocate — the regression
-/// test in `crates/core/tests/decision_equivalence.rs` pins this across a
-/// 1000-symbol decode.
+/// [`crate::segments::SegmentScratch`]) and pass it to every [`decide_symbol`] call;
+/// after the first symbol of a given modulation the buffers are at full lattice
+/// capacity and never reallocate — the regression test in
+/// `crates/core/tests/decision_equivalence.rs` pins this across a 1000-symbol decode.
 #[derive(Debug, Clone, Default)]
 pub struct DecoderScratch {
     /// Candidate lattice indices of the current subcarrier.
@@ -122,67 +104,78 @@ impl DecoderScratch {
     }
 }
 
-/// A subcarrier-decision stage: maps the `P` segment observations of one FFT bin to a
-/// lattice point of its modulation.
+/// Decides one symbol's data subcarriers under `stage`: every FFT bin in `bins` is
+/// decided from its observation slice ([`SymbolSegments::bin_observations`], never
+/// empty, segment `P − 1` last — the standard receiver's window), and the decided
+/// constellation values come back in `bins` order, ready for the shared `ofdmphy`
+/// bit pipeline.
 ///
-/// Contract shared by all implementations:
+/// `model` is read only by the `Sphere` rule (the interference model trained from
+/// the frame's preamble) and `genie_powers` only by the `Oracle` rule (this symbol's
+/// per-segment interference powers, measured from the interference-only waveform).
+/// Decisions are deterministic and, given a warmed-up `scratch`, the only allocation
+/// is the returned vector.
 ///
-/// * `observations` is the bin-major slice [`SymbolSegments::bin_observations`]
-///   (segment `P − 1` last — the standard receiver's window) and is never empty;
-/// * `bin` is the FFT bin index, for decoders with per-subcarrier state (the sphere
-///   decoder's interference model, the Oracle's power table);
-/// * decisions are deterministic and allocation-free given a warmed-up scratch.
-pub trait SubcarrierDecoder {
-    /// The modulation whose lattice this decoder decides over.
-    fn modulation(&self) -> Modulation;
-
-    /// Decides one subcarrier from its `P` segment observations.
-    fn decide(
-        &self,
-        bin: usize,
-        observations: &[Complex],
-        scratch: &mut DecoderScratch,
-    ) -> LatticePoint;
-
-    /// Decides a whole symbol: every FFT bin in `bins` (increasing order) is decided
-    /// from its contiguous observation slice; the decided constellation values are
-    /// returned in the same order, ready for the shared `ofdmphy` bit pipeline.
-    fn decide_symbol(
-        &self,
-        segments: &SymbolSegments,
-        bins: &[usize],
-        scratch: &mut DecoderScratch,
-    ) -> Vec<Complex> {
-        let mut out = Vec::with_capacity(bins.len());
-        self.decide_symbol_into(segments, bins, scratch, &mut out);
-        out
-    }
-
-    /// [`decide_symbol`](Self::decide_symbol) into a caller-owned buffer (cleared
-    /// first) — the fully allocation-free batched path.
-    fn decide_symbol_into(
-        &self,
-        segments: &SymbolSegments,
-        bins: &[usize],
-        scratch: &mut DecoderScratch,
-        out: &mut Vec<Complex>,
-    ) {
-        out.clear();
-        out.reserve(bins.len());
-        for &bin in bins {
-            out.push(
-                self.decide(bin, segments.bin_observations(bin), scratch)
-                    .value,
-            );
+/// # Panics
+///
+/// If `stage` is `Sphere` and `model` is `None`, or `Oracle` and `genie_powers` is
+/// `None`.
+pub fn decide_symbol(
+    stage: DecisionStage,
+    modulation: Modulation,
+    model: Option<&InterferenceModel>,
+    genie_powers: Option<&SegmentPowers>,
+    segments: &SymbolSegments,
+    bins: &[usize],
+    scratch: &mut DecoderScratch,
+) -> Vec<Complex> {
+    let lattice = modulation.lattice();
+    match stage {
+        DecisionStage::Sphere {
+            radius_min_distances,
+        } => {
+            let model = model.expect("the sphere rule scores with a trained model");
+            let sphere = FixedSphereMlDecoder::new(model, modulation, radius_min_distances);
+            decide_bins(lattice, segments, bins, scratch, |bin, obs, scratch| {
+                sphere.decide(bin, obs, scratch)
+            })
+        }
+        DecisionStage::Naive => decide_bins(lattice, segments, bins, scratch, |_, obs, _| {
+            naive_index(lattice, obs)
+        }),
+        DecisionStage::Standard => decide_bins(lattice, segments, bins, scratch, |_, obs, _| {
+            lattice.nearest_index(*obs.last().expect("at least one segment observation"))
+        }),
+        DecisionStage::Oracle => {
+            let powers = genie_powers.expect("the Oracle rule selects by genie powers");
+            decide_bins(lattice, segments, bins, scratch, |bin, obs, _| {
+                // A power table with more segments than the observation set (a
+                // truncated extraction) clamps to the last available segment.
+                let (segment, _) = least_interfered(powers.bin_powers(bin));
+                lattice.nearest_index(obs[segment.min(obs.len() - 1)])
+            })
         }
     }
 }
 
-/// The naive multi-segment decoder (paper §3.3, Eq. 3) — the authors' earlier
-/// ShiftFFT approach and the strawman CPRecycle improves upon.
-///
-/// For each subcarrier it picks the lattice point with the minimum *average Euclidean
-/// distance* to the `P` segment observations:
+/// The one per-symbol loop: `rule` maps a bin and its observations to a lattice
+/// index, monomorphised per [`DecisionStage`] arm.
+fn decide_bins(
+    lattice: &Lattice,
+    segments: &SymbolSegments,
+    bins: &[usize],
+    scratch: &mut DecoderScratch,
+    rule: impl Fn(usize, &[Complex], &mut DecoderScratch) -> u16,
+) -> Vec<Complex> {
+    bins.iter()
+        .map(|&bin| lattice.point(rule(bin, segments.bin_observations(bin), scratch)))
+        .collect()
+}
+
+/// The naive multi-segment rule (paper §3.3, Eq. 3) — the authors' earlier ShiftFFT
+/// approach and the strawman CPRecycle improves upon: the index of the lattice point
+/// with the minimum *average Euclidean distance* to the `P` segment observations, the
+/// first minimum on ties,
 ///
 /// ```text
 /// l* = argmin_{l ∈ L} Σ_j |X̂_j − l|
@@ -192,174 +185,58 @@ pub trait SubcarrierDecoder {
 /// outliers, the assumption that clean observations sit exactly on the lattice point,
 /// and ignoring phase structure); the tests below reproduce the outlier failure mode
 /// that motivates the KDE + ML design.
-#[derive(Debug, Clone, Copy)]
-pub struct NaiveCentroidDecoder {
-    modulation: Modulation,
-    lattice: &'static Lattice,
-}
-
-impl NaiveCentroidDecoder {
-    /// Creates a naive decoder for `modulation`.
-    pub fn new(modulation: Modulation) -> Self {
-        NaiveCentroidDecoder {
-            modulation,
-            lattice: modulation.lattice(),
+pub(crate) fn naive_index(lattice: &Lattice, observations: &[Complex]) -> u16 {
+    let mut best = 0u16;
+    let mut best_metric = f64::INFINITY;
+    for (i, point) in lattice.points().iter().enumerate() {
+        let metric: f64 = observations.iter().map(|o| (*o - *point).norm()).sum();
+        if metric < best_metric {
+            best_metric = metric;
+            best = i as u16;
         }
     }
-}
-
-impl SubcarrierDecoder for NaiveCentroidDecoder {
-    fn modulation(&self) -> Modulation {
-        self.modulation
-    }
-
-    fn decide(
-        &self,
-        _bin: usize,
-        observations: &[Complex],
-        _scratch: &mut DecoderScratch,
-    ) -> LatticePoint {
-        let mut best = 0u16;
-        let mut best_metric = f64::INFINITY;
-        for (i, point) in self.lattice.points().iter().enumerate() {
-            let metric: f64 = observations.iter().map(|o| (*o - *point).norm()).sum();
-            if metric < best_metric {
-                best_metric = metric;
-                best = i as u16;
-            }
-        }
-        LatticePoint {
-            index: best,
-            value: self.lattice.point(best),
-        }
-    }
-}
-
-/// The conventional receiver's decision: nearest lattice point on the standard FFT
-/// window (the last segment), ignoring the other `P − 1` observations. This is what a
-/// CP-discarding receiver computes, made available as a [`SubcarrierDecoder`] so the
-/// receiver sweep can include it as an arm and so `P = 1` configurations have an
-/// explicit non-ML reference.
-#[derive(Debug, Clone, Copy)]
-pub struct StandardNearestDecoder {
-    modulation: Modulation,
-    lattice: &'static Lattice,
-}
-
-impl StandardNearestDecoder {
-    /// Creates a standard-window decoder for `modulation`.
-    pub fn new(modulation: Modulation) -> Self {
-        StandardNearestDecoder {
-            modulation,
-            lattice: modulation.lattice(),
-        }
-    }
-}
-
-impl SubcarrierDecoder for StandardNearestDecoder {
-    fn modulation(&self) -> Modulation {
-        self.modulation
-    }
-
-    fn decide(
-        &self,
-        _bin: usize,
-        observations: &[Complex],
-        _scratch: &mut DecoderScratch,
-    ) -> LatticePoint {
-        let standard = *observations
-            .last()
-            .expect("at least one segment observation");
-        let index = self.lattice.nearest_index(standard);
-        LatticePoint {
-            index,
-            value: self.lattice.point(index),
-        }
-    }
-}
-
-/// The Oracle segment selector (paper §3.2): with perfect knowledge of the
-/// per-segment interference power (a [`SegmentPowers`] measured from the
-/// interference-only waveform), each subcarrier takes the observation of its
-/// least-interfered segment and maps it to the nearest lattice point.
-///
-/// Impractical — the whole point of CPRecycle is to approach it without the genie —
-/// but it upper-bounds the achievable gain and generates Fig. 4a / Fig. 5. Bind a
-/// fresh decoder per symbol: it only borrows that symbol's power table, so
-/// construction is free of allocation.
-#[derive(Debug, Clone, Copy)]
-pub struct OracleSegmentDecoder<'p> {
-    modulation: Modulation,
-    lattice: &'static Lattice,
-    powers: &'p SegmentPowers,
-}
-
-impl<'p> OracleSegmentDecoder<'p> {
-    /// Creates an Oracle decoder over the interference powers of one symbol.
-    pub fn new(modulation: Modulation, powers: &'p SegmentPowers) -> Self {
-        OracleSegmentDecoder {
-            modulation,
-            lattice: modulation.lattice(),
-            powers,
-        }
-    }
-
-    /// The genie-selected (minimum-interference) segment of one bin; the first
-    /// minimum wins on ties, matching [`crate::oracle::select_best_segments`].
-    pub fn best_segment(&self, bin: usize) -> usize {
-        let mut best = 0usize;
-        let mut min_power = f64::INFINITY;
-        for (j, &p) in self.powers.bin_powers(bin).iter().enumerate() {
-            if p < min_power {
-                min_power = p;
-                best = j;
-            }
-        }
-        best
-    }
-}
-
-impl SubcarrierDecoder for OracleSegmentDecoder<'_> {
-    fn modulation(&self) -> Modulation {
-        self.modulation
-    }
-
-    fn decide(
-        &self,
-        bin: usize,
-        observations: &[Complex],
-        _scratch: &mut DecoderScratch,
-    ) -> LatticePoint {
-        let segment = self.best_segment(bin).min(observations.len() - 1);
-        let index = self.lattice.nearest_index(observations[segment]);
-        LatticePoint {
-            index,
-            value: self.lattice.point(index),
-        }
-    }
+    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segments::SymbolSegments;
 
     fn scratch() -> DecoderScratch {
         DecoderScratch::new()
     }
 
+    /// Decides one bin whose `P` observations are `observations`, under `stage`.
+    fn decide_one(
+        stage: DecisionStage,
+        modulation: Modulation,
+        powers: Option<&SegmentPowers>,
+        observations: &[Complex],
+    ) -> Complex {
+        let rows = observations.iter().map(|o| vec![*o]).collect();
+        let segments = SymbolSegments::from_rows(rows);
+        decide_symbol(
+            stage,
+            modulation,
+            None,
+            powers,
+            &segments,
+            &[0],
+            &mut scratch(),
+        )[0]
+    }
+
     #[test]
     fn naive_decodes_clean_observations() {
         for m in [Modulation::Bpsk, Modulation::Qpsk, Modulation::Qam16] {
-            let dec = NaiveCentroidDecoder::new(m);
-            assert_eq!(dec.modulation(), m);
-            let mut s = scratch();
+            let lattice = m.lattice();
             for (i, (point, bits)) in m.constellation().into_iter().enumerate() {
                 let obs = vec![point; 5];
-                let decided = dec.decide(0, &obs, &mut s);
-                assert_eq!(decided.index, i as u16);
-                assert!((decided.value - point).norm() < 1e-12);
-                assert_eq!(decided.bits(m), &bits[..]);
+                let decided = naive_index(lattice, &obs);
+                assert_eq!(decided, i as u16);
+                assert!((lattice.point(decided) - point).norm() < 1e-12);
+                assert_eq!(lattice.bits_of(decided), &bits[..]);
+                assert_eq!(decide_one(DecisionStage::Naive, m, None, &obs), point);
             }
         }
     }
@@ -367,7 +244,6 @@ mod tests {
     #[test]
     fn naive_averages_out_moderate_noise() {
         let m = Modulation::Qpsk;
-        let dec = NaiveCentroidDecoder::new(m);
         let target = m.points()[2];
         // Small, zero-mean perturbations around the target.
         let obs: Vec<Complex> = [
@@ -380,8 +256,8 @@ mod tests {
         .iter()
         .map(|d| target + *d)
         .collect();
-        let decided = dec.decide(0, &obs, &mut scratch());
-        assert!((decided.value - target).norm() < 1e-12);
+        let decided = m.lattice().point(naive_index(m.lattice(), &obs));
+        assert!((decided - target).norm() < 1e-12);
     }
 
     #[test]
@@ -393,7 +269,6 @@ mod tests {
         // and flips the decision — even though the clean segments (plus knowledge of
         // the interference statistics) would identify +1, which is what the CPRecycle
         // ML decoder does in `sphere_ml::tests`.
-        let dec = NaiveCentroidDecoder::new(Modulation::Bpsk);
         let true_point = Complex::new(1.0, 0.0);
         let obs = vec![
             Complex::new(1.02, 0.01),
@@ -402,25 +277,24 @@ mod tests {
             Complex::new(-2.05, -0.1),
             Complex::new(-2.12, 0.05),
         ];
-        let decided = dec.decide(0, &obs, &mut scratch());
+        let decided = decide_one(DecisionStage::Naive, Modulation::Bpsk, None, &obs);
         assert!(
-            (decided.value - true_point).norm() > 1.0,
-            "expected the naive decoder to be fooled, got {}",
-            decided.value
+            (decided - true_point).norm() > 1.0,
+            "expected the naive decoder to be fooled, got {decided}"
         );
     }
 
     #[test]
     fn naive_decide_symbol_maps_each_subcarrier() {
         let m = Modulation::Qam16;
-        let dec = NaiveCentroidDecoder::new(m);
         let points = m.points();
         // Three identical segments over an 8-bin toy FFT, one constellation point per
         // bin.
         let row: Vec<Complex> = points.iter().take(8).copied().collect();
         let segments = SymbolSegments::from_rows(vec![row.clone(), row.clone(), row]);
         let bins: Vec<usize> = (0..8).collect();
-        let decided = dec.decide_symbol(&segments, &bins, &mut scratch());
+        let stage = DecisionStage::Naive;
+        let decided = decide_symbol(stage, m, None, None, &segments, &bins, &mut scratch());
         assert_eq!(decided.len(), 8);
         for (d, p) in decided.iter().zip(points.iter().take(8)) {
             assert!((*d - *p).norm() < 1e-12);
@@ -429,9 +303,6 @@ mod tests {
 
     #[test]
     fn standard_decoder_uses_only_the_last_segment() {
-        let m = Modulation::Bpsk;
-        let dec = StandardNearestDecoder::new(m);
-        assert_eq!(dec.modulation(), m);
         // Early segments point at −1, the standard window at +1: the standard decision
         // must follow the last segment alone.
         let obs = vec![
@@ -439,8 +310,8 @@ mod tests {
             Complex::new(-1.0, 0.0),
             Complex::new(0.9, 0.1),
         ];
-        let decided = dec.decide(0, &obs, &mut scratch());
-        assert!((decided.value - Complex::new(1.0, 0.0)).norm() < 1e-12);
+        let decided = decide_one(DecisionStage::Standard, Modulation::Bpsk, None, &obs);
+        assert!((decided - Complex::new(1.0, 0.0)).norm() < 1e-12);
     }
 
     #[test]
@@ -464,11 +335,17 @@ mod tests {
         // Genie powers: segment 0 quiet on bins 0..2, segment 1 quiet on bin 3.
         let powers =
             SegmentPowers::from_rows(vec![vec![0.1, 0.1, 0.1, 5.0], vec![4.0, 4.0, 4.0, 0.2]]);
-        let dec = OracleSegmentDecoder::new(m, &powers);
-        assert_eq!(dec.modulation(), m);
-        assert_eq!(dec.best_segment(0), 0);
-        assert_eq!(dec.best_segment(3), 1);
-        let decided = dec.decide_symbol(&segments, &[0, 1, 2, 3], &mut scratch());
+        assert_eq!(least_interfered(powers.bin_powers(0)).0, 0);
+        assert_eq!(least_interfered(powers.bin_powers(3)).0, 1);
+        let decided = decide_symbol(
+            DecisionStage::Oracle,
+            m,
+            None,
+            Some(&powers),
+            &segments,
+            &[0, 1, 2, 3],
+            &mut scratch(),
+        );
         for (d, c) in decided.iter().zip(&clean) {
             assert!((*d - *c).norm() < 1e-12);
         }
@@ -479,34 +356,10 @@ mod tests {
         // A power table with more segments than the observation set (e.g. a truncated
         // extraction) must not index out of bounds: the selection clamps to the last
         // available segment.
-        let m = Modulation::Bpsk;
-        let segments = SymbolSegments::from_rows(vec![vec![Complex::new(1.0, 0.0)]]);
         let powers = SegmentPowers::from_rows(vec![vec![5.0], vec![0.1]]);
-        let dec = OracleSegmentDecoder::new(m, &powers);
-        assert_eq!(dec.best_segment(0), 1);
-        let decided = dec.decide(0, segments.bin_observations(0), &mut scratch());
-        assert!((decided.value - Complex::new(1.0, 0.0)).norm() < 1e-12);
-    }
-
-    #[test]
-    fn decide_symbol_into_reuses_the_output_buffer() {
-        let m = Modulation::Qpsk;
-        let dec = NaiveCentroidDecoder::new(m);
-        let row: Vec<Complex> = m.points().into_iter().cycle().take(8).collect();
-        let segments = SymbolSegments::from_rows(vec![row.clone(), row]);
-        let bins: Vec<usize> = (0..8).collect();
-        let mut s = scratch();
-        let mut out = Vec::new();
-        dec.decide_symbol_into(&segments, &bins, &mut s, &mut out);
-        assert_eq!(out.len(), 8);
-        let capacity = out.capacity();
-        let first = out.clone();
-        dec.decide_symbol_into(&segments, &bins, &mut s, &mut out);
-        assert_eq!(out, first);
-        assert_eq!(
-            out.capacity(),
-            capacity,
-            "output buffer must not reallocate"
-        );
+        assert_eq!(least_interfered(powers.bin_powers(0)).0, 1);
+        let obs = [Complex::new(1.0, 0.0)];
+        let decided = decide_one(DecisionStage::Oracle, Modulation::Bpsk, Some(&powers), &obs);
+        assert!((decided - Complex::new(1.0, 0.0)).norm() < 1e-12);
     }
 }

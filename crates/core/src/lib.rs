@@ -16,13 +16,12 @@
 //!    observations, scored by the product of KDE likelihoods across segments
 //!    ([`sphere_ml`], paper Eq. 5).
 //!
-//! The subcarrier-decision stage is a first-class extension point: every decoder —
-//! the sphere ML detector, the naive average-distance baseline (Eq. 3, the authors'
-//! earlier ShiftFFT), the genie-aided Oracle segment selector and the conventional
-//! standard-window decision — implements the [`decision::SubcarrierDecoder`] trait
-//! over the cached lattice-index tables of `ofdmphy::modulation`, and
-//! [`config::DecisionStage`] selects which one the frame-level receiver
-//! ([`receiver`]) dispatches. The per-bin density behind the sphere decoder is
+//! The subcarrier-decision rule is one [`config::DecisionStage`] arm — the sphere ML
+//! detector, the naive average-distance baseline (Eq. 3, the authors' earlier
+//! ShiftFFT), the genie-aided Oracle segment selector or the conventional
+//! standard-window decision — and [`decision::decide_symbol`] runs the selected rule
+//! over the cached lattice-index tables of `ofdmphy::modulation` for the frame-level
+//! receiver ([`receiver`]). The per-bin density behind the sphere decoder is
 //! equally selectable ([`interference_model::BinDensity`]): the exact Eq. 4 kernel
 //! sum, a precomputed per-bin log-likelihood grid with O(1) lookups, or a
 //! parametric Gaussian fit, chosen by [`config::CpRecycleConfig::model`]. The
@@ -74,10 +73,7 @@ pub mod session;
 pub mod sphere_ml;
 
 pub use config::{CpRecycleConfig, CpRecycleConfigBuilder, DecisionStage, KernelPrecision};
-pub use decision::{
-    DecoderScratch, LatticePoint, NaiveCentroidDecoder, OracleSegmentDecoder, SearchCounts,
-    StandardNearestDecoder, SubcarrierDecoder,
-};
+pub use decision::{DecoderScratch, SearchCounts};
 pub use interference_model::{BinDensity, InterferenceModel, ModelBackend};
 pub use receiver::{CpRecycleReceiver, RxStream};
 pub use segments::{SegmentExtraction, SegmentPowers, SegmentScratch, SymbolSegments};

@@ -1,16 +1,15 @@
-//! Oracle segment-selection diagnostics (paper §3.2).
+//! Oracle segment selection (paper §3.2).
 //!
 //! The Oracle assumes perfect knowledge of the interference: for every subcarrier it
 //! inspects the interference-only waveform (obtainable in the paper's testbed by muting
 //! the sender, and in this reproduction directly from the scenario mixer), picks the FFT
 //! segment with the minimum interference power, and decodes that segment's observation
-//! with a plain nearest-lattice-point decision. The decoding half lives in
-//! [`crate::decision::OracleSegmentDecoder`] (a [`SubcarrierDecoder`] dispatched via
-//! [`DecisionStage::Oracle`]); this module holds the selection *diagnostics* — the
-//! per-bin best-segment/power summary behind Fig. 4a and the interference-reduction
-//! curve.
+//! with a plain nearest-lattice-point decision. Both the decision rule
+//! ([`DecisionStage::Oracle`], run by [`crate::decision::decide_symbol`]) and the
+//! selection *diagnostics* here — the per-bin best-segment/power summary behind
+//! Fig. 4a and the interference-reduction curve — pick the segment with
+//! [`least_interfered`].
 //!
-//! [`SubcarrierDecoder`]: crate::decision::SubcarrierDecoder
 //! [`DecisionStage::Oracle`]: crate::config::DecisionStage::Oracle
 
 use crate::segments::SegmentPowers;
@@ -31,28 +30,34 @@ pub struct OracleSelection {
 ///
 /// `powers` is produced by [`crate::segments::interference_power_per_segment`] on the
 /// interference-only waveform; its bin-major layout makes each bin's scan a contiguous
-/// slice. The first minimum wins on ties (segment order), matching
-/// [`crate::decision::OracleSegmentDecoder::best_segment`].
+/// slice. Ties go to the first minimum, as in [`least_interfered`].
 pub fn select_best_segments(powers: &SegmentPowers) -> OracleSelection {
-    let num_bins = powers.fft_size();
-    let num_segments = powers.num_segments();
-    let mut best_segment = vec![0usize; num_bins];
-    let mut min_interference = vec![f64::INFINITY; num_bins];
-    let mut standard_interference = vec![0.0f64; num_bins];
-    for bin in 0..num_bins {
-        for (j, &p) in powers.bin_powers(bin).iter().enumerate() {
-            if p < min_interference[bin] {
-                min_interference[bin] = p;
-                best_segment[bin] = j;
-            }
-        }
-        standard_interference[bin] = powers.value(num_segments - 1, bin);
-    }
+    let bins = 0..powers.fft_size();
+    let (best_segment, min_interference) = bins
+        .clone()
+        .map(|bin| least_interfered(powers.bin_powers(bin)))
+        .unzip();
+    let standard_interference = bins
+        .map(|bin| powers.value(powers.num_segments() - 1, bin))
+        .collect();
     OracleSelection {
         best_segment,
         min_interference,
         standard_interference,
     }
+}
+
+/// The least-interfered segment of one bin and its power, given the bin's
+/// per-segment interference `powers` in segment order. The first minimum wins on
+/// ties, and a bin whose powers are all NaN or `+∞` answers segment 0 at `+∞`.
+pub fn least_interfered(powers: &[f64]) -> (usize, f64) {
+    let mut best = (0, f64::INFINITY);
+    for (j, &p) in powers.iter().enumerate() {
+        if p < best.1 {
+            best = (j, p);
+        }
+    }
+    best
 }
 
 /// The oracle's per-bin interference reduction relative to the standard receiver, in dB
@@ -72,27 +77,21 @@ mod tests {
 
     #[test]
     fn picks_the_minimum_interference_segment_per_bin() {
-        // 3 segments × 4 bins with a known minimum pattern.
+        // 3 segments × 5 bins with a known minimum pattern. Bin 4 is an equal-power
+        // tie between segments 0 and 2: the first minimum wins, not the standard
+        // window's.
         let powers = SegmentPowers::from_rows(vec![
-            vec![1.0, 5.0, 0.1, 2.0],
-            vec![0.5, 0.2, 3.0, 2.0],
-            vec![2.0, 1.0, 1.0, 0.4],
+            vec![1.0, 5.0, 0.1, 2.0, 0.3],
+            vec![0.5, 0.2, 3.0, 2.0, 0.9],
+            vec![2.0, 1.0, 1.0, 0.4, 0.3],
         ]);
         let sel = select_best_segments(&powers);
-        assert_eq!(sel.best_segment, vec![1, 1, 0, 2]);
-        assert_eq!(sel.min_interference, vec![0.5, 0.2, 0.1, 0.4]);
-        assert_eq!(sel.standard_interference, vec![2.0, 1.0, 1.0, 0.4]);
+        assert_eq!(sel.best_segment, vec![1, 1, 0, 2, 0]);
+        assert_eq!(sel.min_interference, vec![0.5, 0.2, 0.1, 0.4, 0.3]);
+        assert_eq!(sel.standard_interference, vec![2.0, 1.0, 1.0, 0.4, 0.3]);
         let gain = interference_reduction_db(&sel);
         assert!((gain[0] - 10.0 * (2.0f64 / 0.5).log10()).abs() < 1e-9);
         assert!(gain[3].abs() < 1e-9); // standard already optimal on bin 3
-
-        // The selection agrees bin-for-bin with the decision-stage decoder.
-        let dec = crate::decision::OracleSegmentDecoder::new(
-            ofdmphy::modulation::Modulation::Bpsk,
-            &powers,
-        );
-        for bin in 0..4 {
-            assert_eq!(dec.best_segment(bin), sel.best_segment[bin], "bin {bin}");
-        }
+        assert!(gain[4].abs() < 1e-9); // …and tied on bin 4
     }
 }

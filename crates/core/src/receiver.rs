@@ -11,27 +11,22 @@
 //!    ([`CpRecycleConfig::model`] — exact KDE, precomputed grid or Gaussian fit);
 //! 2. **extract**: for every subsequent OFDM symbol, extract the `P` ISI-free FFT
 //!    segments (sliding-DFT kernel by default);
-//! 3. **decide**: dispatch the configured [`SubcarrierDecoder`] — fixed-sphere ML,
+//! 3. **decide**: run the configured [`DecisionStage`] rule — fixed-sphere ML,
 //!    naive average-distance, genie-aided Oracle or the standard-window decision —
-//!    over the bin-major observation slices;
+//!    over the bin-major observation slices ([`decision::decide_symbol`]);
 //! 4. **bit pipeline**: feed the decided lattice points into the unchanged `ofdmphy`
 //!    back end (deinterleave → Viterbi → descramble → FCS).
 //!
 //! With `num_segments = 1` the receiver degrades gracefully to the standard receiver
 //! (one window, centroid = the observation, sphere around it), matching the paper's
 //! computational-scalability claim.
-//!
-//! [`SubcarrierDecoder`]: crate::decision::SubcarrierDecoder
 
 use crate::config::{CpRecycleConfig, DecisionStage};
-use crate::decision::{
-    NaiveCentroidDecoder, OracleSegmentDecoder, StandardNearestDecoder, SubcarrierDecoder,
-};
+use crate::decision;
 use crate::interference_model::InterferenceModel;
 use crate::segments::{
     extract_segments_precise, interference_power_per_segment_with, SegmentScratch, SymbolSegments,
 };
-use crate::sphere_ml::FixedSphereMlDecoder;
 use crate::Result;
 use obs::{NoopRecorder, Recorder, Span, StageTimer};
 use ofdmphy::chanest::ChannelEstimate;
@@ -447,10 +442,8 @@ impl CpRecycleReceiver {
     }
 
     /// Decides one symbol's data subcarriers with the configured [`DecisionStage`].
-    ///
-    /// Decoder construction is allocation-free (the lattice table is cached
-    /// process-wide, the model is borrowed), so binding a fresh decoder per symbol
-    /// costs a few scalar copies; all working buffers live in `scratch.decision`.
+    /// `genie_symbol` is present only for the Oracle stage, whose per-segment
+    /// interference powers it yields; all working buffers live in `scratch`.
     #[allow(clippy::too_many_arguments)]
     fn run_decision_stage(
         &self,
@@ -462,37 +455,26 @@ impl CpRecycleReceiver {
         num_segments: usize,
         scratch: &mut SegmentScratch,
     ) -> Result<Vec<Complex>> {
-        match self.config.decision {
-            DecisionStage::Sphere {
-                radius_min_distances,
-            } => {
-                let model = model.expect("sphere stage always trains a model");
-                let decoder = FixedSphereMlDecoder::new(model, modulation, radius_min_distances);
-                Ok(decoder.decide_symbol(segments, data_bins, &mut scratch.decision))
-            }
-            DecisionStage::Naive => Ok(NaiveCentroidDecoder::new(modulation).decide_symbol(
-                segments,
-                data_bins,
-                &mut scratch.decision,
-            )),
-            DecisionStage::Standard => Ok(StandardNearestDecoder::new(modulation).decide_symbol(
-                segments,
-                data_bins,
-                &mut scratch.decision,
-            )),
-            DecisionStage::Oracle => {
-                let genie = genie_symbol.expect("checked before the pipeline started");
-                let powers = interference_power_per_segment_with(
+        let genie_powers = genie_symbol
+            .map(|genie| {
+                interference_power_per_segment_with(
                     &self.engine,
                     genie,
                     num_segments,
                     self.config.extraction,
                     scratch,
-                )?;
-                let decoder = OracleSegmentDecoder::new(modulation, &powers);
-                Ok(decoder.decide_symbol(segments, data_bins, &mut scratch.decision))
-            }
-        }
+                )
+            })
+            .transpose()?;
+        Ok(decision::decide_symbol(
+            self.config.decision,
+            modulation,
+            model,
+            genie_powers.as_ref(),
+            segments,
+            data_bins,
+            &mut scratch.decision,
+        ))
     }
 
     /// Extracts the segment sets of the two long training symbols — the `N_p = 2`

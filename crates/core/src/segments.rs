@@ -232,10 +232,11 @@ pub struct SegmentScratch {
     /// Imaginary plane of the f32 ramp mirror.
     ramp_im32: Vec<f32>,
     /// Decision-stage buffers (candidate indices, the sphere decoder's deviation and
-    /// log-likelihood planes) and sphere search counters, threaded by the receiver into [`SubcarrierDecoder::decide_symbol`] so the whole
-    /// extract → decide path is allocation-free after warm-up.
+    /// log-likelihood planes) and sphere search counters, threaded by the receiver
+    /// into [`decide_symbol`] so the whole extract → decide path is allocation-free
+    /// after warm-up.
     ///
-    /// [`SubcarrierDecoder::decide_symbol`]: crate::decision::SubcarrierDecoder::decide_symbol
+    /// [`decide_symbol`]: crate::decision::decide_symbol
     pub decision: crate::decision::DecoderScratch,
 }
 

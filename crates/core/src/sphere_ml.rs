@@ -27,16 +27,18 @@
 //! scoring every candidate (pinned by the `decision_equivalence` property tests
 //! against an exhaustive oracle).
 //!
-//! The decoder implements [`SubcarrierDecoder`] over the cached
-//! [`Modulation::lattice`] table: candidates are `u16` lattice indices accumulated in
-//! the shared [`DecoderScratch`], so the whole search — enumeration, scoring, argmax —
-//! performs **zero heap allocations** after the scratch has warmed up (previously
-//! every candidate of every bin of every symbol cloned a `(Complex, Vec<u8>)` pair).
+//! [`crate::decision::decide_symbol`] runs the decoder per bin for
+//! [`DecisionStage::Sphere`]. It works over the cached [`Modulation::lattice`]
+//! table: candidates are `u16` lattice indices accumulated in the shared
+//! [`DecoderScratch`], so the whole search — enumeration, scoring, argmax —
+//! performs **zero heap allocations** after the scratch has warmed up.
+//!
+//! [`DecisionStage::Sphere`]: crate::config::DecisionStage::Sphere
 //!
 //! [`log_likelihood_upper_bounds`]: InterferenceModel::log_likelihood_upper_bounds
 //! [`log_likelihood_sum_lower_bound`]: InterferenceModel::log_likelihood_sum_lower_bound
 
-use crate::decision::{DecoderScratch, LatticePoint, SubcarrierDecoder};
+use crate::decision::DecoderScratch;
 use crate::interference_model::{deviation_planes, InterferenceModel};
 use crate::segments::SymbolSegments;
 use ofdmphy::modulation::{Lattice, Modulation};
@@ -84,6 +86,11 @@ impl<'m> FixedSphereMlDecoder<'m> {
             radius,
             lattice: modulation.lattice(),
         }
+    }
+
+    /// The modulation whose lattice this decoder decides over.
+    pub fn modulation(&self) -> Modulation {
+        self.modulation
     }
 
     /// The absolute sphere radius in constellation units.
@@ -150,28 +157,21 @@ impl<'m> FixedSphereMlDecoder<'m> {
             .sum();
         total as f64 / bins.len() as f64
     }
-}
 
-impl SubcarrierDecoder for FixedSphereMlDecoder<'_> {
-    fn modulation(&self) -> Modulation {
-        self.modulation
-    }
-
-    fn decide(
+    /// Decides one subcarrier from its `P` segment observations (bin-major, never
+    /// empty) and returns the lattice index of the maximum-likelihood candidate;
+    /// `bin` selects the interference model's per-subcarrier density.
+    pub fn decide(
         &self,
         bin: usize,
         observations: &[Complex],
         scratch: &mut DecoderScratch,
-    ) -> LatticePoint {
+    ) -> u16 {
         let nearest = self.enumerate_candidates(observations, scratch);
         let n = scratch.candidates.len();
         scratch.search.candidates += n as u64;
-        let lattice_point = |index: u16| LatticePoint {
-            index,
-            value: self.lattice.point(index),
-        };
         if n == 1 {
-            return lattice_point(scratch.candidates[0]);
+            return scratch.candidates[0];
         }
         // Every candidate/observation error vector goes into the candidate-major
         // planes and is converted to an (amplitude, phase) deviation in one
@@ -244,7 +244,7 @@ impl SubcarrierDecoder for FixedSphereMlDecoder<'_> {
             );
             if floor > f64::NEG_INFINITY && beats_challengers(floor) {
                 scratch.search.certified += 1;
-                return lattice_point(scratch.candidates[nearest]);
+                return scratch.candidates[nearest];
             }
         }
         scratch.log_likes.clear();
@@ -296,7 +296,7 @@ impl SubcarrierDecoder for FixedSphereMlDecoder<'_> {
                 best = k;
             }
         }
-        lattice_point(scratch.candidates[best])
+        scratch.candidates[best]
     }
 }
 
@@ -304,7 +304,6 @@ impl SubcarrierDecoder for FixedSphereMlDecoder<'_> {
 mod tests {
     use super::*;
     use crate::config::CpRecycleConfig;
-    use crate::decision::NaiveCentroidDecoder;
     use rand::{Rng, SeedableRng};
 
     fn scratch() -> DecoderScratch {
@@ -390,7 +389,7 @@ mod tests {
         assert!(n > 1);
         assert_eq!(s.take_search_counts(), SearchCounts::default());
         let decided = dec.decide(1, &obs, &mut s);
-        assert!((decided.value - point).norm() < 1e-12);
+        assert_eq!(Modulation::Qam16.lattice().point(decided), point);
         let counts = s.take_search_counts();
         assert_eq!(counts.candidates, n);
         assert_eq!(counts.queries_scored, 16 + (n - 1) * PRUNE_BLOCK as u64);
@@ -408,7 +407,7 @@ mod tests {
         let (trained, bin) = model_trained_on(&[Complex::zero(); 8], 11);
         let dec = FixedSphereMlDecoder::new(&trained, Modulation::Qam16, 2.0);
         let decided = dec.decide(bin, &obs, &mut s);
-        assert!((decided.value - point).norm() < 1e-12);
+        assert_eq!(Modulation::Qam16.lattice().point(decided), point);
         let counts = s.take_search_counts();
         assert_eq!(
             counts,
@@ -440,11 +439,12 @@ mod tests {
         let model = InterferenceModel::new(64, CpRecycleConfig::default());
         let dec = FixedSphereMlDecoder::new(&model, Modulation::Qpsk, 2.0);
         let mut s = scratch();
+        let lattice = Modulation::Qpsk.lattice();
         for (point, bits) in Modulation::Qpsk.constellation() {
             let obs = vec![point, point, point + Complex::new(0.05, -0.02)];
             let decided = dec.decide(1, &obs, &mut s);
-            assert!((decided.value - point).norm() < 1e-12);
-            assert_eq!(decided.bits(Modulation::Qpsk), &bits[..]);
+            assert!((lattice.point(decided) - point).norm() < 1e-12);
+            assert_eq!(lattice.bits_of(decided), &bits[..]);
         }
     }
 
@@ -482,21 +482,22 @@ mod tests {
         ];
         let dec = FixedSphereMlDecoder::new(&model, Modulation::Bpsk, 6.0);
         let mut s = scratch();
-        let decided = dec.decide(bin, &obs, &mut s);
+        let lattice = Modulation::Bpsk.lattice();
+        let decided = lattice.point(dec.decide(bin, &obs, &mut s));
         assert!(
-            (decided.value - Complex::new(1.0, 0.0)).norm() < 1e-9,
-            "ML decoder should resist the corrupted majority, got {}",
-            decided.value
+            (decided - Complex::new(1.0, 0.0)).norm() < 1e-9,
+            "ML decoder should resist the corrupted majority, got {decided}"
         );
         // The naive decoder is fooled on the same input (cross-check of the paper's
         // motivating example).
-        let naive = NaiveCentroidDecoder::new(Modulation::Bpsk).decide(bin, &obs, &mut s);
-        assert!((naive.value - Complex::new(-1.0, 0.0)).norm() < 1e-9);
+        let naive = lattice.point(crate::decision::naive_index(lattice, &obs));
+        assert!((naive - Complex::new(-1.0, 0.0)).norm() < 1e-9);
     }
 
     #[test]
     fn decode_symbol_and_search_space() {
-        use crate::segments::SymbolSegments;
+        use crate::config::DecisionStage;
+        use crate::decision::decide_symbol;
         let model = InterferenceModel::new(64, CpRecycleConfig::default());
         let dec = FixedSphereMlDecoder::new(&model, Modulation::Qam16, 1.0);
         let points = Modulation::Qam16.points();
@@ -513,7 +514,18 @@ mod tests {
         let segments = SymbolSegments::from_rows(vec![row.clone(), row.clone(), row]);
         let bins: Vec<usize> = (1..=8).collect();
         let mut s = scratch();
-        let decided = dec.decide_symbol(&segments, &bins, &mut s);
+        let stage = DecisionStage::Sphere {
+            radius_min_distances: 1.0,
+        };
+        let decided = decide_symbol(
+            stage,
+            Modulation::Qam16,
+            Some(&model),
+            None,
+            &segments,
+            &bins,
+            &mut s,
+        );
         assert_eq!(decided.len(), 8);
         for (d, p) in decided.iter().zip(points.iter().take(8)) {
             assert!((*d - *p).norm() < 1e-12);

@@ -1,10 +1,10 @@
-//! Property tests for the decision-stage refactor (the tentpole invariant of the
-//! `SubcarrierDecoder` port): across random observation sets, every modulation and
-//! every valid segment count `P ∈ {1..C+1}`, the trait-based decoders must agree
-//! **bit-for-bit** with the pre-refactor implementations (reproduced here verbatim as
-//! reference code), the sphere path must never reallocate its candidate buffers after
-//! warm-up, and a `DecisionStage::Standard` receiver must match a `P = 1` sphere
-//! receiver frame-for-frame.
+//! Property tests for the decision stage: across random observation sets, every
+//! modulation and every valid segment count `P ∈ {1..C+1}`, the `DecisionStage`
+//! rules that `decision::decide_symbol` runs must agree **bit-for-bit** with the
+//! original per-rule implementations (reproduced here verbatim as reference code),
+//! the sphere path must never reallocate its candidate buffers after warm-up, and a
+//! `DecisionStage::Standard` receiver must match a `P = 1` sphere receiver
+//! frame-for-frame.
 //!
 //! The sphere decoder's branch-and-bound search is pinned separately against
 //! [`exhaustive_sphere_decode`], the batch scorer that scores every candidate in
@@ -12,11 +12,9 @@
 //! and on a clustered model where the certificate (the nearest candidate returned
 //! unscored) actually fires.
 
-use cprecycle::decision::{
-    DecoderScratch, NaiveCentroidDecoder, StandardNearestDecoder, SubcarrierDecoder,
-};
+use cprecycle::decision::{decide_symbol, DecoderScratch};
 use cprecycle::interference_model::deviation_planes;
-use cprecycle::segments::SymbolSegments;
+use cprecycle::segments::{SegmentPowers, SymbolSegments};
 use cprecycle::{
     CpRecycleConfig, CpRecycleReceiver, DecisionStage, FixedSphereMlDecoder, InterferenceModel,
     KernelPrecision, ModelBackend, RxStream,
@@ -40,8 +38,8 @@ const ALL_MODULATIONS: [Modulation; 5] = [
     Modulation::Qam256,
 ];
 
-/// The pre-refactor sphere decoder (`FixedSphereMlDecoder::decode_subcarrier` before
-/// the trait port), reproduced verbatim: per-call candidate `Vec` with cloned
+/// The original sphere decoder (`FixedSphereMlDecoder::decode_subcarrier` before
+/// lattice indices), reproduced verbatim: per-call candidate `Vec` with cloned
 /// `(point, bits)` pairs, nearest-point fallback, max-log-likelihood scan.
 fn reference_sphere_decode(
     model: &InterferenceModel,
@@ -119,7 +117,9 @@ fn exhaustive_sphere_decode(
     candidates[best]
 }
 
-/// The pre-refactor naive decoder (`naive::decode_subcarrier`), reproduced verbatim.
+/// The original naive decoder (`naive::decode_subcarrier`), reproduced verbatim.
+/// When no metric beats `+∞` (non-finite observations) it answers its zero
+/// initialiser with no bits, not a lattice point.
 fn reference_naive_decode(observations: &[Complex], modulation: Modulation) -> (Complex, Vec<u8>) {
     let mut best_point = Complex::zero();
     let mut best_bits = Vec::new();
@@ -133,6 +133,49 @@ fn reference_naive_decode(observations: &[Complex], modulation: Modulation) -> (
         }
     }
     (best_point, best_bits)
+}
+
+/// The Oracle rule as the original per-symbol Oracle decoder computed it,
+/// reproduced verbatim: the first minimum of the bin's genie `powers`, clamped to
+/// the observation count, mapped to the nearest lattice point.
+fn reference_oracle_decode(
+    observations: &[Complex],
+    powers: &[f64],
+    modulation: Modulation,
+) -> (Complex, Vec<u8>) {
+    let mut best = 0usize;
+    let mut min_power = f64::INFINITY;
+    for (j, &p) in powers.iter().enumerate() {
+        if p < min_power {
+            min_power = p;
+            best = j;
+        }
+    }
+    modulation.nearest_point(observations[best.min(observations.len() - 1)])
+}
+
+/// Decides one bin whose segment observations are `observations` under a
+/// model-free `stage` (the Oracle reads `powers`, one per segment), through the
+/// receiver's `decide_symbol` dispatch; returns the decided point and its bits.
+fn decide_bin(
+    stage: DecisionStage,
+    modulation: Modulation,
+    powers: Option<&[f64]>,
+    observations: &[Complex],
+    scratch: &mut DecoderScratch,
+) -> (Complex, Vec<u8>) {
+    let segments = SymbolSegments::from_rows(observations.iter().map(|o| vec![*o]).collect());
+    let powers = powers.map(|p| SegmentPowers::from_rows(p.iter().map(|p| vec![*p]).collect()));
+    let decided = decide_symbol(
+        stage,
+        modulation,
+        None,
+        powers.as_ref(),
+        &segments,
+        &[0],
+        scratch,
+    );
+    (decided[0], modulation.demap_hard_all(&decided))
 }
 
 /// Random observation clusters: a transmitted lattice point plus noise, with a
@@ -296,7 +339,7 @@ fn assert_matches_exhaustive(
     let pruned = decoder.decide(bin, observations, scratch);
     let exhaustive = exhaustive_sphere_decode(decoder, model, bin, observations);
     assert_eq!(
-        pruned.index, exhaustive,
+        pruned, exhaustive,
         "{context}: observations {observations:?}"
     );
 }
@@ -304,7 +347,7 @@ fn assert_matches_exhaustive(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Trait-based sphere decisions are bit-for-bit the pre-refactor decisions for
+    /// Sphere decisions are bit-for-bit the original decisions for
     /// every modulation and every valid `P ∈ {1..C+1}`, through both the trained-KDE
     /// and the empty-sphere/fallback paths.
     #[test]
@@ -322,15 +365,15 @@ proptest! {
                 let (ref_point, ref_bits) =
                     reference_sphere_decode(&model, modulation, radius, bin, &obs);
                 prop_assert_eq!(
-                    decided.value, ref_point,
+                    modulation.lattice().point(decided), ref_point,
                     "{:?} P {} radius {}", modulation, p, radius
                 );
-                prop_assert_eq!(decided.bits(modulation), &ref_bits[..]);
+                prop_assert_eq!(modulation.lattice().bits_of(decided), &ref_bits[..]);
             }
         }
     }
 
-    /// Trait-based naive decisions are bit-for-bit the pre-refactor
+    /// Naive-rule decisions are bit-for-bit the original
     /// `naive::decode_subcarrier` decisions.
     #[test]
     fn naive_trait_matches_reference_bit_for_bit(seed in any::<u64>()) {
@@ -338,18 +381,18 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut scratch = DecoderScratch::new();
         for modulation in ALL_MODULATIONS {
-            let decoder = NaiveCentroidDecoder::new(modulation);
             for p in 1..=params.cp_len + 1 {
                 let obs = random_observations(&mut rng, modulation, p);
-                let decided = decoder.decide(0, &obs, &mut scratch);
+                let (point, bits) =
+                    decide_bin(DecisionStage::Naive, modulation, None, &obs, &mut scratch);
                 let (ref_point, ref_bits) = reference_naive_decode(&obs, modulation);
-                prop_assert_eq!(decided.value, ref_point, "{:?} P {}", modulation, p);
-                prop_assert_eq!(decided.bits(modulation), &ref_bits[..]);
+                prop_assert_eq!(point, ref_point, "{:?} P {}", modulation, p);
+                prop_assert_eq!(bits, ref_bits);
             }
         }
     }
 
-    /// Trait-based standard-window decisions are bit-for-bit
+    /// Standard-window decisions are bit-for-bit
     /// `Modulation::nearest_point` on the last segment (the conventional receiver's
     /// decision).
     #[test]
@@ -358,13 +401,13 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut scratch = DecoderScratch::new();
         for modulation in ALL_MODULATIONS {
-            let decoder = StandardNearestDecoder::new(modulation);
             for p in 1..=params.cp_len + 1 {
                 let obs = random_observations(&mut rng, modulation, p);
-                let decided = decoder.decide(0, &obs, &mut scratch);
+                let (point, bits) =
+                    decide_bin(DecisionStage::Standard, modulation, None, &obs, &mut scratch);
                 let (ref_point, ref_bits) = modulation.nearest_point(*obs.last().unwrap());
-                prop_assert_eq!(decided.value, ref_point, "{:?} P {}", modulation, p);
-                prop_assert_eq!(decided.bits(modulation), &ref_bits[..]);
+                prop_assert_eq!(point, ref_point, "{:?} P {}", modulation, p);
+                prop_assert_eq!(bits, ref_bits);
             }
         }
     }
@@ -470,14 +513,15 @@ fn exact_tie_goes_to_the_lowest_lattice_index() {
         let obs = vec![Complex::zero(); p];
         assert_eq!(decoder.candidates(&obs, &mut scratch).len(), 2);
         let decided = decoder.decide(5, &obs, &mut scratch);
-        assert_eq!(decided.index, 0, "P {p}");
+        assert_eq!(decided, 0, "P {p}");
         assert_eq!(exhaustive_sphere_decode(&decoder, &model, 5, &obs), 0);
     }
 }
 
 /// NaN, ±Inf and finite-but-overflowing observations: the pruned decoder must agree
 /// with the exhaustive scan, which falls back to the first candidate when no score
-/// beats −∞, and never certifies a bin.
+/// beats −∞, and never certifies a bin. The model-free rules must decide the same
+/// sets without panicking, as their verbatim references do.
 #[test]
 fn non_finite_observations_decide_like_the_exhaustive_scan() {
     let engine = OfdmEngine::new(OfdmParams::ieee80211ag());
@@ -514,6 +558,41 @@ fn non_finite_observations_decide_like_the_exhaustive_scan() {
         ],
     ];
     let mut scratch = DecoderScratch::new();
+    for modulation in ALL_MODULATIONS {
+        let lattice = modulation.lattice();
+        for (case, obs) in cases.iter().enumerate() {
+            let context = format!("{modulation:?} case {case}");
+            let naive = decide_bin(DecisionStage::Naive, modulation, None, obs, &mut scratch);
+            let (ref_point, ref_bits) = reference_naive_decode(obs, modulation);
+            if ref_bits.is_empty() {
+                // Every metric is NaN or +∞: the reference keeps its non-lattice
+                // zero initialiser, the rule its first lattice point.
+                assert_eq!(naive.0, lattice.point(0), "{context}: naive");
+            } else {
+                assert_eq!(naive, (ref_point, ref_bits), "{context}: naive");
+            }
+            let standard = decide_bin(DecisionStage::Standard, modulation, None, obs, &mut scratch);
+            let reference = modulation.nearest_point(*obs.last().unwrap());
+            assert_eq!(standard, reference, "{context}: standard");
+            // The genie quietest on each segment in turn, then a NaN power table.
+            let p = obs.len();
+            let mut tables: Vec<Vec<f64>> = (0..p)
+                .map(|j| (0..p).map(|k| if k == j { 0.1 } else { 1.0 }).collect())
+                .collect();
+            tables.push(vec![f64::NAN; p]);
+            for powers in &tables {
+                let oracle = decide_bin(
+                    DecisionStage::Oracle,
+                    modulation,
+                    Some(powers.as_slice()),
+                    obs,
+                    &mut scratch,
+                );
+                let reference = reference_oracle_decode(obs, powers, modulation);
+                assert_eq!(oracle, reference, "{context}: oracle, powers {powers:?}");
+            }
+        }
+    }
     for (model_of, extra_cases) in [
         (trained_model_with as fn(_, _, _) -> _, vec![]),
         (clustered_model_with, nearest_only_non_finite_cases()),
@@ -577,14 +656,24 @@ fn sphere_candidate_buffer_never_reallocates_across_1000_symbols() {
     let engine = OfdmEngine::new(OfdmParams::ieee80211ag());
     let model = InterferenceModel::new(64, CpRecycleConfig::default());
     let modulation = Modulation::Qam16;
-    let decoder = FixedSphereMlDecoder::new(&model, modulation, 1.0);
+    let stage = DecisionStage::Sphere {
+        radius_min_distances: 1.0,
+    };
     let data_bins = engine.params().data_bins();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED);
     let mut scratch = DecoderScratch::new();
 
     // Warm-up symbol: sizes the buffers to the full lattice.
     let warmup = symbol_for(&mut rng, modulation, 4);
-    decoder.decide_symbol(&warmup, &data_bins, &mut scratch);
+    decide_symbol(
+        stage,
+        modulation,
+        Some(&model),
+        None,
+        &warmup,
+        &data_bins,
+        &mut scratch,
+    );
     let capacity = scratch.candidate_capacity();
     assert!(
         capacity >= modulation.num_points(),
@@ -593,7 +682,15 @@ fn sphere_candidate_buffer_never_reallocates_across_1000_symbols() {
 
     for _ in 0..999 {
         let segments = symbol_for(&mut rng, modulation, 4);
-        let decided = decoder.decide_symbol(&segments, &data_bins, &mut scratch);
+        let decided = decide_symbol(
+            stage,
+            modulation,
+            Some(&model),
+            None,
+            &segments,
+            &data_bins,
+            &mut scratch,
+        );
         assert_eq!(decided.len(), data_bins.len());
         assert_eq!(
             scratch.candidate_capacity(),

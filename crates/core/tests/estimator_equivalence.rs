@@ -95,13 +95,14 @@ proptest! {
         let samples: Vec<(f64, f64)> = (0..n)
             .map(|_| (rng.gen_range(0.0..2.0), rng.gen_range(-3.1f64..3.1)))
             .collect();
-        let kde = ProductKde2d::with_bandwidths(&samples, bw_a, bw_p).unwrap();
+        let (amps, phases): (Vec<f64>, Vec<f64>) = samples.iter().copied().unzip();
+        let kde = ProductKde2d::from_axes(&amps, &phases, bw_a, bw_p).unwrap();
         let spec = GridSpec {
             points_per_bandwidth: 6.0,
             max_points_per_axis: 512,
             margin_bandwidths: 4.0,
         };
-        let grid = GridKde2d::build(&kde, &spec).unwrap();
+        let grid = GridKde2d::from_axes(&amps, &phases, bw_a, bw_p, &spec).unwrap();
         // The decisive region: the exact log density at the best-covered sample.
         let peak = samples
             .iter()
@@ -130,8 +131,9 @@ proptest! {
         let samples: Vec<(f64, f64)> = (0..n)
             .map(|_| (rng.gen_range(0.0..1.0), rng.gen_range(-3.0f64..3.0)))
             .collect();
-        let kde = ProductKde2d::with_bandwidths(&samples, 0.05, 0.2).unwrap();
-        let grid = GridKde2d::build(&kde, &GridSpec::default()).unwrap();
+        let (amps, phases): (Vec<f64>, Vec<f64>) = samples.iter().copied().unzip();
+        let kde = ProductKde2d::from_axes(&amps, &phases, 0.05, 0.2).unwrap();
+        let grid = GridKde2d::from_axes(&amps, &phases, 0.05, 0.2, &GridSpec::default()).unwrap();
         let mut prev_exact = f64::INFINITY;
         let mut prev_grid = f64::INFINITY;
         for k in 0..20 {

@@ -246,40 +246,9 @@ pub struct ProductKde2d {
 }
 
 impl ProductKde2d {
-    /// Builds a product KDE over `(amplitude, phase)` samples. Bandwidths for the two
-    /// axes are selected independently with the same strategy.
-    pub fn new(samples: &[(f64, f64)], selector: BandwidthSelector) -> Result<Self> {
-        if samples.is_empty() {
-            return Err(DspError::EmptyInput);
-        }
-        let amps: Vec<f64> = samples.iter().map(|s| s.0).collect();
-        let phases: Vec<f64> = samples.iter().map(|s| s.1).collect();
-        let mut scratch = Vec::with_capacity(2 * samples.len());
-        let bw_a = select_bandwidth_scratch(&amps, selector, &mut scratch)?;
-        let bw_p = select_bandwidth_scratch(&phases, selector, &mut scratch)?;
-        let mut kde = ProductKde2d {
-            amps,
-            phases,
-            bw_a,
-            bw_p,
-            whitening: (1.0, 1.0),
-            log_norm: 0.0,
-            white_box: [0.0; 4],
-        };
-        kde.whiten();
-        Ok(kde)
-    }
-
-    /// Builds a product KDE with explicit per-axis bandwidths (the paper's `B_a`, `B_φ`
-    /// tuning knobs).
-    pub fn with_bandwidths(samples: &[(f64, f64)], bw_a: f64, bw_p: f64) -> Result<Self> {
-        let amps: Vec<f64> = samples.iter().map(|s| s.0).collect();
-        let phases: Vec<f64> = samples.iter().map(|s| s.1).collect();
-        Self::from_axes(&amps, &phases, bw_a, bw_p)
-    }
-
-    /// Builds a product KDE from per-axis sample slices with explicit bandwidths — the
-    /// constructor the interference model's split-axis sample store uses.
+    /// Builds a product KDE from per-axis sample slices with explicit bandwidths (the
+    /// paper's `B_a`, `B_φ`; [`select_bandwidth`] picks one per axis) — the layout the
+    /// interference model's split-axis sample store keeps.
     pub fn from_axes(amps: &[f64], phases: &[f64], bw_a: f64, bw_p: f64) -> Result<Self> {
         let mut kde = ProductKde2d {
             amps: Vec::new(),
@@ -384,7 +353,9 @@ impl ProductKde2d {
         &self.phases[..self.len()]
     }
 
-    /// Evaluates the joint density at `(amplitude, phase)` (Eq. 4 of the paper).
+    /// Evaluates the joint density at `(amplitude, phase)` (Eq. 4 of the paper) in the
+    /// linear domain. The receiver only queries [`log_eval`](Self::log_eval) and its
+    /// batched forms; this is the plain kernel sum they are tested against.
     pub fn eval(&self, amplitude: f64, phase: f64) -> f64 {
         let mut sum = 0.0;
         for (sa, sp) in self.amplitudes().iter().zip(self.phases()) {
@@ -703,17 +674,6 @@ pub struct GridKde2d {
 }
 
 impl GridKde2d {
-    /// Precomputes the log-likelihood grid of `kde` under `spec`.
-    pub fn build(kde: &ProductKde2d, spec: &GridSpec) -> Result<Self> {
-        Self::from_axes(
-            kde.amplitudes(),
-            kde.phases(),
-            kde.bandwidth_amplitude(),
-            kde.bandwidth_phase(),
-            spec,
-        )
-    }
-
     /// Builds the grid directly from per-axis samples and bandwidths (the refit path
     /// of the `GridKde` backend, which never materialises a `ProductKde2d`).
     pub fn from_axes(
@@ -1050,6 +1010,20 @@ mod tests {
     use crate::noise::GaussianSource;
     use rand::SeedableRng;
 
+    /// A product KDE over `(amplitude, phase)` pairs with explicit bandwidths.
+    fn kde2d(samples: &[(f64, f64)], bw_a: f64, bw_p: f64) -> Result<ProductKde2d> {
+        let (amps, phases): (Vec<f64>, Vec<f64>) = samples.iter().copied().unzip();
+        ProductKde2d::from_axes(&amps, &phases, bw_a, bw_p)
+    }
+
+    /// [`kde2d`] with each axis's bandwidth picked by `selector`.
+    fn kde2d_selected(samples: &[(f64, f64)], selector: BandwidthSelector) -> ProductKde2d {
+        let (amps, phases): (Vec<f64>, Vec<f64>) = samples.iter().copied().unzip();
+        let bw_a = select_bandwidth(&amps, selector).unwrap();
+        let bw_p = select_bandwidth(&phases, selector).unwrap();
+        ProductKde2d::from_axes(&amps, &phases, bw_a, bw_p).unwrap()
+    }
+
     #[test]
     fn gaussian_kernel_shape() {
         assert!((gaussian_kernel(0.0) - 1.0 / (2.0 * std::f64::consts::PI)).abs() < 1e-15);
@@ -1142,15 +1116,16 @@ mod tests {
 
     #[test]
     fn product_kde_requires_samples_and_positive_bandwidths() {
-        assert!(ProductKde2d::new(&[], BandwidthSelector::Silverman).is_err());
-        assert!(ProductKde2d::with_bandwidths(&[(0.0, 0.0)], 0.0, 1.0).is_err());
-        assert!(ProductKde2d::with_bandwidths(&[(0.0, 0.0)], 1.0, -1.0).is_err());
+        assert!(ProductKde2d::from_axes(&[], &[], 1.0, 1.0).is_err());
+        assert!(ProductKde2d::from_axes(&[0.0], &[0.0, 1.0], 1.0, 1.0).is_err());
+        assert!(kde2d(&[(0.0, 0.0)], 0.0, 1.0).is_err());
+        assert!(kde2d(&[(0.0, 0.0)], 1.0, -1.0).is_err());
     }
 
     #[test]
     fn product_kde_peaks_at_sample_cluster() {
         let samples = vec![(0.1, 0.0), (0.12, 0.05), (0.09, -0.02), (0.11, 0.01)];
-        let kde = ProductKde2d::new(&samples, BandwidthSelector::Silverman).unwrap();
+        let kde = kde2d_selected(&samples, BandwidthSelector::Silverman);
         assert!(kde.eval(0.1, 0.0) > kde.eval(1.0, 1.0));
         assert!(
             kde.eval(0.1, 0.0) > kde.eval(0.1, 2.0),
@@ -1164,7 +1139,7 @@ mod tests {
 
     #[test]
     fn product_kde_log_eval_is_finite_far_from_data() {
-        let kde = ProductKde2d::with_bandwidths(&[(0.0, 0.0)], 0.05, 0.05).unwrap();
+        let kde = kde2d(&[(0.0, 0.0)], 0.05, 0.05).unwrap();
         let ll = kde.log_eval(100.0, 100.0);
         assert!(ll.is_finite());
         assert!(ll < kde.log_eval(0.0, 0.0));
@@ -1176,7 +1151,7 @@ mod tests {
         // ~38 bandwidths out used to collapse to the same −690.78 floor, erasing the
         // ML ordering between distant lattice points. The log-sum-exp form keeps the
         // Gaussian tail strictly decreasing.
-        let kde = ProductKde2d::with_bandwidths(&[(0.0, 0.0), (0.1, 0.2)], 0.05, 0.05).unwrap();
+        let kde = kde2d(&[(0.0, 0.0), (0.1, 0.2)], 0.05, 0.05).unwrap();
         let near = kde.log_eval(5.0, 0.0);
         let far = kde.log_eval(10.0, 0.0);
         let farther = kde.log_eval(20.0, 0.0);
@@ -1198,13 +1173,20 @@ mod tests {
                 (0.2 + 0.6 * (x * 9.7).sin().abs(), 1.5 * (x * 4.3).cos())
             })
             .collect();
-        let kde = ProductKde2d::with_bandwidths(&samples, 0.15, 0.4).unwrap();
+        let kde = kde2d(&samples, 0.15, 0.4).unwrap();
         let spec = GridSpec {
             points_per_bandwidth: 8.0,
             max_points_per_axis: 512,
             margin_bandwidths: 4.0,
         };
-        let grid = GridKde2d::build(&kde, &spec).unwrap();
+        let grid = GridKde2d::from_axes(
+            kde.amplitudes(),
+            kde.phases(),
+            kde.bandwidth_amplitude(),
+            kde.bandwidth_phase(),
+            &spec,
+        )
+        .unwrap();
         for i in 0..40 {
             let a = 0.05 + 0.9 * i as f64 / 40.0;
             let p = -2.0 + 4.0 * ((i * 7) % 40) as f64 / 40.0;
@@ -1280,7 +1262,7 @@ mod tests {
         let samples: Vec<(f64, f64)> = (0..13)
             .map(|i| (0.1 + 0.03 * i as f64, 0.2 * ((i * 3) % 7) as f64 - 0.5))
             .collect();
-        let kde = ProductKde2d::with_bandwidths(&samples, 0.08, 0.3).unwrap();
+        let kde = kde2d(&samples, 0.08, 0.3).unwrap();
         let amps: Vec<f64> = (0..9).map(|q| 0.02 + 0.07 * q as f64).collect();
         let phases: Vec<f64> = (0..9).map(|q| -0.8 + 0.2 * q as f64).collect();
         let mut out = vec![0.0; 9];
@@ -1314,7 +1296,7 @@ mod tests {
         let samples: Vec<(f64, f64)> = (0..9)
             .map(|i| (0.1 + 0.02 * i as f64, 0.1 * i as f64 - 0.4))
             .collect();
-        let kde = ProductKde2d::with_bandwidths(&samples, 0.05, 0.2).unwrap();
+        let kde = kde2d(&samples, 0.05, 0.2).unwrap();
         // On a sample, inside the box, just outside it, and far out.
         let amps = [0.14, 0.2, 0.5, 3.0];
         let phases = [-0.2, 0.0, 0.0, 2.0];
@@ -1350,7 +1332,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must match the query count")]
     fn product_kde_batch_validates_output_length() {
-        let kde = ProductKde2d::with_bandwidths(&[(0.0, 0.0)], 0.1, 0.1).unwrap();
+        let kde = kde2d(&[(0.0, 0.0)], 0.1, 0.1).unwrap();
         let mut out = [0.0; 1];
         kde.log_eval_batch(&[0.0, 1.0], &[0.0, 0.0], &mut out);
     }
@@ -1408,7 +1390,7 @@ mod tests {
         let samples: Vec<(f64, f64)> = (0..50)
             .map(|i| (i as f64 * 0.2, (i % 3) as f64 * 0.001))
             .collect();
-        let kde = ProductKde2d::new(&samples, BandwidthSelector::Silverman).unwrap();
+        let kde = kde2d_selected(&samples, BandwidthSelector::Silverman);
         assert!(kde.bandwidth_amplitude() > 10.0 * kde.bandwidth_phase());
     }
 }

@@ -16,11 +16,20 @@
 //!   `KernelPrecision::F32` receiver configuration states.
 
 use proptest::prelude::*;
-use rfdsp::kde::{BandwidthSelector, GridKde2d, GridSpec, ProductKde2d};
+use rfdsp::kde::{select_bandwidth, BandwidthSelector, GridKde2d, GridSpec, ProductKde2d};
 use rfdsp::lanes::{exp_approx, exp_batch};
 use rfdsp::simd::{kde_max_exponent, slide_update, slide_update_lanes};
 use rfdsp::sliding::SlidingDft;
 use rfdsp::Complex;
+
+/// `(amplitude, phase)` samples split into axes, with each axis's leave-one-out
+/// bandwidth: the inputs `ProductKde2d::from_axes` and `GridKde2d::from_axes` take.
+fn loo_axes(samples: &[(f64, f64)]) -> (Vec<f64>, Vec<f64>, f64, f64) {
+    let (amps, phases): (Vec<f64>, Vec<f64>) = samples.iter().copied().unzip();
+    let bw = |axis: &[f64]| select_bandwidth(axis, BandwidthSelector::LeaveOneOut).unwrap();
+    let (bw_a, bw_p) = (bw(&amps), bw(&phases));
+    (amps, phases, bw_a, bw_p)
+}
 
 fn complexes(
     len: impl Into<proptest::collection::SizeRange>,
@@ -146,7 +155,8 @@ proptest! {
         tail_phase in -3.1f64..3.1,
         tail_steps in prop::collection::vec(0.5f64..30.0, 1..23),
     ) {
-        let kde = ProductKde2d::new(&samples, BandwidthSelector::LeaveOneOut).unwrap();
+        let (sample_amps, sample_phases, loo_a, loo_p) = loo_axes(&samples);
+        let kde = ProductKde2d::from_axes(&sample_amps, &sample_phases, loo_a, loo_p).unwrap();
         let amps: Vec<f64> = queries.iter().map(|q| q.0).collect();
         let phases: Vec<f64> = queries.iter().map(|q| q.1).collect();
         let mut batch = vec![0.0; queries.len()];
@@ -158,7 +168,7 @@ proptest! {
         }
 
         let (bw_a, bw_p) = tail_bw;
-        let tail = ProductKde2d::with_bandwidths(&samples, bw_a, bw_p).unwrap();
+        let tail = ProductKde2d::from_axes(&sample_amps, &sample_phases, bw_a, bw_p).unwrap();
         // Amplitudes from 40 bandwidths beyond the largest sample outward, in
         // strictly increasing steps of at least half a bandwidth.
         let edge = samples.iter().map(|s| s.0).fold(f64::NEG_INFINITY, f64::max);
@@ -212,8 +222,10 @@ proptest! {
         samples in prop::collection::vec((0.05f64..3.0, -3.1f64..3.1), 8..48),
         queries in prop::collection::vec((0.0f64..4.0, -3.5f64..3.5), 1..23),
     ) {
-        let kde = ProductKde2d::new(&samples, BandwidthSelector::LeaveOneOut).unwrap();
-        let grid = GridKde2d::build(&kde, &GridSpec::default()).unwrap();
+        let (sample_amps, sample_phases, bw_a, bw_p) = loo_axes(&samples);
+        let grid =
+            GridKde2d::from_axes(&sample_amps, &sample_phases, bw_a, bw_p, &GridSpec::default())
+                .unwrap();
         let amps: Vec<f64> = queries.iter().map(|q| q.0).collect();
         let phases: Vec<f64> = queries.iter().map(|q| q.1).collect();
         let mut batch = vec![0.0; queries.len()];
@@ -231,8 +243,10 @@ proptest! {
         samples in prop::collection::vec((0.05f64..3.0, -3.1f64..3.1), 8..48),
         queries in prop::collection::vec((0.0f64..4.0, -3.5f64..3.5), 1..23),
     ) {
-        let kde = ProductKde2d::new(&samples, BandwidthSelector::LeaveOneOut).unwrap();
-        let grid = GridKde2d::build(&kde, &GridSpec::default()).unwrap();
+        let (sample_amps, sample_phases, bw_a, bw_p) = loo_axes(&samples);
+        let grid =
+            GridKde2d::from_axes(&sample_amps, &sample_phases, bw_a, bw_p, &GridSpec::default())
+                .unwrap();
         let amps: Vec<f64> = queries.iter().map(|q| q.0).collect();
         let phases: Vec<f64> = queries.iter().map(|q| q.1).collect();
         let mut f64_out = vec![0.0; queries.len()];

@@ -2,8 +2,8 @@
 //!
 //! One function per table/figure of the paper's evaluation. Every driver returns an
 //! [`ExperimentResult`] whose series correspond to the curves in the original figure;
-//! the `cprecycle-bench` binaries print them and EXPERIMENTS.md records the comparison
-//! against the paper.
+//! the `cprecycle-bench` binaries print them, and the README's reproduction notes compare
+//! them with the paper.
 //!
 //! Every Monte-Carlo figure builds its full grid of [`LinkPoint`]s — scenario ×
 //! receiver × modulation × SINR — and submits it to the `cprecycle-engine` campaign

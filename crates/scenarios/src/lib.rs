@@ -20,7 +20,8 @@
 //! * [`figures`] — one driver per table/figure of the paper; every Monte-Carlo figure
 //!   submits its full grid to the engine as one campaign (see
 //!   [`figures::figure_grid`]) and returns serialisable result series that the
-//!   `cprecycle-bench` binaries print and that EXPERIMENTS.md records.
+//!   `cprecycle-bench` binaries print (the README's reproduction notes compare them
+//!   with the paper).
 //! * [`stream`] — bursty-traffic streaming campaigns: back-to-back frames at random
 //!   gaps decoded through `cprecycle::session::RxSession` (incremental sync,
 //!   over-the-air SIGNAL decode, cross-frame model persistence), with per-frame and

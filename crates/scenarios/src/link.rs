@@ -721,7 +721,7 @@ mod tests {
         };
         let psr = packet_success_rate(&params, mcs(), &scenario, &receivers, &config).unwrap();
         // The simulated link shows a consistent but smaller SIR shift than the paper's
-        // over-the-air testbed (see EXPERIMENTS.md); at this operating point CPRecycle
+        // over-the-air testbed (see the README's reproduction notes); at this operating point CPRecycle
         // recovers a clear majority of packets while the standard receiver is already
         // losing a large fraction.
         assert!(

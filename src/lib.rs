@@ -9,17 +9,17 @@
 //!   PA nonlinearity, path loss).
 //! * [`ofdmphy`] — the IEEE 802.11a/g OFDM PHY (transmitter, standard receiver).
 //! * [`cprecycle`] — the paper's contribution: the CPRecycle receiver, its
-//!   per-subcarrier kernel-density interference model (behind the pluggable
-//!   estimator backends) and fixed-sphere ML decoder, plus the Naive and Oracle
-//!   baselines.
+//!   per-subcarrier kernel-density interference model (one exact-KDE, grid or
+//!   Gaussian density per bin) and fixed-sphere ML decoder, plus the Naive and
+//!   Oracle baselines.
 //! * [`engine`] — the deterministic parallel Monte-Carlo campaign engine.
 //! * [`scenarios`] — the experiment harness reproducing every table and figure.
 //! * [`obs`] — zero-overhead instrumentation: stage timers, counters, metrics
 //!   snapshots and a bounded event trace, wired through receivers, sessions and the
 //!   campaign engine.
 //!
-//! See the repository README for a walk-through and `DESIGN.md` / `EXPERIMENTS.md` for
-//! the system inventory and the per-figure reproduction record.
+//! See the repository README for a walk-through and the reproduction notes, and
+//! `docs/ARCHITECTURE.md` for the paper-section → module map and the system inventory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
