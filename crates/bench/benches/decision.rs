@@ -12,7 +12,7 @@
 //! README "decision stage" table.
 
 use cprecycle::decision::{decide_symbol, DecoderScratch};
-use cprecycle::interference_model::{deviation_planes, InterferenceModel};
+use cprecycle::interference_model::{deviation_amplitude, deviation_phases, InterferenceModel};
 use cprecycle::segments::{SegmentPowers, SymbolSegments};
 use cprecycle::{CpRecycleConfig, DecisionStage, FixedSphereMlDecoder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -126,6 +126,7 @@ fn clustered_segments(modulation: Modulation, p: usize, seed: u64) -> SymbolSegm
 #[derive(Default)]
 struct ExhaustivePlanes {
     scratch: DecoderScratch,
+    re: Vec<f64>,
     amp: Vec<f64>,
     phase: Vec<f64>,
     log_likes: Vec<f64>,
@@ -147,17 +148,19 @@ fn exhaustive_decode_symbol(
             let observations = segments.bin_observations(bin);
             let p = observations.len();
             let candidates = decoder.candidates(observations, &mut planes.scratch);
+            planes.re.clear();
             planes.amp.clear();
             planes.phase.clear();
             for &index in candidates {
                 let point = lattice.point(index);
                 for obs in observations {
                     let err = *obs - point;
-                    planes.amp.push(err.re);
+                    planes.re.push(err.re);
+                    planes.amp.push(deviation_amplitude(err.re, err.im));
                     planes.phase.push(err.im);
                 }
             }
-            deviation_planes(&mut planes.amp, &mut planes.phase);
+            deviation_phases(&planes.re, &planes.amp, &mut planes.phase);
             planes.log_likes.clear();
             planes.log_likes.resize(planes.amp.len(), 0.0);
             model.log_likelihood_batch(bin, &planes.amp, &planes.phase, &mut planes.log_likes);

@@ -35,20 +35,26 @@ use rfdsp::Complex;
 pub struct DecoderScratch {
     /// Candidate lattice indices of the current subcarrier.
     pub(crate) candidates: Vec<u16>,
-    /// Candidate-major deviation amplitudes (`candidates.len() × P` entries) — the
-    /// sphere decoder hoists every candidate/observation error vector here (real
-    /// part, converted in place to the amplitude) and scores slices of it, one
+    /// Candidate-major error-vector real parts (`candidates.len() × P` entries):
+    /// the sphere decoder writes every candidate/observation error vector once
+    /// and converts phases from these only when it needs them.
+    pub(crate) dev_re: Vec<f64>,
+    /// Deviation amplitudes, parallel to `dev_re` — every query's, written
+    /// with the error vectors; the sphere decoder scores slices of them, one
     /// candidate or one pruning block at a time.
     pub(crate) dev_amp: Vec<f64>,
-    /// Deviation phases (imaginary part before conversion), parallel to `dev_amp`.
+    /// Deviation phases, parallel to `dev_re`: the error vectors' imaginary
+    /// parts, converted in place to phases for the nearest candidate first and
+    /// for the others only if the cheap certificate fails.
     pub(crate) dev_phase: Vec<f64>,
     /// The current candidate's per-observation log-likelihoods (`P` entries, in
     /// observation order); a candidate that survives pruning sums them into its
     /// score.
     pub(crate) log_likes: Vec<f64>,
-    /// Per-query upper bounds on the model's answers, parallel to `dev_amp`,
-    /// turned in place into each candidate's suffix sums: entry `k·P + q` bounds
-    /// the sum of candidate `k`'s answers to observations `q..P`.
+    /// Per-query upper bounds on the model's answers, parallel to `dev_amp`
+    /// (amplitude-only in the first stage, tight in the second), turned in
+    /// place into each candidate's suffix sums: entry `k·P + q` bounds the sum
+    /// of candidate `k`'s answers to observations `q..P`.
     pub(crate) bound_sums: Vec<f64>,
     /// Suffix sums of the bounds' magnitudes, parallel to `bound_sums` — the
     /// scale of the pruning slack.

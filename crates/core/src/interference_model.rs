@@ -42,9 +42,10 @@ use rfdsp::Complex;
 /// its decisions would depend on which extraction kernel produced the rounding.
 ///
 /// The polar conversion is [`rfdsp::lanes::polar`] (`sqrt` and a polynomial
-/// `atan2`), the same per-element formula the sphere decoder's lane-parallel
-/// [`deviation_planes`] runs, so training and scoring deviations agree bit for
-/// bit.
+/// `atan2`). The sphere decoder splits the same per-element formulas in two —
+/// [`deviation_amplitude`] for every query, [`deviation_phases`] only for the
+/// queries it ends up needing phases of — so training and scoring deviations
+/// agree bit for bit.
 #[inline]
 pub fn deviation(observed: Complex, reference: Complex) -> (f64, f64) {
     let err = observed - reference;
@@ -59,16 +60,25 @@ pub fn deviation(observed: Complex, reference: Complex) -> (f64, f64) {
 /// Error-vector amplitude below which [`deviation`] pins the phase to `0`.
 const ZERO_DEVIATION: f64 = 1e-9;
 
-/// [`deviation`] over whole planes: on entry `amp`/`phase` hold the error
-/// vectors' real and imaginary parts, on return their amplitudes and phases —
-/// converted lane-parallel by [`rfdsp::simd::polar_planes`] and pinned exactly as
+/// [`deviation`]'s amplitude of the error vector `re + i·im`: the magnitude half
+/// of [`rfdsp::lanes::polar`], the same expression, so bit-identical.
+#[inline(always)]
+pub fn deviation_amplitude(re: f64, im: f64) -> f64 {
+    (re * re + im * im).sqrt()
+}
+
+/// [`deviation`]'s phases over whole planes: on entry `phase` holds the error
+/// vectors' imaginary parts, `re` their real parts and `amp` their
+/// [`deviation_amplitude`]s; on return `phase` holds their phases, converted
+/// lane-parallel by [`rfdsp::simd::atan2_planes`] and pinned exactly as
 /// [`deviation`] pins, bit-identical to per-element calls.
 ///
 /// # Panics
 ///
 /// Panics if the planes have different lengths.
-pub fn deviation_planes(amp: &mut [f64], phase: &mut [f64]) {
-    rfdsp::simd::polar_planes(amp, phase);
+pub fn deviation_phases(re: &[f64], amp: &[f64], phase: &mut [f64]) {
+    assert_eq!(amp.len(), phase.len(), "deviation planes must match");
+    rfdsp::simd::atan2_planes(phase, re);
     for (a, p) in amp.iter().zip(phase.iter_mut()) {
         if *a < ZERO_DEVIATION {
             *p = 0.0;
@@ -115,11 +125,13 @@ impl ModelBackend {
 ///   [`KernelPrecision::F64`] (bit for bit for `Grid` and `Gaussian`), and each
 ///   answer depends only on its own query, never on how queries are batched;
 /// * every batch answer is ≤ its [`upper_bounds`](Self::upper_bounds) entry,
-///   which is ≤ [`ceiling`](Self::ceiling), rounding included — the sphere
-///   decoder prunes against them;
+///   which is ≤ its [`amplitude_upper_bounds`](Self::amplitude_upper_bounds)
+///   entry, which is ≤ [`ceiling`](Self::ceiling), rounding included — the
+///   sphere decoder prunes and certifies against them;
 /// * the in-order sum of a query slice's batch answers is ≥
-///   [`sum_lower_bound`](Self::sum_lower_bound), and a finite lower bound means
-///   every answer is finite;
+///   [`sum_lower_bound`](Self::sum_lower_bound), which is ≥
+///   [`one_sample_sum_lower_bound`](Self::one_sample_sum_lower_bound), and a
+///   finite lower bound means every answer is finite;
 /// * queries are allocation-free, and the plane queries panic on mismatched
 ///   lengths.
 #[derive(Debug, Clone)]
@@ -257,6 +269,40 @@ impl BinDensity {
         match self {
             BinDensity::Exact(kde) => kde.log_eval_upper_bounds(amplitudes, phases, bounds),
             BinDensity::Grid(_) | BinDensity::Gaussian(_) => bounds.fill(self.ceiling()),
+        }
+    }
+
+    /// Writes, for each query amplitude, an upper bound on the batch answer of
+    /// any query with that amplitude and a finite phase: at least the query's
+    /// [`upper_bounds`](Self::upper_bounds) entry and at most the
+    /// [`ceiling`](Self::ceiling). The exact KDE bounds by the amplitude's
+    /// distance to its whitened sample box's amplitude interval, the other
+    /// families by their ceiling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `amplitudes` and `bounds` have different lengths.
+    pub fn amplitude_upper_bounds(&self, amplitudes: &[f64], bounds: &mut [f64]) {
+        check_planes(amplitudes, amplitudes, Some(bounds));
+        match self {
+            BinDensity::Exact(kde) => kde.log_eval_amplitude_upper_bounds(amplitudes, bounds),
+            BinDensity::Grid(_) | BinDensity::Gaussian(_) => bounds.fill(self.ceiling()),
+        }
+    }
+
+    /// A cheaper lower bound than [`sum_lower_bound`](Self::sum_lower_bound),
+    /// never above it: the exact KDE keeps one sample (the first query's
+    /// nearest, in the kernel's whitened metric) for every query. `−∞` for the
+    /// grid and the Gaussian.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query planes have different lengths.
+    pub fn one_sample_sum_lower_bound(&self, amplitudes: &[f64], phases: &[f64]) -> f64 {
+        check_planes(amplitudes, phases, None);
+        match self {
+            BinDensity::Exact(kde) => kde.log_eval_sum_lower_bound_one_sample(amplitudes, phases),
+            BinDensity::Grid(_) | BinDensity::Gaussian(_) => f64::NEG_INFINITY,
         }
     }
 
@@ -569,6 +615,56 @@ impl InterferenceModel {
         }
     }
 
+    /// Amplitude-only upper bounds on the
+    /// [`log_likelihood_batch`](Self::log_likelihood_batch) answers for `bin`,
+    /// never below [`log_likelihood_upper_bounds`](Self::log_likelihood_upper_bounds)
+    /// — the sphere decoder's first-stage bounds, which need no phase (see
+    /// [`BinDensity::amplitude_upper_bounds`]). Unfitted bins get the fallback's
+    /// ceiling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `amplitudes` and `bounds` have different lengths.
+    pub fn log_likelihood_amplitude_upper_bounds(
+        &self,
+        bin: usize,
+        amplitudes: &[f64],
+        bounds: &mut [f64],
+    ) {
+        match self.density(bin) {
+            Some(d) => d.amplitude_upper_bounds(amplitudes, bounds),
+            None => {
+                check_planes(amplitudes, amplitudes, Some(bounds));
+                bounds.fill(FALLBACK_CEILING);
+            }
+        }
+    }
+
+    /// A cheaper lower bound on the in-order sum of the
+    /// [`log_likelihood_batch`](Self::log_likelihood_batch) answers to a query
+    /// slice, never above
+    /// [`log_likelihood_sum_lower_bound`](Self::log_likelihood_sum_lower_bound)'s
+    /// — the sphere decoder's first certificate attempt (see
+    /// [`BinDensity::one_sample_sum_lower_bound`]). `−∞` on unfitted bins.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query planes have different lengths.
+    pub fn log_likelihood_one_sample_sum_lower_bound(
+        &self,
+        bin: usize,
+        amplitudes: &[f64],
+        phases: &[f64],
+    ) -> f64 {
+        match self.density(bin) {
+            Some(d) => d.one_sample_sum_lower_bound(amplitudes, phases),
+            None => {
+                check_planes(amplitudes, phases, None);
+                f64::NEG_INFINITY
+            }
+        }
+    }
+
     /// A lower bound on the in-order sum of the
     /// [`log_likelihood_batch`](Self::log_likelihood_batch) answers to a query
     /// slice — the sphere decoder's certificate (see
@@ -629,7 +725,7 @@ mod tests {
     }
 
     #[test]
-    fn deviation_planes_are_bit_identical_to_scalar_deviation() {
+    fn deviation_amplitudes_and_phase_planes_are_bit_identical_to_scalar_deviation() {
         // 11 pairs: not a lane multiple, so the remainder path runs too. Every
         // quadrant, both axes and a sub-threshold error (pinned phase) occur.
         let reference = Complex::new(0.316, -0.948);
@@ -650,9 +746,14 @@ mod tests {
             .iter()
             .map(|&(re, im)| reference + Complex::new(re, im))
             .collect();
-        let mut amp: Vec<f64> = observed.iter().map(|o| (*o - reference).re).collect();
+        let re: Vec<f64> = observed.iter().map(|o| (*o - reference).re).collect();
         let mut phase: Vec<f64> = observed.iter().map(|o| (*o - reference).im).collect();
-        deviation_planes(&mut amp, &mut phase);
+        let amp: Vec<f64> = re
+            .iter()
+            .zip(&phase)
+            .map(|(&x, &y)| deviation_amplitude(x, y))
+            .collect();
+        deviation_phases(&re, &amp, &mut phase);
         for (k, o) in observed.iter().enumerate() {
             let (a, p) = deviation(*o, reference);
             assert_eq!(amp[k].to_bits(), a.to_bits(), "amplitude {k}");

@@ -10,17 +10,41 @@
 //!    per-subcarrier interference model (the product of Eq. 5 in log domain) and picks
 //!    the maximum.
 //!
+//! Step 2's sphere is decided from squared distances; a `hypot` is paid only
+//! within a rounding band of the radius or of the nearest candidate's distance,
+//! so the candidates and the nearest one are exactly those of comparing norms.
+//!
 //! Step 3 is exact, and scores as few queries as it can prove it needs. A lone
-//! candidate is returned unscored. Otherwise the model bounds every query from
-//! above ([`log_likelihood_upper_bounds`], at most the per-bin ceiling) and the
-//! candidate nearest the centroid's whole score from below
-//! ([`log_likelihood_sum_lower_bound`]), neither of which scores a query. If
-//! that lower bound is finite and strictly above every other candidate's summed
-//! upper bounds plus slack, the nearest candidate is the unique maximum and is
-//! returned unscored: the *certificate*. Otherwise the nearest candidate is
-//! scored in full, and every other candidate is checked before each block of a
-//! few observations and abandoned as soon as its partial sum plus the upper
-//! bounds of its unscored observations cannot reach the best score so far.
+//! candidate is returned unscored. Otherwise every candidate/observation error
+//! vector is written once with its amplitude, and two stages try to prove the
+//! candidate nearest the centroid the unique maximum without scoring a query —
+//! the *certificate* — before searching:
+//!
+//! * **Stage 1** bounds every query from above by its amplitude alone
+//!   ([`log_likelihood_amplitude_upper_bounds`], the phase gap taken as 0, so
+//!   no `atan2` is needed). Only if the nearest candidate's summed bounds beat
+//!   every other candidate's does it convert the nearest candidate's phases and
+//!   bound its score from below: first from the one kernel sample nearest its
+//!   first observation ([`log_likelihood_one_sample_sum_lower_bound`]), then
+//!   from all of them ([`log_likelihood_sum_lower_bound`]). A lower bound that
+//!   is finite and strictly above every challenger's summed upper bounds plus
+//!   slack and a `1e-12` relative margin certifies.
+//! * **Stage 2**, only where stage 1 did not certify, converts the remaining
+//!   phases in one lane-parallel pass, bounds every query with its phase too
+//!   ([`log_likelihood_upper_bounds`], never above the amplitude-only bound) and
+//!   tries the certificate again with those tighter bounds and the full lower
+//!   bound (stage 1's, if it computed one). Otherwise the nearest candidate is
+//!   scored in full, and every other candidate is checked before each block of
+//!   a few observations and abandoned as soon as its partial sum plus the upper
+//!   bounds of its unscored observations cannot reach the best score so far.
+//!
+//! Every bin stage 1 certifies, stage 2 would certify too: its challenger
+//! bounds are no larger per query, the full lower bound is no smaller than the
+//! one-sample bound, and the margin covers the sums' rounding. So which bins
+//! are certified, and how many queries are scored, do not depend on stage 1 —
+//! it only makes the certificate cheaper (pinned bin for bin against the
+//! one-stage decoder in `decision_equivalence`).
+//!
 //! Per-query log-likelihoods do not depend on how queries are batched, a
 //! survivor's score is the same in-order sum the exhaustive scan computes, and
 //! ties go to the lowest lattice index, so the decision is bit-for-bit that of
@@ -30,16 +54,19 @@
 //! [`crate::decision::decide_symbol`] runs the decoder per bin for
 //! [`DecisionStage::Sphere`]. It works over the cached [`Modulation::lattice`]
 //! table: candidates are `u16` lattice indices accumulated in the shared
-//! [`DecoderScratch`], so the whole search — enumeration, scoring, argmax —
-//! performs **zero heap allocations** after the scratch has warmed up.
+//! [`DecoderScratch`], so the whole search — enumeration, both stages' planes
+//! and bounds, scoring, argmax — performs **zero heap allocations** after the
+//! scratch has warmed up (pinned in `model_alloc`).
 //!
 //! [`DecisionStage::Sphere`]: crate::config::DecisionStage::Sphere
 //!
 //! [`log_likelihood_upper_bounds`]: InterferenceModel::log_likelihood_upper_bounds
+//! [`log_likelihood_amplitude_upper_bounds`]: InterferenceModel::log_likelihood_amplitude_upper_bounds
 //! [`log_likelihood_sum_lower_bound`]: InterferenceModel::log_likelihood_sum_lower_bound
+//! [`log_likelihood_one_sample_sum_lower_bound`]: InterferenceModel::log_likelihood_one_sample_sum_lower_bound
 
 use crate::decision::DecoderScratch;
-use crate::interference_model::{deviation_planes, InterferenceModel};
+use crate::interference_model::{deviation_amplitude, deviation_phases, InterferenceModel};
 use crate::segments::SymbolSegments;
 use ofdmphy::modulation::{Lattice, Modulation};
 use rfdsp::stats::centroid;
@@ -58,6 +85,25 @@ const PRUNE_BLOCK: usize = 2;
 /// loosening the bound by a negligible amount.
 const PRUNE_SLACK: f64 = 1e-9;
 
+/// The extra margin the first stage's certificate demands over each
+/// challenger's summed amplitude-only bound, in units of that bound's summed
+/// magnitudes. The second stage's tight bounds are no larger per query, but
+/// their `P`-term sums round differently (`≈ 2·P·ε` relative); `1e-12` covers
+/// that for any `P` below about a thousand, so every bin the first stage
+/// certifies, the second stage would certify too.
+const STAGE1_MARGIN: f64 = 1e-12;
+
+/// Relative half-width of the band around a squared distance inside which the
+/// candidate enumeration compares `Complex::norm`s (libm `hypot`) instead. A
+/// squared distance `re² + im²` is within a few units in the last place of the
+/// square of its `hypot`, so outside the band the two orders agree, and the band
+/// is far narrower than any gap between lattice distances that is not a tie.
+const NORM_BAND: f64 = 1e-12;
+
+/// Absolute floor of that band: squared distances this small may have lost
+/// their relative accuracy to underflow, so they are compared by norm.
+const NORM_FLOOR: f64 = 1e-290;
+
 /// The fixed-sphere ML decoder for one modulation order, bound to the interference
 /// model trained from the current frame's preamble.
 #[derive(Debug, Clone, Copy)]
@@ -66,6 +112,12 @@ pub struct FixedSphereMlDecoder<'m> {
     modulation: Modulation,
     /// Sphere radius in absolute constellation units.
     radius: f64,
+    /// Squared distances below this are inside the sphere and above
+    /// `outside_above` outside it, without a `hypot`: `radius²` shrunk and
+    /// grown by [`NORM_BAND`]. A radius outside `1e-100..=1e100` gets `−∞` and
+    /// `+∞`, so every lattice point is classified by its norm.
+    inside_below: f64,
+    outside_above: f64,
     lattice: &'static Lattice,
 }
 
@@ -80,10 +132,18 @@ impl<'m> FixedSphereMlDecoder<'m> {
         radius_min_distances: f64,
     ) -> Self {
         let radius = radius_min_distances.max(0.0) * modulation.min_distance();
+        let (inside_below, outside_above) = if (1e-100..=1e100).contains(&radius) {
+            let squared = radius * radius;
+            (squared * (1.0 - NORM_BAND), squared * (1.0 + NORM_BAND))
+        } else {
+            (f64::NEG_INFINITY, f64::INFINITY)
+        };
         FixedSphereMlDecoder {
             model,
             modulation,
             radius,
+            inside_below,
+            outside_above,
             lattice: modulation.lattice(),
         }
     }
@@ -112,6 +172,12 @@ impl<'m> FixedSphereMlDecoder<'m> {
 
     /// Fills `scratch.candidates` (ascending lattice index) and returns the position
     /// of the candidate nearest the centroid (the first one on a distance tie).
+    ///
+    /// Membership is `offset.norm() <= radius` and "nearest" the first strict
+    /// minimum of `offset.norm()`, exactly; both are decided from squared
+    /// distances, and a `hypot` is paid only within [`NORM_BAND`] of the radius
+    /// or of the nearest candidate's squared distance, where rounding could make
+    /// the two disagree.
     fn enumerate_candidates(
         &self,
         observations: &[Complex],
@@ -120,16 +186,26 @@ impl<'m> FixedSphereMlDecoder<'m> {
         scratch.prepare(self.modulation);
         let center = centroid(observations).unwrap_or(Complex::zero());
         let mut nearest = 0;
-        let mut nearest_distance = f64::INFINITY;
+        // The nearest candidate's offset from the centroid and squared distance.
+        let mut best: Option<(Complex, f64)> = None;
         for (i, point) in self.lattice.points().iter().enumerate() {
-            let distance = (*point - center).norm();
-            if distance <= self.radius {
-                if distance < nearest_distance {
-                    nearest_distance = distance;
-                    nearest = scratch.candidates.len();
-                }
-                scratch.candidates.push(i as u16);
+            let offset = *point - center;
+            let squared = offset.re * offset.re + offset.im * offset.im;
+            let inside = if squared < self.inside_below {
+                true
+            } else if squared > self.outside_above {
+                false
+            } else {
+                offset.norm() <= self.radius
+            };
+            if !inside {
+                continue;
             }
+            if strictly_nearer(offset, squared, best) {
+                best = Some((offset, squared));
+                nearest = scratch.candidates.len();
+            }
+            scratch.candidates.push(i as u16);
         }
         if scratch.candidates.is_empty() {
             scratch.candidates.push(self.lattice.nearest_index(center));
@@ -174,79 +250,133 @@ impl<'m> FixedSphereMlDecoder<'m> {
             return scratch.candidates[0];
         }
         // Every candidate/observation error vector goes into the candidate-major
-        // planes and is converted to an (amplitude, phase) deviation in one
-        // lane-parallel pass — cheap next to a model query, so converting the
-        // queries pruning later skips costs little and saves a call per block.
+        // planes once, with its amplitude; phases wait until a stage needs them.
         let p = observations.len();
-        scratch.dev_amp.clear();
-        scratch.dev_phase.clear();
-        for &index in &scratch.candidates {
+        let len = n * p;
+        for plane in [
+            &mut scratch.dev_re,
+            &mut scratch.dev_amp,
+            &mut scratch.dev_phase,
+            &mut scratch.bound_sums,
+            &mut scratch.bound_mags,
+        ] {
+            plane.clear();
+            plane.resize(len, 0.0);
+        }
+        for (k, &index) in scratch.candidates.iter().enumerate() {
             let point = self.lattice.point(index);
-            for obs in observations {
+            let range = k * p..(k + 1) * p;
+            for (((obs, re), im), amp) in observations
+                .iter()
+                .zip(&mut scratch.dev_re[range.clone()])
+                .zip(&mut scratch.dev_phase[range.clone()])
+                .zip(&mut scratch.dev_amp[range])
+            {
                 let err = *obs - point;
-                scratch.dev_amp.push(err.re);
-                scratch.dev_phase.push(err.im);
+                (*re, *im, *amp) = (err.re, err.im, deviation_amplitude(err.re, err.im));
             }
         }
-        deviation_planes(&mut scratch.dev_amp, &mut scratch.dev_phase);
-        // Every query's upper bound, then each candidate's suffix sums of the
+        let queries = nearest * p..(nearest + 1) * p;
+        // Stage 1, the cheap certificate: amplitude-only bounds for every query
+        // and, only if the nearest candidate's summed bounds already beat every
+        // challenger's, its phases and a lower bound on its score — first from
+        // one kernel sample, then from all of them. A floor above every
+        // challenger's bound by the stage's margin proves the nearest candidate
+        // the unique maximum, and the second stage would prove it too.
+        self.model.log_likelihood_amplitude_upper_bounds(
+            bin,
+            &scratch.dev_amp,
+            &mut scratch.bound_sums,
+        );
+        suffix_sums(&mut scratch.bound_sums, &mut scratch.bound_mags, p);
+        let beats = |scratch: &DecoderScratch, score: f64, margin: f64| {
+            score > f64::NEG_INFINITY
+                && beats_challengers(
+                    &scratch.bound_sums,
+                    &scratch.bound_mags,
+                    p,
+                    nearest,
+                    score,
+                    margin,
+                )
+        };
+        let mut nearest_phased = false;
+        let mut full_floor = None;
+        if p > 0 && beats(scratch, scratch.bound_sums[nearest * p], 0.0) {
+            deviation_phases(
+                &scratch.dev_re[queries.clone()],
+                &scratch.dev_amp[queries.clone()],
+                &mut scratch.dev_phase[queries.clone()],
+            );
+            nearest_phased = true;
+            let (amp, phase) = (
+                &scratch.dev_amp[queries.clone()],
+                &scratch.dev_phase[queries.clone()],
+            );
+            let one_sample = self
+                .model
+                .log_likelihood_one_sample_sum_lower_bound(bin, amp, phase);
+            if beats(scratch, one_sample, STAGE1_MARGIN) {
+                scratch.search.certified += 1;
+                return scratch.candidates[nearest];
+            }
+            let floor = self.model.log_likelihood_sum_lower_bound(bin, amp, phase);
+            if beats(scratch, floor, STAGE1_MARGIN) {
+                scratch.search.certified += 1;
+                return scratch.candidates[nearest];
+            }
+            full_floor = Some(floor);
+        }
+        // Stage 2: the remaining phases in one lane-parallel pass, then every
+        // query's tight upper bound and each candidate's suffix sums of the
         // bounds and of their magnitudes: `bound_sums[k·P + q]` bounds what
         // candidate `k` can still add from observation `q` on.
-        let len = n * p;
-        scratch.bound_sums.clear();
-        scratch.bound_sums.resize(len, 0.0);
-        scratch.bound_mags.clear();
-        scratch.bound_mags.resize(len, 0.0);
+        let rest = if nearest_phased {
+            [0..nearest * p, queries.end..len]
+        } else {
+            [0..len, len..len]
+        };
+        for range in rest {
+            deviation_phases(
+                &scratch.dev_re[range.clone()],
+                &scratch.dev_amp[range.clone()],
+                &mut scratch.dev_phase[range],
+            );
+        }
         self.model.log_likelihood_upper_bounds(
             bin,
             &scratch.dev_amp,
             &scratch.dev_phase,
             &mut scratch.bound_sums,
         );
-        for k in 0..n {
-            let (mut sum, mut magnitude) = (0.0, 0.0);
-            let range = k * p..(k + 1) * p;
-            for (b, m) in scratch.bound_sums[range.clone()]
-                .iter_mut()
-                .zip(&mut scratch.bound_mags[range])
-                .rev()
-            {
-                magnitude += b.abs();
-                sum += *b;
-                (*b, *m) = (sum, magnitude);
-            }
-        }
-        // The most candidate `k` can still score after `done` observations whose
-        // answers sum to `partial` (magnitudes `magnitude`), rounding included.
-        let bound = |k: usize, done: usize, partial: f64, magnitude: f64| {
-            partial
-                + scratch.bound_sums[k * p + done]
-                + PRUNE_SLACK * (magnitude + scratch.bound_mags[k * p + done])
-        };
-        // The certificate: the nearest candidate's score is at least `floor`, so
+        suffix_sums(&mut scratch.bound_sums, &mut scratch.bound_mags, p);
+        // The certificate: the nearest candidate's score is at least the floor, so
         // if every challenger's bound falls strictly below it the nearest
         // candidate is the unique maximum, the exhaustive scan's answer. The
         // floor cannot exceed the nearest candidate's own summed upper bounds
-        // (beyond rounding), so it is only computed when those already beat
-        // every challenger, which spares its exponent pass in bins that cannot
-        // certify.
-        let beats_challengers = |score: f64| {
-            (0..n)
-                .filter(|&k| k != nearest)
-                .all(|k| score > bound(k, 0, 0.0, 0.0))
-        };
-        if p > 0 && beats_challengers(scratch.bound_sums[nearest * p]) {
-            let queries = nearest * p..(nearest + 1) * p;
-            let floor = self.model.log_likelihood_sum_lower_bound(
-                bin,
-                &scratch.dev_amp[queries.clone()],
-                &scratch.dev_phase[queries],
-            );
-            if floor > f64::NEG_INFINITY && beats_challengers(floor) {
+        // (beyond rounding), so it is only used when those already beat every
+        // challenger; the first stage's floor is reused if it was computed.
+        if p > 0 && beats(scratch, scratch.bound_sums[nearest * p], 0.0) {
+            let floor = full_floor.unwrap_or_else(|| {
+                self.model.log_likelihood_sum_lower_bound(
+                    bin,
+                    &scratch.dev_amp[queries.clone()],
+                    &scratch.dev_phase[queries.clone()],
+                )
+            });
+            if beats(scratch, floor, 0.0) {
                 scratch.search.certified += 1;
                 return scratch.candidates[nearest];
             }
         }
+        // The most candidate `k` can still score after `done` observations whose
+        // answers sum to `partial` (magnitudes `magnitude`), rounding included.
+        let bound =
+            |scratch: &DecoderScratch, k: usize, done: usize, partial: f64, magnitude: f64| {
+                partial
+                    + scratch.bound_sums[k * p + done]
+                    + PRUNE_SLACK * (magnitude + scratch.bound_mags[k * p + done])
+            };
         scratch.log_likes.clear();
         scratch.log_likes.resize(p, 0.0);
         // The best score so far and its candidate position. Position 0 with −∞ is
@@ -255,8 +385,6 @@ impl<'m> FixedSphereMlDecoder<'m> {
         let mut best_score = f64::NEG_INFINITY;
         let order = std::iter::once(nearest).chain((0..n).filter(|&k| k != nearest));
         for (rank, k) in order.enumerate() {
-            let amp = &scratch.dev_amp[k * p..(k + 1) * p];
-            let phase = &scratch.dev_phase[k * p..(k + 1) * p];
             // The first (nearest) candidate sets the bar in one batch; challengers
             // are checked before each block, their first included, and dropped
             // once they provably cannot beat it. Nothing is below the first
@@ -267,14 +395,15 @@ impl<'m> FixedSphereMlDecoder<'m> {
             let mut magnitude = 0.0;
             let mut done = 0;
             while done < p {
-                if bound(k, done, partial, magnitude) < best_score {
+                if bound(scratch, k, done, partial, magnitude) < best_score {
                     break;
                 }
                 let end = (done + block).min(p);
+                let queries = k * p + done..k * p + end;
                 self.model.log_likelihood_batch(
                     bin,
-                    &amp[done..end],
-                    &phase[done..end],
+                    &scratch.dev_amp[queries.clone()],
+                    &scratch.dev_phase[queries],
                     &mut scratch.log_likes[done..end],
                 );
                 scratch.search.queries_scored += (end - done) as u64;
@@ -298,6 +427,67 @@ impl<'m> FixedSphereMlDecoder<'m> {
         }
         scratch.candidates[best]
     }
+}
+
+/// Whether a candidate at `offset` from the centroid (squared distance
+/// `squared`) is strictly nearer than the nearest so far, `best`, exactly as
+/// comparing their `Complex::norm`s decides: the squared distances decide
+/// unless they lie within [`NORM_BAND`] of each other (or below
+/// [`NORM_FLOOR`]), where only the norms can. Before any candidate the
+/// comparison is against `+∞`, which any finite distance wins.
+fn strictly_nearer(offset: Complex, squared: f64, best: Option<(Complex, f64)>) -> bool {
+    let Some((best_offset, best_squared)) = best else {
+        return squared.is_finite() || offset.norm() < f64::INFINITY;
+    };
+    if best_squared.is_finite() {
+        if squared < best_squared * (1.0 - NORM_BAND) - NORM_FLOOR {
+            return true;
+        }
+        if squared > best_squared * (1.0 + NORM_BAND) + NORM_FLOOR {
+            return false;
+        }
+    }
+    offset.norm() < best_offset.norm()
+}
+
+/// Turns the per-query bounds in `sums` (candidate-major, `P` per candidate)
+/// into each candidate's suffix sums in place, and writes the suffix sums of
+/// their magnitudes into `mags`.
+fn suffix_sums(sums: &mut [f64], mags: &mut [f64], p: usize) {
+    if p == 0 {
+        return;
+    }
+    for (sums, mags) in sums.chunks_exact_mut(p).zip(mags.chunks_exact_mut(p)) {
+        let (mut sum, mut magnitude) = (0.0, 0.0);
+        for (b, m) in sums.iter_mut().zip(mags).rev() {
+            magnitude += b.abs();
+            sum += *b;
+            (*b, *m) = (sum, magnitude);
+        }
+    }
+}
+
+/// Whether `score` lies strictly above every challenger's (every candidate
+/// but `nearest`) summed bound over all `P` observations, slack included — and,
+/// if `margin` is positive, above it by `margin` times the bound's summed
+/// magnitudes as well.
+fn beats_challengers(
+    sums: &[f64],
+    mags: &[f64],
+    p: usize,
+    nearest: usize,
+    score: f64,
+    margin: f64,
+) -> bool {
+    (0..sums.len() / p).filter(|&k| k != nearest).all(|k| {
+        let bound = sums[k * p] + PRUNE_SLACK * mags[k * p];
+        score
+            > if margin > 0.0 {
+                bound + margin * mags[k * p]
+            } else {
+                bound
+            }
+    })
 }
 
 #[cfg(test)]
@@ -349,6 +539,121 @@ mod tests {
         let qam64 = FixedSphereMlDecoder::new(&model, Modulation::Qam64, 1.5);
         assert!(qpsk.radius() > qam64.radius());
         assert_eq!(qpsk.modulation(), Modulation::Qpsk);
+    }
+
+    /// The `hypot` enumeration the squared-distance one must reproduce: every
+    /// lattice point with `norm() <= radius` in index order, the position of the
+    /// first strict minimum norm, and the nearest-point fallback.
+    fn norm_reference(dec: &FixedSphereMlDecoder<'_>, center: Complex) -> (Vec<u16>, usize) {
+        let lattice = dec.modulation().lattice();
+        let mut candidates = Vec::new();
+        let mut nearest = 0;
+        let mut nearest_distance = f64::INFINITY;
+        for (i, point) in lattice.points().iter().enumerate() {
+            let distance = (*point - center).norm();
+            if distance <= dec.radius() {
+                if distance < nearest_distance {
+                    nearest_distance = distance;
+                    nearest = candidates.len();
+                }
+                candidates.push(i as u16);
+            }
+        }
+        if candidates.is_empty() {
+            candidates.push(lattice.nearest_index(center));
+        }
+        (candidates, nearest)
+    }
+
+    #[test]
+    fn enumeration_matches_the_norm_reference_at_the_radius_and_on_ties() {
+        use std::f64::consts::PI;
+        let model = InterferenceModel::new(64, CpRecycleConfig::default());
+        let mut s = scratch();
+        let nudged = |x: f64, ulps: i32| {
+            (0..ulps.abs()).fold(x, |x, _| if ulps > 0 { x.next_up() } else { x.next_down() })
+        };
+        let (mut banded, mut reordered) = (0, 0);
+        for modulation in [
+            Modulation::Bpsk,
+            Modulation::Qpsk,
+            Modulation::Qam16,
+            Modulation::Qam64,
+            Modulation::Qam256,
+        ] {
+            let points = modulation.points();
+            let step = (points.len() / 8).max(1);
+            for multiple in [0.5, 1.0, 2.0, 3.0] {
+                let dec = FixedSphereMlDecoder::new(&model, modulation, multiple);
+                let radius = dec.radius();
+                let mut centers = Vec::new();
+                for &point in points.iter().step_by(step) {
+                    // Exactly the radius from a lattice point in assorted
+                    // directions, then 1–2 ulps inside and outside on either axis.
+                    for k in 0..12 {
+                        let on = point + Complex::from_polar(radius, PI * k as f64 / 6.0 + 0.1);
+                        for ulps in -2..=2 {
+                            centers.push(Complex::new(nudged(on.re, ulps), on.im));
+                            centers.push(Complex::new(on.re, nudged(on.im, ulps)));
+                        }
+                    }
+                    // Equidistant from two neighbouring lattice points: on their
+                    // bisector near the midpoint, where both are the nearest
+                    // candidates, and at the radius from both.
+                    let other = points
+                        .iter()
+                        .filter(|q| **q != point)
+                        .min_by(|a, b| (**a - point).norm().total_cmp(&(**b - point).norm()))
+                        .copied()
+                        .unwrap_or(point);
+                    let mid = (point + other).scale(0.5);
+                    let half = (other - point).norm() / 2.0;
+                    let along = (other - point).scale(1.0 / (2.0 * half.max(f64::MIN_POSITIVE)));
+                    let normal = Complex::new(-along.im, along.re);
+                    let reach = (radius * radius - half * half).max(0.0).sqrt();
+                    for t in [0.0, 0.05 * half, -0.3 * half, reach, -reach] {
+                        let c = mid + normal.scale(t);
+                        for (re_ulps, im_ulps) in
+                            [(0, 0), (1, 0), (-1, 0), (0, 2), (2, -1), (-2, 1)]
+                        {
+                            centers
+                                .push(Complex::new(nudged(c.re, re_ulps), nudged(c.im, im_ulps)));
+                        }
+                    }
+                }
+                for center in centers {
+                    let nearest = dec.enumerate_candidates(&[center], &mut s);
+                    let (want, want_nearest) = norm_reference(&dec, center);
+                    let context = format!("{modulation:?} ×{multiple} center {center:?}");
+                    assert_eq!(s.candidates, want, "{context}: candidates");
+                    assert_eq!(nearest, want_nearest, "{context}: nearest");
+                    let squared: Vec<f64> = want
+                        .iter()
+                        .map(|&i| modulation.lattice().point(i) - center)
+                        .map(|o| o.re * o.re + o.im * o.im)
+                        .collect();
+                    banded += squared
+                        .iter()
+                        .filter(|d| (dec.inside_below..=dec.outside_above).contains(*d))
+                        .count();
+                    // Where the first strict minimum of the squared distances is
+                    // not the nearest by norm, only the near-tie fallback is right.
+                    let by_squared = (0..squared.len()).fold(0, |best, k| {
+                        if squared[k] < squared[best] {
+                            k
+                        } else {
+                            best
+                        }
+                    });
+                    reordered += usize::from(want.len() > 1 && by_squared != want_nearest);
+                }
+            }
+        }
+        assert!(banded > 0, "no centroid landed in the rounding band");
+        assert!(
+            reordered > 0,
+            "no near-tie that squared distances order differently"
+        );
     }
 
     #[test]

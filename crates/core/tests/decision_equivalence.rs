@@ -10,10 +10,12 @@
 //! [`exhaustive_sphere_decode`], the batch scorer that scores every candidate in
 //! full: same decisions for every backend, on near-ties and on non-finite input,
 //! and on a clustered model where the certificate (the nearest candidate returned
-//! unscored) actually fires.
+//! unscored) actually fires. Its work is pinned against [`todays_sphere_decode`],
+//! the one-stage decoder the two-stage certificate replaced: same decisions and
+//! the same candidates, queries scored and certified bins, bin for bin.
 
-use cprecycle::decision::{decide_symbol, DecoderScratch};
-use cprecycle::interference_model::deviation_planes;
+use cprecycle::decision::{decide_symbol, DecoderScratch, SearchCounts};
+use cprecycle::interference_model::deviation;
 use cprecycle::segments::{SegmentPowers, SymbolSegments};
 use cprecycle::{
     CpRecycleConfig, CpRecycleReceiver, DecisionStage, FixedSphereMlDecoder, InterferenceModel,
@@ -78,8 +80,9 @@ fn reference_sphere_decode(
 }
 
 /// The sphere decoder before branch-and-bound pruning, reproduced verbatim: every
-/// candidate × observation error vector in one candidate-major plane, one polar
-/// conversion, one `log_likelihood_batch` call, an in-order sum per candidate and the
+/// candidate × observation deviation in one candidate-major plane (converted per
+/// element by `deviation`, bit-identical to the lane-parallel planes it used), one
+/// `log_likelihood_batch` call, an in-order sum per candidate and the
 /// first strict maximum (so ties and all-non-finite scores keep the lowest index).
 /// Returns the decided lattice index.
 fn exhaustive_sphere_decode(
@@ -97,12 +100,11 @@ fn exhaustive_sphere_decode(
     for &index in &candidates {
         let point = lattice.point(index);
         for obs in observations {
-            let err = *obs - point;
-            amp.push(err.re);
-            phase.push(err.im);
+            let (a, ph) = deviation(*obs, point);
+            amp.push(a);
+            phase.push(ph);
         }
     }
-    deviation_planes(&mut amp, &mut phase);
     let mut log_likes = vec![0.0; amp.len()];
     model.log_likelihood_batch(bin, &amp, &phase, &mut log_likes);
     let mut best = 0usize;
@@ -115,6 +117,162 @@ fn exhaustive_sphere_decode(
         }
     }
     candidates[best]
+}
+
+/// The sphere decoder before its two-stage certificate, reproduced verbatim as
+/// the oracle for decisions *and* work counters: `hypot` candidate enumeration,
+/// every deviation converted up front, tight per-query bounds and their suffix
+/// sums, the certificate from the full kernel floor, then the branch-and-bound
+/// search. `radius` is absolute ([`FixedSphereMlDecoder::radius`]). Returns the
+/// decided lattice index and the counts the decoder adds to its scratch.
+fn todays_sphere_decode(
+    model: &InterferenceModel,
+    modulation: Modulation,
+    radius: f64,
+    bin: usize,
+    observations: &[Complex],
+) -> (u16, SearchCounts) {
+    const PRUNE_BLOCK: usize = 2;
+    const PRUNE_SLACK: f64 = 1e-9;
+    let lattice = modulation.lattice();
+    let mut counts = SearchCounts::default();
+    let center = centroid(observations).unwrap_or(Complex::zero());
+    let mut candidates: Vec<u16> = Vec::new();
+    let mut nearest = 0;
+    let mut nearest_distance = f64::INFINITY;
+    for (i, point) in lattice.points().iter().enumerate() {
+        let distance = (*point - center).norm();
+        if distance <= radius {
+            if distance < nearest_distance {
+                nearest_distance = distance;
+                nearest = candidates.len();
+            }
+            candidates.push(i as u16);
+        }
+    }
+    if candidates.is_empty() {
+        candidates.push(lattice.nearest_index(center));
+    }
+    let n = candidates.len();
+    counts.candidates += n as u64;
+    if n == 1 {
+        return (candidates[0], counts);
+    }
+    let p = observations.len();
+    let mut dev_amp = Vec::new();
+    let mut dev_phase = Vec::new();
+    for &index in &candidates {
+        let point = lattice.point(index);
+        for obs in observations {
+            let (a, ph) = deviation(*obs, point);
+            dev_amp.push(a);
+            dev_phase.push(ph);
+        }
+    }
+    let len = n * p;
+    let mut bound_sums = vec![0.0; len];
+    let mut bound_mags = vec![0.0; len];
+    model.log_likelihood_upper_bounds(bin, &dev_amp, &dev_phase, &mut bound_sums);
+    for k in 0..n {
+        let (mut sum, mut magnitude) = (0.0, 0.0);
+        let range = k * p..(k + 1) * p;
+        for (b, m) in bound_sums[range.clone()]
+            .iter_mut()
+            .zip(&mut bound_mags[range])
+            .rev()
+        {
+            magnitude += b.abs();
+            sum += *b;
+            (*b, *m) = (sum, magnitude);
+        }
+    }
+    let bound = |k: usize, done: usize, partial: f64, magnitude: f64| {
+        partial + bound_sums[k * p + done] + PRUNE_SLACK * (magnitude + bound_mags[k * p + done])
+    };
+    let beats_challengers = |score: f64| {
+        (0..n)
+            .filter(|&k| k != nearest)
+            .all(|k| score > bound(k, 0, 0.0, 0.0))
+    };
+    if p > 0 && beats_challengers(bound_sums[nearest * p]) {
+        let queries = nearest * p..(nearest + 1) * p;
+        let floor = model.log_likelihood_sum_lower_bound(
+            bin,
+            &dev_amp[queries.clone()],
+            &dev_phase[queries],
+        );
+        if floor > f64::NEG_INFINITY && beats_challengers(floor) {
+            counts.certified += 1;
+            return (candidates[nearest], counts);
+        }
+    }
+    let mut log_likes = vec![0.0; p];
+    let mut best = 0usize;
+    let mut best_score = f64::NEG_INFINITY;
+    let order = std::iter::once(nearest).chain((0..n).filter(|&k| k != nearest));
+    for (rank, k) in order.enumerate() {
+        let amp = &dev_amp[k * p..(k + 1) * p];
+        let phase = &dev_phase[k * p..(k + 1) * p];
+        let block = if rank == 0 { p } else { PRUNE_BLOCK };
+        let mut partial = 0.0;
+        let mut magnitude = 0.0;
+        let mut done = 0;
+        while done < p {
+            if bound(k, done, partial, magnitude) < best_score {
+                break;
+            }
+            let end = (done + block).min(p);
+            model.log_likelihood_batch(
+                bin,
+                &amp[done..end],
+                &phase[done..end],
+                &mut log_likes[done..end],
+            );
+            counts.queries_scored += (end - done) as u64;
+            for v in &log_likes[done..end] {
+                partial += v;
+                magnitude += v.abs();
+            }
+            done = end;
+        }
+        if done < p {
+            continue;
+        }
+        let score: f64 = log_likes.iter().sum();
+        if score > best_score || (score == best_score && k < best) {
+            best_score = score;
+            best = k;
+        }
+    }
+    (candidates[best], counts)
+}
+
+/// Asserts the decoder decides `observations` as [`todays_sphere_decode`] does and
+/// adds exactly its counts to `scratch`; returns those counts.
+fn assert_matches_todays_decoder(
+    decoder: &FixedSphereMlDecoder<'_>,
+    model: &InterferenceModel,
+    bin: usize,
+    observations: &[Complex],
+    scratch: &mut DecoderScratch,
+    context: &str,
+) -> SearchCounts {
+    scratch.take_search_counts();
+    let decided = decoder.decide(bin, observations, scratch);
+    let counts = scratch.take_search_counts();
+    let want = todays_sphere_decode(
+        model,
+        decoder.modulation(),
+        decoder.radius(),
+        bin,
+        observations,
+    );
+    assert_eq!(
+        (decided, counts),
+        want,
+        "{context}: observations {observations:?}"
+    );
+    counts
 }
 
 /// The original naive decoder (`naive::decode_subcarrier`), reproduced verbatim.
@@ -501,6 +659,55 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Decisions and all three search counters are the pre-two-stage decoder's,
+    /// for every backend, modulation and `P ∈ 1..=17`, on trained and unfitted
+    /// bins of a trained model (random observations) and of a clustered model
+    /// (observations from its clusters, where the certificate fires).
+    #[test]
+    fn sphere_decisions_and_counts_match_todays_decoder(seed in any::<u64>(), radius in 1.0f64..4.0) {
+        let engine = OfdmEngine::new(OfdmParams::ieee80211ag());
+        let bins = [engine.params().data_bins()[10], 0];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EA);
+        let mut scratch = DecoderScratch::new();
+        let mut totals = SearchCounts::default();
+        for config in every_backend() {
+            for clustered in [false, true] {
+                let model = if clustered {
+                    clustered_model_with(&engine, seed, config)
+                } else {
+                    trained_model_with(&engine, seed, config)
+                };
+                for modulation in ALL_MODULATIONS {
+                    let decoder = FixedSphereMlDecoder::new(&model, modulation, radius);
+                    for p in 1..=17 {
+                        for bin in bins {
+                            let obs = if clustered {
+                                clustered_observations(&mut rng, modulation, p)
+                            } else {
+                                random_observations(&mut rng, modulation, p)
+                            };
+                            let context = format!(
+                                "{config:?} clustered {clustered} {modulation:?} P {p} bin {bin} radius {radius}"
+                            );
+                            let counts = assert_matches_todays_decoder(
+                                &decoder, &model, bin, &obs, &mut scratch, &context,
+                            );
+                            totals.candidates += counts.candidates;
+                            totals.queries_scored += counts.queries_scored;
+                            totals.certified += counts.certified;
+                        }
+                    }
+                }
+            }
+        }
+        prop_assert!(totals.queries_scored > 0, "no bin searched: {:?}", totals);
+        prop_assert!(totals.certified > 0, "no bin certified: {:?}", totals);
+    }
+}
+
 /// On an unfitted bin the score is the symmetric distance penalty, so an
 /// observation exactly midway between the two BPSK points is an exact tie and the
 /// lower lattice index must win.
@@ -614,6 +821,14 @@ fn non_finite_observations_decide_like_the_exhaustive_scan() {
                         );
                         let counts = scratch.take_search_counts();
                         assert_eq!(counts.certified, 0, "{context}: certified");
+                        assert_matches_todays_decoder(
+                            &decoder,
+                            &model,
+                            bin,
+                            obs,
+                            &mut scratch,
+                            &context,
+                        );
                     }
                 }
             }

@@ -14,9 +14,10 @@
 //!   backend and precision: scalar and batch answers, upper bounds and slice lower
 //!   bounds alike;
 //! * no batched answer ever exceeds the density's `ceiling`, nor its per-query
-//!   `upper_bounds` entry (which is itself within the ceiling), and no slice's
-//!   in-order answer sum falls below `sum_lower_bound` — the bounds the sphere
-//!   decoder prunes and certifies with.
+//!   `upper_bounds` entry, which is itself within the `amplitude_upper_bounds`
+//!   entry, which is within the ceiling; and no slice's in-order answer sum falls
+//!   below `sum_lower_bound`, which is itself at least `one_sample_sum_lower_bound`
+//!   — the bounds the sphere decoder prunes and certifies with.
 
 use cprecycle::interference_model::deviation;
 use cprecycle::segments::{extract_segments, SymbolSegments};
@@ -302,8 +303,27 @@ proptest! {
                 phases.push(edge_p);
             }
         }
+        // New draws, after every earlier one: for each fitted bin, queries at an
+        // amplitude inside its samples' range but a phase beyond them (the
+        // amplitude-only bound stays at the ceiling while the tight one falls),
+        // and just beyond the amplitude range at a sample's phase (the two
+        // bounds meet up to their slacks).
+        for bin in [fitted, degenerate, single] {
+            let (lo, hi) = samples[bin]
+                .amps
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &a| (lo.min(a), hi.max(a)));
+            let top = samples[bin].phases.iter().fold(f64::NEG_INFINITY, |m, &p| m.max(p));
+            for _ in 0..4 {
+                amps.push(lo + (hi - lo) * rng.gen_range(0.0..=1.0));
+                phases.push(top + rng.gen_range(0.5..6.0));
+                amps.push(hi + rng.gen_range(0.01..2.0));
+                phases.push(samples[bin].phases[rng.gen_range(0..samples[bin].phases.len())]);
+            }
+        }
         let mut out = vec![0.0; amps.len()];
         let mut upper = vec![0.0; amps.len()];
+        let mut amplitude_upper = vec![0.0; amps.len()];
         // Non-finite queries, and a finite one whose whitened square overflows.
         let unscorable = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200];
         for (backend, precision) in [
@@ -342,6 +362,14 @@ proptest! {
                     Some(d) => d.sum_lower_bound(a, p),
                     None => model.log_likelihood_sum_lower_bound(bin, a, p),
                 };
+                let amplitude_bounds = |a: &[f64], out: &mut [f64]| match density {
+                    Some(d) => d.amplitude_upper_bounds(a, out),
+                    None => model.log_likelihood_amplitude_upper_bounds(bin, a, out),
+                };
+                let one_sample_bound = |a: &[f64], p: &[f64]| match density {
+                    Some(d) => d.one_sample_sum_lower_bound(a, p),
+                    None => model.log_likelihood_one_sample_sum_lower_bound(bin, a, p),
+                };
                 // The unfitted bin's penalty −½a² peaks at 0.
                 let ceiling = density.map_or(0.0, BinDensity::ceiling);
                 prop_assert!(ceiling.is_finite(), "{:?} bin {}: ceiling {}", backend, bin, ceiling);
@@ -374,6 +402,12 @@ proptest! {
                         if backend == ModelBackend::ExactKde && bin != unfitted {
                             prop_assert!(floor.is_finite(), "bin {}: {:?}/{:?}", bin, a, p);
                         }
+                        let one = one_sample_bound(a, p);
+                        prop_assert!(
+                            one <= floor,
+                            "{:?}/{:?} bin {} queries {:?}/{:?}: one-sample bound {} above {}",
+                            backend, precision, bin, a, p, one, floor
+                        );
                     }
                 }
                 for bad in unscorable {
@@ -388,7 +422,36 @@ proptest! {
                         let mut bounds = [0.0; 3];
                         upper_bounds(&qa, &qp, &mut bounds);
                         prop_assert!(bounds.iter().all(|b| *b <= ceiling), "{:?}", bounds);
+                        // An infinite or overflowing coordinate, or a NaN query
+                        // (an error vector with a NaN part has a NaN amplitude
+                        // and phase), gets the ceiling as its tight bound, and an
+                        // unscorable amplitude gets it as its amplitude-only
+                        // bound; the one-sample bound is −∞.
+                        if !bad.is_nan() {
+                            prop_assert_eq!(bounds[1], ceiling, "{:?} bin {} tight ({}, {})", backend, bin, a, p);
+                        }
+                        upper_bounds(&[bad], &[bad], &mut bounds[..1]);
+                        prop_assert_eq!(bounds[0], ceiling, "{:?} bin {} tight ({}, {})", backend, bin, bad, bad);
+                        amplitude_bounds(&qa, &mut bounds);
+                        prop_assert!(bounds.iter().all(|b| *b <= ceiling), "{:?}", bounds);
+                        if a.to_bits() == bad.to_bits() {
+                            prop_assert_eq!(bounds[1], ceiling, "{:?} bin {} amplitude {}", backend, bin, a);
+                        }
+                        prop_assert_eq!(
+                            one_sample_bound(&qa, &qp),
+                            f64::NEG_INFINITY,
+                            "{:?} bin {} one-sample ({}, {})", backend, bin, a, p
+                        );
                     }
+                }
+                // Per query: answer ≤ tight bound ≤ amplitude-only bound ≤ ceiling.
+                amplitude_bounds(&amps, &mut amplitude_upper);
+                for (q, (u, w)) in upper.iter().zip(&amplitude_upper).enumerate() {
+                    prop_assert!(
+                        out[q] <= *u && *u <= *w && *w <= ceiling,
+                        "{:?}/{:?} bin {} query ({}, {}): answer {} tight {} amplitude-only {} ceiling {}",
+                        backend, precision, bin, amps[q], phases[q], out[q], u, w, ceiling
+                    );
                 }
             }
         }

@@ -1,5 +1,6 @@
 //! Allocation regression pins for the interference-model refit path (the PR 3
-//! candidate-buffer pin, applied to the estimator refactor).
+//! candidate-buffer pin, applied to the estimator refactor), the Viterbi decoder
+//! and the sphere decoder's search.
 //!
 //! Before the refactor, every `InterferenceModel` refit collected two temporary
 //! axis `Vec<f64>`s per bin for bandwidth selection and rebuilt each bin's KDE from
@@ -13,8 +14,10 @@
 //! (spawning and reporting the other tests) never leaks into a measurement; each
 //! measurement runs the workload after a warm-up of the same shape.
 
+use cprecycle::decision::DecoderScratch;
 use cprecycle::segments::SymbolSegments;
-use cprecycle::{CpRecycleConfig, InterferenceModel};
+use cprecycle::{CpRecycleConfig, FixedSphereMlDecoder, InterferenceModel};
+use ofdmphy::modulation::Modulation;
 use ofdmphy::ofdm::OfdmEngine;
 use ofdmphy::params::OfdmParams;
 use ofdmphy::preamble;
@@ -159,4 +162,96 @@ fn model_update_does_not_collect_per_bin_temporaries() {
         during <= 110,
         "model update allocated {during} times — per-bin temporaries are back?"
     );
+}
+
+/// One error vector of a two-cluster interference model: small positive noise,
+/// plus an amplitude-≈3 vector at phase ≈ π/2 when `interfered`.
+fn clustered_error(rng: &mut rand::rngs::StdRng, interfered: bool) -> Complex {
+    let noise = Complex::new(rng.gen_range(0.0..0.02), rng.gen_range(0.0..0.02));
+    if interfered {
+        noise + Complex::from_polar(rng.gen_range(2.9..3.1), rng.gen_range(1.5..1.7))
+    } else {
+        noise
+    }
+}
+
+#[test]
+fn sphere_decide_is_allocation_free_after_warmup() {
+    // The `sphere_ml` module promises a search with no heap allocation once the
+    // scratch is warm: enumeration, the error-vector, amplitude and phase planes,
+    // both stages' bounds and floors, and the branch-and-bound scoring. A
+    // two-cluster model (three clean preamble segments, three hit by an
+    // amplitude-≈3 vector) certifies bins whose observations come from its
+    // clusters and must search bins hit from other directions, so both paths run.
+    let e = OfdmEngine::new(OfdmParams::ieee80211ag());
+    let bin = e.params().data_bins()[10];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xA110C);
+    let reference: Vec<Complex> = (0..64)
+        .map(|b| {
+            if e.params().occupied_bins().contains(&b) {
+                Complex::new(1.0, 0.0)
+            } else {
+                Complex::zero()
+            }
+        })
+        .collect();
+    let rows: Vec<Vec<Complex>> = (0..6)
+        .map(|row| {
+            reference
+                .iter()
+                .map(|r| {
+                    if r.norm_sqr() == 0.0 {
+                        Complex::zero()
+                    } else {
+                        *r + clustered_error(&mut rng, row >= 3)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let model = InterferenceModel::train(
+        &e,
+        &[SymbolSegments::from_rows(rows)],
+        &[reference],
+        CpRecycleConfig::default(),
+    )
+    .unwrap();
+    let modulation = Modulation::Qam16;
+    let decoder = FixedSphereMlDecoder::new(&model, modulation, 2.0);
+    let points = modulation.points();
+    // 1200 observation sets of P = 16, built before counting: every other one
+    // from the model's clusters, the rest hit at arbitrary phases.
+    let sets: Vec<Vec<Complex>> = (0..1200)
+        .map(|i| {
+            let tx = points[rng.gen_range(0..points.len())];
+            (0..16)
+                .map(|_| {
+                    let error = if i % 2 == 0 {
+                        let interfered = rng.gen_range(0..3) == 0;
+                        clustered_error(&mut rng, interfered)
+                    } else {
+                        Complex::from_polar(rng.gen_range(0.0..0.8), rng.gen_range(-3.1..3.1))
+                    };
+                    tx + error
+                })
+                .collect()
+        })
+        .collect();
+    let mut scratch = DecoderScratch::new();
+    // Warm-up: the same sets, so every plane reaches its largest size.
+    for obs in &sets {
+        decoder.decide(bin, obs, &mut scratch);
+    }
+    scratch.take_search_counts();
+    let mut decided = vec![0u16; sets.len()];
+    let during = allocations_during(|| {
+        for (obs, d) in sets.iter().zip(&mut decided) {
+            *d = decoder.decide(bin, obs, &mut scratch);
+        }
+    });
+    let counts = scratch.take_search_counts();
+    assert_eq!(during, 0, "warm sphere decisions allocated {during} times");
+    assert!(counts.certified > 0, "no bin certified: {counts:?}");
+    assert!(counts.queries_scored > 0, "no bin searched: {counts:?}");
+    assert!(counts.candidates > sets.len() as u64, "{counts:?}");
 }

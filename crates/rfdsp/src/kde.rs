@@ -505,8 +505,11 @@ impl ProductKde2d {
     /// at most `ln n − d² − log_norm`, plus a rounding slack of
     /// `64·ε·(n + ln n + |log_norm| + 1 + d²)` for the polynomial `exp`, the sum,
     /// the `ln` and the subtractions (the ceiling's slack at `d² = 0`).
-    /// Queries inside the box get the ceiling; non-finite queries (whose answers
-    /// are NaN or `−∞`) get the ceiling as well.
+    /// Queries inside the box get the ceiling, and so do queries with an
+    /// infinite coordinate or one whose whitened square overflows (their answers
+    /// are `−∞` or NaN). A NaN coordinate is measured as if it sat inside the
+    /// box, so a query NaN in both coordinates gets the ceiling too; a NaN query
+    /// answers NaN, which no bound orders.
     ///
     /// # Panics
     ///
@@ -534,6 +537,46 @@ impl ProductKde2d {
             let bound = ceiling - d2 + SLACK_ULPS * d2;
             // `<` rather than `min`: a NaN bound (an infinite query) falls to the
             // ceiling.
+            *b = if bound < ceiling { bound } else { ceiling };
+        }
+    }
+
+    /// Amplitude-only per-query upper bounds on
+    /// [`log_eval_batch`](Self::log_eval_batch): `bounds[q]` is at least the
+    /// answer to `(amplitudes[q], φ)` for every finite phase `φ`, at least the
+    /// [`log_eval_upper_bounds`](Self::log_eval_upper_bounds) entry of any such
+    /// query, and at most [`log_eval_ceiling`](Self::log_eval_ceiling). No phase
+    /// is read, so a caller can bound a query before it has paid for its `atan2`.
+    ///
+    /// This is the tight bound with the phase gap taken as `0`: `d² = da²`, the
+    /// whitened amplitude's squared distance to the sample box's amplitude
+    /// interval. Every kernel exponent is `−(ua² + uφ²) ≤ −ua² ≤ −da²`, in
+    /// floating point too (adding `uφ² ≥ 0` and the box argument of
+    /// [`log_eval_upper_bounds`](Self::log_eval_upper_bounds) are both monotone
+    /// under rounding), so that bound's argument holds with `da²` in place of
+    /// `d²`. The slack is twice the tight bound's per-unit slack: with the same
+    /// `ceiling − d² + slack·d²` arithmetic, rounding could otherwise lift the
+    /// tight bound a unit in the last place above this one when `da² ≤ d² ≤
+    /// 2·da²`, and above `2·da²` the gap `d² − da²` dwarfs both slacks. A NaN or
+    /// infinite amplitude, or one whose whitened square overflows, gets the
+    /// ceiling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `amplitudes` and `bounds` have different lengths.
+    pub fn log_eval_amplitude_upper_bounds(&self, amplitudes: &[f64], bounds: &mut [f64]) {
+        assert_eq!(
+            amplitudes.len(),
+            bounds.len(),
+            "output must match the query count"
+        );
+        let ca = self.whitening.0;
+        let [min_a, max_a, _, _] = self.white_box;
+        let ceiling = self.log_eval_ceiling();
+        for (&a, b) in amplitudes.iter().zip(bounds.iter_mut()) {
+            let da = box_gap(a * ca, min_a, max_a);
+            let d2 = da * da;
+            let bound = ceiling - d2 + AMPLITUDE_SLACK_ULPS * d2;
             *b = if bound < ceiling { bound } else { ceiling };
         }
     }
@@ -583,6 +626,70 @@ impl ProductKde2d {
         }
         sum - SUM_SLACK * magnitude
     }
+
+    /// A cheaper lower bound on the in-order sum of the
+    /// [`log_eval_batch`](Self::log_eval_batch) answers, at most
+    /// [`log_eval_sum_lower_bound`](Self::log_eval_sum_lower_bound)'s: it keeps
+    /// one sample, the one whose kernel exponent is largest for the first
+    /// query, and bounds every query by its exponent to that sample alone —
+    /// `n + P` exponents instead of `n·P`. It is `−∞` for a non-finite query and
+    /// for a query whose exponent to the kept sample is not finite.
+    ///
+    /// A kernel sum is at least any one of its terms, so the argument of
+    /// [`log_eval_sum_lower_bound`](Self::log_eval_sum_lower_bound) holds with
+    /// any sample's exponent in place of the largest. Each exponent is rounded
+    /// exactly as [`crate::simd::kde_max_exponent`] rounds it, so it is at most
+    /// that query's largest exponent, and the per-query bound `e − floor −
+    /// slack·|e|` is non-decreasing in `e` under rounding (for `e ≤ 0` both
+    /// terms move the same way), as is the in-order sum. The sum's slack is
+    /// taken on `2·|e| + |floor|` per query rather than on the bound's own
+    /// magnitude: that is at least the full bound's per-query magnitude, so the
+    /// subtracted slack is at least the full bound's and the result never
+    /// exceeds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query slices have different lengths.
+    pub fn log_eval_sum_lower_bound_one_sample(&self, amplitudes: &[f64], phases: &[f64]) -> f64 {
+        assert_eq!(
+            amplitudes.len(),
+            phases.len(),
+            "query planes must have equal lengths"
+        );
+        let (ca, cp) = self.whitening;
+        let (white_a, white_p) = self.whitened();
+        let (Some(&a0), Some(&p0)) = (amplitudes.first(), phases.first()) else {
+            return 0.0;
+        };
+        let (a0, p0) = (a0 * ca, p0 * cp);
+        let mut kept = None;
+        let mut best = f64::NEG_INFINITY;
+        for (&sa, &sp) in white_a.iter().zip(white_p) {
+            let e = crate::simd::kernel_exponent(a0, p0, sa, sp);
+            if e > best {
+                best = e;
+                kept = Some((sa, sp));
+            }
+        }
+        let Some((sa, sp)) = kept else {
+            return f64::NEG_INFINITY;
+        };
+        let floor = self.log_norm + self.log_slack();
+        let mut sum = 0.0;
+        let mut magnitude = 0.0;
+        for (&a, &p) in amplitudes.iter().zip(phases) {
+            if !(a.is_finite() && p.is_finite()) {
+                return f64::NEG_INFINITY;
+            }
+            let e = crate::simd::kernel_exponent(a * ca, p * cp, sa, sp);
+            if !e.is_finite() {
+                return f64::NEG_INFINITY;
+            }
+            sum += e - floor - SLACK_ULPS * e.abs();
+            magnitude += 2.0 * e.abs() + floor.abs();
+        }
+        sum - SUM_SLACK * magnitude
+    }
 }
 
 /// `4π²`, the product-kernel normalisation (`1/2π` per axis).
@@ -591,6 +698,10 @@ const TWO_PI_SQ: f64 = 4.0 * std::f64::consts::PI * std::f64::consts::PI;
 /// Rounding slack per unit of log magnitude in the KDE's log-domain bounds
 /// (see [`ProductKde2d::log_eval_ceiling`]): 64 ulps.
 const SLACK_ULPS: f64 = 64.0 * f64::EPSILON;
+
+/// [`ProductKde2d::log_eval_amplitude_upper_bounds`]'s slack per unit of log
+/// magnitude: twice [`SLACK_ULPS`], so that bound is never below the tight one.
+const AMPLITUDE_SLACK_ULPS: f64 = 2.0 * SLACK_ULPS;
 
 /// Relative slack, in units of the summed magnitudes, that
 /// [`ProductKde2d::log_eval_sum_lower_bound`] gives away for summing `P` terms.
@@ -1325,6 +1436,26 @@ mod tests {
         assert!(floor.is_finite() && floor <= out.iter().sum::<f64>());
         assert_eq!(
             kde.log_eval_sum_lower_bound(&[0.1, f64::NAN], &[0.0, 0.0]),
+            f64::NEG_INFINITY
+        );
+        // The amplitude-only bounds: the ceiling inside the amplitude interval,
+        // never below the tight bounds, and within rounding slack of the tight
+        // bound where the phase gap is 0.
+        let mut amplitude_only = [0.0; 4];
+        kde.log_eval_amplitude_upper_bounds(&amps, &mut amplitude_only);
+        assert_eq!(amplitude_only[..2], [ceiling; 2]);
+        let mut tight = [0.0];
+        kde.log_eval_upper_bounds(&amps[2..3], &[0.2], &mut tight);
+        assert!(tight[0] < ceiling && tight[0] <= amplitude_only[2]);
+        assert!(amplitude_only[2] - tight[0] < 1e-12);
+        for q in 0..4 {
+            assert!(upper[q] <= amplitude_only[q] && amplitude_only[q] <= ceiling);
+        }
+        // The one-sample floor: below the full floor, finite, `−∞` on NaN.
+        let one = kde.log_eval_sum_lower_bound_one_sample(&amps, &phases);
+        assert!(one.is_finite() && one <= floor, "{one} vs {floor}");
+        assert_eq!(
+            kde.log_eval_sum_lower_bound_one_sample(&[0.1, f64::NAN], &[0.0, 0.0]),
             f64::NEG_INFINITY
         );
     }

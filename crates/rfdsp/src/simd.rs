@@ -15,7 +15,7 @@
 //! paths (property-tested in `tests/simd_equivalence.rs`).
 //!
 //! The KDE kernels ([`kde_kernel_sum`], [`kde_log_sum_exp`], [`kde_max_exponent`],
-//! [`loo_kernel_sums`]) and the polar conversion ([`polar_planes`]) take the other route: one safe
+//! [`loo_kernel_sums`]) and the phase conversion ([`atan2_planes`]) take the other route: one safe
 //! autovectorizable body compiled twice, for the baseline target and under
 //! `#[target_feature(enable = "avx2")]`, with the same runtime dispatch.
 
@@ -176,9 +176,10 @@ pub fn kde_kernel_sum(a: f64, p: f64, amps: &[f64], phases: &[f64]) -> f64 {
 }
 
 /// The whitened kernel exponent `−((a − sa)² + (p − sp)²)` shared by the KDE
-/// kernels.
+/// kernels (and by [`crate::kde`]'s one-sample lower bound, which must round
+/// each exponent exactly as [`kde_max_exponent`] does).
 #[inline(always)]
-fn kernel_exponent(a: f64, p: f64, sa: f64, sp: f64) -> f64 {
+pub(crate) fn kernel_exponent(a: f64, p: f64, sa: f64, sp: f64) -> f64 {
     let ua = a - sa;
     let up = p - sp;
     -(ua * ua + up * up)
@@ -441,11 +442,11 @@ unsafe fn loo_kernel_sums_avx2(scaled: &[f64], dens: &mut [f64]) {
     loo_kernel_sums_inner(scaled, dens)
 }
 
-/// Converts split Cartesian planes to polar form in place: `x[k] ← |z_k|`,
-/// `y[k] ← arg z_k` for `z_k = x[k] + i·y[k]`, element by element through
-/// [`crate::lanes::polar`] — the sphere decoder's error-vector conversion, with no
-/// `hypot`/`atan2` libm call per query. Each element runs exactly the scalar
-/// [`crate::lanes::polar`] operations, so the planes are bit-identical to
+/// Arguments of split Cartesian planes, in place: `y[k] ← atan2(y[k], x[k])`
+/// element by element through [`crate::lanes::atan2_approx`] — the sphere
+/// decoder's error-vector phases, with no `atan2` libm call per query. Each
+/// element runs exactly the scalar [`crate::lanes::atan2_approx`] operations (the
+/// phase half of [`crate::lanes::polar`]), so the plane is bit-identical to
 /// per-element calls, and the AVX2 dispatch is bit-identical as for
 /// [`kde_kernel_sum`].
 ///
@@ -453,55 +454,55 @@ unsafe fn loo_kernel_sums_avx2(scaled: &[f64], dens: &mut [f64]) {
 ///
 /// Panics if the planes have different lengths.
 #[inline]
-pub fn polar_planes(x: &mut [f64], y: &mut [f64]) {
+pub fn atan2_planes(y: &mut [f64], x: &[f64]) {
     assert_eq!(x.len(), y.len(), "coordinate planes must match");
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: AVX2 presence was just verified at runtime.
         #[allow(unsafe_code)]
         unsafe {
-            polar_planes_avx2(x, y)
+            atan2_planes_avx2(y, x)
         };
         return;
     }
-    polar_planes_inner(x, y);
+    atan2_planes_inner(y, x);
 }
 
-/// The shared body of [`polar_planes`].
+/// The shared body of [`atan2_planes`].
 #[inline(always)]
-fn polar_planes_inner(x: &mut [f64], y: &mut [f64]) {
-    use crate::lanes::{polar, LANES};
+fn atan2_planes_inner(y: &mut [f64], x: &[f64]) {
+    use crate::lanes::{atan2_approx, LANES};
     let main = x.len() - x.len() % LANES;
-    let (x_main, x_tail) = x.split_at_mut(main);
     let (y_main, y_tail) = y.split_at_mut(main);
-    for (xc, yc) in x_main
+    let (x_main, x_tail) = x.split_at(main);
+    for (yc, xc) in y_main
         .chunks_exact_mut(LANES)
-        .zip(y_main.chunks_exact_mut(LANES))
+        .zip(x_main.chunks_exact(LANES))
     {
-        let xc: &mut [f64; LANES] = xc.try_into().unwrap();
         let yc: &mut [f64; LANES] = yc.try_into().unwrap();
+        let xc: &[f64; LANES] = xc.try_into().unwrap();
         for l in 0..LANES {
-            (xc[l], yc[l]) = polar(xc[l], yc[l]);
+            yc[l] = atan2_approx(yc[l], xc[l]);
         }
     }
-    for (xv, yv) in x_tail.iter_mut().zip(y_tail) {
-        (*xv, *yv) = polar(*xv, *yv);
+    for (yv, xv) in y_tail.iter_mut().zip(x_tail) {
+        *yv = atan2_approx(*yv, *xv);
     }
 }
 
-/// [`polar_planes_inner`] recompiled with AVX2 enabled.
+/// [`atan2_planes_inner`] recompiled with AVX2 enabled.
 ///
 /// # Safety
 ///
 /// The caller must have verified AVX2 support at runtime
-/// (`is_x86_feature_detected!("avx2")`) before calling; [`polar_planes`] is the
+/// (`is_x86_feature_detected!("avx2")`) before calling; [`atan2_planes`] is the
 /// only caller and does exactly that. The body itself is the safe fallback, so
 /// there is no other obligation.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 #[target_feature(enable = "avx2")]
-unsafe fn polar_planes_avx2(x: &mut [f64], y: &mut [f64]) {
-    polar_planes_inner(x, y)
+unsafe fn atan2_planes_avx2(y: &mut [f64], x: &[f64]) {
+    atan2_planes_inner(y, x)
 }
 
 #[cfg(test)]
@@ -588,23 +589,25 @@ mod tests {
                     assert_eq!(got[i].to_bits(), want[i].to_bits(), "loo n={n} i={i}");
                 }
             }
-            // Polar conversion of the (amplitude, phase) pairs read as Cartesian
-            // error vectors, shifted so every quadrant and both axes occur.
+            // Phases of the (amplitude, phase) pairs read as Cartesian error
+            // vectors, shifted so every quadrant and both axes occur, against
+            // the dispatch-free body and per-element `atan2_approx`.
             let xs: Vec<f64> = amps.iter().map(|x| x - 0.4).collect();
-            let (mut want_x, mut want_y) = (xs.clone(), phs.clone());
-            let (mut got_x, mut got_y) = (xs, phs.clone());
-            polar_planes_inner(&mut want_x, &mut want_y);
-            polar_planes(&mut got_x, &mut got_y);
+            let mut want = phs.clone();
+            let mut got = phs.clone();
+            atan2_planes_inner(&mut want, &xs);
+            atan2_planes(&mut got, &xs);
             for k in 0..n {
+                let scalar = crate::lanes::atan2_approx(phs[k], xs[k]);
                 assert_eq!(
-                    got_x[k].to_bits(),
-                    want_x[k].to_bits(),
-                    "polar |z| n={n} k={k}"
+                    want[k].to_bits(),
+                    scalar.to_bits(),
+                    "atan2 body n={n} k={k}"
                 );
                 assert_eq!(
-                    got_y[k].to_bits(),
-                    want_y[k].to_bits(),
-                    "polar arg n={n} k={k}"
+                    got[k].to_bits(),
+                    want[k].to_bits(),
+                    "atan2 dispatch n={n} k={k}"
                 );
             }
         }
