@@ -15,6 +15,22 @@ fn samples(n: usize) -> (Vec<f64>, Vec<f64>) {
         .unzip()
 }
 
+/// `n` samples shaped like an interfered bin's deviations: most near zero, a
+/// third displaced by an interferer to amplitude ≈ 3 at phase ≈ π/2, so each
+/// axis is two-cluster (deterministic jitter stands in for noise).
+fn clustered_samples(n: usize) -> (Vec<f64>, Vec<f64>) {
+    (0..n)
+        .map(|i| {
+            let jitter = ((i * 7919) % 101) as f64 / 101.0 - 0.5;
+            if i % 3 == 0 {
+                (3.0 + 0.1 * jitter, 1.6 + 0.08 * jitter)
+            } else {
+                (0.04 * (jitter + 0.5), 2.5 * jitter)
+            }
+        })
+        .unzip()
+}
+
 /// A product KDE over `(amps, phases)` with each axis's bandwidth picked by
 /// `selector`: what the interference model's per-bin fit does.
 fn fit(amps: &[f64], phases: &[f64], selector: BandwidthSelector) -> ProductKde2d {
@@ -31,6 +47,12 @@ fn bench_kde(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("train_loo", n), &n, |b, _| {
             b.iter(|| fit(&amps, &phases, BandwidthSelector::LeaveOneOut));
         });
+        if n == 32 {
+            let (amps, phases) = clustered_samples(n);
+            group.bench_with_input(BenchmarkId::new("train_loo_clustered", n), &n, |b, _| {
+                b.iter(|| fit(&amps, &phases, BandwidthSelector::LeaveOneOut));
+            });
+        }
         let kde = fit(&amps, &phases, BandwidthSelector::Silverman);
         group.bench_with_input(BenchmarkId::new("eval", n), &kde, |b, kde| {
             b.iter(|| kde.log_eval(0.21, -0.4));

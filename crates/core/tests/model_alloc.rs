@@ -164,6 +164,43 @@ fn model_update_does_not_collect_per_bin_temporaries() {
     );
 }
 
+#[test]
+fn warm_leave_one_out_selection_is_allocation_free() {
+    // The certified leave-one-out selector screens every grid factor out of the
+    // caller's scratch and, where the screen cannot decide, rescores factors
+    // exactly in the same scratch: once it has held the largest set's `13·n`
+    // entries, neither path allocates.
+    use rfdsp::kde::{select_bandwidth_scratch, select_leave_one_out, BandwidthSelector};
+
+    let smooth = |n: usize| -> Vec<f64> {
+        (0..n)
+            .map(|i| 0.3 * (i as f64 * 1.7).sin() + if i % 3 == 0 { 2.0 } else { 0.0 })
+            .collect()
+    };
+    let mut with_inf = smooth(32);
+    with_inf[7] = f64::INFINITY;
+    let mut scratch = Vec::new();
+    select_bandwidth_scratch(&smooth(80), BandwidthSelector::LeaveOneOut, &mut scratch).unwrap();
+    for (samples, exact) in [
+        (smooth(32), 0),
+        (smooth(80), 0),
+        (smooth(3), 0),
+        (with_inf, 9),
+    ] {
+        let mut selected = (0.0, usize::MAX);
+        let during = allocations_during(|| {
+            selected = select_leave_one_out(&samples, &mut scratch).unwrap();
+        });
+        assert_eq!(selected.1, exact, "n = {}: unexpected path", samples.len());
+        assert_eq!(
+            during,
+            0,
+            "warm LOO selection (n = {}, {exact} exact) allocated {during} times",
+            samples.len()
+        );
+    }
+}
+
 /// One error vector of a two-cluster interference model: small positive noise,
 /// plus an amplitude-≈3 vector at phase ≈ π/2 when `interfered`.
 fn clustered_error(rng: &mut rand::rngs::StdRng, interfered: bool) -> Complex {

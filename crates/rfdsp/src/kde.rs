@@ -78,12 +78,30 @@ pub fn silverman_bandwidth_scratch(samples: &[f64], scratch: &mut Vec<f64>) -> R
     Ok(if bw > 1e-9 { bw } else { 1e-3 })
 }
 
+/// The leave-one-out grid: multiplicative factors around the Silverman pilot
+/// bandwidth, in scoring order (a tie goes to the earlier factor).
+const LOO_FACTORS: [f64; 9] = [0.25, 0.4, 0.6, 0.8, 1.0, 1.3, 1.7, 2.2, 3.0];
+
+/// Floor under each leave-one-out density before its `ln`.
+const LOO_DENSITY_FLOOR: f64 = 1e-300;
+
+/// `gaussian_kernel`'s 1/2π and the leave-one-out mean's 1/((n−1)·B), applied
+/// once per likelihood.
+#[inline]
+fn loo_norm(n: usize, bw: f64) -> f64 {
+    1.0 / (2.0 * std::f64::consts::PI * (n - 1) as f64 * bw)
+}
+
 /// Leave-one-out log-likelihood of a univariate Gaussian KDE with bandwidth `bw`.
 ///
 /// The `n(n−1)` leave-one-out kernels are symmetric, so each pair is evaluated
 /// once, lane-parallel with the polynomial `exp` ([`crate::simd::loo_kernel_sums`]).
 /// `scratch` is the workspace: `n` per-sample kernel sums followed by the `n`
 /// samples whitened by `1/(√2·bw)` (hence `2·n` entries).
+///
+/// This is the score the leave-one-out selector maximises; since the screen of
+/// [`select_bandwidth_scratch`] it runs only for the grid factors the screen
+/// cannot separate.
 fn loo_log_likelihood(samples: &[f64], bw: f64, scratch: &mut Vec<f64>) -> f64 {
     let n = samples.len();
     scratch.clear();
@@ -94,9 +112,205 @@ fn loo_log_likelihood(samples: &[f64], bw: f64, scratch: &mut Vec<f64>) -> f64 {
         *y = x * c;
     }
     crate::simd::loo_kernel_sums(scaled, dens);
-    // `gaussian_kernel`'s 1/2π and the LOO mean's 1/((n−1)·B), applied once.
-    let norm = 1.0 / (2.0 * std::f64::consts::PI * (n - 1) as f64 * bw);
-    dens.iter().map(|d| (d * norm).max(1e-300).ln()).sum()
+    let norm = loo_norm(n, bw);
+    dens.iter()
+        .map(|d| (d * norm).max(LOO_DENSITY_FLOOR).ln())
+        .sum()
+}
+
+/// One grid factor's screened leave-one-out log-likelihood: the exact
+/// [`loo_log_likelihood`] lies within `delta` of `ll`. `delta` is `∞` (and `ll`
+/// meaningless) where the bound's premises fail.
+#[derive(Clone, Copy)]
+struct Screened {
+    ll: f64,
+    delta: f64,
+}
+
+impl Screened {
+    const UNKNOWN: Screened = Screened {
+        ll: f64::NAN,
+        delta: f64::INFINITY,
+    };
+}
+
+/// Absolute bound on one kernel term the screen and the exact path may disagree
+/// on across the `exp` underflow cut: both arguments are then within
+/// `ΔE ≤ 1e-3` of [`crate::lanes::EXP_UNDERFLOW`], so each term is at most
+/// `exp(EXP_UNDERFLOW + 1e-3)·(1 + 1e-7) < 2.3e-308`.
+const UNDERFLOW_TERM: f64 = 1e-307;
+
+/// Screened leave-one-out log-likelihoods of all [`LOO_FACTORS`] at once, each
+/// with a proven bound on its distance from [`loo_log_likelihood`]'s `f64`.
+///
+/// One pass of [`crate::simd::loo_screen_sums`] over the `n(n−1)/2` pairs of the
+/// samples whitened by the pilot bandwidth produces every factor's kernel sums
+/// with [`crate::lanes::exp_screen`]. `Σ_i ln(dens_i·norm)` is then taken as the
+/// sum of the densities' exponent fields, one `ln` of their mantissa product and
+/// `n·ln(norm)`, so a factor costs two `ln`s instead of `n`. `scratch` holds the
+/// `n` whitened samples followed by `SCREEN_LANES·n` lane-interleaved sums.
+///
+/// **The bound.** With `u = 2⁻⁵³`, `Y` the largest `|x|/(√2·bw)` and `U` a
+/// pair's exact whitened distance, both paths round the pair's kernel exponent to
+/// within `ΔE = 4u·(216·Y + 7290)` of `U²` wherever either kernel is nonzero
+/// (`|U| ≤ 26.7`), so with [`crate::lanes::EXP_SCREEN_REL_ERR`] `ρ` each screened
+/// kernel is within `ρ + ΔE + 8ε` relative of the exact one, up to
+/// [`UNDERFLOW_TERM`] across the underflow cut. Summing nonnegative terms in any
+/// order adds `γ_n = n·u/(1 − n·u)` per side, so every density, and hence every
+/// `ln` term, is within `λ = 1.02·(ρ + ΔE + 2γ_n + 2n·A/d_min + 16ε)` relative,
+/// where `A` = [`UNDERFLOW_TERM`] and `d_min` is the smallest unfloored
+/// density. The densities the exact path floors at [`LOO_DENSITY_FLOOR`] are
+/// recognised (a factor 2 either side of it, far beyond `λ`) and contribute the
+/// same constant. The result is
+/// `δ = 1.01·n·λ + 16·(n + 8)·ε·(n·(800 + |ln norm|) + 1)`, the second term
+/// covering the rounding of the `ln`s, the products and both sums.
+///
+/// Premises, each of which leaves that factor `UNKNOWN` when it fails: finite
+/// whitened samples, a normal bandwidth and norm with `n·norm ≤ 1e300` (no
+/// density overflows), `Y ≤ 1e290`, `λ ≤ 1e-3`, and no density near the floor.
+fn loo_screen(samples: &[f64], base: f64, scratch: &mut Vec<f64>) -> [Screened; 9] {
+    use crate::simd::{loo_screen_sums, SCREEN_LANES};
+    let n = samples.len();
+    let nf = n as f64;
+    scratch.clear();
+    scratch.resize((1 + SCREEN_LANES) * n, 0.0);
+    let (z, dens) = scratch.split_at_mut(n);
+    let c0 = std::f64::consts::FRAC_1_SQRT_2 / base;
+    for (z, x) in z.iter_mut().zip(samples) {
+        *z = x * c0;
+    }
+    if !z.iter().all(|z| z.is_finite()) {
+        return [Screened::UNKNOWN; 9];
+    }
+    let z_max = z.iter().fold(0.0f64, |m, z| m.max(z.abs()));
+
+    // Per lane: the squared whitening ratio to the pilot and the norm, exactly
+    // as `loo_log_likelihood` forms `c` and `norm`; the padding lanes repeat
+    // the last factor.
+    let mut ratio = [0.0f64; SCREEN_LANES];
+    let mut norm = [0.0f64; SCREEN_LANES];
+    for l in 0..SCREEN_LANES {
+        let bw = base * LOO_FACTORS[l.min(LOO_FACTORS.len() - 1)];
+        ratio[l] = (std::f64::consts::FRAC_1_SQRT_2 / bw) / c0;
+        norm[l] = loo_norm(n, bw);
+    }
+    let neg_w = ratio.map(|r| -(r * r));
+    loo_screen_sums(z, &neg_w, dens);
+
+    // Σ ln over the unfloored densities as exponent fields plus a mantissa
+    // product (renormalised every 512 rows, so it cannot overflow), and a count
+    // of the floored ones.
+    const MANTISSA: u64 = (1 << 52) - 1;
+    const ONE: u64 = 1023 << 52;
+    const EXP_BIAS: f64 = 4_503_599_627_371_519.0; // 2^52 + 1023
+    let exponent = |bits: u64| f64::from_bits((bits >> 52) | 0x4330_0000_0000_0000) - EXP_BIAS;
+    let mut mantissas = [1.0f64; SCREEN_LANES];
+    let mut exponents = [0.0f64; SCREEN_LANES];
+    let mut floored = [0.0f64; SCREEN_LANES];
+    let mut near_floor = [false; SCREEN_LANES];
+    let mut open_min = [f64::INFINITY; SCREEN_LANES];
+    let underflow = nf * UNDERFLOW_TERM;
+    for (i, row) in dens.chunks_exact(SCREEN_LANES).enumerate() {
+        for l in 0..SCREEN_LANES {
+            let d = row[l];
+            let open = d * norm[l] >= 2.0 * LOO_DENSITY_FLOOR;
+            let shut = (d + underflow) * norm[l] <= 0.5 * LOO_DENSITY_FLOOR;
+            near_floor[l] |= !(open || shut);
+            let bits = d.to_bits();
+            mantissas[l] *= if open {
+                f64::from_bits(bits & MANTISSA | ONE)
+            } else {
+                1.0
+            };
+            exponents[l] += if open { exponent(bits) } else { 0.0 };
+            floored[l] += if shut { 1.0 } else { 0.0 };
+            open_min[l] = open_min[l].min(if open { d } else { f64::INFINITY });
+        }
+        if i % 512 == 511 {
+            for (m, e) in mantissas.iter_mut().zip(&mut exponents) {
+                *e += exponent(m.to_bits());
+                *m = f64::from_bits(m.to_bits() & MANTISSA | ONE);
+            }
+        }
+    }
+
+    let u = f64::EPSILON / 2.0;
+    let gamma = nf * u / (1.0 - nf * u);
+    let ln_floor = LOO_DENSITY_FLOOR.ln();
+    std::array::from_fn(|l| {
+        let y = z_max * ratio[l] * (1.0 + 1e-6);
+        let d_e = 4.0 * u * (216.0 * y + 7290.0);
+        let lambda = 1.02
+            * (crate::lanes::EXP_SCREEN_REL_ERR
+                + d_e
+                + 2.0 * gamma
+                + 2.0 * underflow / open_min[l]
+                + 16.0 * f64::EPSILON);
+        let ln_norm = norm[l].ln();
+        let ll = exponents[l] * std::f64::consts::LN_2
+            + mantissas[l].ln()
+            + (nf - floored[l]) * ln_norm
+            + floored[l] * ln_floor;
+        let delta = 1.01 * nf * lambda
+            + 16.0 * (nf + 8.0) * f64::EPSILON * (nf * (800.0 + ln_norm.abs()) + 1.0);
+        let sound = norm[l].is_normal()
+            && nf * norm[l] <= 1e300
+            && ratio[l].is_normal()
+            && y <= 1e290
+            && (0.0..=1e-3).contains(&lambda)
+            && !near_floor[l]
+            && ll.is_finite();
+        if sound {
+            Screened { ll, delta }
+        } else {
+            Screened::UNKNOWN
+        }
+    })
+}
+
+/// Leave-one-out selection over the 9-factor grid, returning the bandwidth and how
+/// many factors it had to score exactly (`0` when the screen certified the
+/// answer). [`select_bandwidth_scratch`]'s `LeaveOneOut` arm; public only so
+/// tests can see which path ran.
+///
+/// The screen (`loo_screen`) bounds every factor's exact score to
+/// `[ll − δ, ll + δ]`. Let `floor` be the largest lower bound. A factor whose
+/// upper bound is below `floor` scores strictly less than the factor that set
+/// `floor`, so it cannot be (or tie) the maximum; every other factor — including
+/// every `UNKNOWN` one — is a contender. A lone contender is returned as is;
+/// otherwise the contenders are scored exactly, in grid order with a strict `>`,
+/// which picks the same first maximiser as scoring the whole grid. Either way
+/// the answer is bit-identical to scoring every factor.
+#[doc(hidden)]
+pub fn select_leave_one_out(samples: &[f64], scratch: &mut Vec<f64>) -> Result<(f64, usize)> {
+    let base = silverman_bandwidth_scratch(samples, scratch)?;
+    if samples.len() < 3 {
+        return Ok((base, 0));
+    }
+    let screened = loo_screen(samples, base, scratch);
+    let floor = screened
+        .iter()
+        .map(|s| s.ll - s.delta)
+        .fold(f64::NEG_INFINITY, |m, lo| if lo > m { lo } else { m });
+    let contends = |s: &Screened| s.delta == f64::INFINITY || s.ll + s.delta >= floor;
+    let contenders = screened.iter().filter(|s| contends(s)).count();
+    if contenders == 1 {
+        let k = screened.iter().position(contends).expect("one contender");
+        return Ok((base * LOO_FACTORS[k], 0));
+    }
+    let mut best = base;
+    let mut best_ll = f64::NEG_INFINITY;
+    for (f, s) in LOO_FACTORS.iter().zip(&screened) {
+        if contends(s) {
+            let bw = base * f;
+            let ll = loo_log_likelihood(samples, bw, scratch);
+            if ll > best_ll {
+                best_ll = ll;
+                best = bw;
+            }
+        }
+    }
+    Ok((best, contenders))
 }
 
 /// Selects a bandwidth for `samples` according to `selector`.
@@ -105,10 +319,19 @@ pub fn select_bandwidth(samples: &[f64], selector: BandwidthSelector) -> Result<
     select_bandwidth_scratch(samples, selector, &mut scratch)
 }
 
-/// [`select_bandwidth`] with a caller-owned scratch (the Silverman sort of
-/// [`silverman_bandwidth_scratch`], then the `2·n`-entry leave-one-out workspace):
-/// the allocation-free variant the per-subcarrier refit loop of the interference
-/// model uses.
+/// [`select_bandwidth`] with a caller-owned scratch: the allocation-free variant
+/// the per-subcarrier refit loop of the interference model uses. The scratch
+/// holds the Silverman sort of [`silverman_bandwidth_scratch`]; for
+/// `LeaveOneOut` it then holds the screen's `n` pilot-whitened samples and
+/// `12·n` lane-interleaved kernel sums (one lane per grid factor), and, for any
+/// factor the screen cannot settle, `loo_log_likelihood`'s `2·n` entries. It
+/// stops growing once it has held `13·n` entries for the largest `n`.
+///
+/// `LeaveOneOut` scores 9 factors of the Silverman bandwidth over the `n(n−1)/2`
+/// sample pairs, which dominates a model refit: one fused screening pass scores
+/// all 9 with a cheap `exp` and a proven error bound, and only factors the bound
+/// cannot rule out are rescored exactly (see [`select_leave_one_out`]), so the
+/// result is bit-identical to scoring every factor exactly.
 pub fn select_bandwidth_scratch(
     samples: &[f64],
     selector: BandwidthSelector,
@@ -123,26 +346,7 @@ pub fn select_bandwidth_scratch(
             }
         }
         BandwidthSelector::Silverman => silverman_bandwidth_scratch(samples, scratch),
-        BandwidthSelector::LeaveOneOut => {
-            let base = silverman_bandwidth_scratch(samples, scratch)?;
-            if samples.len() < 3 {
-                return Ok(base);
-            }
-            // Multiplicative grid around the Silverman pilot bandwidth: 9 factors ×
-            // n(n−1) leave-one-out kernels, which dominates a model refit.
-            let factors = [0.25, 0.4, 0.6, 0.8, 1.0, 1.3, 1.7, 2.2, 3.0];
-            let mut best = base;
-            let mut best_ll = f64::NEG_INFINITY;
-            for f in factors {
-                let bw = base * f;
-                let ll = loo_log_likelihood(samples, bw, scratch);
-                if ll > best_ll {
-                    best_ll = ll;
-                    best = bw;
-                }
-            }
-            Ok(best)
-        }
+        BandwidthSelector::LeaveOneOut => select_leave_one_out(samples, scratch).map(|(bw, _)| bw),
     }
 }
 

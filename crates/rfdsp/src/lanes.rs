@@ -15,7 +15,10 @@
 //! the surrounding loops — `f64::exp` is an opaque libm call that never
 //! vectorizes. Accuracy is ~1 ulp over the domain the KDE kernels use (see the
 //! tests), far inside the ≤ 1e-9 agreement budget the batched score paths promise
-//! against their scalar references. [`atan2_approx`] / [`polar`] do the same for
+//! against their scalar references. [`exp_screen`] is the same construction at
+//! degree 5, for callers that carry its stated error bound
+//! ([`EXP_SCREEN_REL_ERR`]) instead of needing the last ulp.
+//! [`atan2_approx`] / [`polar`] do the same for
 //! the error-vector polar conversion of the sphere decoder and the interference
 //! model (`f64::atan2` and `f64::hypot` are libm calls too).
 
@@ -132,6 +135,48 @@ pub fn exp_batch(xs: &[f64], out: &mut [f64]) {
     }
     for (x, o) in xs[main..].iter().zip(&mut out[main..]) {
         *o = exp_approx(*x);
+    }
+}
+
+/// Degree-5 minimax (relative error) coefficients of `exp(r)` over
+/// `|r| ≤ 1.0001·ln(2)/2`, lowest power first: the polynomial of [`exp_screen`],
+/// whose equioscillation error is `7.5e-8`.
+const EXP_SCREEN_POLY: [f64; 6] = [
+    1.000_000_071_696_981_7,
+    0.999_999_691_807_382_6,
+    0.499_988_944_134_722_83,
+    0.166_675_750_911_534_47,
+    0.041_915_431_433_927_21,
+    0.008_297_647_958_816_826,
+];
+
+/// Bound on the relative distance of [`exp_screen`] from [`exp_approx`] over
+/// `[EXP_UNDERFLOW, 0]`: the minimax error `7.5e-8` of its polynomial, plus
+/// the single-constant reduction's `≤ 1.2e-13` (`|k·ln2 − k·LN2| ≤ 1022·5.6e-17`
+/// and the rounding of `k·LN2`), the evaluation's few ulps and [`exp_approx`]'s own
+/// ulp. The dense sweep in this module's tests checks it.
+pub const EXP_SCREEN_REL_ERR: f64 = 1e-7;
+
+/// A cheap branch-free `exp(x)` for `x ≤ 0`, with relative error at most
+/// [`EXP_SCREEN_REL_ERR`] against [`exp_approx`]: the same rounding and exponent-bit
+/// scale as [`exp_approx`], but a one-constant `ln 2` reduction and a degree-5
+/// minimax polynomial instead of the split reduction and the degree-12 Taylor
+/// polynomial — about half the operations. Exactly `0.0` below
+/// [`EXP_UNDERFLOW`], like [`exp_approx`]. The leave-one-out bandwidth screen
+/// uses it where a proven error bound, not the last ulp, is what matters.
+#[inline(always)]
+pub fn exp_screen(x: f64) -> f64 {
+    let shifted = x * LOG2E + ROUND_SHIFT;
+    let k = shifted - ROUND_SHIFT;
+    let r = x - k * std::f64::consts::LN_2;
+    let r2 = r * r;
+    let c = &EXP_SCREEN_POLY;
+    let p = (c[0] + c[1] * r) + r2 * ((c[2] + c[3] * r) + r2 * (c[4] + c[5] * r));
+    let scale = f64::from_bits(((shifted.to_bits() as i64).wrapping_add(1023) << 52) as u64);
+    if x < EXP_UNDERFLOW {
+        0.0
+    } else {
+        p * scale
     }
 }
 
@@ -287,6 +332,39 @@ mod tests {
         assert_eq!(exp_approx(-1e9), 0.0);
         assert_eq!(exp_approx(1000.0), f64::INFINITY);
         assert!((exp_approx(0.0) - 1.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn exp_screen_stays_within_its_stated_bound_of_exp_approx() {
+        // Dense sweep of [EXP_UNDERFLOW, 0]: 2^22 evenly spaced points (step
+        // ≈ 1.7e-4, thousands per reduction interval), plus both ends and the
+        // reduction-interval edges `(j + 1/2)·ln 2` where |r| is largest.
+        let steps = 1u32 << 22;
+        let mut worst = 0.0f64;
+        let mut check = |x: f64| {
+            let want = exp_approx(x);
+            let rel = ((exp_screen(x) - want) / want).abs();
+            worst = worst.max(rel);
+        };
+        for s in 0..=steps {
+            check(EXP_UNDERFLOW * (s as f64 / steps as f64));
+        }
+        for j in 0..1022 {
+            let edge = -(j as f64 + 0.5) * std::f64::consts::LN_2;
+            for x in [edge, edge.next_up(), edge.next_down()] {
+                if x >= EXP_UNDERFLOW {
+                    check(x);
+                }
+            }
+        }
+        assert!(worst <= EXP_SCREEN_REL_ERR, "worst relative error {worst}");
+        assert!(
+            worst > 1e-8,
+            "bound {EXP_SCREEN_REL_ERR} is not tight: {worst}"
+        );
+        assert_eq!(exp_screen(EXP_UNDERFLOW.next_down()), 0.0);
+        assert_eq!(exp_screen(f64::NEG_INFINITY), 0.0);
+        assert_eq!(exp_screen(0.0), EXP_SCREEN_POLY[0]);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! paths (property-tested in `tests/simd_equivalence.rs`).
 //!
 //! The KDE kernels ([`kde_kernel_sum`], [`kde_log_sum_exp`], [`kde_max_exponent`],
-//! [`loo_kernel_sums`]) and the phase conversion ([`atan2_planes`]) take the other route: one safe
+//! [`loo_kernel_sums`], [`loo_screen_sums`]) and the phase conversion
+//! ([`atan2_planes`]) take the other route: one safe
 //! autovectorizable body compiled twice, for the baseline target and under
 //! `#[target_feature(enable = "avx2")]`, with the same runtime dispatch.
 
@@ -442,6 +443,80 @@ unsafe fn loo_kernel_sums_avx2(scaled: &[f64], dens: &mut [f64]) {
     loo_kernel_sums_inner(scaled, dens)
 }
 
+/// Lane count of [`loo_screen_sums`]: the leave-one-out bandwidth grid's 9
+/// factors padded to three 4-lane registers.
+pub const SCREEN_LANES: usize = 12;
+
+/// Leave-one-out kernel sums for a whole bandwidth grid in one pass over the
+/// `n(n−1)/2` sample pairs, with the lanes running across grid factors:
+/// `dens[i·SCREEN_LANES + l] = Σ_{j≠i} exp_screen((z_i − z_j)²·neg_w[l])`.
+/// `z` holds the samples whitened once (by the pilot bandwidth) and `neg_w[l]`
+/// is minus lane `l`'s squared bandwidth ratio to it, so each pair costs one
+/// subtraction and square, then `SCREEN_LANES` multiplies and
+/// [`crate::lanes::exp_screen`]s — no scalar row tails whatever `n` is. Dispatch
+/// and bit-identity are as for [`kde_kernel_sum`].
+///
+/// # Panics
+///
+/// Panics if `dens` does not hold `SCREEN_LANES` entries per sample.
+#[inline]
+pub fn loo_screen_sums(z: &[f64], neg_w: &[f64; SCREEN_LANES], dens: &mut [f64]) {
+    assert_eq!(
+        dens.len(),
+        SCREEN_LANES * z.len(),
+        "density rows must match the samples"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 presence was just verified at runtime.
+        #[allow(unsafe_code)]
+        unsafe {
+            loo_screen_sums_avx2(z, neg_w, dens)
+        };
+        return;
+    }
+    loo_screen_sums_inner(z, neg_w, dens);
+}
+
+/// The shared body of [`loo_screen_sums`].
+#[inline(always)]
+fn loo_screen_sums_inner(z: &[f64], neg_w: &[f64; SCREEN_LANES], dens: &mut [f64]) {
+    use crate::lanes::exp_screen;
+    dens.fill(0.0);
+    for (i, &zi) in z.iter().enumerate() {
+        let (head, rows) = dens.split_at_mut((i + 1) * SCREEN_LANES);
+        let mut s = [0.0f64; SCREEN_LANES];
+        for (&zj, row) in z[i + 1..].iter().zip(rows.chunks_exact_mut(SCREEN_LANES)) {
+            let row: &mut [f64; SCREEN_LANES] = row.try_into().unwrap();
+            let u = zi - zj;
+            let t = u * u;
+            for l in 0..SCREEN_LANES {
+                let k = exp_screen(t * neg_w[l]);
+                s[l] += k;
+                row[l] += k;
+            }
+        }
+        for (d, s) in head[i * SCREEN_LANES..].iter_mut().zip(s) {
+            *d += s;
+        }
+    }
+}
+
+/// [`loo_screen_sums_inner`] recompiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime
+/// (`is_x86_feature_detected!("avx2")`) before calling; [`loo_screen_sums`] is
+/// the only caller and does exactly that. The body itself is the safe
+/// fallback, so there is no other obligation.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+unsafe fn loo_screen_sums_avx2(z: &[f64], neg_w: &[f64; SCREEN_LANES], dens: &mut [f64]) {
+    loo_screen_sums_inner(z, neg_w, dens)
+}
+
 /// Arguments of split Cartesian planes, in place: `y[k] ← atan2(y[k], x[k])`
 /// element by element through [`crate::lanes::atan2_approx`] — the sphere
 /// decoder's error-vector phases, with no `atan2` libm call per query. Each
@@ -626,6 +701,35 @@ mod tests {
                 .map(|j| (-(scaled[i] - scaled[j]).powi(2)).exp())
                 .sum();
             assert!((d - want).abs() <= 1e-13 * want, "i={i}: {d} vs {want}");
+        }
+    }
+
+    #[test]
+    fn loo_screen_sums_match_the_pairwise_definition_and_dispatch() {
+        use crate::lanes::EXP_SCREEN_REL_ERR;
+        for n in [0usize, 1, 2, 5, 32] {
+            let z: Vec<f64> = (0..n).map(|j| 0.37 * ((j * 7) % 11) as f64 - 1.1).collect();
+            let neg_w: [f64; SCREEN_LANES] = std::array::from_fn(|l| -0.1 * (l + 1) as f64);
+            let mut want = vec![0.0; SCREEN_LANES * n];
+            let mut got = vec![1.0; SCREEN_LANES * n];
+            loo_screen_sums_inner(&z, &neg_w, &mut want);
+            loo_screen_sums(&z, &neg_w, &mut got);
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "dispatch n={n} entry {k}");
+            }
+            for i in 0..n {
+                for (l, w) in neg_w.iter().enumerate() {
+                    let exact: f64 = (0..n)
+                        .filter(|&j| j != i)
+                        .map(|j| ((z[i] - z[j]).powi(2) * w).exp())
+                        .sum();
+                    let d = got[i * SCREEN_LANES + l];
+                    assert!(
+                        (d - exact).abs() <= 1.01 * EXP_SCREEN_REL_ERR * exact,
+                        "n={n} i={i} lane {l}: {d} vs {exact}"
+                    );
+                }
+            }
         }
     }
 
