@@ -1,18 +1,15 @@
-//! Interference-estimator cost: every [`ModelBackend`] — the exact Eq. 4 kernel sum,
-//! the precomputed log-likelihood grid, the parametric Gaussian — across `P`
-//! (segments per preamble symbol) and `N_p` (preamble symbols), for both halves of
-//! the estimator's life:
+//! Interference-estimator cost: every [`ModelBackend`] — the exact Eq. 4 kernel sum
+//! and the parametric Gaussian — across `P` (segments per preamble symbol) and
+//! `N_p` (preamble symbols), for both halves of the estimator's life:
 //!
 //! * `query/…` — one `log_likelihood_batch` call over a bin's deviation plane of
 //!   4 lattice candidates × `P` segment observations, the call the sphere decoder
-//!   makes per bin (each query is the `O(P·N_p)` kernel sum the grid backend turns
-//!   into an O(1) lookup);
-//! * `train/…` — fitting the model from `N_p` synthetic preamble symbols (where the
-//!   grid backend pays its precomputation);
+//!   makes per bin (each exact query is an `O(P·N_p)` kernel sum);
+//! * `train/…` — fitting the model from `N_p` synthetic preamble symbols;
 //! * `update/…` — absorbing one further preamble with the incremental dirty-bin
 //!   refit.
 //!
-//! The README "Performance" table records the measured exact-vs-grid query speedup.
+//! The README "Performance" section records a run of this table.
 
 use cprecycle::interference_model::deviation;
 use cprecycle::segments::SymbolSegments;
@@ -24,11 +21,7 @@ use ofdmphy::preamble;
 use rand::{Rng, SeedableRng};
 use rfdsp::Complex;
 
-const BACKENDS: [ModelBackend; 3] = [
-    ModelBackend::ExactKde,
-    ModelBackend::GridKde,
-    ModelBackend::Gaussian,
-];
+const BACKENDS: [ModelBackend; 2] = [ModelBackend::ExactKde, ModelBackend::Gaussian];
 
 /// The deviation planes of one bin's sphere search: `P` observations around the
 /// first QPSK point, each against all four QPSK candidates (about the mean sphere
@@ -112,8 +105,7 @@ fn bench_model(c: &mut Criterion) {
         }
     }
 
-    // Fit cost: batch training (the grid backend's precomputation lives here) and
-    // the incremental dirty-bin update.
+    // Fit cost: batch training and the incremental dirty-bin update.
     let p = 16;
     let np = 2;
     let train_set = preambles(&engine, p, np, 11);

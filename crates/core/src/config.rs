@@ -103,23 +103,22 @@ impl DecisionStage {
     }
 }
 
-/// Floating-point width of the vectorized inner kernels (PR 8): the sliding-DFT
-/// slide updates and the grid-KDE batched queries.
+/// Floating-point width of the sliding-DFT slide updates.
 ///
-/// [`F64`](Self::F64) is the reference — every kernel's scalar counterpart runs in
-/// `f64`, and the vectorized `f64` paths are pinned to it bit-for-bit (or ≤ 1e-9
+/// [`F64`](Self::F64) is the reference — the slide's scalar counterpart runs in
+/// `f64`, and the vectorized `f64` path is pinned to it bit-for-bit (or ≤ 1e-9
 /// where operation order changes). [`F32`](Self::F32) halves the memory traffic of
-/// those inner loops and doubles the SIMD lane count; its error is bounded by
-/// property tests (per-bin spectra within `1e-3`, grid log-likelihoods within
-/// `1e-3`) and a whole-frame decision-equivalence test at the Fig. 14 operating
-/// point. Precision only affects the *inner* kernels — seeding FFTs, model
-/// fitting and the exact-KDE scoring stay `f64` under either setting.
+/// the slide and doubles its SIMD lane count; its error is bounded by property
+/// tests (per-bin spectra within `1e-3`) and a whole-frame decision-equivalence
+/// test at the Fig. 14 operating point. Precision affects only the slide —
+/// seeding FFTs, model fitting and every density query stay `f64` under either
+/// setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPrecision {
     /// Full-width kernels — the reference and the default.
     #[default]
     F64,
-    /// Half-width inner kernels: f32 sliding-DFT slides and f32 grid queries.
+    /// Half-width sliding-DFT slides.
     F32,
 }
 
@@ -197,15 +196,14 @@ pub struct CpRecycleConfig {
     pub extraction: SegmentExtraction,
     /// Which density family the receiver fits to each bin from the preamble
     /// ([`BinDensity`](crate::interference_model::BinDensity)): the paper's exact
-    /// per-sample kernel sum (default, the reference), the precomputed
-    /// log-likelihood grid with O(1) lookups, or the cheap parametric Gaussian fit.
-    /// Like the decision stage, the backend is part of every campaign point key, so
-    /// estimator sweeps are ordinary grid dimensions.
+    /// per-sample kernel sum (default, the reference) or the cheap parametric
+    /// Gaussian fit. Like the decision stage, the backend is part of every
+    /// campaign point key, so estimator sweeps are ordinary grid dimensions.
     pub model: ModelBackend,
-    /// Floating-point width of the vectorized inner kernels (sliding-DFT slides,
-    /// grid-KDE batched queries). [`KernelPrecision::F64`] is the reference and the
-    /// default; [`KernelPrecision::F32`] trades ≤ 1e-3 per-query error for roughly
-    /// double the SIMD throughput on those loops.
+    /// Floating-point width of the sliding-DFT slides, the only kernels it
+    /// selects. [`KernelPrecision::F64`] is the reference and the default;
+    /// [`KernelPrecision::F32`] trades ≤ 1e-3 per-bin spectrum error for roughly
+    /// double the SIMD throughput on the slide.
     pub precision: KernelPrecision,
 }
 
@@ -418,8 +416,8 @@ mod tests {
     #[test]
     fn with_model_overrides_only_the_backend() {
         assert_eq!(CpRecycleConfig::default().model, ModelBackend::ExactKde);
-        let c = CpRecycleConfig::with_model(ModelBackend::GridKde);
-        assert_eq!(c.model, ModelBackend::GridKde);
+        let c = CpRecycleConfig::with_model(ModelBackend::Gaussian);
+        assert_eq!(c.model, ModelBackend::Gaussian);
         assert_eq!(c.decision, CpRecycleConfig::default().decision);
         assert_eq!(c.num_segments, CpRecycleConfig::default().num_segments);
     }

@@ -18,18 +18,17 @@
 //! interference.
 //!
 //! [`CpRecycleConfig::model`] picks the density family each bin is fitted with
-//! ([`BinDensity`]): the exact Eq. 4 kernel sum (the reference), the same density
-//! precomputed on a log-likelihood grid with O(1) lookups, or a parametric
+//! ([`BinDensity`]): the exact Eq. 4 kernel sum (the reference) or a parametric
 //! bivariate Gaussian (related work replaces the density model wholesale; this is
 //! the smallest such replacement). The sphere decoder asks the model for batches of
 //! log-likelihoods, per-query upper bounds and a lower bound on a slice's sum.
 
-use crate::config::{CpRecycleConfig, KernelPrecision};
+use crate::config::CpRecycleConfig;
 use crate::segments::SymbolSegments;
 use crate::Result;
 use ofdmphy::ofdm::OfdmEngine;
 use ofdmphy::PhyError;
-use rfdsp::kde::{select_bandwidth_scratch, GridKde2d, GridSpec, ProductKde2d};
+use rfdsp::kde::{select_bandwidth_scratch, ProductKde2d};
 use rfdsp::stats::BivariateGaussian;
 use rfdsp::Complex;
 
@@ -95,8 +94,6 @@ pub enum ModelBackend {
     /// the default.
     #[default]
     ExactKde,
-    /// Precomputed per-bin log-likelihood grid with O(1) bilinear lookup.
-    GridKde,
     /// Parametric per-bin bivariate Gaussian fit.
     Gaussian,
 }
@@ -106,7 +103,6 @@ impl ModelBackend {
     pub fn label(&self) -> &'static str {
         match self {
             ModelBackend::ExactKde => "ExactKde",
-            ModelBackend::GridKde => "GridKde",
             ModelBackend::Gaussian => "Gaussian",
         }
     }
@@ -121,9 +117,9 @@ impl ModelBackend {
 /// * answers are finite and strictly ordered in the far tail, so distant lattice
 ///   candidates never tie;
 /// * [`log_eval_batch`](Self::log_eval_batch) agrees with
-///   [`log_eval`](Self::log_eval) to ≤ 1e-9 per query under
-///   [`KernelPrecision::F64`] (bit for bit for `Grid` and `Gaussian`), and each
-///   answer depends only on its own query, never on how queries are batched;
+///   [`log_eval`](Self::log_eval) to ≤ 1e-9 per query (bit for bit for
+///   `Gaussian`), and each answer depends only on its own query, never on how
+///   queries are batched;
 /// * every batch answer is ≤ its [`upper_bounds`](Self::upper_bounds) entry,
 ///   which is ≤ its [`amplitude_upper_bounds`](Self::amplitude_upper_bounds)
 ///   entry, which is ≤ [`ceiling`](Self::ceiling), rounding included — the
@@ -138,9 +134,6 @@ impl ModelBackend {
 pub enum BinDensity {
     /// The exact Eq. 4 kernel sum, `O(P·N_p)` per query.
     Exact(ProductKde2d),
-    /// The exact log density tabulated on an (amplitude, phase) grid at fit time
-    /// and queried with an O(1) bilinear lookup.
-    Grid(GridKde2d),
     /// A bivariate Gaussian: far cheaper to fit and query than any KDE, but blind
     /// to the multi-modal deviation structure bursty interference produces.
     Gaussian(BivariateGaussian),
@@ -148,9 +141,9 @@ pub enum BinDensity {
 
 impl BinDensity {
     /// Fits a density of `config.model`'s family to one bin's deviation samples.
-    /// The KDE families select per-axis bandwidths with the configured selector
-    /// (or take the fixed ones), floored at `min_bandwidth_*`; the Gaussian floors
-    /// its standard deviations at the same values.
+    /// The KDE selects per-axis bandwidths with the configured selector (or takes
+    /// the fixed ones), floored at `min_bandwidth_*`; the Gaussian floors its
+    /// standard deviations at the same values.
     pub fn fit(amplitudes: &[f64], phases: &[f64], config: &CpRecycleConfig) -> Result<Self> {
         let mut density = None;
         Self::refit(&mut density, amplitudes, phases, config, &mut Vec::new())?;
@@ -169,33 +162,24 @@ impl BinDensity {
         scratch: &mut Vec<f64>,
     ) -> Result<()> {
         let (min_a, min_p) = (config.min_bandwidth_amplitude, config.min_bandwidth_phase);
-        if config.model == ModelBackend::Gaussian {
-            *slot = Some(BinDensity::Gaussian(BivariateGaussian::fit(
-                amplitudes, phases, min_a, min_p,
-            )?));
-            return Ok(());
-        }
-        let selector_a = config.bandwidth_selector(config.bandwidth_amplitude);
-        let selector_p = config.bandwidth_selector(config.bandwidth_phase);
-        let ba = select_bandwidth_scratch(amplitudes, selector_a, scratch)?.max(min_a);
-        let bp = select_bandwidth_scratch(phases, selector_p, scratch)?.max(min_p);
-        match (config.model, slot) {
-            (ModelBackend::ExactKde, Some(BinDensity::Exact(kde))) => {
-                kde.refit_axes(amplitudes, phases, ba, bp)?
+        match config.model {
+            ModelBackend::ExactKde => {
+                let selector_a = config.bandwidth_selector(config.bandwidth_amplitude);
+                let selector_p = config.bandwidth_selector(config.bandwidth_phase);
+                let ba = select_bandwidth_scratch(amplitudes, selector_a, scratch)?.max(min_a);
+                let bp = select_bandwidth_scratch(phases, selector_p, scratch)?.max(min_p);
+                match slot {
+                    Some(BinDensity::Exact(kde)) => kde.refit_axes(amplitudes, phases, ba, bp)?,
+                    slot => {
+                        *slot = Some(BinDensity::Exact(ProductKde2d::from_axes(
+                            amplitudes, phases, ba, bp,
+                        )?))
+                    }
+                }
             }
-            (ModelBackend::ExactKde, slot) => {
-                *slot = Some(BinDensity::Exact(ProductKde2d::from_axes(
-                    amplitudes, phases, ba, bp,
-                )?))
-            }
-            // `GridKde`: the Gaussian returned above.
-            (_, slot) => {
-                *slot = Some(BinDensity::Grid(GridKde2d::from_axes(
-                    amplitudes,
-                    phases,
-                    ba,
-                    bp,
-                    &GridSpec::default(),
+            ModelBackend::Gaussian => {
+                *slot = Some(BinDensity::Gaussian(BivariateGaussian::fit(
+                    amplitudes, phases, min_a, min_p,
                 )?))
             }
         }
@@ -207,37 +191,21 @@ impl BinDensity {
     pub fn log_eval(&self, amplitude: f64, phase: f64) -> f64 {
         match self {
             BinDensity::Exact(kde) => kde.log_eval(amplitude, phase),
-            BinDensity::Grid(grid) => grid.log_eval(amplitude, phase),
             BinDensity::Gaussian(g) => g.log_pdf(amplitude, phase),
         }
     }
 
     /// Scores a whole plane of deviations, writing `out[i]` for query
-    /// `(amplitudes[i], phases[i])`. The KDE families run their lane-parallel
-    /// kernels; under [`KernelPrecision::F32`] the grid runs its all-f32 bilinear
-    /// kernel (≤ 1e-3 per query from the f64 answer), which the other families
-    /// ignore.
+    /// `(amplitudes[i], phases[i])`. The exact KDE runs its lane-parallel kernel.
     ///
     /// # Panics
     ///
     /// Panics if the query planes or the output have mismatched lengths.
-    pub fn log_eval_batch(
-        &self,
-        amplitudes: &[f64],
-        phases: &[f64],
-        out: &mut [f64],
-        precision: KernelPrecision,
-    ) {
+    pub fn log_eval_batch(&self, amplitudes: &[f64], phases: &[f64], out: &mut [f64]) {
         check_planes(amplitudes, phases, Some(out));
-        match (self, precision) {
-            (BinDensity::Exact(kde), _) => kde.log_eval_batch(amplitudes, phases, out),
-            (BinDensity::Grid(grid), KernelPrecision::F64) => {
-                grid.log_eval_batch(amplitudes, phases, out)
-            }
-            (BinDensity::Grid(grid), KernelPrecision::F32) => {
-                grid.log_eval_batch_f32(amplitudes, phases, out)
-            }
-            (BinDensity::Gaussian(g), _) => {
+        match self {
+            BinDensity::Exact(kde) => kde.log_eval_batch(amplitudes, phases, out),
+            BinDensity::Gaussian(g) => {
                 for ((a, p), o) in amplitudes.iter().zip(phases).zip(out.iter_mut()) {
                     *o = g.log_pdf(*a, *p);
                 }
@@ -245,21 +213,17 @@ impl BinDensity {
         }
     }
 
-    /// An upper bound on every answer of either batch precision (NaN answers to
-    /// NaN queries aside).
+    /// An upper bound on every batch answer (NaN answers to NaN queries aside).
     pub fn ceiling(&self) -> f64 {
         match self {
             BinDensity::Exact(kde) => kde.log_eval_ceiling(),
-            // One bound for both precisions: the grid sizes its slack for the f32
-            // kernel.
-            BinDensity::Grid(grid) => grid.log_eval_ceiling(),
             BinDensity::Gaussian(g) => g.log_pdf_ceiling(),
         }
     }
 
     /// Writes, for each query, an upper bound on its batch answer, at most the
     /// [`ceiling`](Self::ceiling): the exact KDE bounds by the distance to its
-    /// whitened sample box, the other families by their ceiling.
+    /// whitened sample box, the Gaussian by its ceiling.
     ///
     /// # Panics
     ///
@@ -268,7 +232,7 @@ impl BinDensity {
         check_planes(amplitudes, phases, Some(bounds));
         match self {
             BinDensity::Exact(kde) => kde.log_eval_upper_bounds(amplitudes, phases, bounds),
-            BinDensity::Grid(_) | BinDensity::Gaussian(_) => bounds.fill(self.ceiling()),
+            BinDensity::Gaussian(_) => bounds.fill(self.ceiling()),
         }
     }
 
@@ -276,8 +240,8 @@ impl BinDensity {
     /// any query with that amplitude and a finite phase: at least the query's
     /// [`upper_bounds`](Self::upper_bounds) entry and at most the
     /// [`ceiling`](Self::ceiling). The exact KDE bounds by the amplitude's
-    /// distance to its whitened sample box's amplitude interval, the other
-    /// families by their ceiling.
+    /// distance to its whitened sample box's amplitude interval, the Gaussian by
+    /// its ceiling.
     ///
     /// # Panics
     ///
@@ -286,14 +250,14 @@ impl BinDensity {
         check_planes(amplitudes, amplitudes, Some(bounds));
         match self {
             BinDensity::Exact(kde) => kde.log_eval_amplitude_upper_bounds(amplitudes, bounds),
-            BinDensity::Grid(_) | BinDensity::Gaussian(_) => bounds.fill(self.ceiling()),
+            BinDensity::Gaussian(_) => bounds.fill(self.ceiling()),
         }
     }
 
     /// A cheaper lower bound than [`sum_lower_bound`](Self::sum_lower_bound),
     /// never above it: the exact KDE keeps one sample (the first query's
     /// nearest, in the kernel's whitened metric) for every query. `−∞` for the
-    /// grid and the Gaussian.
+    /// Gaussian.
     ///
     /// # Panics
     ///
@@ -302,12 +266,12 @@ impl BinDensity {
         check_planes(amplitudes, phases, None);
         match self {
             BinDensity::Exact(kde) => kde.log_eval_sum_lower_bound_one_sample(amplitudes, phases),
-            BinDensity::Grid(_) | BinDensity::Gaussian(_) => f64::NEG_INFINITY,
+            BinDensity::Gaussian(_) => f64::NEG_INFINITY,
         }
     }
 
     /// A lower bound on the in-order sum of a query slice's batch answers; `−∞`
-    /// means "cannot certify", which is all the grid and the Gaussian offer.
+    /// means "cannot certify", which is all the Gaussian offers.
     ///
     /// # Panics
     ///
@@ -316,7 +280,7 @@ impl BinDensity {
         check_planes(amplitudes, phases, None);
         match self {
             BinDensity::Exact(kde) => kde.log_eval_sum_lower_bound(amplitudes, phases),
-            BinDensity::Grid(_) | BinDensity::Gaussian(_) => f64::NEG_INFINITY,
+            BinDensity::Gaussian(_) => f64::NEG_INFINITY,
         }
     }
 }
@@ -569,7 +533,7 @@ impl InterferenceModel {
 
     /// Scores a whole plane of precomputed (amplitude, phase) deviations against
     /// `bin`'s density in one call — the sphere decoder's batched hot path (see
-    /// [`BinDensity::log_eval_batch`]), at the configured kernel precision.
+    /// [`BinDensity::log_eval_batch`]).
     ///
     /// # Panics
     ///
@@ -582,7 +546,7 @@ impl InterferenceModel {
         log_likes: &mut [f64],
     ) {
         match self.density(bin) {
-            Some(d) => d.log_eval_batch(amplitudes, phases, log_likes, self.config.precision),
+            Some(d) => d.log_eval_batch(amplitudes, phases, log_likes),
             None => {
                 check_planes(amplitudes, phases, Some(log_likes));
                 for (a, o) in amplitudes.iter().zip(log_likes.iter_mut()) {
@@ -925,11 +889,7 @@ mod tests {
         assert!((kde.bandwidth_phase() - 0.5).abs() < 1e-12);
     }
 
-    const BACKENDS: [ModelBackend; 3] = [
-        ModelBackend::ExactKde,
-        ModelBackend::GridKde,
-        ModelBackend::Gaussian,
-    ];
+    const BACKENDS: [ModelBackend; 2] = [ModelBackend::ExactKde, ModelBackend::Gaussian];
 
     /// Samples on bins 2..12 of an `fft_size`-bin model, `per_bin` each.
     fn synthetic_samples(fft_size: usize, per_bin: usize) -> Vec<BinSamples> {
@@ -965,7 +925,6 @@ mod tests {
     #[test]
     fn backend_labels() {
         assert_eq!(ModelBackend::ExactKde.label(), "ExactKde");
-        assert_eq!(ModelBackend::GridKde.label(), "GridKde");
         assert_eq!(ModelBackend::Gaussian.label(), "Gaussian");
         assert_eq!(ModelBackend::default(), ModelBackend::ExactKde);
     }
@@ -989,7 +948,6 @@ mod tests {
             let model = model_with(&samples, config);
             let family = match model.density(5) {
                 Some(BinDensity::Exact(_)) => ModelBackend::ExactKde,
-                Some(BinDensity::Grid(_)) => ModelBackend::GridKde,
                 Some(BinDensity::Gaussian(_)) => ModelBackend::Gaussian,
                 None => panic!("{backend:?}: bin 5 unfitted"),
             };
@@ -1004,22 +962,6 @@ mod tests {
             let far = model.log_likelihood(5, obs, Complex::new(-3.0, 0.0));
             assert!(near.is_finite() && far.is_finite(), "{backend:?}");
             assert!(near > far, "{backend:?}: near {near}, far {far}");
-        }
-    }
-
-    #[test]
-    fn grid_tracks_exact_on_trained_bins() {
-        let samples = synthetic_samples(64, 16);
-        let exact = model_with(&samples, CpRecycleConfig::default());
-        let grid = model_with(&samples, CpRecycleConfig::with_model(ModelBackend::GridKde));
-        for bin in 2..12 {
-            for k in 0..8 {
-                let obs = Complex::new(1.0 + 0.04 * k as f64, 0.03 * k as f64);
-                let cand = Complex::new(1.0, 0.0);
-                let e = exact.log_likelihood(bin, obs, cand);
-                let g = grid.log_likelihood(bin, obs, cand);
-                assert!((e - g).abs() < 0.1, "bin {bin}: exact {e}, grid {g}");
-            }
         }
     }
 
@@ -1057,30 +999,9 @@ mod tests {
     }
 
     #[test]
-    fn f32_grid_batch_tracks_the_f64_batch() {
-        let samples = synthetic_samples(64, 16);
-        let f64_model = model_with(&samples, CpRecycleConfig::with_model(ModelBackend::GridKde));
-        let f32_config = CpRecycleConfig::builder()
-            .model(ModelBackend::GridKde)
-            .precision(KernelPrecision::F32)
-            .build();
-        let f32_model = model_with(&samples, f32_config);
-        assert_eq!(f32_model.config.precision, KernelPrecision::F32);
-        let amps: Vec<f64> = (0..9).map(|i| 0.1 + 0.09 * i as f64).collect();
-        let phases: Vec<f64> = (0..9).map(|i| -0.8 + 0.21 * i as f64).collect();
-        let mut want = vec![0.0; amps.len()];
-        let mut got = vec![0.0; amps.len()];
-        f64_model.log_likelihood_batch(5, &amps, &phases, &mut want);
-        f32_model.log_likelihood_batch(5, &amps, &phases, &mut got);
-        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-            assert!((w - g).abs() < 1e-3, "query {i}: f64 {w} vs f32 {g}");
-        }
-    }
-
-    #[test]
     fn batch_scoring_rejects_mismatched_output() {
         // Every plane query panics on a short phase plane or a short output, on
-        // fitted and unfitted bins alike, for every backend and precision.
+        // fitted and unfitted bins alike, for every backend.
         let samples = synthetic_samples(8, 6);
         let planes: [(&[f64], &[f64], usize); 2] = [
             (&[0.1, 0.2], &[0.0], 2),      // short phases
@@ -1089,21 +1010,12 @@ mod tests {
         fn panics(query: impl FnOnce()) -> bool {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(query)).is_err()
         }
-        for (backend, precision) in [
-            (ModelBackend::ExactKde, KernelPrecision::F64),
-            (ModelBackend::GridKde, KernelPrecision::F64),
-            (ModelBackend::GridKde, KernelPrecision::F32),
-            (ModelBackend::Gaussian, KernelPrecision::F64),
-        ] {
-            let config = CpRecycleConfig::builder()
-                .model(backend)
-                .precision(precision)
-                .build();
-            let model = model_with(&samples, config);
+        for backend in BACKENDS {
+            let model = model_with(&samples, CpRecycleConfig::with_model(backend));
             for (bin, fitted) in [(5, true), (0, false)] {
                 assert_eq!(model.has_model(bin), fitted);
                 for (amps, phases, outputs) in planes {
-                    let case = format!("{backend:?}/{precision:?} bin {bin} {amps:?}/{phases:?}");
+                    let case = format!("{backend:?} bin {bin} {amps:?}/{phases:?}");
                     let out = || vec![0.0; outputs];
                     assert!(
                         panics(|| model.log_likelihood_batch(bin, amps, phases, &mut out())),

@@ -23,10 +23,9 @@
 //! over the cached lattice-index tables of `ofdmphy::modulation` for the frame-level
 //! receiver ([`receiver`]). The per-bin density behind the sphere decoder is
 //! equally selectable ([`interference_model::BinDensity`]): the exact Eq. 4 kernel
-//! sum, a precomputed per-bin log-likelihood grid with O(1) lookups, or a
-//! parametric Gaussian fit, chosen by [`config::CpRecycleConfig::model`]. The
-//! crate also provides Oracle selection diagnostics ([`oracle`]) and
-//! ISI-free-region detection ([`isi_free`]).
+//! sum or a parametric Gaussian fit, chosen by
+//! [`config::CpRecycleConfig::model`]. The crate also provides Oracle selection
+//! diagnostics ([`oracle`]) and ISI-free-region detection ([`isi_free`]).
 //!
 //! For continuous reception, [`session::RxSession`] wraps any
 //! [`FrameReceiver`] — push arbitrary-length sample chunks, drain decoded-frame

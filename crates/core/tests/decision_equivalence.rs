@@ -19,7 +19,7 @@ use cprecycle::interference_model::deviation;
 use cprecycle::segments::{SegmentPowers, SymbolSegments};
 use cprecycle::{
     CpRecycleConfig, CpRecycleReceiver, DecisionStage, FixedSphereMlDecoder, InterferenceModel,
-    KernelPrecision, ModelBackend, RxStream,
+    ModelBackend, RxStream,
 };
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::modulation::Modulation;
@@ -362,7 +362,7 @@ fn trained_model(engine: &OfdmEngine, seed: u64) -> InterferenceModel {
     trained_model_with(engine, seed, CpRecycleConfig::default())
 }
 
-/// [`trained_model`] under an explicit configuration (backend, precision).
+/// [`trained_model`] under an explicit configuration.
 fn trained_model_with(
     engine: &OfdmEngine,
     seed: u64,
@@ -470,16 +470,10 @@ fn clustered_observations<R: Rng>(rng: &mut R, modulation: Modulation, p: usize)
         .collect()
 }
 
-/// Every scoring backend the sphere decoder can run against, the reduced-precision
-/// grid kernel included.
-fn every_backend() -> [CpRecycleConfig; 4] {
+/// Every scoring backend the sphere decoder can run against.
+fn every_backend() -> [CpRecycleConfig; 2] {
     [
         CpRecycleConfig::with_model(ModelBackend::ExactKde),
-        CpRecycleConfig::with_model(ModelBackend::GridKde),
-        CpRecycleConfig::builder()
-            .model(ModelBackend::GridKde)
-            .precision(KernelPrecision::F32)
-            .build(),
         CpRecycleConfig::with_model(ModelBackend::Gaussian),
     ]
 }

@@ -1,18 +1,11 @@
 //! Property tests for the per-bin interference densities ([`BinDensity`]) and the
 //! model that fits and queries them:
 //!
-//! * `GridKde` tracks `ExactKde`: over random sample sets, bandwidths and query
-//!   points inside the grid, the precomputed log-likelihood agrees with the exact
-//!   kernel sum to a tolerance that scales with how deep into the tails the query
-//!   sits (the decisive region near the density peak is tight; valleys between
-//!   well-separated modes — where curvature can exceed the grid resolution — are
-//!   proportionally looser, exactly the regions the ML argmax never hinges on);
 //! * the far tail is finite and **strictly ordered** for both backends, so distant
 //!   lattice candidates never tie (the old linear-domain floor collapsed them);
 //! * incremental `update()` (dirty-bin refit after each preamble) produces a model
 //!   **bit-for-bit identical** to batch `train()` on the same preambles, for every
-//!   backend and precision: scalar and batch answers, upper bounds and slice lower
-//!   bounds alike;
+//!   backend: scalar and batch answers, upper bounds and slice lower bounds alike;
 //! * no batched answer ever exceeds the density's `ceiling`, nor its per-query
 //!   `upper_bounds` entry, which is itself within the `amplitude_upper_bounds`
 //!   entry, which is within the ceiling; and no slice's in-order answer sum falls
@@ -21,13 +14,14 @@
 
 use cprecycle::interference_model::deviation;
 use cprecycle::segments::{extract_segments, SymbolSegments};
-use cprecycle::{BinDensity, CpRecycleConfig, InterferenceModel, KernelPrecision, ModelBackend};
+use cprecycle::{BinDensity, CpRecycleConfig, InterferenceModel, ModelBackend};
 use ofdmphy::ofdm::OfdmEngine;
 use ofdmphy::params::OfdmParams;
 use ofdmphy::preamble;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use rfdsp::kde::{GridKde2d, GridSpec, ProductKde2d};
+use rfdsp::kde::ProductKde2d;
+use rfdsp::stats::BivariateGaussian;
 use rfdsp::Complex;
 
 fn engine() -> OfdmEngine {
@@ -51,6 +45,9 @@ impl Samples {
         BinDensity::fit(&self.amps, &self.phases, config).unwrap()
     }
 }
+
+/// Every density family.
+const BACKENDS: [ModelBackend; 2] = [ModelBackend::ExactKde, ModelBackend::Gaussian];
 
 /// Synthetic preamble segment sets with per-bin interference of varying strength.
 fn synthetic_preambles(seed: u64, num_preambles: usize, p: usize) -> Vec<SymbolSegments> {
@@ -84,47 +81,6 @@ fn synthetic_preambles(seed: u64, num_preambles: usize, p: usize) -> Vec<SymbolS
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Grid-vs-exact agreement over random samples, bandwidths and query points.
-    #[test]
-    fn grid_matches_exact_within_tolerance(
-        seed in any::<u64>(),
-        n in 4usize..48,
-        bw_a in 0.05f64..0.4,
-        bw_p in 0.2f64..1.0,
-    ) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let samples: Vec<(f64, f64)> = (0..n)
-            .map(|_| (rng.gen_range(0.0..2.0), rng.gen_range(-3.1f64..3.1)))
-            .collect();
-        let (amps, phases): (Vec<f64>, Vec<f64>) = samples.iter().copied().unzip();
-        let kde = ProductKde2d::from_axes(&amps, &phases, bw_a, bw_p).unwrap();
-        let spec = GridSpec {
-            points_per_bandwidth: 6.0,
-            max_points_per_axis: 512,
-            margin_bandwidths: 4.0,
-        };
-        let grid = GridKde2d::from_axes(&amps, &phases, bw_a, bw_p, &spec).unwrap();
-        // The decisive region: the exact log density at the best-covered sample.
-        let peak = samples
-            .iter()
-            .map(|(a, p)| kde.log_eval(*a, *p))
-            .fold(f64::NEG_INFINITY, f64::max);
-        for _ in 0..32 {
-            let a = rng.gen_range(0.0..2.0);
-            let p = rng.gen_range(-3.1f64..3.1);
-            let exact = kde.log_eval(a, p);
-            let approx = grid.log_eval(a, p);
-            // Tight near the peak, proportionally looser deep in the tails where the
-            // log density is dominated by a single distant kernel and the argmax
-            // never looks.
-            let tol = 0.05 + 0.05 * (peak - exact).max(0.0);
-            prop_assert!(
-                (exact - approx).abs() <= tol,
-                "query ({a}, {p}): exact {exact}, grid {approx}, tol {tol}"
-            );
-        }
-    }
-
     /// Far-tail queries stay finite and strictly ordered for both backends.
     #[test]
     fn far_tails_stay_strictly_ordered(seed in any::<u64>(), n in 1usize..24) {
@@ -134,18 +90,22 @@ proptest! {
             .collect();
         let (amps, phases): (Vec<f64>, Vec<f64>) = samples.iter().copied().unzip();
         let kde = ProductKde2d::from_axes(&amps, &phases, 0.05, 0.2).unwrap();
-        let grid = GridKde2d::from_axes(&amps, &phases, 0.05, 0.2, &GridSpec::default()).unwrap();
+        let gaussian = BivariateGaussian::fit(&amps, &phases, 0.05, 0.2).unwrap();
+        // At the mean phase the Gaussian's log-pdf falls with the square of the
+        // amplitude's distance from the mean, so walking outward from the mean
+        // must decrease it strictly.
+        let (mean_a, mean_p) = gaussian.mean();
         let mut prev_exact = f64::INFINITY;
-        let mut prev_grid = f64::INFINITY;
+        let mut prev_gaussian = gaussian.log_pdf(mean_a, mean_p);
         for k in 0..20 {
             let a = 2.0 + k as f64 * 1.5;
             let exact = kde.log_eval(a, 0.5);
-            let approx = grid.log_eval(a, 0.5);
-            prop_assert!(exact.is_finite() && approx.is_finite());
+            let g = gaussian.log_pdf(mean_a + a, mean_p);
+            prop_assert!(exact.is_finite() && g.is_finite());
             prop_assert!(exact < prev_exact, "exact tail must strictly decrease");
-            prop_assert!(approx < prev_grid, "grid tail must strictly decrease");
+            prop_assert!(g < prev_gaussian, "Gaussian tail must strictly decrease");
             prev_exact = exact;
-            prev_grid = approx;
+            prev_gaussian = g;
         }
     }
 
@@ -160,16 +120,8 @@ proptest! {
         let reference = preamble::ltf_bins(e.params());
         let preambles = synthetic_preambles(seed, num_preambles, p);
         let references = vec![reference.clone(); num_preambles];
-        for (backend, precision) in [
-            (ModelBackend::ExactKde, KernelPrecision::F64),
-            (ModelBackend::GridKde, KernelPrecision::F64),
-            (ModelBackend::GridKde, KernelPrecision::F32),
-            (ModelBackend::Gaussian, KernelPrecision::F64),
-        ] {
-            let config = CpRecycleConfig::builder()
-                .model(backend)
-                .precision(precision)
-                .build();
+        for backend in BACKENDS {
+            let config = CpRecycleConfig::with_model(backend);
             let batch = InterferenceModel::train(&e, &preambles, &references, config).unwrap();
             let mut incremental =
                 InterferenceModel::train(&e, &preambles[..1], &references[..1], config).unwrap();
@@ -208,10 +160,10 @@ proptest! {
                 let [mut b, mut i] = [vec![0.0; amps.len()], vec![0.0; amps.len()]];
                 batch.log_likelihood_batch(bin, &amps, &phases, &mut b);
                 incremental.log_likelihood_batch(bin, &amps, &phases, &mut i);
-                prop_assert_eq!(bits(&b), bits(&i), "{:?}/{:?} bin {} batch", backend, precision, bin);
+                prop_assert_eq!(bits(&b), bits(&i), "{:?} bin {} batch", backend, bin);
                 batch.log_likelihood_upper_bounds(bin, &amps, &phases, &mut b);
                 incremental.log_likelihood_upper_bounds(bin, &amps, &phases, &mut i);
-                prop_assert_eq!(bits(&b), bits(&i), "{:?}/{:?} bin {} upper", backend, precision, bin);
+                prop_assert_eq!(bits(&b), bits(&i), "{:?} bin {} upper", backend, bin);
                 for len in [1usize, 2, 6] {
                     for (a, p) in amps.chunks(len).zip(phases.chunks(len)) {
                         let b = batch.log_likelihood_sum_lower_bound(bin, a, p);
@@ -219,7 +171,7 @@ proptest! {
                         prop_assert_eq!(
                             b.to_bits(),
                             i.to_bits(),
-                            "{:?}/{:?} bin {} lower bound of {:?}/{:?}", backend, precision, bin, a, p
+                            "{:?} bin {} lower bound of {:?}/{:?}", backend, bin, a, p
                         );
                     }
                 }
@@ -233,10 +185,10 @@ proptest! {
 
     /// Every batched answer is at or below its per-query upper bound, which is at
     /// or below the bin's ceiling, and the lower bound of every query slice is at
-    /// or below the in-order sum of its answers — for every backend and kernel
-    /// precision and for unfitted bins. Queries sit on the samples themselves
-    /// (where the density peaks), around them, far out in the tails (the exact
-    /// backend's log-sum-exp path, the grid's tail continuation) and across the
+    /// or below the in-order sum of its answers — for every backend and for
+    /// unfitted bins. Queries sit on the samples themselves (where the density
+    /// peaks), around them, far out in the tails (the exact backend's
+    /// log-sum-exp path) and across the
     /// polynomial `exp`'s underflow clamp. A degenerate bin whose samples all
     /// coincide fits at the `min_bandwidth_*` floors, the narrowest and tallest
     /// density the configuration allows; a single-sample bin has a kernel sum of
@@ -326,16 +278,8 @@ proptest! {
         let mut amplitude_upper = vec![0.0; amps.len()];
         // Non-finite queries, and a finite one whose whitened square overflows.
         let unscorable = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200];
-        for (backend, precision) in [
-            (ModelBackend::ExactKde, KernelPrecision::F64),
-            (ModelBackend::GridKde, KernelPrecision::F64),
-            (ModelBackend::GridKde, KernelPrecision::F32),
-            (ModelBackend::Gaussian, KernelPrecision::F64),
-        ] {
-            let config = CpRecycleConfig::builder()
-                .model(backend)
-                .precision(precision)
-                .build();
+        for backend in BACKENDS {
+            let config = CpRecycleConfig::with_model(backend);
             // Fitted bins are queried through their density, the unfitted bin
             // through a model that never saw a sample.
             let densities: Vec<Option<BinDensity>> = (0..8)
@@ -351,7 +295,7 @@ proptest! {
             for bin in [fitted, degenerate, unfitted, single] {
                 let density = densities[bin].as_ref();
                 let batch = |a: &[f64], p: &[f64], out: &mut [f64]| match density {
-                    Some(d) => d.log_eval_batch(a, p, out, precision),
+                    Some(d) => d.log_eval_batch(a, p, out),
                     None => model.log_likelihood_batch(bin, a, p, out),
                 };
                 let upper_bounds = |a: &[f64], p: &[f64], out: &mut [f64]| match density {
@@ -378,13 +322,13 @@ proptest! {
                 for (q, (v, u)) in out.iter().zip(&upper).enumerate() {
                     prop_assert!(
                         *v <= ceiling,
-                        "{:?}/{:?} bin {} query ({}, {}): {} above ceiling {}",
-                        backend, precision, bin, amps[q], phases[q], v, ceiling
+                        "{:?} bin {} query ({}, {}): {} above ceiling {}",
+                        backend, bin, amps[q], phases[q], v, ceiling
                     );
                     prop_assert!(
                         *v <= *u && *u <= ceiling,
-                        "{:?}/{:?} bin {} query ({}, {}): answer {} bound {} ceiling {}",
-                        backend, precision, bin, amps[q], phases[q], v, u, ceiling
+                        "{:?} bin {} query ({}, {}): answer {} bound {} ceiling {}",
+                        backend, bin, amps[q], phases[q], v, u, ceiling
                     );
                 }
                 // Slices of one, two and sixteen queries, in the decoder's
@@ -395,8 +339,8 @@ proptest! {
                         let score: f64 = v.iter().sum();
                         prop_assert!(
                             floor <= score,
-                            "{:?}/{:?} bin {} queries {:?}/{:?}: lower bound {} above score {}",
-                            backend, precision, bin, a, p, floor, score
+                            "{:?} bin {} queries {:?}/{:?}: lower bound {} above score {}",
+                            backend, bin, a, p, floor, score
                         );
                         // The exact backend bounds every finite fitted slice.
                         if backend == ModelBackend::ExactKde && bin != unfitted {
@@ -405,8 +349,8 @@ proptest! {
                         let one = one_sample_bound(a, p);
                         prop_assert!(
                             one <= floor,
-                            "{:?}/{:?} bin {} queries {:?}/{:?}: one-sample bound {} above {}",
-                            backend, precision, bin, a, p, one, floor
+                            "{:?} bin {} queries {:?}/{:?}: one-sample bound {} above {}",
+                            backend, bin, a, p, one, floor
                         );
                     }
                 }
@@ -449,8 +393,8 @@ proptest! {
                 for (q, (u, w)) in upper.iter().zip(&amplitude_upper).enumerate() {
                     prop_assert!(
                         out[q] <= *u && *u <= *w && *w <= ceiling,
-                        "{:?}/{:?} bin {} query ({}, {}): answer {} tight {} amplitude-only {} ceiling {}",
-                        backend, precision, bin, amps[q], phases[q], out[q], u, w, ceiling
+                        "{:?} bin {} query ({}, {}): answer {} tight {} amplitude-only {} ceiling {}",
+                        backend, bin, amps[q], phases[q], out[q], u, w, ceiling
                     );
                 }
             }
@@ -470,7 +414,7 @@ fn exact_ceiling_is_reached_at_a_degenerate_peak() {
     let density = samples.fit(&config);
     let ceiling = density.ceiling();
     let mut out = [0.0];
-    density.log_eval_batch(&[0.4], &[-1.0], &mut out, config.precision);
+    density.log_eval_batch(&[0.4], &[-1.0], &mut out);
     assert!(out[0] <= ceiling);
     assert!(
         ceiling - out[0] < 1e-9,
@@ -557,8 +501,8 @@ fn backends_agree_with_model_dispatch_on_real_segments() {
         samples.push(a, p);
     }
     let exact = samples.fit(&config);
-    let grid_config = CpRecycleConfig::with_model(ModelBackend::GridKde);
-    let grid = samples.fit(&grid_config);
+    let gaussian_config = CpRecycleConfig::with_model(ModelBackend::Gaussian);
+    let gaussian = samples.fit(&gaussian_config);
     let obs = Complex::new(0.9, 0.1);
     let cand = Complex::one();
     let (a, p) = deviation(obs, cand);
@@ -567,15 +511,21 @@ fn backends_agree_with_model_dispatch_on_real_segments() {
         exact.log_eval(a, p).to_bits(),
         "a directly fitted exact density must match the model's"
     );
-    let g = grid.log_eval(a, p);
-    assert!((g - exact.log_eval(a, p)).abs() < 0.1);
     // The model fits the family its config selects.
-    let grid_model = InterferenceModel::train(
+    let gaussian_model = InterferenceModel::train(
         &e,
         std::slice::from_ref(&segs),
         std::slice::from_ref(&reference),
-        grid_config,
+        gaussian_config,
     )
     .unwrap();
-    assert!(matches!(grid_model.density(bin), Some(BinDensity::Grid(_))));
+    assert!(matches!(
+        gaussian_model.density(bin),
+        Some(BinDensity::Gaussian(_))
+    ));
+    assert_eq!(
+        gaussian_model.log_likelihood(bin, obs, cand).to_bits(),
+        gaussian.log_eval(a, p).to_bits(),
+        "a directly fitted Gaussian must match the model's"
+    );
 }

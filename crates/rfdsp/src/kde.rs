@@ -929,396 +929,6 @@ fn box_gap(x: f64, lo: f64, hi: f64) -> f64 {
     }
 }
 
-/// Resolution and extent policy for building a [`GridKde2d`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GridSpec {
-    /// Grid nodes per kernel bandwidth. Higher is more accurate; the bilinear
-    /// interpolation error in the log domain shrinks quadratically with this.
-    pub points_per_bandwidth: f64,
-    /// Upper bound on nodes per axis, capping build time and memory for very small
-    /// bandwidths relative to the sample spread.
-    pub max_points_per_axis: usize,
-    /// How many bandwidths beyond the extreme samples the grid extends before the
-    /// analytic tail extrapolation takes over.
-    pub margin_bandwidths: f64,
-}
-
-impl Default for GridSpec {
-    fn default() -> Self {
-        GridSpec {
-            points_per_bandwidth: 4.0,
-            max_points_per_axis: 128,
-            margin_bandwidths: 3.0,
-        }
-    }
-}
-
-/// A precomputed log-likelihood lookup table over a [`ProductKde2d`]: the `GridKde`
-/// interference-estimator backend.
-///
-/// At build time the exact product-KDE log density is evaluated on a regular
-/// (amplitude, phase) grid spanning the samples plus a margin; queries then cost an
-/// **O(1) bilinear interpolation in the log domain** instead of the exact backend's
-/// `O(P·N_p)` kernel sum. Because the log density of a Gaussian mixture is locally
-/// near-quadratic, bilinear interpolation of the *log* values is far more accurate
-/// than interpolating densities and can never produce `−inf`.
-///
-/// Queries outside the grid (far-tail candidates) clamp to the nearest edge and
-/// subtract the analytic Gaussian tail continuation
-/// `½·d² + margin·d` (with `d` the overshoot in bandwidth units), which keeps
-/// far-tail log-likelihoods finite, continuous at the edge and **strictly decreasing
-/// with distance** — the ordering property the ML decoder needs.
-#[derive(Debug, Clone)]
-pub struct GridKde2d {
-    a_lo: f64,
-    a_step: f64,
-    n_a: usize,
-    p_lo: f64,
-    p_step: f64,
-    n_p: usize,
-    /// Log densities, row-major: `values[ia * n_p + ip]`.
-    values: Vec<f64>,
-    /// `f32` copy of `values` for the reduced-precision query kernel
-    /// ([`log_eval_batch_f32`](Self::log_eval_batch_f32)).
-    values_f32: Vec<f32>,
-    bw_a: f64,
-    bw_p: f64,
-    margin: f64,
-    /// Upper bound on every query answer, see [`log_eval_ceiling`](Self::log_eval_ceiling).
-    ceiling: f64,
-}
-
-impl GridKde2d {
-    /// Builds the grid directly from per-axis samples and bandwidths (the refit path
-    /// of the `GridKde` backend, which never materialises a `ProductKde2d`).
-    pub fn from_axes(
-        amps: &[f64],
-        phases: &[f64],
-        bw_a: f64,
-        bw_p: f64,
-        spec: &GridSpec,
-    ) -> Result<Self> {
-        if amps.is_empty() {
-            return Err(DspError::EmptyInput);
-        }
-        if amps.len() != phases.len() {
-            return Err(DspError::invalid("phases", "axis sample counts must match"));
-        }
-        if bw_a <= 0.0 || bw_p <= 0.0 {
-            return Err(DspError::invalid(
-                "bandwidth",
-                "bandwidths must be positive",
-            ));
-        }
-        if !spec.points_per_bandwidth.is_finite()
-            || spec.points_per_bandwidth <= 0.0
-            || spec.max_points_per_axis < 2
-        {
-            return Err(DspError::invalid(
-                "spec",
-                "points_per_bandwidth must be positive and max_points_per_axis ≥ 2",
-            ));
-        }
-        let margin = spec.margin_bandwidths.max(1.0);
-        // Amplitude deviations are magnitudes, so the axis never extends below zero;
-        // phases are error-vector angles in (−π, π], so the grid never needs to
-        // extend beyond that.
-        let (a_lo, a_hi) = axis_extent(amps, bw_a, margin, Some(0.0), None);
-        let (p_lo, p_hi) = axis_extent(
-            phases,
-            bw_p,
-            margin,
-            Some(-std::f64::consts::PI),
-            Some(std::f64::consts::PI),
-        );
-        let (n_a, a_step) = axis_nodes(a_lo, a_hi, bw_a, spec);
-        let (n_p, p_step) = axis_nodes(p_lo, p_hi, bw_p, spec);
-
-        // Per-node kernel exponents, factored per axis: node i against sample j.
-        let n = amps.len();
-        let exp_a = axis_exponents(a_lo, a_step, n_a, amps, bw_a);
-        let exp_p = axis_exponents(p_lo, p_step, n_p, phases, bw_p);
-        // Fast path: sum the exponentials in the linear domain (one multiply-add per
-        // sample per node); nodes whose sum underflows fall back to a per-node
-        // log-sum-exp so tails stay finite and ordered.
-        let w_a: Vec<f64> = exp_a.iter().map(|e| e.exp()).collect();
-        let w_p: Vec<f64> = exp_p.iter().map(|e| e.exp()).collect();
-        let log_norm = -((n as f64) * bw_a * bw_p * TWO_PI_SQ).ln();
-        let mut values = vec![0.0f64; n_a * n_p];
-        for ia in 0..n_a {
-            let wa = &w_a[ia * n..(ia + 1) * n];
-            let ea = &exp_a[ia * n..(ia + 1) * n];
-            for ip in 0..n_p {
-                let wp = &w_p[ip * n..(ip + 1) * n];
-                let mut sum = 0.0;
-                for j in 0..n {
-                    sum += wa[j] * wp[j];
-                }
-                values[ia * n_p + ip] = if sum > 1e-290 {
-                    sum.ln() + log_norm
-                } else {
-                    let ep = &exp_p[ip * n..(ip + 1) * n];
-                    let mut max_e = f64::NEG_INFINITY;
-                    for j in 0..n {
-                        max_e = max_e.max(ea[j] + ep[j]);
-                    }
-                    let mut s = 0.0;
-                    for j in 0..n {
-                        s += (ea[j] + ep[j] - max_e).exp();
-                    }
-                    max_e + s.ln() + log_norm
-                };
-            }
-        }
-        let values_f32 = values.iter().map(|&v| v as f32).collect();
-        let (peak, max_abs) = values
-            .iter()
-            .fold((f64::NEG_INFINITY, 0.0f64), |(p, m), &v| {
-                (p.max(v), m.max(v.abs()))
-            });
-        // Bilinear interpolation is a convex combination of table values and the
-        // tail continuation only subtracts, so no query exceeds the table maximum
-        // beyond rounding. The slack is sized for the f32 kernel: the f32 table
-        // copy and two f32 interpolation steps can each overshoot by a few f32
-        // ulps of the largest table magnitude.
-        let ceiling = peak + 16.0 * f64::from(f32::EPSILON) * (1.0 + max_abs);
-        Ok(GridKde2d {
-            a_lo,
-            a_step,
-            n_a,
-            p_lo,
-            p_step,
-            n_p,
-            values,
-            values_f32,
-            bw_a,
-            bw_p,
-            margin,
-            ceiling,
-        })
-    }
-
-    /// An upper bound on every value [`log_eval`](Self::log_eval),
-    /// [`log_eval_batch`](Self::log_eval_batch) and
-    /// [`log_eval_batch_f32`](Self::log_eval_batch_f32) can return: the largest
-    /// tabulated log density plus rounding slack. Interpolation never leaves the
-    /// range of the four surrounding nodes and the far-tail continuation only
-    /// subtracts, which the builder relies on when it sets the bound.
-    pub fn log_eval_ceiling(&self) -> f64 {
-        self.ceiling
-    }
-
-    /// Nodes along the amplitude axis.
-    pub fn num_points_amplitude(&self) -> usize {
-        self.n_a
-    }
-
-    /// Nodes along the phase axis.
-    pub fn num_points_phase(&self) -> usize {
-        self.n_p
-    }
-
-    /// O(1) log-density lookup at `(amplitude, phase)`: bilinear interpolation of the
-    /// precomputed log grid, with the analytic tail continuation outside it.
-    pub fn log_eval(&self, amplitude: f64, phase: f64) -> f64 {
-        let a_hi = self.a_lo + self.a_step * (self.n_a - 1) as f64;
-        let p_hi = self.p_lo + self.p_step * (self.n_p - 1) as f64;
-        let (ca, da) = clamp_axis(amplitude, self.a_lo, a_hi, self.bw_a);
-        let (cp, dp) = clamp_axis(phase, self.p_lo, p_hi, self.bw_p);
-
-        let ta = (ca - self.a_lo) / self.a_step;
-        let tp = (cp - self.p_lo) / self.p_step;
-        let ia = (ta as usize).min(self.n_a - 2);
-        let ip = (tp as usize).min(self.n_p - 2);
-        let fa = (ta - ia as f64).clamp(0.0, 1.0);
-        let fp = (tp - ip as f64).clamp(0.0, 1.0);
-        let v00 = self.values[ia * self.n_p + ip];
-        let v01 = self.values[ia * self.n_p + ip + 1];
-        let v10 = self.values[(ia + 1) * self.n_p + ip];
-        let v11 = self.values[(ia + 1) * self.n_p + ip + 1];
-        let v0 = v00 + (v01 - v00) * fp;
-        let v1 = v10 + (v11 - v10) * fp;
-        let interior = v0 + (v1 - v0) * fa;
-        // Gaussian tail continuation: at the edge the log density falls off with
-        // slope ≈ −margin (in bandwidth units, the distance to the nearest extreme
-        // sample) and curvature −1, so −(½d² + margin·d) per axis continues it.
-        interior - (0.5 * da * da + self.margin * da) - (0.5 * dp * dp + self.margin * dp)
-    }
-
-    /// Batched [`log_eval`](Self::log_eval) over split query planes: `out[q]` is the
-    /// log density at `(amplitudes[q], phases[q])`.
-    ///
-    /// The grid extent, steps and index bounds are hoisted out of the loop (the
-    /// per-query work is pure clamp + bilinear arithmetic plus four table gathers),
-    /// and each query performs **exactly** the scalar [`log_eval`](Self::log_eval)
-    /// operations in the same order — the batch is bit-for-bit identical to scalar
-    /// calls, which the equivalence property tests assert with `to_bits`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query slices and `out` have different lengths.
-    pub fn log_eval_batch(&self, amplitudes: &[f64], phases: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            amplitudes.len(),
-            phases.len(),
-            "query planes must have equal lengths"
-        );
-        assert_eq!(
-            amplitudes.len(),
-            out.len(),
-            "output must match the query count"
-        );
-        let a_hi = self.a_lo + self.a_step * (self.n_a - 1) as f64;
-        let p_hi = self.p_lo + self.p_step * (self.n_p - 1) as f64;
-        for ((&a, &p), o) in amplitudes.iter().zip(phases).zip(out.iter_mut()) {
-            let (ca, da) = clamp_axis(a, self.a_lo, a_hi, self.bw_a);
-            let (cp, dp) = clamp_axis(p, self.p_lo, p_hi, self.bw_p);
-            let ta = (ca - self.a_lo) / self.a_step;
-            let tp = (cp - self.p_lo) / self.p_step;
-            let ia = (ta as usize).min(self.n_a - 2);
-            let ip = (tp as usize).min(self.n_p - 2);
-            let fa = (ta - ia as f64).clamp(0.0, 1.0);
-            let fp = (tp - ip as f64).clamp(0.0, 1.0);
-            let v00 = self.values[ia * self.n_p + ip];
-            let v01 = self.values[ia * self.n_p + ip + 1];
-            let v10 = self.values[(ia + 1) * self.n_p + ip];
-            let v11 = self.values[(ia + 1) * self.n_p + ip + 1];
-            let v0 = v00 + (v01 - v00) * fp;
-            let v1 = v10 + (v11 - v10) * fp;
-            let interior = v0 + (v1 - v0) * fa;
-            *o = interior - (0.5 * da * da + self.margin * da) - (0.5 * dp * dp + self.margin * dp);
-        }
-    }
-
-    /// Reduced-precision variant of [`log_eval_batch`](Self::log_eval_batch): the
-    /// clamp, bilinear interpolation and tail continuation run in `f32` against the
-    /// `f32` copy of the value table (`KernelPrecision::F32`). The f64 path remains
-    /// the reference; tolerance and decision-equivalence against it are pinned by
-    /// the `simd_equivalence` test suites.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query slices and `out` have different lengths.
-    pub fn log_eval_batch_f32(&self, amplitudes: &[f64], phases: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            amplitudes.len(),
-            phases.len(),
-            "query planes must have equal lengths"
-        );
-        assert_eq!(
-            amplitudes.len(),
-            out.len(),
-            "output must match the query count"
-        );
-        let a_lo = self.a_lo as f32;
-        let p_lo = self.p_lo as f32;
-        let a_step = self.a_step as f32;
-        let p_step = self.p_step as f32;
-        let a_hi = a_lo + a_step * (self.n_a - 1) as f32;
-        let p_hi = p_lo + p_step * (self.n_p - 1) as f32;
-        let bw_a = self.bw_a as f32;
-        let bw_p = self.bw_p as f32;
-        let margin = self.margin as f32;
-        for ((&aq, &pq), o) in amplitudes.iter().zip(phases).zip(out.iter_mut()) {
-            let a = aq as f32;
-            let p = pq as f32;
-            let (ca, da) = clamp_axis_f32(a, a_lo, a_hi, bw_a);
-            let (cp, dp) = clamp_axis_f32(p, p_lo, p_hi, bw_p);
-            let ta = (ca - a_lo) / a_step;
-            let tp = (cp - p_lo) / p_step;
-            let ia = (ta as usize).min(self.n_a - 2);
-            let ip = (tp as usize).min(self.n_p - 2);
-            let fa = (ta - ia as f32).clamp(0.0, 1.0);
-            let fp = (tp - ip as f32).clamp(0.0, 1.0);
-            let v00 = self.values_f32[ia * self.n_p + ip];
-            let v01 = self.values_f32[ia * self.n_p + ip + 1];
-            let v10 = self.values_f32[(ia + 1) * self.n_p + ip];
-            let v11 = self.values_f32[(ia + 1) * self.n_p + ip + 1];
-            let v0 = v00 + (v01 - v00) * fp;
-            let v1 = v10 + (v11 - v10) * fp;
-            let interior = v0 + (v1 - v0) * fa;
-            *o = (interior - (0.5 * da * da + margin * da) - (0.5 * dp * dp + margin * dp)) as f64;
-        }
-    }
-}
-
-/// Grid extent of one axis: the sample range padded by `margin` bandwidths, clamped
-/// to the physically meaningful range of the coordinate.
-fn axis_extent(
-    samples: &[f64],
-    bw: f64,
-    margin: f64,
-    floor: Option<f64>,
-    ceil: Option<f64>,
-) -> (f64, f64) {
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for &s in samples {
-        min = min.min(s);
-        max = max.max(s);
-    }
-    let mut lo = min - margin * bw;
-    let mut hi = max + margin * bw;
-    if let Some(f) = floor {
-        lo = lo.max(f);
-    }
-    if let Some(c) = ceil {
-        hi = hi.min(c);
-    }
-    if hi <= lo {
-        hi = lo + bw;
-    }
-    (lo, hi)
-}
-
-/// Node count and exact step spanning `[lo, hi]` at the spec's resolution.
-fn axis_nodes(lo: f64, hi: f64, bw: f64, spec: &GridSpec) -> (usize, f64) {
-    // Clamp in the float domain: a pathologically small bandwidth makes the ideal
-    // node count overflow `usize` (a debug-build panic) if cast first.
-    let ideal = ((hi - lo) / (bw / spec.points_per_bandwidth))
-        .ceil()
-        .min(spec.max_points_per_axis as f64);
-    let n = (ideal as usize + 1).clamp(2, spec.max_points_per_axis);
-    (n, (hi - lo) / (n - 1) as f64)
-}
-
-/// Kernel exponents of every (node, sample) pair along one axis, row-major by node.
-fn axis_exponents(lo: f64, step: f64, n_nodes: usize, samples: &[f64], bw: f64) -> Vec<f64> {
-    let inv = 1.0 / bw;
-    let mut out = Vec::with_capacity(n_nodes * samples.len());
-    for i in 0..n_nodes {
-        let x = lo + step * i as f64;
-        for &s in samples {
-            let u = (x - s) * inv;
-            out.push(-0.5 * u * u);
-        }
-    }
-    out
-}
-
-/// Clamps `x` into `[lo, hi]`, returning the clamped coordinate and the overshoot in
-/// bandwidth units (0 when inside).
-fn clamp_axis(x: f64, lo: f64, hi: f64, bw: f64) -> (f64, f64) {
-    if x < lo {
-        (lo, (lo - x) / bw)
-    } else if x > hi {
-        (hi, (x - hi) / bw)
-    } else {
-        (x, 0.0)
-    }
-}
-
-/// [`clamp_axis`] in `f32`, for the reduced-precision grid query kernel.
-fn clamp_axis_f32(x: f32, lo: f32, hi: f32, bw: f32) -> (f32, f32) {
-    if x < lo {
-        (lo, (lo - x) / bw)
-    } else if x > hi {
-        (hi, (x - hi) / bw)
-    } else {
-        (x, 0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1481,97 +1091,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_kde_matches_exact_inside_the_sample_region() {
-        let samples: Vec<(f64, f64)> = (0..30)
-            .map(|i| {
-                let x = i as f64 / 30.0;
-                (0.2 + 0.6 * (x * 9.7).sin().abs(), 1.5 * (x * 4.3).cos())
-            })
-            .collect();
-        let kde = kde2d(&samples, 0.15, 0.4).unwrap();
-        let spec = GridSpec {
-            points_per_bandwidth: 8.0,
-            max_points_per_axis: 512,
-            margin_bandwidths: 4.0,
-        };
-        let grid = GridKde2d::from_axes(
-            kde.amplitudes(),
-            kde.phases(),
-            kde.bandwidth_amplitude(),
-            kde.bandwidth_phase(),
-            &spec,
-        )
-        .unwrap();
-        for i in 0..40 {
-            let a = 0.05 + 0.9 * i as f64 / 40.0;
-            let p = -2.0 + 4.0 * ((i * 7) % 40) as f64 / 40.0;
-            let exact = kde.log_eval(a, p);
-            let approx = grid.log_eval(a, p);
-            assert!(
-                (exact - approx).abs() < 0.05,
-                "({a}, {p}): exact {exact}, grid {approx}"
-            );
-        }
-    }
-
-    #[test]
-    fn grid_kde_far_tails_are_finite_and_strictly_ordered() {
-        let grid = GridKde2d::from_axes(
-            &[0.1, 0.3, 0.2],
-            &[0.0, 0.4, -0.3],
-            0.08,
-            0.25,
-            &GridSpec::default(),
-        )
-        .unwrap();
-        let mut prev = f64::INFINITY;
-        for k in 1..30 {
-            let ll = grid.log_eval(0.3 + k as f64 * 0.5, 0.1);
-            assert!(ll.is_finite());
-            assert!(ll < prev, "tail must strictly decrease: {ll} !< {prev}");
-            prev = ll;
-        }
-        // The low-amplitude side also extrapolates monotonically toward the data.
-        assert!(grid.log_eval(0.0, 0.0) < grid.log_eval(0.1, 0.0));
-    }
-
-    #[test]
-    fn grid_kde_respects_spec_caps_and_validates() {
-        let amps = [0.0, 1.0];
-        let phases = [0.0, 0.5];
-        let spec = GridSpec {
-            points_per_bandwidth: 100.0,
-            max_points_per_axis: 16,
-            margin_bandwidths: 3.0,
-        };
-        let g = GridKde2d::from_axes(&amps, &phases, 0.05, 0.05, &spec).unwrap();
-        assert_eq!(g.num_points_amplitude(), 16);
-        assert_eq!(g.num_points_phase(), 16);
-        assert!(GridKde2d::from_axes(&[], &[], 0.1, 0.1, &GridSpec::default()).is_err());
-        assert!(GridKde2d::from_axes(&[0.0], &[], 0.1, 0.1, &GridSpec::default()).is_err());
-        assert!(GridKde2d::from_axes(&[0.0], &[0.0], 0.0, 0.1, &GridSpec::default()).is_err());
-        let bad = GridSpec {
-            points_per_bandwidth: 0.0,
-            ..Default::default()
-        };
-        assert!(GridKde2d::from_axes(&[0.0], &[0.0], 0.1, 0.1, &bad).is_err());
-        // A huge bandwidth (the kernel-ablation configuration) still builds: the
-        // phase extent clamps to (−π, π] and the node count floors at 2.
-        let wide = GridKde2d::from_axes(&[0.0], &[0.0], 0.1, 1.0e6, &GridSpec::default()).unwrap();
-        assert!(wide.num_points_phase() >= 2);
-        assert!(wide.log_eval(0.0, 3.0).is_finite());
-        // …and a pathologically small one must not overflow the node count (the
-        // float-domain clamp in `axis_nodes`; previously a debug-build panic).
-        let tiny =
-            GridKde2d::from_axes(&[0.0, 1.0], &[0.0, 0.1], 1e-300, 0.1, &GridSpec::default())
-                .unwrap();
-        assert_eq!(
-            tiny.num_points_amplitude(),
-            GridSpec::default().max_points_per_axis
-        );
-    }
-
-    #[test]
     fn product_kde_batch_matches_scalar_log_eval() {
         // 13 samples: not a multiple of the lane width, so the remainder path runs.
         let samples: Vec<(f64, f64)> = (0..13)
@@ -1670,51 +1189,6 @@ mod tests {
         let kde = kde2d(&[(0.0, 0.0)], 0.1, 0.1).unwrap();
         let mut out = [0.0; 1];
         kde.log_eval_batch(&[0.0, 1.0], &[0.0, 0.0], &mut out);
-    }
-
-    #[test]
-    fn grid_kde_batch_is_bit_identical_to_scalar() {
-        let grid = GridKde2d::from_axes(
-            &[0.1, 0.3, 0.2, 0.5],
-            &[0.0, 0.4, -0.3, 0.2],
-            0.08,
-            0.25,
-            &GridSpec::default(),
-        )
-        .unwrap();
-        // Interior, edge and far-tail queries in one batch.
-        let amps = [0.15, 0.0, 3.0, 0.42, 10.0];
-        let phases = [0.1, -3.0, 0.0, 0.35, 2.0];
-        let mut out = [0.0; 5];
-        grid.log_eval_batch(&amps, &phases, &mut out);
-        for q in 0..5 {
-            let want = grid.log_eval(amps[q], phases[q]);
-            assert_eq!(out[q].to_bits(), want.to_bits(), "query {q}");
-        }
-    }
-
-    #[test]
-    fn grid_kde_f32_batch_tracks_f64_within_budget() {
-        let samples_a: Vec<f64> = (0..20).map(|i| 0.1 + 0.02 * i as f64).collect();
-        let samples_p: Vec<f64> = (0..20).map(|i| 0.3 * ((i * 5) % 11) as f64 - 1.0).collect();
-        let grid =
-            GridKde2d::from_axes(&samples_a, &samples_p, 0.1, 0.4, &GridSpec::default()).unwrap();
-        let amps = [0.15, 0.3, 0.05, 1.2, 4.0];
-        let phases = [0.2, -0.9, 1.4, 0.0, -2.0];
-        let mut f64_out = [0.0; 5];
-        let mut f32_out = [0.0; 5];
-        grid.log_eval_batch(&amps, &phases, &mut f64_out);
-        grid.log_eval_batch_f32(&amps, &phases, &mut f32_out);
-        for q in 0..5 {
-            // Log-density values are O(1)–O(10) here; f32 gives ~7 significant
-            // digits, so absolute agreement to 1e-3 is a conservative budget.
-            assert!(
-                (f64_out[q] - f32_out[q]).abs() < 1e-3,
-                "query {q}: f64 {} vs f32 {}",
-                f64_out[q],
-                f32_out[q]
-            );
-        }
     }
 
     #[test]

@@ -6,24 +6,24 @@
 //!
 //! * **bit-for-bit** where the restructure preserves elementwise operation order —
 //!   the sliding-DFT update (both the autovectorized chunk path and the
-//!   runtime-dispatched AVX2 path, which deliberately avoids FMA), the grid-KDE
-//!   batch lookup, the polynomial `exp` batch, and the KDE's largest kernel
-//!   exponent (a lane max is exact);
+//!   runtime-dispatched AVX2 path, which deliberately avoids FMA), the
+//!   polynomial `exp` batch, and the KDE's largest kernel exponent (a lane max is
+//!   exact);
 //! * **≤ 1e-9** where the batch path substitutes the polynomial `exp` for libm in
 //!   the exact-KDE log-sum (operation order differs, so exact equality is not the
 //!   contract);
-//! * **≤ 1e-3** for the reduced-precision (`f32`) kernel variants, whose budget the
+//! * **≤ 1e-3** for the reduced-precision (`f32`) slide, whose budget the
 //!   `KernelPrecision::F32` receiver configuration states.
 
 use proptest::prelude::*;
-use rfdsp::kde::{select_bandwidth, BandwidthSelector, GridKde2d, GridSpec, ProductKde2d};
+use rfdsp::kde::{select_bandwidth, BandwidthSelector, ProductKde2d};
 use rfdsp::lanes::{exp_approx, exp_batch};
 use rfdsp::simd::{kde_max_exponent, slide_update, slide_update_lanes};
 use rfdsp::sliding::SlidingDft;
 use rfdsp::Complex;
 
 /// `(amplitude, phase)` samples split into axes, with each axis's leave-one-out
-/// bandwidth: the inputs `ProductKde2d::from_axes` and `GridKde2d::from_axes` take.
+/// bandwidth: the inputs `ProductKde2d::from_axes` takes.
 fn loo_axes(samples: &[(f64, f64)]) -> (Vec<f64>, Vec<f64>, f64, f64) {
     let (amps, phases): (Vec<f64>, Vec<f64>) = samples.iter().copied().unzip();
     let bw = |axis: &[f64]| select_bandwidth(axis, BandwidthSelector::LeaveOneOut).unwrap();
@@ -212,55 +212,6 @@ proptest! {
             });
             let got = kde_max_exponent(a, p, &amps, &phases);
             prop_assert_eq!(got.to_bits(), want.to_bits(), "query ({}, {}): {} vs {}", a, p, got, want);
-        }
-    }
-
-    /// The grid-KDE f64 batch lookup preserves the scalar lookup's arithmetic
-    /// exactly — bit-for-bit, any query count.
-    #[test]
-    fn grid_kde_batch_is_bit_identical(
-        samples in prop::collection::vec((0.05f64..3.0, -3.1f64..3.1), 8..48),
-        queries in prop::collection::vec((0.0f64..4.0, -3.5f64..3.5), 1..23),
-    ) {
-        let (sample_amps, sample_phases, bw_a, bw_p) = loo_axes(&samples);
-        let grid =
-            GridKde2d::from_axes(&sample_amps, &sample_phases, bw_a, bw_p, &GridSpec::default())
-                .unwrap();
-        let amps: Vec<f64> = queries.iter().map(|q| q.0).collect();
-        let phases: Vec<f64> = queries.iter().map(|q| q.1).collect();
-        let mut batch = vec![0.0; queries.len()];
-        grid.log_eval_batch(&amps, &phases, &mut batch);
-        for ((a, p), got) in queries.iter().zip(&batch) {
-            let want = grid.log_eval(*a, *p);
-            prop_assert_eq!(got.to_bits(), want.to_bits(), "query ({}, {}): {} vs {}", a, p, got, want);
-        }
-    }
-
-    /// The f32 grid lookup stays within the reduced-precision budget of the f64
-    /// lookup everywhere, including the clamped margins outside the grid.
-    #[test]
-    fn grid_kde_f32_batch_is_within_budget(
-        samples in prop::collection::vec((0.05f64..3.0, -3.1f64..3.1), 8..48),
-        queries in prop::collection::vec((0.0f64..4.0, -3.5f64..3.5), 1..23),
-    ) {
-        let (sample_amps, sample_phases, bw_a, bw_p) = loo_axes(&samples);
-        let grid =
-            GridKde2d::from_axes(&sample_amps, &sample_phases, bw_a, bw_p, &GridSpec::default())
-                .unwrap();
-        let amps: Vec<f64> = queries.iter().map(|q| q.0).collect();
-        let phases: Vec<f64> = queries.iter().map(|q| q.1).collect();
-        let mut f64_out = vec![0.0; queries.len()];
-        let mut f32_out = vec![0.0; queries.len()];
-        grid.log_eval_batch(&amps, &phases, &mut f64_out);
-        grid.log_eval_batch_f32(&amps, &phases, &mut f32_out);
-        for (k, (want, got)) in f64_out.iter().zip(&f32_out).enumerate() {
-            let tol = 1e-3 * (1.0 + want.abs());
-            prop_assert!(
-                (got - want).abs() <= tol,
-                "query {k} ({}, {}): f32 {got} vs f64 {want}",
-                amps[k],
-                phases[k]
-            );
         }
     }
 

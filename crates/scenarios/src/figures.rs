@@ -383,8 +383,8 @@ fn decoder_sweep_grid(scale: &FigureScale) -> Vec<LinkPoint> {
 }
 
 /// The estimator-backend sweep: every interference-model backend (exact KDE,
-/// precomputed grid, parametric Gaussian) as an arm of the same ACI grid at the
-/// Fig. 14 reproduction operating point (QPSK 1/2, overlapping channel 15 MHz away,
+/// parametric Gaussian) as an arm of the same ACI grid at the Fig. 14
+/// reproduction operating point (QPSK 1/2, overlapping channel 15 MHz away,
 /// `P = 16`), plus the standard receiver as the floor — "which density model is
 /// accurate enough, and what does the cheap one cost in BER" as **one** engine run.
 /// The backend is part of every campaign point key, exactly like the decoder.
@@ -401,7 +401,6 @@ fn models_grid(scale: &FigureScale) -> Vec<LinkPoint> {
     let receivers = vec![
         ReceiverKind::Standard,
         ReceiverKind::with_model(ModelBackend::ExactKde),
-        ReceiverKind::with_model(ModelBackend::GridKde),
         ReceiverKind::with_model(ModelBackend::Gaussian),
     ];
     models_sirs(scale)
@@ -1073,14 +1072,12 @@ pub fn decoder_comparison(scale: &FigureScale) -> Result<ExperimentResult> {
 }
 
 /// Estimator-backend comparison: packet success rate of every interference-model
-/// backend — exact KDE (reference), precomputed log-likelihood grid, parametric
-/// Gaussian — plus the standard receiver, versus SIR under single-interferer ACI at
-/// the Fig. 14 reproduction operating point, as one engine campaign.
+/// backend — exact KDE (reference), parametric Gaussian — plus the standard
+/// receiver, versus SIR under single-interferer ACI at the Fig. 14 reproduction
+/// operating point, as one engine campaign.
 ///
-/// The reproduction claim this backs: the grid backend tracks the exact backend
-/// within the Monte-Carlo confidence interval (it answers the same Eq. 5 queries
-/// from a lookup table), while the Gaussian arm exposes what the non-parametric
-/// density buys over a two-moment fit.
+/// The reproduction claim this backs: the Gaussian arm exposes what the
+/// non-parametric density buys over a two-moment fit.
 pub fn model_comparison(scale: &FigureScale) -> Result<ExperimentResult> {
     let sirs = models_sirs(scale);
     let points = models_grid(scale);
@@ -1261,9 +1258,9 @@ mod tests {
     #[test]
     fn model_comparison_sweeps_all_backends_in_one_campaign() {
         let r = model_comparison(&FigureScale::smoke()).unwrap();
-        assert_eq!(r.series.len(), 4, "one series per estimator arm + standard");
+        assert_eq!(r.series.len(), 3, "one series per estimator arm + standard");
         let labels: Vec<&str> = r.series.iter().map(|s| s.label.as_str()).collect();
-        for needle in ["Standard", "ExactKde", "GridKde", "Gaussian"] {
+        for needle in ["Standard", "ExactKde", "Gaussian"] {
             assert!(
                 labels.iter().any(|l| l.contains(needle)),
                 "missing {needle} arm in {labels:?}"

@@ -532,9 +532,6 @@ mod tests {
         assert!(ReceiverKind::CpRecycle(CpRecycleConfig::default())
             .label()
             .contains("ExactKde"));
-        assert!(ReceiverKind::with_model(ModelBackend::GridKde)
-            .label()
-            .contains("GridKde"));
         assert!(ReceiverKind::with_model(ModelBackend::Gaussian)
             .label()
             .contains("Gaussian"));
@@ -556,7 +553,7 @@ mod tests {
             "models",
             mcs(),
             Scenario::Clean { snr_db: 30.0 },
-            vec![ReceiverKind::with_model(ModelBackend::GridKde)],
+            vec![ReceiverKind::with_model(ModelBackend::Gaussian)],
         );
         assert_ne!(a.key(), b.key(), "backend must affect point identity");
     }
@@ -735,12 +732,12 @@ mod tests {
 
     #[test]
     fn f32_kernels_track_f64_psr_at_the_aci_operating_point() {
-        // Whole-frame pin of the reduced-precision kernels (PR 8): at the Fig. 14
-        // operating point (QPSK 1/2, adjacent-channel interferer at +15 MHz,
-        // P = 16), a receiver running the f32 sliding/grid kernels must land within
-        // one packet of the f64 reference — the per-observation error budget
-        // (≤ 1e-3) is far below the constellation's decision distances, so decisions
-        // should not flip at all.
+        // Whole-frame pin of the f32 sliding-DFT kernels: at the Fig. 14 operating
+        // point (QPSK 1/2, adjacent-channel interferer at +15 MHz, P = 16), a
+        // receiver sliding its segments in f32 must land within one packet of the
+        // f64 reference. The slide's per-observation error is far below the
+        // constellation's decision distances, so decisions should not flip at all.
+        // This is the only end-to-end check on `KernelPrecision::F32`.
         use cprecycle::KernelPrecision;
         let params = OfdmParams::ieee80211ag();
         let scenario = Scenario::Aci(AciScenario {
@@ -752,9 +749,7 @@ mod tests {
             modulation: Modulation::Qpsk,
             code_rate: CodeRate::Half,
         };
-        let base = CpRecycleConfig::builder()
-            .num_segments(16)
-            .model(cprecycle::ModelBackend::GridKde);
+        let base = CpRecycleConfig::builder().num_segments(16);
         let receivers = vec![
             ReceiverKind::CpRecycle(base.build()),
             ReceiverKind::CpRecycle(base.precision(KernelPrecision::F32).build()),

@@ -155,62 +155,6 @@ fn more_segments_do_not_hurt_packet_success() {
 }
 
 #[test]
-fn grid_backend_matches_exact_at_the_fig14_operating_point() {
-    // Acceptance pin for the pluggable-estimator refactor: at the Fig. 14
-    // reproduction operating point (QPSK 1/2, single ACI interferer 15 MHz away,
-    // SIR −12 dB, P = 16) the precomputed-grid backend must show BER/PSR parity with
-    // the exact KDE backend — both arms decode the *same* captures trial-for-trial,
-    // and their 95% Wilson intervals must overlap.
-    use cprecycle_repro::cprecycle::ModelBackend;
-    use cprecycle_repro::engine::{CampaignConfig, RunOptions};
-    use cprecycle_repro::scenarios::link::{run_link_campaign, LinkPoint};
-
-    let mcs = Mcs::new(Modulation::Qpsk, CodeRate::Half);
-    let point = LinkPoint::new(
-        "models parity",
-        mcs,
-        Scenario::Aci(AciScenario {
-            sir_db: -12.0,
-            channel_offset_hz: Some(15e6),
-            ..Default::default()
-        }),
-        vec![
-            ReceiverKind::with_model(ModelBackend::ExactKde),
-            ReceiverKind::with_model(ModelBackend::GridKde),
-        ],
-    )
-    .payload(80);
-    let result = run_link_campaign(
-        &CampaignConfig::new("models parity", 23).trials(12),
-        std::slice::from_ref(&point),
-        &RunOptions::default(),
-    )
-    .unwrap();
-    let arms = &result.points[0].arms;
-    let (exact_lo, exact_hi) = arms[0].wilson_ci95();
-    let (grid_lo, grid_hi) = arms[1].wilson_ci95();
-    assert!(
-        exact_lo <= grid_hi && grid_lo <= exact_hi,
-        "grid backend [{grid_lo:.3}, {grid_hi:.3}] diverged from exact [{exact_lo:.3}, {exact_hi:.3}]"
-    );
-    // Arm-for-arm parity on the same captures: the grid may flip at most a couple of
-    // razor-thin packets relative to the reference.
-    let gap = (arms[0].successes as i64 - arms[1].successes as i64).abs();
-    assert!(
-        gap <= 2,
-        "grid backend flipped {gap} packets (exact {}/{} vs grid {}/{})",
-        arms[0].successes,
-        arms[0].trials,
-        arms[1].successes,
-        arms[1].trials
-    );
-    // The mean uncoded symbol-error metric must agree closely too (BER parity, not
-    // just packet-level agreement).
-    let ber_gap = (arms[0].metric_mean() - arms[1].metric_mean()).abs();
-    assert!(ber_gap < 0.01, "mean SER gap {ber_gap} too large");
-}
-
-#[test]
 fn neighbor_cdf_shifts_left_with_cprecycle() {
     let r = figures::fig13(&FigureScale::smoke());
     let median = |s: &cprecycle_repro::scenarios::report::Series| {

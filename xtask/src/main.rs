@@ -1,7 +1,11 @@
 //! Workspace automation (`cargo xtask <command>`).
 //!
-//! The only command today is `lint`: the static-analysis gate CI runs on every
-//! push, covering what rustc's lint levels cannot express on their own:
+//! `loc` prints the Rust code-line counts under `crates/` in three buckets
+//! (non-test, test, bench; see [`mod@loc`]), so a change's size is measured the same
+//! way every time.
+//!
+//! `lint` is the static-analysis gate CI runs on every push, covering what
+//! rustc's lint levels cannot express on their own:
 //!
 //! * **unsafe inventory** ([`inventory`]) — every `unsafe` occurrence in the
 //!   tree (blocks, fns, impls, traits) must justify itself with a `// SAFETY:`
@@ -24,6 +28,7 @@
 
 mod headers;
 mod inventory;
+mod loc;
 mod mask;
 mod ordering;
 mod walk;
@@ -53,6 +58,13 @@ fn main() -> ExitCode {
             }
             lint(report_path)
         }
+        Some("loc") => match args.next() {
+            None => loc(),
+            Some(other) => {
+                eprintln!("unknown loc option: {other}");
+                ExitCode::FAILURE
+            }
+        },
         Some(other) => {
             eprintln!("unknown xtask command: {other}\n{USAGE}");
             ExitCode::FAILURE
@@ -64,7 +76,8 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: cargo xtask lint [--report UNSAFE_inventory.json]";
+const USAGE: &str =
+    "usage: cargo xtask lint [--report UNSAFE_inventory.json]\n       cargo xtask loc";
 
 /// Locates the workspace root (the directory holding the top-level
 /// `Cargo.toml` with a `[workspace]` table) from the xtask binary's own
@@ -75,6 +88,32 @@ fn workspace_root() -> PathBuf {
         .parent()
         .expect("xtask lives one level under the workspace root")
         .to_path_buf()
+}
+
+fn loc() -> ExitCode {
+    let root = workspace_root();
+    let mut counts = loc::Counts::default();
+    for file in walk::rust_sources(&root.join("crates")) {
+        let src = match std::fs::read_to_string(&file) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("error: cannot read {}: {e}", file.display());
+                return ExitCode::FAILURE;
+            }
+        };
+        let rel = file
+            .strip_prefix(&root)
+            .unwrap_or(&file)
+            .to_string_lossy()
+            .replace('\\', "/");
+        counts.add(loc::count_file(&rel, &src));
+    }
+    println!("Rust code lines under crates/ (blank and comment-only lines excluded):");
+    println!("  non-test {:>7}", counts.non_test);
+    println!("  test     {:>7}", counts.test);
+    println!("  bench    {:>7}", counts.bench);
+    println!("  total    {:>7}", counts.total());
+    ExitCode::SUCCESS
 }
 
 fn lint(report_path: Option<PathBuf>) -> ExitCode {
