@@ -516,11 +516,6 @@ impl InterferenceModel {
         &self.samples[bin].amp
     }
 
-    /// The phase deviations collected for a bin.
-    pub fn samples_phase(&self, bin: usize) -> &[f64] {
-        &self.samples[bin].phase
-    }
-
     /// Log-likelihood of observing `observed` on `bin` given that lattice point
     /// `candidate` was transmitted — `ln P(X̂^j | X)` of Eq. 5 for one segment.
     pub fn log_likelihood(&self, bin: usize, observed: Complex, candidate: Complex) -> f64 {

@@ -7,8 +7,7 @@
 //! with a plain nearest-lattice-point decision. Both the decision rule
 //! ([`DecisionStage::Oracle`], run by [`crate::decision::decide_symbol`]) and the
 //! selection *diagnostics* here — the per-bin best-segment/power summary behind
-//! Fig. 4a and the interference-reduction curve — pick the segment with
-//! [`least_interfered`].
+//! Fig. 4a — pick the segment with [`least_interfered`].
 //!
 //! [`DecisionStage::Oracle`]: crate::config::DecisionStage::Oracle
 
@@ -60,17 +59,6 @@ pub fn least_interfered(powers: &[f64]) -> (usize, f64) {
     best
 }
 
-/// The oracle's per-bin interference reduction relative to the standard receiver, in dB
-/// (positive = oracle sees less interference) — the quantity plotted in Fig. 4a.
-pub fn interference_reduction_db(selection: &OracleSelection) -> Vec<f64> {
-    selection
-        .standard_interference
-        .iter()
-        .zip(&selection.min_interference)
-        .map(|(std_p, min_p)| 10.0 * (std_p.max(1e-30) / min_p.max(1e-30)).log10())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,9 +77,5 @@ mod tests {
         assert_eq!(sel.best_segment, vec![1, 1, 0, 2, 0]);
         assert_eq!(sel.min_interference, vec![0.5, 0.2, 0.1, 0.4, 0.3]);
         assert_eq!(sel.standard_interference, vec![2.0, 1.0, 1.0, 0.4, 0.3]);
-        let gain = interference_reduction_db(&sel);
-        assert!((gain[0] - 10.0 * (2.0f64 / 0.5).log10()).abs() < 1e-9);
-        assert!(gain[3].abs() < 1e-9); // standard already optimal on bin 3
-        assert!(gain[4].abs() < 1e-9); // …and tied on bin 4
     }
 }

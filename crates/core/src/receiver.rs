@@ -30,14 +30,14 @@ use crate::segments::{
 use crate::Result;
 use obs::{NoopRecorder, Recorder, Span, StageTimer};
 use ofdmphy::chanest::ChannelEstimate;
-use ofdmphy::convcode::CodeRate;
-use ofdmphy::frame::parse_signal_bits;
-use ofdmphy::interleaver::Interleaver;
 use ofdmphy::modulation::Modulation;
 use ofdmphy::ofdm::OfdmEngine;
 use ofdmphy::params::OfdmParams;
 use ofdmphy::preamble;
-use ofdmphy::rx::{decode_psdu_from_symbols, FrameInfo, FrameReceiver, ModelPersistence, RxFrame};
+use ofdmphy::rx::{
+    decode_psdu_from_symbols, decode_signal_field, FrameInfo, FrameReceiver, ModelPersistence,
+    RxFrame,
+};
 use ofdmphy::viterbi::ViterbiDecoder;
 use ofdmphy::PhyError;
 use rfdsp::Complex;
@@ -128,13 +128,6 @@ impl RxStream {
     /// the rolling model (idempotently — repeated decodes of the same frame do not).
     pub fn begin_frame(&mut self) {
         self.frame_seq += 1;
-    }
-
-    /// Drops the accumulated model (e.g. after a long gap or a channel change); the
-    /// next frame retrains from scratch.
-    pub fn reset_model(&mut self) {
-        self.model = None;
-        self.model_frame = 0;
     }
 }
 
@@ -396,11 +389,6 @@ impl CpRecycleReceiver {
         let (psdu, crc_ok) =
             decode_psdu_from_symbols(&self.viterbi, &params, &decided_symbols, info)?;
         timer.finish(obs);
-        let payload = if crc_ok {
-            Some(psdu[..psdu.len() - 4].to_vec())
-        } else {
-            None
-        };
 
         // Cross-frame model maintenance, gated on the FCS verdict: only a frame whose
         // CRC passed feeds the rolling model. Streaming sessions decode every
@@ -432,13 +420,7 @@ impl CpRecycleReceiver {
                 obs.counter("model_absorbs", 1);
             }
         }
-        Ok(RxFrame {
-            info,
-            psdu,
-            crc_ok,
-            payload,
-            equalized_symbols: decided_symbols,
-        })
+        Ok(RxFrame::new(info, psdu, crc_ok, decided_symbols))
     }
 
     /// Decides one symbol's data subcarriers with the configured [`DecisionStage`].
@@ -571,15 +553,7 @@ impl CpRecycleReceiver {
             num_segments,
             scratch,
         )?;
-        let bits = Modulation::Bpsk.demap_hard_all(&decided);
-        let interleaver = Interleaver::new(params.num_data_subcarriers(), 1)?;
-        let deinterleaved = interleaver.deinterleave(&bits)?;
-        let decoded = self.viterbi.decode(&deinterleaved, CodeRate::Half)?;
-        let (mcs, psdu_len) = parse_signal_bits(&decoded)?;
-        if psdu_len == 0 {
-            return Err(PhyError::DecodeFailure("SIGNAL length of zero".into()));
-        }
-        Ok(FrameInfo { mcs, psdu_len })
+        decode_signal_field(&self.viterbi, params, &decided)
     }
 }
 
@@ -1067,13 +1041,6 @@ mod tests {
         assert_eq!(out2.payload.as_deref(), Some(&random_payload(60, 32)[..]));
         assert_eq!(rolling.model().unwrap().num_preambles(), 4);
         assert_eq!(rolling.persistence(), ModelPersistence::Rolling);
-        // reset_model drops the accumulated density; the next frame retrains.
-        rolling.reset_model();
-        assert!(rolling.model().is_none());
-        rx.begin_frame(&mut rolling);
-        rx.decode_frame_session(&frame1.samples, 0, None, None, &mut rolling)
-            .unwrap();
-        assert_eq!(rolling.model().unwrap().num_preambles(), 2);
 
         // PerFrame: the model is retrained for every frame.
         let mut per_frame = rx.new_stream(ModelPersistence::PerFrame);

@@ -395,12 +395,6 @@ impl<R: FrameReceiver, O: Recorder> RxSession<R, O> {
         self.events.drain(..).collect()
     }
 
-    /// Number of events queued and not yet drained. Handle-friendly: a server can
-    /// poll readiness without taking the events themselves.
-    pub fn events_queued(&self) -> usize {
-        self.events.len()
-    }
-
     /// Ingests one chunk of samples (any length, including empty) and advances the
     /// state machine as far as the buffered stream allows, queueing events.
     ///
@@ -782,6 +776,56 @@ mod tests {
         );
     }
 
+    /// Overwrites the SIGNAL symbol of the frame at `frame_start` with a clean one
+    /// that announces a zero-length PSDU: RATE and parity stay valid, so only the
+    /// receivers' LENGTH check can reject it.
+    fn claim_zero_length(capture: &mut [Complex], frame_start: usize) {
+        use ofdmphy::frame::{build_signal_bits, pilot_polarity_sequence, pilot_values};
+        let params = OfdmParams::ieee80211ag();
+        let bits = build_signal_bits(mcs(), 0).unwrap();
+        let coded = ofdmphy::convcode::encode(&bits, CodeRate::Half).unwrap();
+        let interleaver = ofdmphy::interleaver::Interleaver::new(48, 1).unwrap();
+        let data = Modulation::Bpsk
+            .map_bits(&interleaver.interleave(&coded).unwrap())
+            .unwrap();
+        let pilots = pilot_values(pilot_polarity_sequence()[0]);
+        let engine = ofdmphy::ofdm::OfdmEngine::new(params.clone());
+        let symbol = engine.modulate(&data, &pilots).unwrap();
+        let at = frame_start + preamble::preamble_len(&params);
+        capture[at..at + symbol.len()].copy_from_slice(&symbol);
+    }
+
+    #[test]
+    fn zero_length_signal_is_a_false_alarm_and_hunting_resumes() {
+        let (mut capture, starts) =
+            noisy_capture(&[&[0x11; 60], &[0x22; 60]], &[400, 300, 300], 28.0, 12);
+        claim_zero_length(&mut capture, starts[0]);
+        fn events_of<R: FrameReceiver>(rx: R, capture: &[Complex]) -> Vec<RxEvent> {
+            let mut session = RxSession::new(rx);
+            for c in capture.chunks(500) {
+                session.push(c).unwrap();
+            }
+            session.flush().unwrap();
+            session.drain_events()
+        }
+        let params = OfdmParams::ieee80211ag();
+        let standard = events_of(StandardReceiver::new(params.clone()), &capture);
+        let cprecycle = events_of(
+            CpRecycleReceiver::new(params, CpRecycleConfig::default()),
+            &capture,
+        );
+        for (name, events) in [("Standard", standard), ("CPRecycle", cprecycle)] {
+            assert!(
+                events
+                    .iter()
+                    .any(|e| matches!(e, RxEvent::FalseAlarm { at } if *at < starts[1])),
+                "{name}: no false alarm for the zero-length SIGNAL: {events:?}"
+            );
+            // Hunting resumed: the frame behind it still decodes.
+            assert_eq!(decoded_payloads(&events), vec![vec![0x22u8; 60]], "{name}");
+        }
+    }
+
     #[test]
     fn noise_only_stream_stays_silent_and_flush_is_clean() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
@@ -842,7 +886,6 @@ mod tests {
         // Repeated flushes with no new samples queue nothing and move no counter.
         for _ in 0..3 {
             session.flush().unwrap();
-            assert_eq!(session.events_queued(), 0);
             assert!(session.drain_events().is_empty());
             assert_eq!(session.counters(), counters);
         }

@@ -128,7 +128,7 @@ fn stream_once<R: FrameReceiver, O: Recorder>(
     )
 }
 
-/// Batch path, both receivers: the observed decode (`decode_frame_observed`, or
+/// Batch path, both receivers: the observed decode (`decode_stream_observed`, or
 /// `decode_frame_session_observed` on a fresh `PerFrame` stream) with a live recorder
 /// must be bit-identical to the plain `decode_frame`, and the recorder must actually have
 /// seen the stage spans.
@@ -145,11 +145,11 @@ fn instrumented_batch_decode_is_bit_identical() {
             .decode_frame(&capture, det.frame_start, None)
             .unwrap();
         let noop = standard
-            .decode_frame_observed(&capture, det.frame_start, None, &NoopRecorder)
+            .decode_stream_observed(&mut (), &capture, det.frame_start, None, &NoopRecorder)
             .unwrap();
         let rec = InMemoryRecorder::default();
         let live = standard
-            .decode_frame_observed(&capture, det.frame_start, None, &rec)
+            .decode_stream_observed(&mut (), &capture, det.frame_start, None, &rec)
             .unwrap();
         assert_frames_bit_identical(&plain, &noop, &format!("standard noop, {context}"));
         assert_frames_bit_identical(&plain, &live, &format!("standard live, {context}"));

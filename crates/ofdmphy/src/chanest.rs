@@ -89,16 +89,6 @@ impl ChannelEstimate {
             Complex::one() / h
         }
     }
-
-    /// Average channel power over the occupied subcarriers of `engine`'s numerology —
-    /// a proxy for the per-packet SNR scaling.
-    pub fn mean_gain(&self, engine: &OfdmEngine) -> f64 {
-        let occupied = engine.params().occupied_bins();
-        if occupied.is_empty() {
-            return 0.0;
-        }
-        occupied.iter().map(|k| self.h[*k].norm_sqr()).sum::<f64>() / occupied.len() as f64
-    }
 }
 
 /// Estimates the common phase error of one equalised symbol from its pilot subcarriers
@@ -138,14 +128,12 @@ mod tests {
 
     #[test]
     fn identity_estimate_is_transparent() {
-        let e = engine();
         let est = ChannelEstimate::identity(64);
         let bins: Vec<Complex> = (0..64).map(|k| Complex::new(k as f64, -1.0)).collect();
         let eq = est.equalize(&bins).unwrap();
         for (a, b) in eq.iter().zip(&bins) {
             assert!((*a - *b).norm() < 1e-12);
         }
-        assert!((est.mean_gain(&e) - 1.0).abs() < 1e-12);
         assert!(est.equalize(&bins[..10]).is_err());
     }
 
@@ -182,7 +170,6 @@ mod tests {
                 truth[k]
             );
         }
-        assert!(est.mean_gain(&e) > 0.0);
     }
 
     #[test]

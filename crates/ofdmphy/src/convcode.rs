@@ -10,8 +10,6 @@ use crate::{PhyError, Result};
 pub const G0: u8 = 0o133;
 /// Generator polynomial `g1 = 171₈` (binary 1111001).
 pub const G1: u8 = 0o171;
-/// Constraint length of the 802.11 code.
-pub const CONSTRAINT_LENGTH: usize = 7;
 /// Number of trellis states (2^(K−1)).
 pub const NUM_STATES: usize = 64;
 
@@ -37,12 +35,6 @@ impl CodeRate {
         }
     }
 
-    /// The rate as a real number.
-    pub fn as_f64(self) -> f64 {
-        let (n, d) = self.as_fraction();
-        n as f64 / d as f64
-    }
-
     /// Human-readable name ("1/2", "2/3", "3/4").
     pub fn name(self) -> &'static str {
         match self {
@@ -63,14 +55,6 @@ impl CodeRate {
             // 802.11: rate 3/4 keeps A0 B0 A1 B2 and drops B1 A2.
             CodeRate::ThreeQuarters => &[true, true, true, false, false, true],
         }
-    }
-
-    /// Number of coded (transmitted) bits produced per block of information bits, i.e.
-    /// the pattern's `(info_bits, coded_bits)` per period.
-    pub fn bits_per_period(self) -> (usize, usize) {
-        let pattern = self.puncture_pattern();
-        let coded = pattern.iter().filter(|b| **b).count();
-        (pattern.len() / 2, coded)
     }
 }
 
@@ -109,16 +93,9 @@ pub fn puncture(coded: &[u8], rate: CodeRate) -> Vec<u8> {
 }
 
 /// Re-inserts erasures (represented as `None`) where bits were punctured, recovering a
-/// stream aligned with the rate-1/2 trellis. The output length is the original coded
-/// length implied by `punctured.len()` and the pattern.
-pub fn depuncture(punctured: &[u8], rate: CodeRate) -> Vec<Option<u8>> {
-    let mut out = Vec::new();
-    depuncture_into(punctured, rate, &mut out);
-    out
-}
-
-/// [`depuncture`] into a caller-owned buffer (cleared first) — the allocation-free
-/// variant the Viterbi hot path threads its reusable scratch through.
+/// stream aligned with the rate-1/2 trellis, into a caller-owned buffer (cleared
+/// first) so the Viterbi hot path can thread its reusable scratch through. The output
+/// length is the original coded length implied by `punctured.len()` and the pattern.
 pub fn depuncture_into(punctured: &[u8], rate: CodeRate, out: &mut Vec<Option<u8>>) {
     let pattern = rate.puncture_pattern();
     out.clear();
@@ -162,7 +139,6 @@ mod tests {
         assert_eq!(CodeRate::Half.as_fraction(), (1, 2));
         assert_eq!(CodeRate::TwoThirds.as_fraction(), (2, 3));
         assert_eq!(CodeRate::ThreeQuarters.as_fraction(), (3, 4));
-        assert!((CodeRate::ThreeQuarters.as_f64() - 0.75).abs() < 1e-12);
         assert_eq!(CodeRate::Half.name(), "1/2");
     }
 
@@ -218,19 +194,13 @@ mod tests {
     }
 
     #[test]
-    fn bits_per_period() {
-        assert_eq!(CodeRate::Half.bits_per_period(), (1, 2));
-        assert_eq!(CodeRate::TwoThirds.bits_per_period(), (2, 3));
-        assert_eq!(CodeRate::ThreeQuarters.bits_per_period(), (3, 4));
-    }
-
-    #[test]
     fn depuncture_restores_alignment() {
         let data: Vec<u8> = (0..24).map(|i| (i % 7 == 0) as u8).collect();
         for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
             let coded = encode_rate_half(&data).unwrap();
             let punctured = puncture(&coded, rate);
-            let restored = depuncture(&punctured, rate);
+            let mut restored = Vec::new();
+            depuncture_into(&punctured, rate, &mut restored);
             // Every surviving position must match the original coded bit.
             let mut count = 0;
             for (i, slot) in restored.iter().enumerate() {
@@ -246,7 +216,8 @@ mod tests {
     #[test]
     fn depuncture_of_half_rate_has_no_erasures() {
         let punctured = vec![1u8, 0, 1, 1];
-        let restored = depuncture(&punctured, CodeRate::Half);
+        let mut restored = vec![None; 9];
+        depuncture_into(&punctured, CodeRate::Half, &mut restored);
         assert_eq!(restored.len(), 4);
         assert!(restored.iter().all(|s| s.is_some()));
     }

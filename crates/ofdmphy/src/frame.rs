@@ -76,11 +76,6 @@ impl Mcs {
         self.n_cbps(params) * num / den
     }
 
-    /// Nominal data rate in Mbit/s for the given numerology.
-    pub fn data_rate_mbps(&self, params: &OfdmParams) -> f64 {
-        self.n_dbps(params) as f64 / (params.symbol_duration_s() * 1e6)
-    }
-
     /// The 4-bit RATE field of the SIGNAL symbol for this MCS (802.11a Table 17-6).
     pub fn rate_bits(&self) -> [u8; 4] {
         match (self.modulation, self.code_rate) {
@@ -332,15 +327,10 @@ mod tests {
         assert_eq!(qpsk_half.n_bpsc(), 2);
         assert_eq!(qpsk_half.n_cbps(&p), 96);
         assert_eq!(qpsk_half.n_dbps(&p), 48);
-        assert!((qpsk_half.data_rate_mbps(&p) - 12.0).abs() < 1e-9);
 
         let qam64_23 = Mcs::new(Modulation::Qam64, CodeRate::TwoThirds);
         assert_eq!(qam64_23.n_cbps(&p), 288);
         assert_eq!(qam64_23.n_dbps(&p), 192);
-        assert!((qam64_23.data_rate_mbps(&p) - 48.0).abs() < 1e-9);
-
-        let qam16_half = Mcs::new(Modulation::Qam16, CodeRate::Half);
-        assert!((qam16_half.data_rate_mbps(&p) - 24.0).abs() < 1e-9);
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl Interleaver {
         })
     }
 
-    /// Number of coded bits per OFDM symbol this interleaver handles.
-    pub fn block_size(&self) -> usize {
-        self.n_cbps
-    }
-
     /// Interleaves one symbol's worth of coded bits.
     pub fn interleave(&self, bits: &[u8]) -> Result<Vec<u8>> {
         self.permute(bits, &self.permutation)
@@ -73,15 +68,6 @@ impl Interleaver {
 
     /// Interleaves a multi-symbol stream (length must be a multiple of the block size).
     pub fn interleave_stream(&self, bits: &[u8]) -> Result<Vec<u8>> {
-        self.stream(bits, true)
-    }
-
-    /// Deinterleaves a multi-symbol stream (length must be a multiple of the block size).
-    pub fn deinterleave_stream(&self, bits: &[u8]) -> Result<Vec<u8>> {
-        self.stream(bits, false)
-    }
-
-    fn stream(&self, bits: &[u8], forward: bool) -> Result<Vec<u8>> {
         if !bits.len().is_multiple_of(self.n_cbps) {
             return Err(PhyError::invalid(
                 "bits",
@@ -94,12 +80,7 @@ impl Interleaver {
         }
         let mut out = Vec::with_capacity(bits.len());
         for chunk in bits.chunks(self.n_cbps) {
-            let block = if forward {
-                self.interleave(chunk)?
-            } else {
-                self.deinterleave(chunk)?
-            };
-            out.extend(block);
+            out.extend(self.interleave(chunk)?);
         }
         Ok(out)
     }
@@ -166,12 +147,13 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let il = Interleaver::new(192, 4).unwrap();
         let bits: Vec<u8> = (0..192 * 5).map(|_| rng.gen_range(0..2)).collect();
-        let restored = il
-            .deinterleave_stream(&il.interleave_stream(&bits).unwrap())
-            .unwrap();
+        let interleaved = il.interleave_stream(&bits).unwrap();
+        let restored: Vec<u8> = interleaved
+            .chunks(192)
+            .flat_map(|block| il.deinterleave(block).unwrap())
+            .collect();
         assert_eq!(restored, bits);
         assert!(il.interleave_stream(&bits[..100]).is_err());
-        assert!(il.deinterleave_stream(&bits[..100]).is_err());
     }
 
     #[test]

@@ -205,12 +205,6 @@ impl Modulation {
         LATTICES[slot].get_or_init(|| Lattice::build(self))
     }
 
-    /// Hard-demaps one received point to the bits of the nearest constellation point.
-    pub fn demap_hard(self, symbol: Complex) -> Vec<u8> {
-        let lattice = self.lattice();
-        lattice.bits_of(lattice.nearest_index(symbol)).to_vec()
-    }
-
     /// Hard-demaps a slice of received points to a bit stream.
     pub fn demap_hard_all(self, symbols: &[Complex]) -> Vec<u8> {
         let lattice = self.lattice();
@@ -319,7 +313,7 @@ mod tests {
     fn map_demap_roundtrip_all_points() {
         for m in ALL {
             for (point, bits) in m.constellation() {
-                assert_eq!(m.demap_hard(point), bits, "{m:?}");
+                assert_eq!(m.demap_hard_all(&[point]), bits, "{m:?}");
                 let (nearest, nbits) = m.nearest_point(point);
                 assert!((nearest - point).norm() < 1e-12);
                 assert_eq!(nbits, bits);
@@ -333,7 +327,7 @@ mod tests {
             let eps = 0.4 * m.min_distance();
             for (point, bits) in m.constellation() {
                 let noisy = point + Complex::new(eps / 2.0, -eps / 2.0).scale(0.5);
-                assert_eq!(m.demap_hard(noisy), bits, "{m:?}");
+                assert_eq!(m.demap_hard_all(&[noisy]), bits, "{m:?}");
             }
         }
     }

@@ -129,16 +129,6 @@ impl OfdmEngine {
         self.demodulate_window(symbol_samples, self.params.cp_len)
     }
 
-    /// The per-bin phase correction factor applied for a window that starts `shift`
-    /// samples before the end of the cyclic prefix (paper Eq. 2, exposed for tests and
-    /// for receivers that want to apply it manually).
-    pub fn segment_phase_correction(&self, shift: usize) -> Vec<Complex> {
-        let f = self.params.fft_size;
-        (0..f)
-            .map(|k| Complex::cis(2.0 * std::f64::consts::PI * (k * shift) as f64 / f as f64))
-            .collect()
-    }
-
     /// Extracts the values on the data subcarriers (in increasing bin order) from a
     /// demodulated symbol.
     pub fn extract_data(&self, bins: &[Complex]) -> Result<Vec<Complex>> {
@@ -163,24 +153,6 @@ impl OfdmEngine {
             .map(|k| bins[k])
             .collect())
     }
-}
-
-/// Splits a received stream into consecutive OFDM symbols of `symbol_len` samples each,
-/// starting at `start`. Returns as many complete symbols as are available up to
-/// `max_symbols`.
-pub fn split_symbols(
-    samples: &[Complex],
-    start: usize,
-    symbol_len: usize,
-    max_symbols: usize,
-) -> Vec<&[Complex]> {
-    let mut out = Vec::new();
-    let mut pos = start;
-    while out.len() < max_symbols && pos + symbol_len <= samples.len() {
-        out.push(&samples[pos..pos + symbol_len]);
-        pos += symbol_len;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -300,32 +272,6 @@ mod tests {
         let sym = e.modulate(&random_data_symbols(48, 7), &pilots()).unwrap();
         assert!(e.demodulate_window(&sym, 17).is_err());
         assert!(e.demodulate_window(&sym[..70], 0).is_err());
-    }
-
-    #[test]
-    fn segment_phase_correction_magnitudes_are_unity() {
-        let e = engine();
-        for shift in [0usize, 5, 16] {
-            for c in e.segment_phase_correction(shift) {
-                assert!((c.norm() - 1.0).abs() < 1e-12);
-            }
-        }
-        // Zero shift is the identity correction.
-        for c in e.segment_phase_correction(0) {
-            assert!((c - Complex::one()).norm() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn split_symbols_respects_bounds() {
-        let samples = vec![Complex::zero(); 250];
-        let syms = split_symbols(&samples, 10, 80, 10);
-        assert_eq!(syms.len(), 3);
-        assert_eq!(syms[0].len(), 80);
-        let none = split_symbols(&samples, 240, 80, 10);
-        assert!(none.is_empty());
-        let limited = split_symbols(&samples, 0, 80, 2);
-        assert_eq!(limited.len(), 2);
     }
 
     #[test]

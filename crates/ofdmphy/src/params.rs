@@ -2,8 +2,7 @@
 //! presets.
 //!
 //! The presets reproduce the paper's Table 1 (cyclic-prefix size and duration across
-//! 802.11 generations) plus the LTE normal/extended prefixes mentioned in §2.2; the
-//! [`OfdmParams`] struct is the single numerology object every other module consumes.
+//! 802.11 generations); the [`OfdmParams`] struct is the single numerology object every other module consumes.
 
 use crate::{PhyError, Result};
 
@@ -115,18 +114,6 @@ impl OfdmParams {
         Self::wideband_80211(512, if short_gi { 64 } else { 128 }, 160e6)
     }
 
-    /// LTE 20 MHz numerology with the normal cyclic prefix (~4.7 µs) discussed in §2.2.
-    /// Subcarrier roles follow the simplified pattern of 1200 occupied subcarriers out
-    /// of a 2048-point FFT (no per-RS pilot modelling; pilots every 6th subcarrier).
-    pub fn lte_20mhz_normal_cp() -> Self {
-        Self::lte_like(2048, 144, 30.72e6)
-    }
-
-    /// LTE 20 MHz numerology with the extended cyclic prefix (~16.7 µs).
-    pub fn lte_20mhz_extended_cp() -> Self {
-        Self::lte_like(2048, 512, 30.72e6)
-    }
-
     fn wideband_80211(fft_size: usize, cp_len: usize, sample_rate_hz: f64) -> Self {
         // Simplified wideband role map: ~81% of bins occupied, pilots every 20 data
         // bins, DC and band edges null — enough structure for the CP-scaling analysis in
@@ -154,40 +141,10 @@ impl OfdmParams {
         }
     }
 
-    fn lte_like(fft_size: usize, cp_len: usize, sample_rate_hz: f64) -> Self {
-        let mut roles = vec![SubcarrierRole::Null; fft_size];
-        let half = 600usize;
-        for k in 1..=half {
-            let role = if k % 6 == 3 {
-                SubcarrierRole::Pilot
-            } else {
-                SubcarrierRole::Data
-            };
-            roles[k] = role;
-            roles[fft_size - k] = role;
-        }
-        OfdmParams {
-            fft_size,
-            cp_len,
-            sample_rate_hz,
-            roles,
-        }
-    }
-
     /// Number of samples in one OFDM symbol including its cyclic prefix.
     #[inline]
     pub fn symbol_len(&self) -> usize {
         self.fft_size + self.cp_len
-    }
-
-    /// Duration of one OFDM symbol (with CP) in seconds.
-    pub fn symbol_duration_s(&self) -> f64 {
-        self.symbol_len() as f64 / self.sample_rate_hz
-    }
-
-    /// Duration of the cyclic prefix in seconds.
-    pub fn cp_duration_s(&self) -> f64 {
-        self.cp_len as f64 / self.sample_rate_hz
     }
 
     /// Subcarrier spacing in Hz.
@@ -222,12 +179,6 @@ impl OfdmParams {
             .filter(|k| self.roles[*k] == role)
             .collect()
     }
-
-    /// Fraction of the symbol duration consumed by the cyclic prefix (the overhead the
-    /// paper quotes as ~20 % for 802.11 and ~7 % for LTE normal CP).
-    pub fn cp_overhead(&self) -> f64 {
-        self.cp_len as f64 / self.symbol_len() as f64
-    }
 }
 
 /// One row of the paper's Table 1 ("Cyclic Prefix in 802.11 standards").
@@ -253,9 +204,7 @@ pub struct CpTableRow {
 ///
 /// Durations follow the paper's convention of quoting every CP length in 802.11a/g
 /// 50 ns sample periods (the table's point is that the number of CP *samples* — and so
-/// the number of ISI-free samples available for recycling — grows with channel width;
-/// the physically exact per-standard durations are available from
-/// [`OfdmParams::cp_duration_s`]).
+/// the number of ISI-free samples available for recycling — grows with channel width).
 pub fn cp_table() -> Vec<CpTableRow> {
     let rows = [
         ("802.11a/g", OfdmParams::ieee80211ag(), None),
@@ -303,11 +252,8 @@ mod tests {
         assert_eq!(p.pilot_bins().len(), 4);
         assert_eq!(p.occupied_bins().len(), 52);
         assert_eq!(p.symbol_len(), 80);
-        // 0.8 µs CP, 4 µs symbol, 312.5 kHz spacing — the numbers quoted in the paper.
-        assert!((p.cp_duration_s() - 0.8e-6).abs() < 1e-12);
-        assert!((p.symbol_duration_s() - 4.0e-6).abs() < 1e-12);
+        // 312.5 kHz spacing — the number quoted in the paper.
         assert!((p.subcarrier_spacing_hz() - 312_500.0).abs() < 1e-6);
-        assert!((p.cp_overhead() - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -354,17 +300,6 @@ mod tests {
         assert_eq!(table[3].cp_long, 128);
         assert!((table[3].duration_long_us - 6.4).abs() < 1e-9);
         assert!((table[3].duration_short_us.unwrap() - 3.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lte_cp_overheads_match_paper_quotes() {
-        let normal = OfdmParams::lte_20mhz_normal_cp();
-        let extended = OfdmParams::lte_20mhz_extended_cp();
-        // Paper §2.2: normal CP ≈ 4.7 µs (~7 % overhead), extended ≈ 16.7 µs (~25 %).
-        assert!((normal.cp_duration_s() * 1e6 - 4.69).abs() < 0.05);
-        assert!(normal.cp_overhead() < 0.08);
-        assert!((extended.cp_duration_s() * 1e6 - 16.67).abs() < 0.05);
-        assert!((extended.cp_overhead() - 0.2).abs() < 0.05);
     }
 
     #[test]

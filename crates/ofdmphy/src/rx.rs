@@ -154,6 +154,26 @@ pub struct RxFrame {
     pub equalized_symbols: Vec<Vec<Complex>>,
 }
 
+impl RxFrame {
+    /// Assembles a decoded frame from the bit pipeline's output; the payload is the
+    /// PSDU without its 4-byte FCS, present only when the CRC passed.
+    pub fn new(
+        info: FrameInfo,
+        psdu: Vec<u8>,
+        crc_ok: bool,
+        equalized_symbols: Vec<Vec<Complex>>,
+    ) -> Self {
+        let payload = crc_ok.then(|| psdu[..psdu.len() - 4].to_vec());
+        RxFrame {
+            info,
+            psdu,
+            crc_ok,
+            payload,
+            equalized_symbols,
+        }
+    }
+}
+
 /// The standard (CP-discarding) OFDM receiver.
 #[derive(Debug, Clone)]
 pub struct StandardReceiver {
@@ -180,22 +200,53 @@ impl StandardReceiver {
     /// If `info` is `None` the SIGNAL field is decoded to obtain the MCS and length;
     /// otherwise the supplied values are used (and the SIGNAL symbol is skipped), which
     /// is how the controlled experiments isolate DATA-symbol errors.
+    ///
+    /// This is [`FrameReceiver::decode_stream`] (the receiver keeps no per-stream
+    /// state), so a batch decode and a streamed decode are the same code path.
     pub fn decode_frame(
         &self,
         samples: &[Complex],
         frame_start: usize,
         info: Option<FrameInfo>,
     ) -> Result<RxFrame> {
-        self.decode_frame_observed(samples, frame_start, info, &NoopRecorder)
+        self.decode_stream(&mut (), samples, frame_start, info)
     }
 
-    /// [`decode_frame`](Self::decode_frame) with stage timings emitted into
-    /// `obs` under the spans `("sync", "Standard")`, `("decide", "Standard")`
-    /// (the per-symbol demodulate/equalise/CPE chain — the standard receiver's
-    /// whole subcarrier-decision stage) and `("bits", "Standard")`. With a
-    /// [`NoopRecorder`] this monomorphises to exactly the uninstrumented code.
-    pub fn decode_frame_observed<O: Recorder>(
+    /// Equalises one symbol with the standard window and returns its data-subcarrier
+    /// values, corrected for the common phase error its pilots (of `pilot_polarity`)
+    /// show.
+    fn equalize_symbol(
         &self,
+        symbol_samples: &[Complex],
+        estimate: &ChannelEstimate,
+        pilot_polarity: f64,
+    ) -> Result<Vec<Complex>> {
+        let bins = self.engine.demodulate_standard(symbol_samples)?;
+        let eq = estimate.equalize(&bins)?;
+        let cpe = common_phase_correction(&self.engine, &eq, pilot_polarity)?;
+        let corrected: Vec<Complex> = eq.iter().map(|v| *v * cpe).collect();
+        self.engine.extract_data(&corrected)
+    }
+}
+
+impl FrameReceiver for StandardReceiver {
+    /// The standard receiver keeps no cross-frame state.
+    type Stream = ();
+
+    fn params(&self) -> &OfdmParams {
+        self.engine.params()
+    }
+
+    fn new_stream(&self, _persistence: ModelPersistence) -> Self::Stream {}
+
+    /// The one standard decode body. Stage timings go into `obs` under the spans
+    /// `("sync", "Standard")`, `("decide", "Standard")` (the per-symbol
+    /// demodulate/equalise/CPE chain — the standard receiver's whole
+    /// subcarrier-decision stage) and `("bits", "Standard")`. With a
+    /// [`NoopRecorder`] this monomorphises to exactly the uninstrumented code.
+    fn decode_stream_observed<O: Recorder>(
+        &self,
+        _stream: &mut Self::Stream,
         samples: &[Complex],
         frame_start: usize,
         info: Option<FrameInfo>,
@@ -224,7 +275,9 @@ impl StandardReceiver {
         let info = match info {
             Some(i) => i,
             None => {
-                self.decode_signal(&samples[signal_start..signal_start + sym_len], &estimate)?
+                let signal = &samples[signal_start..signal_start + sym_len];
+                let decided = self.equalize_symbol(signal, &estimate, polarity[0])?;
+                decode_signal_field(&self.viterbi, params, &decided)?
             }
         };
         timer.finish(obs);
@@ -243,14 +296,9 @@ impl StandardReceiver {
         for s in 0..num_symbols {
             let timer = StageTimer::start(obs, Span::new("decide", "Standard"));
             let start = data_start + s * sym_len;
-            let bins = self
-                .engine
-                .demodulate_standard(&samples[start..start + sym_len])?;
-            let eq = estimate.equalize(&bins)?;
+            let symbol = &samples[start..start + sym_len];
             let p = polarity[(s + 1) % polarity.len()];
-            let cpe = common_phase_correction(&self.engine, &eq, p)?;
-            let corrected: Vec<Complex> = eq.iter().map(|v| *v * cpe).collect();
-            equalized_symbols.push(self.engine.extract_data(&corrected)?);
+            equalized_symbols.push(self.equalize_symbol(symbol, &estimate, p)?);
             timer.finish(obs);
         }
 
@@ -258,65 +306,31 @@ impl StandardReceiver {
         let (psdu, crc_ok) =
             decode_psdu_from_symbols(&self.viterbi, params, &equalized_symbols, info)?;
         timer.finish(obs);
-        let payload = if crc_ok {
-            Some(psdu[..psdu.len() - 4].to_vec())
-        } else {
-            None
-        };
-        Ok(RxFrame {
-            info,
-            psdu,
-            crc_ok,
-            payload,
-            equalized_symbols,
-        })
-    }
-
-    /// Decodes the SIGNAL symbol into frame metadata.
-    fn decode_signal(
-        &self,
-        symbol_samples: &[Complex],
-        estimate: &ChannelEstimate,
-    ) -> Result<FrameInfo> {
-        let params = self.engine.params();
-        let bins = self.engine.demodulate_standard(symbol_samples)?;
-        let eq = estimate.equalize(&bins)?;
-        let polarity = pilot_polarity_sequence();
-        let cpe = common_phase_correction(&self.engine, &eq, polarity[0])?;
-        let corrected: Vec<Complex> = eq.iter().map(|v| *v * cpe).collect();
-        let data = self.engine.extract_data(&corrected)?;
-        let bits = Modulation::Bpsk.demap_hard_all(&data);
-        let interleaver = Interleaver::new(params.num_data_subcarriers(), 1)?;
-        let deinterleaved = interleaver.deinterleave(&bits)?;
-        let decoded = self.viterbi.decode(&deinterleaved, CodeRate::Half)?;
-        let (mcs, psdu_len) = parse_signal_bits(&decoded)?;
-        if psdu_len == 0 {
-            return Err(PhyError::DecodeFailure("SIGNAL length of zero".into()));
-        }
-        Ok(FrameInfo { mcs, psdu_len })
+        Ok(RxFrame::new(info, psdu, crc_ok, equalized_symbols))
     }
 }
 
-impl FrameReceiver for StandardReceiver {
-    /// The standard receiver keeps no cross-frame state.
-    type Stream = ();
-
-    fn params(&self) -> &OfdmParams {
-        self.engine.params()
+/// Decodes the SIGNAL field from its symbol's 48 BPSK data-subcarrier decisions:
+/// hard-demap, deinterleave, Viterbi-decode at rate 1/2 and parse RATE/LENGTH.
+///
+/// A parity-valid SIGNAL whose LENGTH is zero is rejected with
+/// [`PhyError::DecodeFailure`]: no 802.11 frame carries an empty PSDU (the FCS
+/// alone is 4 bytes), so such a field is a false detection. Both receivers decode
+/// SIGNAL through this one function; they differ only in how `decided` is made.
+pub fn decode_signal_field(
+    viterbi: &ViterbiDecoder,
+    params: &OfdmParams,
+    decided: &[Complex],
+) -> Result<FrameInfo> {
+    let bits = Modulation::Bpsk.demap_hard_all(decided);
+    let interleaver = Interleaver::new(params.num_data_subcarriers(), 1)?;
+    let deinterleaved = interleaver.deinterleave(&bits)?;
+    let decoded = viterbi.decode(&deinterleaved, CodeRate::Half)?;
+    let (mcs, psdu_len) = parse_signal_bits(&decoded)?;
+    if psdu_len == 0 {
+        return Err(PhyError::DecodeFailure("SIGNAL length of zero".into()));
     }
-
-    fn new_stream(&self, _persistence: ModelPersistence) -> Self::Stream {}
-
-    fn decode_stream_observed<O: Recorder>(
-        &self,
-        _stream: &mut Self::Stream,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-        obs: &O,
-    ) -> Result<RxFrame> {
-        self.decode_frame_observed(samples, frame_start, info, obs)
-    }
+    Ok(FrameInfo { mcs, psdu_len })
 }
 
 /// Decodes the PSDU from per-symbol subcarrier decisions.
@@ -377,31 +391,6 @@ pub fn decode_psdu_from_symbols(
     }
     let crc_ok = crc::check_fcs(&psdu).is_some();
     Ok((psdu, crc_ok))
-}
-
-/// Error-vector-magnitude (RMS, in dB relative to unit signal power) of equalised
-/// subcarrier decisions against the nearest constellation points — a handy diagnostic
-/// for comparing receivers below the packet-error cliff.
-///
-/// Takes one flat slice of decisions (EVM is layout-independent), matching the flat
-/// bin-major storage the rest of the pipeline uses; callers with per-symbol rows
-/// flatten with [`flatten_symbols`] or score symbol-by-symbol.
-pub fn evm_db(decisions: &[Complex], modulation: Modulation) -> f64 {
-    if decisions.is_empty() {
-        return f64::NEG_INFINITY;
-    }
-    let mut acc = 0.0;
-    for v in decisions {
-        let (nearest, _) = modulation.nearest_point(*v);
-        acc += (*v - nearest).norm_sqr();
-    }
-    10.0 * (acc / decisions.len() as f64).max(1e-30).log10()
-}
-
-/// Flattens per-symbol decision rows (e.g. [`RxFrame::equalized_symbols`]) into the
-/// single contiguous slice [`evm_db`] consumes.
-pub fn flatten_symbols(symbols: &[Vec<Complex>]) -> Vec<Complex> {
-    symbols.iter().flatten().copied().collect()
 }
 
 #[cfg(test)]
@@ -544,36 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn evm_reflects_noise_level() {
-        let (tx, rx) = setup();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let mut chan = AwgnChannel::new();
-        let payload = random_payload(100, 12);
-        let mcs = Mcs::new(Modulation::Qam16, CodeRate::Half);
-        let frame = tx.build_frame(&payload, mcs, 0x5D).unwrap();
-        let info = FrameInfo {
-            mcs,
-            psdu_len: payload.len() + 4,
-        };
-        let mut low_noise = frame.samples.clone();
-        chan.add_noise_snr(&mut rng, &mut low_noise, 30.0).unwrap();
-        let mut high_noise = frame.samples.clone();
-        chan.add_noise_snr(&mut rng, &mut high_noise, 10.0).unwrap();
-        let a = rx.decode_frame(&low_noise, 0, Some(info)).unwrap();
-        let b = rx.decode_frame(&high_noise, 0, Some(info)).unwrap();
-        let evm_low = evm_db(&flatten_symbols(&a.equalized_symbols), mcs.modulation);
-        let evm_high = evm_db(&flatten_symbols(&b.equalized_symbols), mcs.modulation);
-        assert!(evm_low < evm_high - 5.0, "low {evm_low} high {evm_high}");
-        assert_eq!(evm_db(&[], Modulation::Qpsk), f64::NEG_INFINITY);
-        // Flattening preserves per-value order within and across symbols.
-        let rows = vec![vec![Complex::one()], vec![Complex::zero(), Complex::one()]];
-        assert_eq!(
-            flatten_symbols(&rows),
-            vec![Complex::one(), Complex::zero(), Complex::one()]
-        );
-    }
-
-    #[test]
     fn frame_info_length_matches_built_frames() {
         let params = OfdmParams::ieee80211ag();
         let tx = Transmitter::new(params.clone());
@@ -626,5 +585,26 @@ mod tests {
         assert!(decode_psdu_from_symbols(&viterbi, &params, &[], info).is_err());
         let bad = vec![vec![Complex::one(); 40]; 20];
         assert!(decode_psdu_from_symbols(&viterbi, &params, &bad, info).is_err());
+    }
+
+    /// The BPSK decisions of a clean SIGNAL symbol announcing `psdu_len` bytes, mapped
+    /// exactly as the transmitter maps them.
+    fn signal_decisions(mcs: Mcs, psdu_len: usize) -> Vec<Complex> {
+        let bits = crate::frame::build_signal_bits(mcs, psdu_len).unwrap();
+        let coded = crate::convcode::encode(&bits, CodeRate::Half).unwrap();
+        let interleaved = Interleaver::new(48, 1).unwrap().interleave(&coded).unwrap();
+        Modulation::Bpsk.map_bits(&interleaved).unwrap()
+    }
+
+    #[test]
+    fn signal_field_with_zero_length_is_a_decode_failure() {
+        let params = OfdmParams::ieee80211ag();
+        let viterbi = ViterbiDecoder::new();
+        let mcs = Mcs::new(Modulation::Qpsk, CodeRate::Half);
+        let info = decode_signal_field(&viterbi, &params, &signal_decisions(mcs, 100)).unwrap();
+        assert_eq!(info, FrameInfo { mcs, psdu_len: 100 });
+        // LENGTH = 0 passes parity, but no frame carries an empty PSDU.
+        let zero = decode_signal_field(&viterbi, &params, &signal_decisions(mcs, 0));
+        assert!(matches!(zero, Err(PhyError::DecodeFailure(_))), "{zero:?}");
     }
 }

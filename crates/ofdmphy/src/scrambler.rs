@@ -44,13 +44,6 @@ impl Scrambler {
         }
     }
 
-    /// Scrambles a bit slice, returning a new vector.
-    pub fn scramble(&mut self, bits: &[u8]) -> Vec<u8> {
-        let mut out = bits.to_vec();
-        self.scramble_in_place(&mut out);
-        out
-    }
-
     /// Recovers the transmitter's initial scrambler state from the first 7 descrambled
     /// SERVICE bits, which the standard defines to be zero before scrambling: the
     /// received scrambled bits therefore *are* the PRBS output, from which the state can
@@ -82,11 +75,12 @@ mod tests {
     fn scramble_descramble_roundtrip() {
         let bits: Vec<u8> = (0..1000).map(|i| ((i * 7) % 3 == 0) as u8).collect();
         let mut tx = Scrambler::new(0x5D);
-        let scrambled = tx.scramble(&bits);
+        let mut scrambled = bits.clone();
+        tx.scramble_in_place(&mut scrambled);
         assert_ne!(scrambled, bits);
         let mut rx = Scrambler::new(0x5D);
-        let descrambled = rx.scramble(&scrambled);
-        assert_eq!(descrambled, bits);
+        rx.scramble_in_place(&mut scrambled);
+        assert_eq!(scrambled, bits);
     }
 
     #[test]
@@ -121,9 +115,9 @@ mod tests {
         for seed in [0x01u8, 0x2A, 0x55, 0x7F] {
             let mut tx = Scrambler::new(seed);
             // SERVICE field: first 7 bits are zero before scrambling.
-            let service = vec![0u8; 16];
-            let scrambled = tx.scramble(&service);
-            let rx = Scrambler::state_from_service_bits(&scrambled).expect("state found");
+            let mut service = vec![0u8; 16];
+            tx.scramble_in_place(&mut service);
+            let rx = Scrambler::state_from_service_bits(&service).expect("state found");
             assert_eq!(rx, Scrambler::new(seed));
         }
         assert!(Scrambler::state_from_service_bits(&[0, 1]).is_none());

@@ -173,15 +173,6 @@ impl ViterbiDecoder {
         depuncture_into(received, rate, depunctured);
         decode_core(&self.trellis, depunctured, back_pointers, out)
     }
-
-    /// Decodes a stream that is already aligned with the rate-1/2 trellis, where `None`
-    /// marks an erasure (punctured position).
-    pub fn decode_depunctured(&self, coded: &[Option<u8>]) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        let mut scratch = self.scratch.lock().expect("viterbi scratch poisoned");
-        decode_core(&self.trellis, coded, &mut scratch.back_pointers, &mut out)?;
-        Ok(out)
-    }
 }
 
 /// The butterfly forward pass + traceback. Decisions are identical to the classic
@@ -346,6 +337,15 @@ mod tests {
         bits
     }
 
+    /// Runs the butterfly on a stream already aligned with the rate-1/2 trellis, where
+    /// `None` marks an erasure — arbitrary erasure patterns, not just the puncturing
+    /// ones [`ViterbiDecoder::decode_into`] produces.
+    fn decode_erased(decoder: &ViterbiDecoder, coded: &[Option<u8>]) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        decode_core(&decoder.trellis, coded, &mut Vec::new(), &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn butterfly_matches_the_scalar_reference_decision_for_decision() {
         // Random depunctured streams with erasures and heavy corruption — well past
@@ -361,7 +361,7 @@ mod tests {
                     b => Some(b & 1),
                 })
                 .collect();
-            let fast = decoder.decode_depunctured(&coded).unwrap();
+            let fast = decode_erased(&decoder, &coded).unwrap();
             let slow = decode_reference(&decoder.trellis, &coded).unwrap();
             assert_eq!(fast, slow, "trial {trial} diverged");
         }
@@ -452,7 +452,7 @@ mod tests {
         let decoder = ViterbiDecoder::new();
         assert!(decoder.decode(&[0, 1, 2, 0], CodeRate::Half).is_err());
         assert!(decoder.decode(&[], CodeRate::Half).is_err());
-        assert!(decoder.decode_depunctured(&[Some(1)]).is_err());
+        assert!(decode_erased(&decoder, &[Some(1)]).is_err());
     }
 
     #[test]
@@ -461,7 +461,7 @@ mod tests {
         // A fully erased stream has no evidence; the decoder must still return a valid
         // length without panicking.
         let erased = vec![None; 40];
-        let decoded = decoder.decode_depunctured(&erased).unwrap();
+        let decoded = decode_erased(&decoder, &erased).unwrap();
         assert_eq!(decoded.len(), 20);
     }
 

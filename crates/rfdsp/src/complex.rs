@@ -27,8 +27,6 @@ pub struct Complex {
 pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
 /// The multiplicative identity, `1 + 0i`.
 pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
-/// The imaginary unit, `0 + 1i`.
-pub const I: Complex = Complex { re: 0.0, im: 1.0 };
 
 impl Complex {
     /// Creates a complex number from rectangular coordinates.
@@ -47,12 +45,6 @@ impl Complex {
     #[inline]
     pub const fn one() -> Self {
         ONE
-    }
-
-    /// The imaginary unit `i`.
-    #[inline]
-    pub const fn i() -> Self {
-        I
     }
 
     /// Creates a complex number from polar coordinates: `magnitude · e^{i·phase}`.
@@ -90,12 +82,6 @@ impl Complex {
     #[inline]
     pub fn arg(self) -> f64 {
         self.im.atan2(self.re)
-    }
-
-    /// Returns `(magnitude, phase)` polar coordinates.
-    #[inline]
-    pub fn to_polar(self) -> (f64, f64) {
-        (self.norm(), self.arg())
     }
 
     /// Multiplicative inverse `1/z`. Returns `None` for (near-)zero input, where the
@@ -355,7 +341,7 @@ mod tests {
     #[test]
     fn polar_roundtrip() {
         let z = Complex::from_polar(2.5, 0.7);
-        let (r, th) = z.to_polar();
+        let (r, th) = (z.norm(), z.arg());
         assert!(close(r, 2.5));
         assert!(close(th, 0.7));
     }

@@ -207,27 +207,6 @@ pub fn idft(input: &[Complex]) -> Vec<Complex> {
     out
 }
 
-/// Rotates (`circularly shifts`) a frequency-domain vector so that the DC bin moves to
-/// the centre, mirroring the usual `fftshift` plotting convention.
-pub fn fftshift<T: Copy>(input: &[T]) -> Vec<T> {
-    let n = input.len();
-    let half = n.div_ceil(2);
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&input[half..]);
-    out.extend_from_slice(&input[..half]);
-    out
-}
-
-/// Inverse of [`fftshift`].
-pub fn ifftshift<T: Copy>(input: &[T]) -> Vec<T> {
-    let n = input.len();
-    let half = n / 2;
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&input[half..]);
-    out.extend_from_slice(&input[..half]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,16 +373,6 @@ mod tests {
         let x = vec![Complex::new(3.0, -2.0)];
         assert_eq!(plan.fft(&x), x);
         assert_eq!(plan.ifft(&x), x);
-    }
-
-    #[test]
-    fn fftshift_roundtrip_even_and_odd() {
-        let even: Vec<i32> = (0..8).collect();
-        assert_eq!(ifftshift(&fftshift(&even)), even);
-        assert_eq!(fftshift(&even), vec![4, 5, 6, 7, 0, 1, 2, 3]);
-        let odd: Vec<i32> = (0..7).collect();
-        assert_eq!(fftshift(&odd), vec![4, 5, 6, 0, 1, 2, 3]);
-        assert_eq!(ifftshift(&fftshift(&odd)), odd);
     }
 
     #[test]

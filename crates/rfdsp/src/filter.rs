@@ -93,11 +93,6 @@ impl FirFilter {
         self.taps.is_empty()
     }
 
-    /// Group delay in samples for a linear-phase (symmetric) design.
-    pub fn group_delay(&self) -> f64 {
-        (self.taps.len() as f64 - 1.0) / 2.0
-    }
-
     /// Filters a complex signal, returning an output of the same length
     /// ("same" convolution: the output is aligned with the input, i.e. the group delay
     /// is compensated by truncation at both ends, zero-padding at the edges).
@@ -122,21 +117,6 @@ impl FirFilter {
         }
         y
     }
-
-    /// Frequency response of the filter evaluated at `num_points` normalised frequencies
-    /// spanning `[-0.5, 0.5)` cycles/sample. Returns `(frequency, |H| in dB)` pairs.
-    pub fn frequency_response_db(&self, num_points: usize) -> Vec<(f64, f64)> {
-        (0..num_points)
-            .map(|k| {
-                let f = k as f64 / num_points as f64 - 0.5;
-                let mut h = Complex::zero();
-                for (n, &t) in self.taps.iter().enumerate() {
-                    h += Complex::cis(-2.0 * std::f64::consts::PI * f * n as f64).scale(t);
-                }
-                (f, 20.0 * h.norm().max(1e-30).log10())
-            })
-            .collect()
-    }
 }
 
 /// Applies a complex frequency shift `x[t]·e^{i2π·freq·t}` (frequency in cycles/sample).
@@ -147,17 +127,6 @@ pub fn frequency_shift(x: &[Complex], freq: f64) -> Vec<Complex> {
     x.iter()
         .enumerate()
         .map(|(t, v)| *v * Complex::cis(2.0 * std::f64::consts::PI * freq * t as f64))
-        .collect()
-}
-
-/// Applies a frequency shift starting from an arbitrary initial sample index, so that
-/// consecutive blocks of one waveform can be shifted consistently.
-pub fn frequency_shift_from(x: &[Complex], freq: f64, start_index: usize) -> Vec<Complex> {
-    x.iter()
-        .enumerate()
-        .map(|(t, v)| {
-            *v * Complex::cis(2.0 * std::f64::consts::PI * freq * (t + start_index) as f64)
-        })
         .collect()
 }
 
@@ -188,7 +157,6 @@ mod tests {
         assert!((dc - 1.0).abs() < 1e-12);
         assert_eq!(f.len(), 41);
         assert!(!f.is_empty());
-        assert_eq!(f.group_delay(), 20.0);
     }
 
     #[test]
@@ -220,21 +188,16 @@ mod tests {
     #[test]
     fn frequency_response_matches_behavior() {
         let f = FirFilter::lowpass_hamming(63, 0.1).unwrap();
-        let resp = f.frequency_response_db(256);
-        // Find response near DC and near 0.4 cycles/sample.
-        let near = |target: f64| {
-            resp.iter()
-                .min_by(|a, b| {
-                    (a.0 - target)
-                        .abs()
-                        .partial_cmp(&(b.0 - target).abs())
-                        .unwrap()
-                })
-                .unwrap()
-                .1
+        // |H(f)| in dB at `freq` cycles/sample, from the taps' DTFT.
+        let gain_db = |freq: f64| {
+            let mut h = Complex::zero();
+            for (n, &t) in f.taps().iter().enumerate() {
+                h += Complex::cis(-2.0 * std::f64::consts::PI * freq * n as f64).scale(t);
+            }
+            20.0 * h.norm().max(1e-30).log10()
         };
-        assert!(near(0.0) > -0.1);
-        assert!(near(0.4) < -40.0);
+        assert!(gain_db(0.0) > -0.1);
+        assert!(gain_db(0.4) < -40.0);
     }
 
     #[test]
@@ -279,16 +242,5 @@ mod tests {
         let x: Vec<Complex> = (0..128).map(|t| Complex::new(t as f64, 1.0)).collect();
         let y = frequency_shift(&x, 0.37);
         assert!((signal_power(&x).unwrap() - signal_power(&y).unwrap()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn frequency_shift_from_is_consistent_with_block_processing() {
-        let x: Vec<Complex> = (0..64).map(|t| Complex::new((t % 7) as f64, 0.5)).collect();
-        let whole = frequency_shift(&x, 0.123);
-        let mut blocks = frequency_shift_from(&x[..32], 0.123, 0);
-        blocks.extend(frequency_shift_from(&x[32..], 0.123, 32));
-        for (a, b) in whole.iter().zip(&blocks) {
-            assert!((*a - *b).norm() < 1e-9);
-        }
     }
 }

@@ -46,14 +46,10 @@ pub fn gaussian_kernel(u: f64) -> f64 {
 ///
 /// Returns a small positive floor when the sample is degenerate (all values equal),
 /// so that the resulting KDE is still evaluable.
-pub fn silverman_bandwidth(samples: &[f64]) -> Result<f64> {
-    let mut scratch = Vec::new();
-    silverman_bandwidth_scratch(samples, &mut scratch)
-}
-
-/// [`silverman_bandwidth`] with a caller-owned sort scratch, so repeated selection
-/// (one call per subcarrier per refit) performs no allocation once the scratch has
-/// grown to the largest sample count.
+///
+/// `scratch` is a caller-owned sort buffer, so repeated selection (one call per
+/// subcarrier per refit) performs no allocation once the scratch has grown to the
+/// largest sample count.
 pub fn silverman_bandwidth_scratch(samples: &[f64], scratch: &mut Vec<f64>) -> Result<f64> {
     if samples.is_empty() {
         return Err(DspError::EmptyInput);
@@ -960,13 +956,14 @@ mod tests {
     fn silverman_bandwidth_scales_with_spread() {
         let narrow: Vec<f64> = (0..100).map(|i| i as f64 * 0.01).collect();
         let wide: Vec<f64> = (0..100).map(|i| i as f64 * 1.0).collect();
-        let bn = silverman_bandwidth(&narrow).unwrap();
-        let bw = silverman_bandwidth(&wide).unwrap();
+        let silverman = |x: &[f64]| select_bandwidth(x, BandwidthSelector::Silverman);
+        let bn = silverman(&narrow).unwrap();
+        let bw = silverman(&wide).unwrap();
         assert!(bw > bn * 50.0, "narrow {bn}, wide {bw}");
-        assert!(silverman_bandwidth(&[]).is_err());
-        assert_eq!(silverman_bandwidth(&[1.0]).unwrap(), 1.0);
+        assert!(silverman(&[]).is_err());
+        assert_eq!(silverman(&[1.0]).unwrap(), 1.0);
         // Degenerate data still yields a usable positive bandwidth.
-        assert!(silverman_bandwidth(&[2.0; 10]).unwrap() > 0.0);
+        assert!(silverman(&[2.0; 10]).unwrap() > 0.0);
     }
 
     #[test]

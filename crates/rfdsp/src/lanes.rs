@@ -1,9 +1,8 @@
 //! Lane-parallel kernel building blocks.
 //!
-//! The hot kernels of this workspace (sliding-DFT updates, KDE scoring, grid
-//! interpolation) are all element-wise loops over a few dozen to a few thousand
-//! elements. On stable rustc the reliable way to get SIMD code for them is
-//! **autovectorization over fixed-width chunks**: the loops below process `LANES`
+//! The hot kernels of this workspace (sliding-DFT updates, KDE scoring) are all
+//! element-wise loops over a few dozen to a few thousand elements. On stable rustc
+//! the reliable way to get SIMD code for them is **autovectorization over fixed-width chunks**: the loops below process `LANES`
 //! elements at a time through fixed-size local arrays, which LLVM lowers to packed
 //! SSE2/AVX arithmetic without any `unsafe` or nightly features. Remainder elements
 //! go through the *same* scalar arithmetic, so results do not depend on how an input

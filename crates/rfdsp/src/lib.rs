@@ -11,7 +11,7 @@
 //! * [`sliding`] — a sliding-DFT plan ([`sliding::SlidingDft`]) that advances all `N`
 //!   bins of a window's spectrum in `O(N)` per one-sample shift, the kernel behind
 //!   CPRecycle's segment extraction (`P` windows per symbol that differ by one sample).
-//! * [`window`] — rectangular, Hann, Hamming, Blackman and Kaiser window functions.
+//! * [`window`] — Hann, Hamming and Kaiser window functions.
 //! * [`filter`] — FIR filter design (windowed-sinc low-pass / band-pass) and streaming
 //!   convolution, used by the channel simulator to model transmit spectral masks.
 //! * [`stats`] — descriptive statistics, empirical CDFs, histograms and correlation,
@@ -19,8 +19,8 @@
 //! * [`kde`] — Gaussian kernel density estimation (univariate and bivariate product
 //!   kernels) with Silverman and data-driven bandwidth selection. The CPRecycle
 //!   interference model (paper Eq. 4) is a thin specialisation of these primitives.
-//! * [`power`] — dB conversions, signal power / energy, SNR/SIR scaling helpers and a
-//!   Welch periodogram estimator used to plot spectra (paper Fig. 1 / Fig. 4a).
+//! * [`power`] — dB conversions, signal power, SNR/SIR scaling helpers and a Welch
+//!   periodogram estimator the tests observe spectra with.
 //! * [`noise`] — seedable complex AWGN and Gaussian sample generators (Box–Muller).
 //! * [`resample`] — integer up/down sampling and fractional-delay (windowed-sinc)
 //!   interpolation used to give interferers sub-sample timing offsets.

@@ -75,14 +75,6 @@ impl GaussianSource {
     }
 }
 
-/// Draws a sample from a Rayleigh distribution with scale `sigma`
-/// (the magnitude of a complex Gaussian whose components have std-dev `sigma`).
-pub fn rayleigh<R: Rng + ?Sized>(source: &mut GaussianSource, rng: &mut R, sigma: f64) -> f64 {
-    let a = source.sample(rng, 0.0, sigma);
-    let b = source.sample(rng, 0.0, sigma);
-    a.hypot(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,18 +137,6 @@ mod tests {
             .sum::<f64>()
             / clean.len() as f64;
         assert!((err_power - 0.25).abs() < 0.02);
-    }
-
-    #[test]
-    fn rayleigh_mean_matches_theory() {
-        // E[Rayleigh(sigma)] = sigma * sqrt(pi/2)
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let mut g = GaussianSource::new();
-        let xs: Vec<f64> = (0..100_000)
-            .map(|_| rayleigh(&mut g, &mut rng, 2.0))
-            .collect();
-        let expected = 2.0 * (std::f64::consts::PI / 2.0).sqrt();
-        assert!((stats::mean(&xs).unwrap() - expected).abs() < 0.05);
     }
 
     #[test]

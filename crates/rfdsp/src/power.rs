@@ -1,4 +1,4 @@
-//! Power, energy and decibel helpers plus a Welch periodogram.
+//! Power and decibel helpers plus a Welch periodogram.
 //!
 //! Every experiment in the paper is parameterised in decibels (SNR, SIR, interference
 //! power per subcarrier, spectrum masks), so these conversions are centralised here and
@@ -22,58 +22,12 @@ pub fn db_to_lin(db: f64) -> f64 {
     10f64.powf(db / 10.0)
 }
 
-/// Converts a linear amplitude ratio to decibels (20·log10).
-#[inline]
-pub fn amplitude_to_db(a: f64) -> f64 {
-    20.0 * a.log10()
-}
-
-/// Converts decibels to a linear amplitude ratio.
-#[inline]
-pub fn db_to_amplitude(db: f64) -> f64 {
-    10f64.powf(db / 20.0)
-}
-
 /// Average power (mean squared magnitude) of a complex signal.
 pub fn signal_power(x: &[Complex]) -> Result<f64> {
     if x.is_empty() {
         return Err(DspError::EmptyInput);
     }
     Ok(x.iter().map(|v| v.norm_sqr()).sum::<f64>() / x.len() as f64)
-}
-
-/// Total energy (sum of squared magnitudes) of a complex signal.
-pub fn signal_energy(x: &[Complex]) -> f64 {
-    x.iter().map(|v| v.norm_sqr()).sum()
-}
-
-/// Peak-to-average power ratio in dB — a sanity metric for generated OFDM waveforms.
-pub fn papr_db(x: &[Complex]) -> Result<f64> {
-    let avg = signal_power(x)?;
-    if avg == 0.0 {
-        return Err(DspError::invalid("x", "signal has zero power"));
-    }
-    let peak = x.iter().map(|v| v.norm_sqr()).fold(0.0, f64::max);
-    Ok(lin_to_db(peak / avg))
-}
-
-/// Scales `signal` in place so its average power becomes `target_power` (linear).
-pub fn normalize_power(signal: &mut [Complex], target_power: f64) -> Result<()> {
-    if target_power < 0.0 {
-        return Err(DspError::invalid("target_power", "must be non-negative"));
-    }
-    let p = signal_power(signal)?;
-    if p == 0.0 {
-        return Err(DspError::invalid(
-            "signal",
-            "cannot normalise a zero-power signal",
-        ));
-    }
-    let g = (target_power / p).sqrt();
-    for s in signal.iter_mut() {
-        *s = s.scale(g);
-    }
-    Ok(())
 }
 
 /// Returns the linear gain that must be applied to `interferer` so that
@@ -95,8 +49,8 @@ pub fn gain_for_sir(signal: &[Complex], interferer: &[Complex], sir_db: f64) -> 
 ///
 /// The signal is split into 50 %-overlapping Hann-windowed segments of length
 /// `segment_len` (a power of two); the magnitude-squared FFTs are averaged. Output is a
-/// vector of `segment_len` linear-power values ordered like FFT bins (DC first); use
-/// [`crate::fft::fftshift`] for plotting.
+/// vector of `segment_len` linear-power values ordered like FFT bins (DC first). Tests
+/// use it to observe spectra: transmit-mask leakage and channel-select rejection.
 pub fn welch_psd(x: &[Complex], segment_len: usize) -> Result<Vec<f64>> {
     if x.is_empty() {
         return Err(DspError::EmptyInput);
@@ -138,12 +92,6 @@ pub fn welch_psd(x: &[Complex], segment_len: usize) -> Result<Vec<f64>> {
     Ok(acc)
 }
 
-/// Convenience: Welch PSD expressed in dB, with a floor to keep log of empty bins finite.
-pub fn welch_psd_db(x: &[Complex], segment_len: usize) -> Result<Vec<f64>> {
-    let psd = welch_psd(x, segment_len)?;
-    Ok(psd.iter().map(|p| lin_to_db(p.max(1e-30))).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,7 +102,6 @@ mod tests {
     fn db_roundtrip() {
         for db in [-30.0, -10.0, 0.0, 3.0, 20.0] {
             assert!((lin_to_db(db_to_lin(db)) - db).abs() < 1e-12);
-            assert!((amplitude_to_db(db_to_amplitude(db)) - db).abs() < 1e-12);
         }
         assert!((db_to_lin(3.0) - 1.9952623149688795).abs() < 1e-12);
         assert_eq!(db_to_lin(0.0), 1.0);
@@ -164,25 +111,7 @@ mod tests {
     fn power_and_energy() {
         let x = vec![Complex::new(2.0, 0.0); 8];
         assert_eq!(signal_power(&x).unwrap(), 4.0);
-        assert_eq!(signal_energy(&x), 32.0);
         assert!(signal_power(&[]).is_err());
-    }
-
-    #[test]
-    fn papr_of_constant_envelope_is_zero_db() {
-        let x: Vec<Complex> = (0..64).map(|t| Complex::cis(0.1 * t as f64)).collect();
-        assert!(papr_db(&x).unwrap().abs() < 1e-9);
-        assert!(papr_db(&[Complex::zero(); 4]).is_err());
-    }
-
-    #[test]
-    fn normalize_power_hits_target() {
-        let mut x = vec![Complex::new(3.0, 4.0); 16];
-        normalize_power(&mut x, 2.0).unwrap();
-        assert!((signal_power(&x).unwrap() - 2.0).abs() < 1e-12);
-        assert!(normalize_power(&mut x, -1.0).is_err());
-        let mut z = vec![Complex::zero(); 4];
-        assert!(normalize_power(&mut z, 1.0).is_err());
     }
 
     #[test]
@@ -243,6 +172,6 @@ mod tests {
         assert!(welch_psd(&[], 16).is_err());
         assert!(welch_psd(&x, 12).is_err());
         assert!(welch_psd(&x, 64).is_err());
-        assert!(welch_psd_db(&x, 16).is_ok());
+        assert!(welch_psd(&x, 16).is_ok());
     }
 }

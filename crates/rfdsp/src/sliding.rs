@@ -237,9 +237,9 @@ mod tests {
 
     #[test]
     fn many_slides_stay_close_to_direct_ffts() {
-        // CPRecycle slides up to C times per symbol (16 for 802.11a/g, 512 for LTE's
-        // extended CP); check error stays far below the 1e-9 agreement budget over a
-        // much longer traversal.
+        // CPRecycle slides up to C times per symbol (16 for 802.11a/g, 128 for the
+        // 160 MHz long guard interval); check error stays far below the 1e-9
+        // agreement budget over a much longer traversal.
         let n = 64;
         let slides = 1024;
         let plan = SlidingDft::new(n);

@@ -49,11 +49,6 @@ pub fn sample_std_dev(xs: &[f64]) -> Result<f64> {
     Ok(sample_variance(xs)?.sqrt())
 }
 
-/// Median of a slice (average of the two middle elements for even lengths).
-pub fn median(xs: &[f64]) -> Result<f64> {
-    percentile(xs, 50.0)
-}
-
 /// Linear-interpolation percentile, `p` in `[0, 100]`.
 pub fn percentile(xs: &[f64], p: f64) -> Result<f64> {
     let mut sorted = xs.to_vec();
@@ -173,8 +168,7 @@ pub fn normalized_cross_correlation(a: &[Complex], b: &[Complex]) -> Result<f64>
 
 /// An empirical cumulative distribution function built from a sample set.
 ///
-/// Evaluation uses the standard step definition `F(x) = #{samples ≤ x} / N`. The struct
-/// also exposes the sorted support so plots (paper Figs. 6b, 13) can be regenerated.
+/// Evaluation uses the standard step definition `F(x) = #{samples ≤ x} / N`.
 #[derive(Debug, Clone)]
 pub struct EmpiricalCdf {
     sorted: Vec<f64>,
@@ -213,11 +207,6 @@ impl EmpiricalCdf {
     /// Whether the CDF was built from an empty sample set (never true after `new`).
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
-    }
-
-    /// The sorted sample support, useful for stair-step plotting.
-    pub fn support(&self) -> &[f64] {
-        &self.sorted
     }
 
     /// Returns `(x, F(x))` pairs over the sample support — the series plotted in the
@@ -272,13 +261,6 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Adds every observation from a slice.
-    pub fn add_all(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.add(x);
-        }
-    }
-
     /// Raw bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -287,13 +269,6 @@ impl Histogram {
     /// Total number of observations recorded.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Bin centres.
-    pub fn centers(&self) -> Vec<f64> {
-        let bins = self.counts.len();
-        let w = (self.hi - self.lo) / bins as f64;
-        (0..bins).map(|i| self.lo + (i as f64 + 0.5) * w).collect()
     }
 
     /// Normalised density estimate per bin (integrates to 1 over `[lo, hi]`).
@@ -308,14 +283,6 @@ impl Histogram {
             .map(|c| *c as f64 / (self.total as f64 * w))
             .collect()
     }
-}
-
-/// Mean of the squared magnitudes of a complex slice (average power).
-pub fn mean_power(xs: &[Complex]) -> Result<f64> {
-    if xs.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    Ok(xs.iter().map(|x| x.norm_sqr()).sum::<f64>() / xs.len() as f64)
 }
 
 /// Centroid (arithmetic mean) of a set of complex points — the sphere-decoder centre in
@@ -426,10 +393,9 @@ mod tests {
     #[test]
     fn empty_inputs_error() {
         assert_eq!(mean(&[]), Err(DspError::EmptyInput));
-        assert_eq!(median(&[]), Err(DspError::EmptyInput));
+        assert_eq!(percentile(&[], 50.0), Err(DspError::EmptyInput));
         assert_eq!(min(&[]), Err(DspError::EmptyInput));
         assert_eq!(max(&[]), Err(DspError::EmptyInput));
-        assert!(mean_power(&[]).is_err());
         assert!(centroid(&[]).is_err());
         assert!(EmpiricalCdf::new(&[]).is_err());
     }
@@ -437,11 +403,12 @@ mod tests {
     #[test]
     fn median_and_percentiles() {
         let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(median(&xs).unwrap(), 3.0);
+        assert_eq!(percentile(&xs, 50.0).unwrap(), 3.0);
         assert_eq!(percentile(&xs, 0.0).unwrap(), 1.0);
         assert_eq!(percentile(&xs, 100.0).unwrap(), 5.0);
         let even = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(median(&even).unwrap(), 2.5);
+        // Even length: the average of the two middle elements.
+        assert_eq!(percentile(&even, 50.0).unwrap(), 2.5);
         assert!(percentile(&xs, 101.0).is_err());
     }
 
@@ -580,7 +547,9 @@ mod tests {
     #[test]
     fn histogram_counts_and_density() {
         let mut h = Histogram::new(0.0, 10.0, 10).unwrap();
-        h.add_all(&[0.5, 1.5, 1.6, 9.9, 10.5, -3.0]);
+        for x in [0.5, 1.5, 1.6, 9.9, 10.5, -3.0] {
+            h.add(x);
+        }
         assert_eq!(h.total(), 6);
         assert_eq!(h.counts()[0], 2); // 0.5 and clamped -3.0
         assert_eq!(h.counts()[1], 2);
@@ -588,7 +557,6 @@ mod tests {
         let d = h.density();
         let integral: f64 = d.iter().sum::<f64>() * 1.0;
         assert!((integral - 1.0).abs() < 1e-12);
-        assert_eq!(h.centers()[0], 0.5);
     }
 
     #[test]
@@ -606,7 +574,6 @@ mod tests {
             Complex::new(-1.0, 0.0),
             Complex::new(0.0, -1.0),
         ];
-        assert_eq!(mean_power(&xs).unwrap(), 1.0);
         let c = centroid(&xs).unwrap();
         assert!(c.norm() < 1e-12);
     }

@@ -9,11 +9,6 @@
 
 use std::f64::consts::PI;
 
-/// Rectangular (boxcar) window: all ones.
-pub fn rectangular(n: usize) -> Vec<f64> {
-    vec![1.0; n]
-}
-
 /// Hann window, `w[k] = 0.5 − 0.5·cos(2πk/(N−1))`.
 pub fn hann(n: usize) -> Vec<f64> {
     generalized_cosine(n, &[0.5, 0.5])
@@ -22,22 +17,6 @@ pub fn hann(n: usize) -> Vec<f64> {
 /// Hamming window, `w[k] = 0.54 − 0.46·cos(2πk/(N−1))`.
 pub fn hamming(n: usize) -> Vec<f64> {
     generalized_cosine(n, &[0.54, 0.46])
-}
-
-/// Blackman window (three-term cosine).
-pub fn blackman(n: usize) -> Vec<f64> {
-    if n == 0 {
-        return Vec::new();
-    }
-    if n == 1 {
-        return vec![1.0];
-    }
-    (0..n)
-        .map(|k| {
-            let x = 2.0 * PI * k as f64 / (n - 1) as f64;
-            0.42 - 0.5 * x.cos() + 0.08 * (2.0 * x).cos()
-        })
-        .collect()
 }
 
 /// Kaiser window with shape parameter `beta`.
@@ -97,17 +76,12 @@ mod tests {
 
     #[test]
     fn edge_lengths() {
-        for f in [rectangular, hann, hamming, blackman] {
+        for f in [hann, hamming] {
             assert!(f(0).is_empty());
             assert_eq!(f(1), vec![1.0]);
         }
         assert!(kaiser(0, 5.0).is_empty());
         assert_eq!(kaiser(1, 5.0), vec![1.0]);
-    }
-
-    #[test]
-    fn rectangular_is_all_ones() {
-        assert_eq!(rectangular(5), vec![1.0; 5]);
     }
 
     #[test]
@@ -126,15 +100,8 @@ mod tests {
     }
 
     #[test]
-    fn blackman_endpoints_near_zero() {
-        let w = blackman(65);
-        assert!(w[0].abs() < 1e-9);
-        assert!((w[32] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn windows_are_symmetric() {
-        for w in [hann(64), hamming(64), blackman(64), kaiser(64, 8.6)] {
+        for w in [hann(64), hamming(64), kaiser(64, 8.6)] {
             for i in 0..w.len() / 2 {
                 assert!(
                     (w[i] - w[w.len() - 1 - i]).abs() < 1e-12,
@@ -170,9 +137,8 @@ mod tests {
 
     #[test]
     fn window_values_bounded() {
-        for w in [hann(33), hamming(33), blackman(33), kaiser(33, 5.0)] {
+        for w in [hann(33), hamming(33), kaiser(33, 5.0)] {
             for v in w {
-                // Blackman endpoints are analytically zero but may round to ~-1e-17.
                 assert!((-1e-12..=1.0 + 1e-12).contains(&v));
             }
         }

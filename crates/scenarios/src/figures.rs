@@ -19,7 +19,7 @@
 //! reproduction target.
 
 use crate::interference::{AciScenario, AciSide, CciScenario};
-use crate::link::{run_link_campaign, LinkPoint, MonteCarloConfig, ReceiverKind, Scenario};
+use crate::link::{run_link_campaign, LinkPoint, ReceiverKind, Scenario};
 use crate::neighbors::{run_neighbor_campaign, BuildingModel};
 use crate::report::{ExperimentResult, Series};
 use crate::Result;
@@ -74,15 +74,6 @@ impl FigureScale {
             payload_len: 60,
             seed: 0xC0FFEE,
             coarse: true,
-        }
-    }
-
-    /// The equivalent single-point Monte-Carlo configuration.
-    pub fn monte_carlo(&self) -> MonteCarloConfig {
-        MonteCarloConfig {
-            packets: self.packets,
-            payload_len: self.payload_len,
-            seed: self.seed,
         }
     }
 

@@ -26,9 +26,6 @@
 //!   gaps decoded through `cprecycle::session::RxSession` (incremental sync,
 //!   over-the-air SIGNAL decode, cross-frame model persistence), with per-frame and
 //!   aggregate packet success rates.
-//! * [`stations`] — multi-station server driver: N bursty stations multiplexed
-//!   through one `cprecycle::server::RxServer` over a fixed worker pool, with a
-//!   seed-determined chunk interleaving and a thread-count-invariant report.
 //! * [`neighbors`] — the synthetic office-building model behind Fig. 13.
 //! * [`report`] — plain-text rendering of result series.
 //! * [`telemetry`] — an opt-in process-wide recorder the figure campaigns report
@@ -43,7 +40,6 @@ pub mod interference;
 pub mod link;
 pub mod neighbors;
 pub mod report;
-pub mod stations;
 pub mod stream;
 pub mod telemetry;
 pub mod wideband;

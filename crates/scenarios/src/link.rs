@@ -24,7 +24,7 @@ use cprecycle_engine::{
 use obs::{NoopRecorder, Recorder};
 use ofdmphy::frame::{Mcs, Transmitter, TxFrame};
 use ofdmphy::params::OfdmParams;
-use ofdmphy::rx::{FrameInfo, StandardReceiver};
+use ofdmphy::rx::{FrameInfo, FrameReceiver, StandardReceiver};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rfdsp::Complex;
@@ -351,28 +351,15 @@ fn engine_error_to_phy(e: EngineError) -> ofdmphy::PhyError {
 
 /// Outcome of decoding one packet with one receiver.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PacketOutcome {
+struct PacketOutcome {
     /// Whether the FCS check passed.
-    pub success: bool,
+    success: bool,
     /// Uncoded subcarrier decision error rate against the transmitted ground truth.
-    pub symbol_error_rate: f64,
+    symbol_error_rate: f64,
 }
 
-/// Decodes one captured packet with the given receiver kind.
-///
-/// `output.interference_only` is read only by the [`DecisionStage::Oracle`] stage;
-/// other receivers ignore it. The campaign path keeps receivers constructed per
-/// worker; this standalone helper builds one on the fly for diagnostics and tests.
-pub fn decode_packet(
-    kind: &ReceiverKind,
-    params: &OfdmParams,
-    frame: &TxFrame,
-    output: &ScenarioOutput,
-) -> Result<PacketOutcome> {
-    let mut prepared = PreparedReceiver::build(kind, params);
-    decode_prepared_observed(&mut prepared, frame, output, &NoopRecorder)
-}
-
+/// Decodes one captured packet with a prepared receiver. `output.interference_only`
+/// is read only by the [`DecisionStage::Oracle`] stage; other receivers ignore it.
 fn decode_prepared_observed<O: Recorder>(
     receiver: &mut PreparedReceiver,
     frame: &TxFrame,
@@ -385,7 +372,7 @@ fn decode_prepared_observed<O: Recorder>(
     };
     let out = match receiver {
         PreparedReceiver::Standard(rx) => {
-            rx.decode_frame_observed(&output.received, 0, Some(info), obs)?
+            rx.decode_stream_observed(&mut (), &output.received, 0, Some(info), obs)?
         }
         PreparedReceiver::CpRecycle(boxed) => {
             let (rx, stream) = boxed.as_mut();

@@ -208,8 +208,7 @@ impl StreamWorker {
 /// Builds one bursty victim capture: `frames` frames with distinct random payloads,
 /// each preceded by a random gap drawn from `gap_range` (inclusive), plus a trailing
 /// pad so the last frame's fine sync and decode never wait on a flush. Returns the
-/// payloads (for recovery accounting) and the composite victim samples. Shared by
-/// the stream campaigns and the multi-station server driver ([`crate::stations`]).
+/// payloads (for recovery accounting) and the composite victim samples.
 pub fn build_burst(
     tx: &Transmitter,
     mcs: Mcs,

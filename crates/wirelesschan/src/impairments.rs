@@ -1,5 +1,4 @@
-//! Oscillator and timing impairments: carrier frequency offset, sampling clock offset
-//! and Wiener phase noise.
+//! Oscillator impairments: carrier frequency offset and Wiener phase noise.
 //!
 //! The paper's §3.3 lists phase noise as one of the reasons a naive Euclidean-distance
 //! decoder fails, and §4.1 motivates decoupling amplitude and phase deviations in the
@@ -68,35 +67,6 @@ impl WienerPhaseNoise {
         }
         phase
     }
-}
-
-/// Applies a constant timing offset of an integer number of samples by prepending
-/// zeros (the transmission starts `offset` samples later within the observation
-/// window) and truncating to the original length.
-pub fn apply_integer_delay(signal: &[Complex], offset: usize) -> Vec<Complex> {
-    let n = signal.len();
-    let mut out = vec![Complex::zero(); n];
-    out[offset..n].copy_from_slice(&signal[..n - offset]);
-    out
-}
-
-/// Applies a sampling-clock offset of `ppm` parts-per-million by linear interpolation
-/// resampling — sample `t` of the output reads the input at `t·(1 + ppm·1e-6)`.
-pub fn apply_sampling_clock_offset(signal: &[Complex], ppm: f64) -> Vec<Complex> {
-    let n = signal.len();
-    let rate = 1.0 + ppm * 1e-6;
-    let mut out = vec![Complex::zero(); n];
-    for (t, o) in out.iter_mut().enumerate() {
-        let pos = t as f64 * rate;
-        let lo = pos.floor() as usize;
-        let frac = pos - pos.floor();
-        if lo + 1 < n {
-            *o = signal[lo].scale(1.0 - frac) + signal[lo + 1].scale(frac);
-        } else if lo < n {
-            *o = signal[lo];
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -173,34 +143,5 @@ mod tests {
         for (a, b) in sig.iter().zip(&orig) {
             assert!((*a - *b).norm() < 1e-12);
         }
-    }
-
-    #[test]
-    fn integer_delay_shifts_and_zero_fills() {
-        let x: Vec<Complex> = (1..=5).map(|i| Complex::new(i as f64, 0.0)).collect();
-        let y = apply_integer_delay(&x, 2);
-        assert_eq!(y.len(), 5);
-        assert_eq!(y[0], Complex::zero());
-        assert_eq!(y[1], Complex::zero());
-        assert_eq!(y[2], Complex::new(1.0, 0.0));
-        assert_eq!(y[4], Complex::new(3.0, 0.0));
-        assert_eq!(apply_integer_delay(&x, 0), x);
-    }
-
-    #[test]
-    fn sampling_clock_offset_zero_is_identity() {
-        let x: Vec<Complex> = (0..16).map(|t| Complex::new(t as f64, t as f64)).collect();
-        let y = apply_sampling_clock_offset(&x, 0.0);
-        for (a, b) in x.iter().zip(&y) {
-            assert!((*a - *b).norm() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn sampling_clock_offset_stretches_signal() {
-        // With +100000 ppm (10%) the output index 10 reads input position 11.
-        let x: Vec<Complex> = (0..32).map(|t| Complex::new(t as f64, 0.0)).collect();
-        let y = apply_sampling_clock_offset(&x, 100_000.0);
-        assert!((y[10].re - 11.0).abs() < 1e-9);
     }
 }

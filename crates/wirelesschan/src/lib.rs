@@ -6,10 +6,10 @@
 //!
 //! * [`awgn`] — additive white Gaussian noise at a target SNR.
 //! * [`multipath`] — tapped-delay-line multipath with indoor power-delay profiles
-//!   (nanosecond-scale delay spreads, per the measurement studies the paper cites),
-//!   Rayleigh or Rician tap fading, and delay-spread statistics.
-//! * [`impairments`] — carrier frequency offset, sampling clock offset and Wiener
-//!   phase noise (the oscillator effects discussed in §3.3).
+//!   (nanosecond-scale delay spreads, per the measurement studies the paper cites) and
+//!   Rayleigh or Rician tap fading.
+//! * [`impairments`] — carrier frequency offset and Wiener phase noise (the
+//!   oscillator effects discussed in §3.3).
 //! * [`frontend`] — transmitter front-end nonidealities: Rapp-model power-amplifier
 //!   nonlinearity (the spectral regrowth responsible for adjacent-channel leakage) and
 //!   IQ imbalance.

@@ -112,51 +112,6 @@ impl PowerDelayProfile {
     pub fn max_delay(&self) -> usize {
         self.taps.last().map(|t| t.0).unwrap_or(0)
     }
-
-    /// RMS delay spread in samples, computed from the normalised tap powers.
-    pub fn rms_delay_spread(&self) -> f64 {
-        let mean_delay: f64 = self.taps.iter().map(|(d, p)| *d as f64 * p).sum();
-        let second: f64 = self
-            .taps
-            .iter()
-            .map(|(d, p)| (*d as f64 - mean_delay).powi(2) * p)
-            .sum();
-        second.sqrt()
-    }
-}
-
-/// Standard indoor channel presets matching the measurement studies cited in the paper
-/// (§2.2 references [18, 29, 55]: indoor delay spreads are tens of nanoseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndoorProfile {
-    /// Small office / residential: ~50 ns RMS delay spread (1 sample at 20 MHz).
-    Residential,
-    /// Typical office: ~100 ns RMS delay spread (2 samples at 20 MHz).
-    Office,
-    /// Large open space / atrium: ~250 ns RMS delay spread (5 samples at 20 MHz).
-    LargeOpenSpace,
-}
-
-impl IndoorProfile {
-    /// Builds the corresponding power-delay profile at a 20 MHz sample rate
-    /// (50 ns per sample, the 802.11a/g configuration used throughout the paper).
-    pub fn pdp_20mhz(self) -> PowerDelayProfile {
-        let (taps, spread) = match self {
-            IndoorProfile::Residential => (4, 1.0),
-            IndoorProfile::Office => (6, 2.0),
-            IndoorProfile::LargeOpenSpace => (10, 5.0),
-        };
-        PowerDelayProfile::exponential(taps, spread).expect("preset parameters are always valid")
-    }
-
-    /// Nominal RMS delay spread in nanoseconds.
-    pub fn rms_delay_spread_ns(self) -> f64 {
-        match self {
-            IndoorProfile::Residential => 50.0,
-            IndoorProfile::Office => 100.0,
-            IndoorProfile::LargeOpenSpace => 250.0,
-        }
-    }
 }
 
 /// A concrete multipath channel realisation (complex impulse response).
@@ -203,16 +158,6 @@ impl MultipathChannel {
         MultipathChannel {
             impulse_response: vec![Complex::one()],
         }
-    }
-
-    /// Builds a channel directly from an impulse response (mainly for tests).
-    pub fn from_impulse_response(ir: Vec<Complex>) -> Result<Self> {
-        if ir.is_empty() {
-            return Err(ChannelError::EmptyInput);
-        }
-        Ok(MultipathChannel {
-            impulse_response: ir,
-        })
     }
 
     /// The channel impulse response.
@@ -291,7 +236,6 @@ mod tests {
     fn flat_profile_has_zero_delay_spread() {
         let pdp = PowerDelayProfile::flat();
         assert_eq!(pdp.max_delay(), 0);
-        assert_eq!(pdp.rms_delay_spread(), 0.0);
         assert_eq!(PowerDelayProfile::exponential(1, 5.0).unwrap(), pdp);
         assert_eq!(PowerDelayProfile::exponential(8, 0.0).unwrap(), pdp);
     }
@@ -302,22 +246,6 @@ mod tests {
         let taps = pdp.taps();
         for w in taps.windows(2) {
             assert!(w[0].1 > w[1].1);
-        }
-        assert!(pdp.rms_delay_spread() > 0.5 && pdp.rms_delay_spread() < 4.0);
-    }
-
-    #[test]
-    fn indoor_presets_fit_inside_80211_cp() {
-        // The paper's core premise: indoor delay spreads stay well below the
-        // 16-sample 802.11a/g cyclic prefix.
-        for p in [
-            IndoorProfile::Residential,
-            IndoorProfile::Office,
-            IndoorProfile::LargeOpenSpace,
-        ] {
-            let pdp = p.pdp_20mhz();
-            assert!(pdp.max_delay() < 16, "{p:?} exceeds the CP");
-            assert!(p.rms_delay_spread_ns() <= 800.0);
         }
     }
 
@@ -378,13 +306,9 @@ mod tests {
 
     #[test]
     fn from_impulse_response_and_delay() {
-        assert!(MultipathChannel::from_impulse_response(vec![]).is_err());
-        let ch = MultipathChannel::from_impulse_response(vec![
-            Complex::zero(),
-            Complex::zero(),
-            Complex::one(),
-        ])
-        .unwrap();
+        let ch = MultipathChannel {
+            impulse_response: vec![Complex::zero(), Complex::zero(), Complex::one()],
+        };
         let mut x = vec![Complex::zero(); 8];
         x[0] = Complex::new(1.0, 0.0);
         let y = ch.apply(&x);
@@ -403,8 +327,9 @@ mod tests {
     #[test]
     fn frequency_response_of_two_tap_channel_has_notches() {
         // h = [1, 1] has nulls at odd multiples of half the sample rate.
-        let ch =
-            MultipathChannel::from_impulse_response(vec![Complex::one(), Complex::one()]).unwrap();
+        let ch = MultipathChannel {
+            impulse_response: vec![Complex::one(), Complex::one()],
+        };
         let h = ch.frequency_response(64);
         assert!((h[0].norm() - 2.0).abs() < 1e-12);
         assert!(h[32].norm() < 1e-12);

@@ -5,9 +5,11 @@
 //! only the inside of a multi-line string literal). Every Rust source under
 //! `crates/` falls into one of three buckets: **bench** for files under a
 //! `benches/` directory, **test** for files under a `tests/` directory and for
-//! each `#[cfg(test)]` item elsewhere, and **non-test** for the rest.
+//! each `#[cfg(test)]` item elsewhere, and **non-test** for the rest. [`report`]
+//! prints one row per crate ([`crate_of`]) above the workspace totals.
 
 use crate::mask::mask;
+use std::collections::BTreeMap;
 
 /// Code lines per bucket.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +52,44 @@ pub fn count_file(rel: &str, src: &str) -> Counts {
             ..Counts::default()
         }
     }
+}
+
+/// The crate a workspace-relative source path belongs to, named by its directory
+/// under `crates/` (`core`, `compat/rand`): the path up to the first `src`,
+/// `tests`, `benches` or `examples` component, the roots of a Cargo package's
+/// targets.
+pub fn crate_of(rel: &str) -> String {
+    let parts: Vec<&str> = rel.split('/').collect();
+    let skip = usize::from(parts.first() == Some(&"crates"));
+    let end = parts
+        .iter()
+        .position(|part| matches!(*part, "src" | "tests" | "benches" | "examples"))
+        .unwrap_or(parts.len() - 1);
+    parts[skip..end.max(skip)].join("/")
+}
+
+/// The `cargo xtask loc` table: a non-test/test/bench row per crate, then the
+/// workspace totals.
+pub fn report(per_crate: &BTreeMap<String, Counts>) -> String {
+    let mut totals = Counts::default();
+    let mut out =
+        String::from("Rust code lines under crates/ (blank and comment-only lines excluded):\n");
+    out += &format!(
+        "  {:<16} {:>8} {:>7} {:>7}\n",
+        "crate", "non-test", "test", "bench"
+    );
+    for (name, c) in per_crate {
+        out += &format!(
+            "  {:<16} {:>8} {:>7} {:>7}\n",
+            name, c.non_test, c.test, c.bench
+        );
+        totals.add(*c);
+    }
+    out += &format!("  non-test {:>7}\n", totals.non_test);
+    out += &format!("  test     {:>7}\n", totals.test);
+    out += &format!("  bench    {:>7}\n", totals.bench);
+    out += &format!("  total    {:>7}\n", totals.total());
+    out
 }
 
 /// `(outside, inside)` code lines of masked source, split by whether the line
@@ -155,6 +195,36 @@ pub const AFTER: u8 = 1;
         let mut sum = tests;
         sum.add(bench);
         assert_eq!(sum.total(), 2 * whole);
+    }
+
+    #[test]
+    fn rows_group_files_by_crate_above_the_totals() {
+        assert_eq!(crate_of("crates/core/src/lib.rs"), "core");
+        assert_eq!(crate_of("crates/core/tests/suite.rs"), "core");
+        assert_eq!(crate_of("crates/bench/src/bin/fig8.rs"), "bench");
+        assert_eq!(crate_of("crates/compat/rand/src/lib.rs"), "compat/rand");
+        let mut per_crate: BTreeMap<String, Counts> = BTreeMap::new();
+        for rel in [
+            "crates/core/src/lib.rs",
+            "crates/core/tests/suite.rs",
+            "crates/bench/benches/model.rs",
+        ] {
+            per_crate
+                .entry(crate_of(rel))
+                .or_default()
+                .add(count_file(rel, FIXTURE));
+        }
+        let text = report(&per_crate);
+        let rows: Vec<Vec<&str>> = text
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        // Header, column titles, one row per crate (sorted), four totals.
+        assert_eq!(rows.len(), 2 + 2 + 4, "{text}");
+        assert_eq!(rows[2], ["bench", "0", "0", "15"]);
+        assert_eq!(rows[3], ["core", "5", "25", "0"]);
+        assert_eq!(rows[4], ["non-test", "5"]);
+        assert_eq!(rows[7], ["total", "45"]);
     }
 
     #[test]

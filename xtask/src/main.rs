@@ -1,8 +1,8 @@
 //! Workspace automation (`cargo xtask <command>`).
 //!
 //! `loc` prints the Rust code-line counts under `crates/` in three buckets
-//! (non-test, test, bench; see [`mod@loc`]), so a change's size is measured the same
-//! way every time.
+//! (non-test, test, bench; see [`mod@loc`]), one row per crate and then the totals,
+//! so a change's size is measured the same way every time.
 //!
 //! `lint` is the static-analysis gate CI runs on every push, covering what
 //! rustc's lint levels cannot express on their own:
@@ -33,6 +33,7 @@ mod mask;
 mod ordering;
 mod walk;
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -92,7 +93,7 @@ fn workspace_root() -> PathBuf {
 
 fn loc() -> ExitCode {
     let root = workspace_root();
-    let mut counts = loc::Counts::default();
+    let mut per_crate: BTreeMap<String, loc::Counts> = BTreeMap::new();
     for file in walk::rust_sources(&root.join("crates")) {
         let src = match std::fs::read_to_string(&file) {
             Ok(s) => s,
@@ -106,13 +107,12 @@ fn loc() -> ExitCode {
             .unwrap_or(&file)
             .to_string_lossy()
             .replace('\\', "/");
-        counts.add(loc::count_file(&rel, &src));
+        per_crate
+            .entry(loc::crate_of(&rel))
+            .or_default()
+            .add(loc::count_file(&rel, &src));
     }
-    println!("Rust code lines under crates/ (blank and comment-only lines excluded):");
-    println!("  non-test {:>7}", counts.non_test);
-    println!("  test     {:>7}", counts.test);
-    println!("  bench    {:>7}", counts.bench);
-    println!("  total    {:>7}", counts.total());
+    print!("{}", loc::report(&per_crate));
     ExitCode::SUCCESS
 }
 
