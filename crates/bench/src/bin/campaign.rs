@@ -1,29 +1,36 @@
-//! `campaign` — run, resume and inspect Monte-Carlo campaigns from the command line.
+//! `campaign` — the command-line front end of the experiment registry
+//! (`cprecycle_scenarios::figures::FIGURES`).
 //!
 //! ```text
-//! campaign list                         # named grids (the figure campaigns)
-//! campaign run fig8 --out fig8.json     # run with incremental checkpointing
+//! campaign list                         # every registered table and figure
+//! campaign run fig8 --out fig8.json     # run with incremental checkpointing, print Fig. 8
 //! campaign run fig8 --smoke --trials 8  # coarse grid, 8 trials/point
-//! campaign resume fig8.json             # finish a half-done campaign
-//! campaign inspect fig8.json            # print the checkpoint as a report
+//! campaign run table1 --json            # direct entries print without a checkpoint
+//! campaign resume fig8.json             # finish a half-done campaign, print the figure
+//! campaign inspect fig8.json            # per-point tallies with Wilson intervals
 //! campaign replay fig8 3 17             # re-run trial 17 of grid point 3 alone
 //! ```
 //!
-//! `run` executes the named figure grid through `cprecycle-engine`, writing the
-//! checkpoint after every completed point, so a killed run loses at most one point of
-//! work. `resume` reloads the checkpoint, reruns only the missing points (the seed
-//! tree makes the result bit-identical to an uninterrupted run) and rewrites the file.
+//! `run` executes a campaign entry through `cprecycle-engine`, writing the checkpoint
+//! after every completed point, so a killed run loses at most one point of work, and
+//! prints the rendered figure (`--json` for the result series as JSON). `resume`
+//! reloads the checkpoint, finds its entry by the campaign name, reruns only the
+//! missing points (the seed tree makes the result bit-identical to an uninterrupted
+//! run) and rewrites the file.
 
 use cprecycle_engine::{
-    campaign_snapshot, load_campaign, report, save_campaign, CampaignConfig, CampaignPoint,
-    ProgressOptions, RunOptions,
+    campaign_snapshot, load_campaign, report, save_campaign, CampaignPoint, CampaignResult,
+    ProgressOptions, RunOptions, TrialRecord,
 };
-use cprecycle_scenarios::figures::{figure_grid, FigureScale, CAMPAIGN_FIGURES};
-use cprecycle_scenarios::link::{replay_link_trial, run_link_trial, LinkWorker};
-use obs::{InMemoryRecorder, Recorder};
-use std::path::PathBuf;
+use cprecycle_scenarios::figures::{figure, Experiment, Figure, FigureScale, Grid, FIGURES};
+use cprecycle_scenarios::link::replay_link_trial;
+use cprecycle_scenarios::report::ExperimentResult;
+use cprecycle_scenarios::stream::replay_stream_trial;
+use obs::{InMemoryRecorder, MetricsSnapshot, Recorder};
+use std::path::{Path, PathBuf};
 use std::process::exit;
 
+#[derive(Default)]
 struct Options {
     smoke: bool,
     json: bool,
@@ -36,19 +43,8 @@ struct Options {
     positional: Vec<String>,
 }
 
-fn parse_args() -> Options {
-    let mut options = Options {
-        smoke: false,
-        json: false,
-        quiet: false,
-        trials: None,
-        threads: None,
-        seed: None,
-        out: None,
-        metrics: None,
-        positional: Vec::new(),
-    };
-    let mut args = std::env::args().skip(1);
+fn parse_args(mut args: impl Iterator<Item = String>) -> Options {
+    let mut options = Options::default();
     while let Some(arg) = args.next() {
         let mut take = |name: &str| -> String {
             args.next().unwrap_or_else(|| {
@@ -62,7 +58,13 @@ fn parse_args() -> Options {
             "--quiet" => options.quiet = true,
             "--trials" => options.trials = Some(parse_num(&take("--trials"))),
             "--threads" => options.threads = Some(parse_num(&take("--threads"))),
-            "--seed" => options.seed = Some(parse_num(&take("--seed")) as u64),
+            "--seed" => {
+                let text = take("--seed");
+                options.seed = Some(parse_seed(&text).unwrap_or_else(|| {
+                    eprintln!("invalid seed `{text}`");
+                    exit(2);
+                }));
+            }
             "--out" => options.out = Some(PathBuf::from(take("--out"))),
             "--metrics" => options.metrics = Some(PathBuf::from(take("--metrics"))),
             "--help" | "-h" => {
@@ -82,16 +84,24 @@ fn parse_num(text: &str) -> usize {
     })
 }
 
+/// A master seed in decimal or `0x` hexadecimal — the form `inspect` prints it in.
+fn parse_seed(text: &str) -> Option<u64> {
+    match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => text.parse().ok(),
+    }
+}
+
 fn usage() {
     eprintln!(
         "usage: campaign <command> [options]\n\
          \n\
          commands:\n\
-         \x20 list                       list the named campaign grids\n\
-         \x20 run <grid>                 run a named grid through the engine\n\
-         \x20 resume <checkpoint.json>   finish an interrupted run (grid inferred from the name)\n\
-         \x20 inspect <checkpoint.json>  print a checkpoint as a report\n\
-         \x20 replay <grid> <point> <trial>  re-run one trial in isolation\n\
+         \x20 list                       list the registered tables and figures\n\
+         \x20 run <name>                 run an entry and print its figure\n\
+         \x20 resume <checkpoint.json>   finish an interrupted run (entry taken from the checkpoint)\n\
+         \x20 inspect <checkpoint.json>  print a checkpoint's per-point tallies\n\
+         \x20 replay <name> <point> <trial>  re-run one trial of a link or stream grid\n\
          \n\
          options:\n\
          \x20 --smoke          coarse grid + small trial count (default: paper scale)\n\
@@ -99,8 +109,8 @@ fn usage() {
          \x20 --quiet          suppress the periodic progress line on stderr\n\
          \x20 --trials N       trials per grid point (default: figure scale)\n\
          \x20 --threads N      worker threads (default: all cores)\n\
-         \x20 --seed S         master seed (default: the figure seed)\n\
-         \x20 --out FILE       checkpoint file (default: campaign-<grid>.json for run)\n\
+         \x20 --seed S         master seed, decimal or 0x-hex (default: the figure seed)\n\
+         \x20 --out FILE       checkpoint file (default: campaign-<name>.json for run)\n\
          \x20 --metrics FILE   also write a metrics snapshot (stage timing, trial\n\
          \x20                  throughput, worker gauges) as cpjson"
     );
@@ -115,44 +125,70 @@ fn scale_for(options: &Options) -> FigureScale {
     if let Some(seed) = options.seed {
         scale.seed = seed;
     }
-    if let Some(trials) = options.trials {
-        scale.packets = trials;
-    }
     scale
 }
 
-fn config_for(name: &str, scale: &FigureScale, options: &Options) -> CampaignConfig {
-    scale.campaign(name).threads(options.threads.unwrap_or(0))
-}
-
-fn grid_or_exit(name: &str, scale: &FigureScale) -> Vec<cprecycle_scenarios::link::LinkPoint> {
-    figure_grid(name, scale).unwrap_or_else(|| {
+fn lookup(name: &str) -> &'static Figure {
+    figure(name).unwrap_or_else(|| {
+        let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
         eprintln!(
-            "unknown grid `{name}`; available: {}",
-            CAMPAIGN_FIGURES.join(", ")
+            "unknown experiment `{name}`; available: {}",
+            names.join(", ")
         );
         exit(2);
     })
 }
 
-fn emit(result: &cprecycle_engine::CampaignResult, json: bool) {
+/// The grid and render of a campaign entry; direct entries write no checkpoint, so
+/// there is nothing to `what` for them.
+fn campaign_of(
+    figure: &Figure,
+    what: &str,
+) -> (Grid, fn(&FigureScale, &CampaignResult) -> ExperimentResult) {
+    match figure.experiment {
+        Experiment::Campaign { grid, render } => (grid, render),
+        Experiment::Direct(_) => {
+            eprintln!(
+                "`{}` is a direct experiment with no trials and no checkpoint: \
+                 there is nothing to {what}",
+                figure.name
+            );
+            exit(2);
+        }
+    }
+}
+
+fn emit(result: &ExperimentResult, json: bool) {
     if json {
-        println!("{}", report::render_json(result));
+        println!("{}", result.to_json());
     } else {
-        print!("{}", report::render_text(result));
+        print!("{}", result.to_table());
+    }
+}
+
+fn write_metrics(path: &Path, snapshot: MetricsSnapshot) {
+    match std::fs::write(path, snapshot.to_json_string()) {
+        Ok(()) => eprintln!("metrics snapshot written to {}", path.display()),
+        Err(e) => eprintln!("warning: metrics write failed: {e}"),
     }
 }
 
 fn run_with_checkpoints(
-    name: &str,
+    figure: &Figure,
     options: &Options,
-    resume_from: Option<cprecycle_engine::CampaignResult>,
+    resume_from: Option<CampaignResult>,
     out: PathBuf,
 ) {
+    let (grid, render) = campaign_of(figure, "run");
     let scale = scale_for(options);
-    let config = config_for(name, &scale, options);
+    let mut config = grid
+        .config(figure.name, &scale)
+        .threads(options.threads.unwrap_or(0));
+    if let Some(trials) = options.trials {
+        config = config.trials(trials);
+    }
     let sink_path = out.clone();
-    let sink = move |snapshot: &cprecycle_engine::CampaignResult| {
+    let sink = move |snapshot: &CampaignResult| {
         if let Err(e) = save_campaign(snapshot, &sink_path) {
             eprintln!("warning: checkpoint write failed: {e}");
         }
@@ -169,32 +205,16 @@ fn run_with_checkpoints(
         progress: (!options.quiet).then(ProgressOptions::default),
         recorder: recorder.as_ref().map(|r| r as &(dyn Recorder + Sync)),
     };
-    // fig13 is a neighbor-survey campaign (trials = building realizations) rather than
-    // a packet-level link grid; every other name resolves through `figure_grid`.
-    let outcome = if name == "fig13" {
-        cprecycle_scenarios::neighbors::run_neighbor_campaign(
-            &config,
-            &cprecycle_scenarios::neighbors::BuildingModel::default(),
-            &run_options,
-        )
-    } else {
-        let points = grid_or_exit(name, &scale);
-        cprecycle_scenarios::link::run_link_campaign(&config, &points, &run_options)
-    };
-    match outcome {
+    match grid.run(&config, &scale, &run_options) {
         Ok(result) => {
             if let Err(e) = save_campaign(&result, &out) {
                 eprintln!("warning: final checkpoint write failed: {e}");
             }
-            emit(&result, options.json);
+            emit(&render(&scale, &result), options.json);
             eprintln!("checkpoint written to {}", out.display());
             if let Some(path) = &options.metrics {
-                let snapshot =
-                    campaign_snapshot(&result, recorder.as_ref().map(|r| r as &dyn Recorder));
-                match std::fs::write(path, snapshot.to_json_string()) {
-                    Ok(()) => eprintln!("metrics snapshot written to {}", path.display()),
-                    Err(e) => eprintln!("warning: metrics write failed: {e}"),
-                }
+                let recorder = recorder.as_ref().map(|r| r as &dyn Recorder);
+                write_metrics(path, campaign_snapshot(&result, recorder));
             }
         }
         Err(e) => {
@@ -204,71 +224,128 @@ fn run_with_checkpoints(
     }
 }
 
+fn load_or_exit(path: &Path) -> CampaignResult {
+    load_campaign(path).unwrap_or_else(|e| {
+        eprintln!("cannot load checkpoint: {e}");
+        exit(1);
+    })
+}
+
+/// Re-runs trial `trial_idx` of grid point `point_idx` alone, twice, and prints each
+/// arm's outcome: the second run shows the replay is self-contained.
+fn replay<P: CampaignPoint>(
+    points: &[P],
+    replay_trial: fn(u64, &P, usize) -> cprecycle_scenarios::Result<TrialRecord>,
+    metric: &str,
+    seed: u64,
+    point_idx: usize,
+    trial_idx: usize,
+) {
+    let Some(point) = points.get(point_idx) else {
+        eprintln!(
+            "point index {point_idx} out of range (grid has {} points)",
+            points.len()
+        );
+        exit(2);
+    };
+    println!(
+        "replaying trial {trial_idx} of point {point_idx}: {}",
+        point.label()
+    );
+    println!("  key: {}", point.key());
+    match replay_trial(seed, point, trial_idx) {
+        Ok(record) => {
+            for (arm, outcome) in point.arm_labels().iter().zip(&record.arms) {
+                println!(
+                    "  {arm:<24} success={} {metric}={:.4}",
+                    outcome.success, outcome.metric
+                );
+            }
+            let again = replay_trial(seed, point, trial_idx).expect("replay is deterministic");
+            assert_eq!(again, record);
+            println!("  (verified: second replay is bit-identical)");
+        }
+        Err(e) => {
+            eprintln!("replay failed: {e}");
+            exit(1);
+        }
+    }
+}
+
 fn main() {
-    let options = parse_args();
+    let options = parse_args(std::env::args().skip(1));
     let Some(command) = options.positional.first().cloned() else {
         usage();
         exit(2);
     };
+    let argument = |what: &str| -> String {
+        options.positional.get(1).cloned().unwrap_or_else(|| {
+            eprintln!("{command} requires {what}");
+            exit(2);
+        })
+    };
     match command.as_str() {
         "list" => {
-            println!("named campaign grids (run with `campaign run <name>`):");
+            println!("registered experiments (run with `campaign run <name>`):");
             let scale = scale_for(&options);
-            for name in CAMPAIGN_FIGURES {
-                let grid = figure_grid(name, &scale).expect("registered grid");
-                let arms: usize = grid.iter().map(|p| p.receivers.len()).sum();
-                // The decoder set of the grid (deduplicated arm labels): the decision
-                // stage is part of every point key, so this names exactly what the
-                // campaign sweeps.
-                let mut decoders: Vec<String> = Vec::new();
-                for point in &grid {
-                    for receiver in &point.receivers {
-                        let label = receiver.label();
-                        if !decoders.contains(&label) {
-                            decoders.push(label);
-                        }
+            for figure in FIGURES {
+                let name = figure.name;
+                let Experiment::Campaign { grid, .. } = &figure.experiment else {
+                    println!("  {name:<14} direct (no trials, no checkpoint)");
+                    continue;
+                };
+                let points = grid.points(&scale);
+                let arms: usize = points.iter().map(|p| p.arm_labels().len()).sum();
+                // The arm set of the grid (deduplicated labels): the receiver and its
+                // decision stage are part of every point key, so this names exactly
+                // what the campaign sweeps.
+                let mut labels: Vec<String> = Vec::new();
+                for label in points.iter().flat_map(|p| p.arm_labels()) {
+                    if !labels.contains(&label) {
+                        labels.push(label);
                     }
                 }
+                let trials = options
+                    .trials
+                    .unwrap_or(grid.config(name, &scale).trials_per_point);
                 println!(
-                    "  {name:<14} {:>3} points, {arms:>3} receiver arms, {} trials/point at this scale",
-                    grid.len(),
-                    scale.packets,
+                    "  {name:<14} {:>3} points, {arms:>3} arms, {trials} trials/point at this scale",
+                    points.len(),
                 );
-                println!("  {:<14} decoders: {}", "", decoders.join(" | "));
+                println!("  {:<14} arms: {}", "", labels.join(" | "));
             }
-            println!(
-                "  {:<14} {:>3} point,    2 receiver arms (trials = building realizations)",
-                "fig13", 1
-            );
         }
         "run" => {
-            let Some(name) = options.positional.get(1) else {
-                eprintln!("run requires a grid name");
-                exit(2);
-            };
+            let name = argument("an experiment name");
+            let figure = lookup(&name);
+            if let Experiment::Direct(run) = figure.experiment {
+                match run(&scale_for(&options)) {
+                    Ok(result) => emit(&result, options.json),
+                    Err(e) => {
+                        eprintln!("experiment failed: {e}");
+                        exit(1);
+                    }
+                }
+                if let Some(path) = &options.metrics {
+                    write_metrics(path, InMemoryRecorder::default().snapshot_now());
+                }
+                return;
+            }
             let out = options
                 .out
                 .clone()
                 .unwrap_or_else(|| PathBuf::from(format!("campaign-{name}.json")));
-            run_with_checkpoints(name, &options, None, out);
+            run_with_checkpoints(figure, &options, None, out);
         }
         "resume" => {
-            let Some(path) = options.positional.get(1) else {
-                eprintln!("resume requires a checkpoint path");
-                exit(2);
-            };
-            let path = PathBuf::from(path);
-            let prior = match load_campaign(&path) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("cannot load checkpoint: {e}");
-                    exit(1);
-                }
-            };
-            let name = prior.name.clone();
+            let path = PathBuf::from(argument("a checkpoint path"));
+            let prior = load_or_exit(&path);
+            let figure = lookup(&prior.name);
+            let (grid, _) = campaign_of(figure, "resume");
             let done = prior.points.iter().filter(|p| p.complete).count();
             eprintln!(
-                "resuming campaign `{name}`: {done}/{} points already complete",
+                "resuming campaign `{}`: {done}/{} points already complete",
+                prior.name,
                 prior.points.len()
             );
             // The checkpoint records the master seed and trial count it was produced
@@ -279,9 +356,9 @@ fn main() {
             // The grid scale is not recorded in the checkpoint, and a scale mismatch
             // means no point key matches — the run would silently recompute everything.
             // Detect which scale the recorded keys came from and resume with it.
-            if !options.smoke && name != "fig13" {
+            if !options.smoke {
                 let matches = |scale: &FigureScale| {
-                    let grid = grid_or_exit(&name, scale);
+                    let grid = grid.points(scale);
                     prior
                         .points
                         .iter()
@@ -289,10 +366,7 @@ fn main() {
                         .count()
                 };
                 let full_scale = scale_for(&options);
-                let mut smoke_scale = FigureScale::smoke();
-                smoke_scale.seed = full_scale.seed;
-                smoke_scale.packets = full_scale.packets;
-                if done > 0 && matches(&full_scale) == 0 && matches(&smoke_scale) > 0 {
+                if done > 0 && matches(&full_scale) == 0 && matches(&FigureScale::smoke()) > 0 {
                     eprintln!(
                         "note: recorded points match the --smoke grid, not the full grid; \
                          resuming at smoke scale"
@@ -300,19 +374,14 @@ fn main() {
                     options.smoke = true;
                 }
             }
-            run_with_checkpoints(&name, &options, Some(prior), path);
+            run_with_checkpoints(figure, &options, Some(prior), path);
         }
         "inspect" => {
-            let Some(path) = options.positional.get(1) else {
-                eprintln!("inspect requires a checkpoint path");
-                exit(2);
-            };
-            match load_campaign(&PathBuf::from(path)) {
-                Ok(result) => emit(&result, options.json),
-                Err(e) => {
-                    eprintln!("cannot load checkpoint: {e}");
-                    exit(1);
-                }
+            let result = load_or_exit(Path::new(&argument("a checkpoint path")));
+            if options.json {
+                println!("{}", report::render_json(&result));
+            } else {
+                print!("{}", report::render_text(&result));
             }
         }
         "replay" => {
@@ -321,46 +390,35 @@ fn main() {
                 options.positional.get(2),
                 options.positional.get(3),
             ) else {
-                eprintln!("replay requires: <grid> <point index> <trial index>");
+                eprintln!("replay requires: <name> <point index> <trial index>");
                 exit(2);
             };
+            let (grid, _) = campaign_of(lookup(name), "replay");
             let scale = scale_for(&options);
-            let points = grid_or_exit(name, &scale);
-            let point_idx = parse_num(point_idx);
-            let trial_idx = parse_num(trial_idx);
-            let Some(point) = points.get(point_idx) else {
-                eprintln!(
-                    "point index {point_idx} out of range (grid has {} points)",
-                    points.len()
-                );
-                exit(2);
-            };
-            println!(
-                "replaying trial {trial_idx} of point {point_idx}: {}",
-                point.label
-            );
-            println!("  key: {}", point.key());
-            match replay_link_trial(scale.seed, point, trial_idx) {
-                Ok(record) => {
-                    for (arm, outcome) in point.arm_labels().iter().zip(&record.arms) {
-                        println!(
-                            "  {arm:<24} success={} symbol_error_rate={:.4}",
-                            outcome.success, outcome.metric
-                        );
-                    }
-                    // Show the replay really is self-contained: a second execution from
-                    // the same seed tree agrees exactly.
-                    let mut worker = LinkWorker::new();
-                    let mut rng =
-                        cprecycle_engine::trial_rng(scale.seed, &point.key(), trial_idx as u64);
-                    let again = run_link_trial(&mut worker, point, &mut rng)
-                        .expect("replay is deterministic");
-                    assert_eq!(again, record);
-                    println!("  (verified: second replay is bit-identical)");
-                }
-                Err(e) => {
-                    eprintln!("replay failed: {e}");
-                    exit(1);
+            let (point_idx, trial_idx) = (parse_num(point_idx), parse_num(trial_idx));
+            match grid {
+                Grid::Link(grid) => replay(
+                    &grid(&scale),
+                    replay_link_trial,
+                    "symbol_error_rate",
+                    scale.seed,
+                    point_idx,
+                    trial_idx,
+                ),
+                Grid::Stream(grid) => replay(
+                    &grid(&scale),
+                    replay_stream_trial,
+                    "recovered_fraction",
+                    scale.seed,
+                    point_idx,
+                    trial_idx,
+                ),
+                Grid::Neighbors => {
+                    eprintln!(
+                        "`{name}` trials are building realizations with no receiver to \
+                         replay; replay takes a link or stream grid"
+                    );
+                    exit(2);
                 }
             }
         }
@@ -369,5 +427,41 @@ fn main() {
             usage();
             exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{parse_args, parse_seed, scale_for};
+    use cprecycle_scenarios::figures::FigureScale;
+
+    fn options(args: &[&str]) -> super::Options {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn scale_is_full_by_default_and_smoke_on_request() {
+        let full = scale_for(&options(&["run", "fig8"]));
+        assert_eq!(full.packets, FigureScale::full().packets);
+        assert!(!full.coarse);
+        let smoke = options(&["run", "fig8", "--smoke", "--json", "--seed", "0x2a"]);
+        assert!(smoke.json);
+        assert_eq!(smoke.positional, ["run", "fig8"]);
+        let scale = scale_for(&smoke);
+        assert_eq!(scale.packets, FigureScale::smoke().packets);
+        assert!(scale.coarse);
+        assert_eq!(scale.seed, 42);
+    }
+
+    #[test]
+    fn seed_parses_in_the_notation_reports_print() {
+        let printed = format!("{:#x}", 0xC0FFEE_u64);
+        assert_eq!(printed, "0xc0ffee");
+        assert_eq!(parse_seed(&printed), Some(0xC0FFEE));
+        assert_eq!(parse_seed("0XC0FFEE"), Some(0xC0FFEE));
+        assert_eq!(parse_seed("12648430"), Some(0xC0FFEE));
+        assert_eq!(parse_seed("0x"), None);
+        assert_eq!(parse_seed("c0ffee"), None);
+        assert_eq!(parse_seed("-1"), None);
     }
 }

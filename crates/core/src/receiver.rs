@@ -503,8 +503,10 @@ impl CpRecycleReceiver {
         Ok((seg1, seg2))
     }
 
-    /// Trains a fresh interference model from the two long training symbols.
-    fn train_model(
+    /// Trains a fresh interference model from the two long training symbols of the
+    /// frame whose LTF starts at `ltf_start`, exactly as a decode does — the path the
+    /// experiment harness takes to show what the receiver learned from a preamble.
+    pub fn train_model(
         &self,
         samples: &[Complex],
         ltf_start: usize,

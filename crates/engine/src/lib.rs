@@ -33,7 +33,7 @@
 //!
 //! The engine is deliberately generic: it knows nothing about OFDM. The experiment
 //! harness (`cprecycle-scenarios`) supplies the grid point type and the trial closure;
-//! the figure binaries and the `campaign` CLI drive it.
+//! the `campaign` CLI drives it, one registry entry at a time.
 //!
 //! ## Determinism contract
 //!

@@ -10,7 +10,7 @@
 //! * the [`ToJson`] / [`FromJson`] conversion traits with implementations for the
 //!   primitive types, `Vec<T>` and `Option<T>`.
 //!
-//! The campaign engine's checkpoint files and every figure binary's `--json` output go
+//! The campaign engine's checkpoint files and the `campaign` CLI's `--json` output go
 //! through this crate, so the format is deliberately plain: UTF-8, `\uXXXX` escapes
 //! accepted on input, only the mandatory escapes emitted on output.
 

@@ -26,7 +26,7 @@
 //!
 //! A cold-path [`MetricsSnapshot`] freezes the recorder state into a plain
 //! value that serialises through `cpjson`, which is how `campaign run
-//! --metrics <path>` and the figure drivers export telemetry.
+//! --metrics <path>` exports telemetry for every registered experiment.
 //!
 //! # Example
 //!

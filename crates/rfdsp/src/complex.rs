@@ -114,12 +114,6 @@ impl Complex {
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
     }
-
-    /// Euclidean distance between two constellation points, `|a − b|`.
-    #[inline]
-    pub fn distance(self, other: Complex) -> f64 {
-        (self - other).norm()
-    }
 }
 
 impl From<f64> for Complex {
@@ -397,14 +391,6 @@ mod tests {
         assert!(ccl(s, Complex::new(10.0, 10.0)));
         let s2: Complex = xs.into_iter().sum();
         assert!(ccl(s2, Complex::new(10.0, 10.0)));
-    }
-
-    #[test]
-    fn distance_is_symmetric() {
-        let a = Complex::new(1.0, 2.0);
-        let b = Complex::new(-2.0, 6.0);
-        assert!(close(a.distance(b), 5.0));
-        assert!(close(b.distance(a), 5.0));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! go through the *same* scalar arithmetic, so results do not depend on how an input
 //! length splits into chunks.
 //!
-//! The module also provides [`exp_approx`] / [`exp_batch`]: a polynomial `exp`
+//! The module also provides [`exp_approx`]: a polynomial `exp`
 //! whose every step (rounding, Cody–Waite reduction, Estrin evaluation, exponent
 //! bit-twiddling) is branch-free data parallelism, so the compiler can vectorize
 //! the surrounding loops — `f64::exp` is an opaque libm call that never
@@ -112,28 +112,6 @@ pub fn exp_approx(x: f64) -> f64 {
         f64::INFINITY
     } else {
         v
-    }
-}
-
-/// [`exp_approx`] over a slice, written as `LANES`-wide chunks plus a remainder that
-/// reuses the identical scalar arithmetic — results are independent of alignment and
-/// tail length.
-#[inline]
-pub fn exp_batch(xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "exp_batch slices must match");
-    let main = xs.len() - xs.len() % LANES;
-    for (xc, oc) in xs[..main]
-        .chunks_exact(LANES)
-        .zip(out[..main].chunks_exact_mut(LANES))
-    {
-        let mut lane = [0.0f64; LANES];
-        for l in 0..LANES {
-            lane[l] = exp_approx(xc[l]);
-        }
-        oc.copy_from_slice(&lane);
-    }
-    for (x, o) in xs[main..].iter().zip(&mut out[main..]) {
-        *o = exp_approx(*x);
     }
 }
 
@@ -364,25 +342,5 @@ mod tests {
         assert_eq!(exp_screen(EXP_UNDERFLOW.next_down()), 0.0);
         assert_eq!(exp_screen(f64::NEG_INFINITY), 0.0);
         assert_eq!(exp_screen(0.0), EXP_SCREEN_POLY[0]);
-    }
-
-    #[test]
-    fn exp_batch_matches_scalar_for_any_tail_length() {
-        for len in 0..20usize {
-            let xs: Vec<f64> = (0..len).map(|i| -0.37 * i as f64).collect();
-            let mut out = vec![0.0; len];
-            exp_batch(&xs, &mut out);
-            for (x, o) in xs.iter().zip(&out) {
-                // Bit-for-bit: chunked and remainder elements run the same arithmetic.
-                assert_eq!(o.to_bits(), exp_approx(*x).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "must match")]
-    fn exp_batch_rejects_mismatched_lengths() {
-        let mut out = [0.0; 2];
-        exp_batch(&[1.0], &mut out);
     }
 }

@@ -14,7 +14,7 @@
 //! * [`window`] — Hann, Hamming and Kaiser window functions.
 //! * [`filter`] — FIR filter design (windowed-sinc low-pass / band-pass) and streaming
 //!   convolution, used by the channel simulator to model transmit spectral masks.
-//! * [`stats`] — descriptive statistics, empirical CDFs, histograms and correlation,
+//! * [`stats`] — descriptive statistics, empirical CDFs and correlation,
 //!   used both by the experiment harness and by the ISI-free-region detector.
 //! * [`kde`] — Gaussian kernel density estimation (univariate and bivariate product
 //!   kernels) with Silverman and data-driven bandwidth selection. The CPRecycle

@@ -54,9 +54,6 @@ pub struct SlidingDft {
     /// `e^{−i2πk/N}` per bin: the conjugate table, used by callers that maintain a
     /// per-bin phase ramp shrinking as the window advances (CPRecycle Eq. 2).
     retreat: Vec<Complex>,
-    /// Split-plane `f32` copies of `advance` for the reduced-precision slide kernel.
-    advance_re32: Vec<f32>,
-    advance_im32: Vec<f32>,
     /// Split-plane `f32` copies of `retreat` for reduced-precision ramp maintenance.
     retreat_re32: Vec<f32>,
     retreat_im32: Vec<f32>,
@@ -77,16 +74,12 @@ impl SlidingDft {
             advance.push(Complex::cis(theta));
             retreat.push(Complex::cis(-theta));
         }
-        let advance_re32 = advance.iter().map(|w| w.re as f32).collect();
-        let advance_im32 = advance.iter().map(|w| w.im as f32).collect();
         let retreat_re32 = retreat.iter().map(|w| w.re as f32).collect();
         let retreat_im32 = retreat.iter().map(|w| w.im as f32).collect();
         SlidingDft {
             plan,
             advance,
             retreat,
-            advance_re32,
-            advance_im32,
             retreat_re32,
             retreat_im32,
         }
@@ -155,56 +148,6 @@ impl SlidingDft {
         crate::simd::slide_update(spectrum, delta, &self.advance);
         Ok(())
     }
-
-    /// The reduced-precision slide kernel: the same rank-1 update as
-    /// [`slide`](Self::slide), over **split `f32` re/im planes** — the
-    /// `KernelPrecision::F32` variant of the sliding DFT. The f64 path remains the
-    /// reference; tolerance against it is pinned by `tests/simd_equivalence.rs`.
-    ///
-    /// `outgoing`/`incoming` are `(re, im)` pairs of the samples leaving/entering the
-    /// window.
-    pub fn slide_f32(
-        &self,
-        spectrum_re: &mut [f32],
-        spectrum_im: &mut [f32],
-        outgoing: (f32, f32),
-        incoming: (f32, f32),
-    ) -> Result<()> {
-        if spectrum_re.len() != self.len() || spectrum_im.len() != self.len() {
-            return Err(DspError::LengthMismatch {
-                expected: self.len(),
-                actual: spectrum_re.len().min(spectrum_im.len()),
-            });
-        }
-        let dre = incoming.0 - outgoing.0;
-        let dim = incoming.1 - outgoing.1;
-        use crate::lanes::LANES;
-        let n = self.len();
-        let main = n - n % LANES;
-        for c in (0..main).step_by(LANES) {
-            let mut ar = [0.0f32; LANES];
-            let mut ai = [0.0f32; LANES];
-            for l in 0..LANES {
-                ar[l] = spectrum_re[c + l] + dre;
-                ai[l] = spectrum_im[c + l] + dim;
-            }
-            for l in 0..LANES {
-                let wr = self.advance_re32[c + l];
-                let wi = self.advance_im32[c + l];
-                spectrum_re[c + l] = ar[l] * wr - ai[l] * wi;
-                spectrum_im[c + l] = ar[l] * wi + ai[l] * wr;
-            }
-        }
-        for k in main..n {
-            let ar = spectrum_re[k] + dre;
-            let ai = spectrum_im[k] + dim;
-            let wr = self.advance_re32[k];
-            let wi = self.advance_im32[k];
-            spectrum_re[k] = ar * wr - ai * wi;
-            spectrum_im[k] = ar * wi + ai * wr;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -268,48 +211,9 @@ mod tests {
             assert!((plan.advance_twiddles()[k].norm() - 1.0).abs() < 1e-12);
         }
         assert_eq!(plan.advance_twiddles()[0], Complex::one());
-    }
-
-    #[test]
-    fn f32_slide_tracks_the_f64_reference() {
-        let n = 64;
-        let slides = 16; // one 802.11a/g CP worth of slides
-        let plan = SlidingDft::new(n);
-        let x = random_signal(n + slides, 42);
-        let mut spectrum = plan.plan().fft(&x[..n]);
-        let mut re32: Vec<f32> = spectrum.iter().map(|s| s.re as f32).collect();
-        let mut im32: Vec<f32> = spectrum.iter().map(|s| s.im as f32).collect();
-        for t in 0..slides {
-            plan.slide(&mut spectrum, x[t], x[t + n]).unwrap();
-            plan.slide_f32(
-                &mut re32,
-                &mut im32,
-                (x[t].re as f32, x[t].im as f32),
-                (x[t + n].re as f32, x[t + n].im as f32),
-            )
-            .unwrap();
-        }
-        // f32 has ~1e-7 relative precision; over 16 additive slides the drift stays
-        // well inside 1e-4 on unit-power signals.
-        for k in 0..n {
-            let err = ((re32[k] as f64 - spectrum[k].re).powi(2)
-                + (im32[k] as f64 - spectrum[k].im).powi(2))
-            .sqrt();
-            assert!(err < 1e-4, "bin {k}: err {err}");
-        }
-    }
-
-    #[test]
-    fn f32_slide_rejects_wrong_lengths() {
-        let plan = SlidingDft::new(8);
-        let mut re = vec![0.0f32; 4];
-        let mut im = vec![0.0f32; 8];
-        assert!(plan
-            .slide_f32(&mut re, &mut im, (0.0, 0.0), (0.0, 0.0))
-            .is_err());
         let (rre, rim) = plan.retreat_twiddles_f32();
-        assert_eq!(rre.len(), 8);
-        assert_eq!(rim.len(), 8);
+        assert_eq!(rre.len(), n);
+        assert_eq!(rim.len(), n);
     }
 
     #[test]

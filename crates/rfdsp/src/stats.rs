@@ -220,71 +220,6 @@ impl EmpiricalCdf {
     }
 }
 
-/// A fixed-width histogram over a closed interval.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equally-wide bins spanning `[lo, hi]`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Result<Self> {
-        if bins == 0 {
-            return Err(DspError::invalid("bins", "must be at least 1"));
-        }
-        // `partial_cmp` keeps the NaN-rejecting behaviour of `!(hi > lo)` explicit.
-        if hi.partial_cmp(&lo) != Some(std::cmp::Ordering::Greater) {
-            return Err(DspError::invalid("hi", "upper edge must exceed lower edge"));
-        }
-        Ok(Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-        })
-    }
-
-    /// Adds one observation; values outside `[lo, hi]` are clamped into the edge bins.
-    pub fn add(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let idx = if x <= self.lo {
-            0
-        } else if x >= self.hi {
-            bins - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * bins as f64) as usize
-        };
-        self.counts[idx.min(bins - 1)] += 1;
-        self.total += 1;
-    }
-
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total number of observations recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Normalised density estimate per bin (integrates to 1 over `[lo, hi]`).
-    pub fn density(&self) -> Vec<f64> {
-        let bins = self.counts.len();
-        let w = (self.hi - self.lo) / bins as f64;
-        if self.total == 0 {
-            return vec![0.0; bins];
-        }
-        self.counts
-            .iter()
-            .map(|c| *c as f64 / (self.total as f64 * w))
-            .collect()
-    }
-}
-
 /// Centroid (arithmetic mean) of a set of complex points — the sphere-decoder centre in
 /// the paper's §4.2.
 pub fn centroid(xs: &[Complex]) -> Result<Complex> {
@@ -542,28 +477,6 @@ mod tests {
         let curve = cdf.curve();
         assert_eq!(curve.len(), 5);
         assert_eq!(curve[4], (50.0, 1.0));
-    }
-
-    #[test]
-    fn histogram_counts_and_density() {
-        let mut h = Histogram::new(0.0, 10.0, 10).unwrap();
-        for x in [0.5, 1.5, 1.6, 9.9, 10.5, -3.0] {
-            h.add(x);
-        }
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.counts()[0], 2); // 0.5 and clamped -3.0
-        assert_eq!(h.counts()[1], 2);
-        assert_eq!(h.counts()[9], 2); // 9.9 and clamped 10.5
-        let d = h.density();
-        let integral: f64 = d.iter().sum::<f64>() * 1.0;
-        assert!((integral - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_invalid_construction() {
-        assert!(Histogram::new(0.0, 1.0, 0).is_err());
-        assert!(Histogram::new(1.0, 1.0, 4).is_err());
-        assert!(Histogram::new(2.0, 1.0, 4).is_err());
     }
 
     #[test]

@@ -6,18 +6,17 @@
 //!
 //! * **bit-for-bit** where the restructure preserves elementwise operation order —
 //!   the sliding-DFT update (both the autovectorized chunk path and the
-//!   runtime-dispatched AVX2 path, which deliberately avoids FMA), the
-//!   polynomial `exp` batch, and the KDE's largest kernel exponent (a lane max is
-//!   exact);
+//!   runtime-dispatched AVX2 path, which deliberately avoids FMA) and the KDE's
+//!   largest kernel exponent (a lane max is exact);
 //! * **≤ 1e-9** where the batch path substitutes the polynomial `exp` for libm in
 //!   the exact-KDE log-sum (operation order differs, so exact equality is not the
-//!   contract);
-//! * **≤ 1e-3** for the reduced-precision (`f32`) slide, whose budget the
-//!   `KernelPrecision::F32` receiver configuration states.
+//!   contract).
+//!
+//! The reduced-precision (`f32`) extraction's budget is pinned where it runs, in
+//! `cprecycle`'s `segments` tests.
 
 use proptest::prelude::*;
 use rfdsp::kde::{select_bandwidth, BandwidthSelector, ProductKde2d};
-use rfdsp::lanes::{exp_approx, exp_batch};
 use rfdsp::simd::{kde_max_exponent, slide_update, slide_update_lanes};
 use rfdsp::sliding::SlidingDft;
 use rfdsp::Complex;
@@ -114,32 +113,6 @@ proptest! {
         assert_bits_eq(&fast, &slow, "chained slides");
     }
 
-    /// The reduced-precision `slide_f32` tracks the f64 slide within the stated
-    /// budget over a full window's worth of chained updates.
-    #[test]
-    fn f32_slides_track_f64_within_budget(
-        size_idx in 0usize..3,
-        samples in complexes(40..150usize),
-    ) {
-        let n = [8usize, 32, 64][size_idx];
-        prop_assume!(samples.len() > n);
-        let dft = SlidingDft::new(n);
-        let mut reference = vec![Complex::zero(); n];
-        let mut re32 = vec![0.0f32; n];
-        let mut im32 = vec![0.0f32; n];
-        for t in 0..samples.len() - n {
-            dft.slide(&mut reference, samples[t], samples[t + n]).unwrap();
-            let out = (samples[t].re as f32, samples[t].im as f32);
-            let inc = (samples[t + n].re as f32, samples[t + n].im as f32);
-            dft.slide_f32(&mut re32, &mut im32, out, inc).unwrap();
-        }
-        for k in 0..n {
-            let err = (reference[k] - Complex::new(re32[k] as f64, im32[k] as f64)).norm();
-            let scale = 1.0 + reference[k].norm();
-            prop_assert!(err < 1e-3 * scale, "bin {k}: err {err}, value {}", reference[k]);
-        }
-    }
-
     /// The exact-KDE batch scorer agrees with per-query scalar evaluation to 1e-9
     /// for any query count (chunked body + remainder) — in support with
     /// leave-one-out bandwidths, and in the far tail: fixed small bandwidths and
@@ -212,17 +185,6 @@ proptest! {
             });
             let got = kde_max_exponent(a, p, &amps, &phases);
             prop_assert_eq!(got.to_bits(), want.to_bits(), "query ({}, {}): {} vs {}", a, p, got, want);
-        }
-    }
-
-    /// The chunked polynomial `exp` equals its own scalar form for every element,
-    /// independent of how the length splits into chunks.
-    #[test]
-    fn exp_batch_is_bit_identical_for_any_tail(xs in prop::collection::vec(-700.0f64..80.0, 0..40)) {
-        let mut out = vec![0.0; xs.len()];
-        exp_batch(&xs, &mut out);
-        for (x, got) in xs.iter().zip(&out) {
-            prop_assert_eq!(got.to_bits(), exp_approx(*x).to_bits(), "x = {}", x);
         }
     }
 }

@@ -17,20 +17,18 @@
 //!   decodes with every receiver under test (Standard, CPRecycle, Naive, Oracle), and
 //!   whole grids run as parallel, checkpointable, deterministically replayable
 //!   campaigns.
-//! * [`figures`] — one driver per table/figure of the paper; every Monte-Carlo figure
-//!   submits its full grid to the engine as one campaign (see
-//!   [`figures::figure_grid`]) and returns serialisable result series that the
-//!   `cprecycle-bench` binaries print (the README's reproduction notes compare them
-//!   with the paper).
+//! * [`figures`] — the experiment registry: every table and figure of the paper, plus
+//!   the decoder, estimator, streaming and ablation sweeps, named once in
+//!   [`figures::FIGURES`]. A Monte-Carlo entry submits its full grid to the engine as
+//!   one campaign and renders the tallies into serialisable result series; the
+//!   `campaign` CLI in `cprecycle-bench` runs, checkpoints, resumes and prints them
+//!   (the README's reproduction notes compare them with the paper).
 //! * [`stream`] — bursty-traffic streaming campaigns: back-to-back frames at random
 //!   gaps decoded through `cprecycle::session::RxSession` (incremental sync,
 //!   over-the-air SIGNAL decode, cross-frame model persistence), with per-frame and
 //!   aggregate packet success rates.
 //! * [`neighbors`] — the synthetic office-building model behind Fig. 13.
 //! * [`report`] — plain-text rendering of result series.
-//! * [`telemetry`] — an opt-in process-wide recorder the figure campaigns report
-//!   into, so the `cprecycle-bench` binaries can dump metrics snapshots without
-//!   changing any driver signature.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +39,6 @@ pub mod link;
 pub mod neighbors;
 pub mod report;
 pub mod stream;
-pub mod telemetry;
 pub mod wideband;
 
 /// Convenience alias reusing the PHY error type.

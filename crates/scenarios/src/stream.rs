@@ -23,9 +23,7 @@
 //! is slightly harsher than the nominal figure by the duty-cycle factor; grids keep
 //! gaps small relative to frames so the two stay within ~1 dB.
 
-use crate::figures::FigureScale;
 use crate::link::Scenario;
-use crate::report::{ExperimentResult, Series};
 use crate::Result;
 use cprecycle::{
     CpRecycleConfig, CpRecycleReceiver, ModelPersistence, RxEvent, RxSession, SessionConfig,
@@ -373,94 +371,6 @@ pub fn replay_stream_trial(
     let mut worker = StreamWorker::new();
     let mut rng = cprecycle_engine::trial_rng(master_seed, &point.key(), trial_idx as u64);
     run_stream_trial(&mut worker, point, &mut rng)
-}
-
-// ---------------------------------------------------------------------------
-// The `fig_stream` grid and driver
-// ---------------------------------------------------------------------------
-
-fn stream_sirs(scale: &FigureScale) -> Vec<f64> {
-    if scale.coarse {
-        vec![-8.0]
-    } else {
-        vec![-20.0, -14.0, -8.0, -2.0, 4.0]
-    }
-}
-
-/// The bursty-traffic grid: ≥ 3 back-to-back frames per trial under single-interferer
-/// ACI (the fig. 8 overlapping-channel geometry), decoded by the standard receiver
-/// and by CPRecycle under both persistence policies — so one engine run sweeps the
-/// streaming receive chain and the cross-frame model together.
-pub fn stream_grid(scale: &FigureScale) -> Vec<StreamPoint> {
-    let arms = vec![
-        StreamArm::Standard,
-        StreamArm::cprecycle(ModelPersistence::PerFrame),
-        StreamArm::cprecycle(ModelPersistence::Rolling),
-    ];
-    stream_sirs(scale)
-        .iter()
-        .map(|sir| {
-            StreamPoint::new(
-                format!("SIR {sir} dB"),
-                Scenario::Aci(crate::interference::AciScenario {
-                    sir_db: *sir,
-                    channel_offset_hz: Some(15e6),
-                    ..Default::default()
-                }),
-                arms.clone(),
-            )
-            .payload(scale.payload_len)
-        })
-        .collect()
-}
-
-/// Streaming-receiver comparison: aggregate (all-frames) and per-frame packet
-/// success rates versus SIR for every stream arm, as one engine campaign over the
-/// bursty-traffic grid.
-pub fn fig_stream(scale: &FigureScale) -> Result<ExperimentResult> {
-    let sirs = stream_sirs(scale);
-    let points = stream_grid(scale);
-    let result = run_stream_campaign(
-        &scale.campaign("stream"),
-        &points,
-        &crate::telemetry::run_options(),
-    )
-    .map_err(|e| ofdmphy::PhyError::DecodeFailure(e.to_string()))?;
-    let arm_labels: Vec<String> = result.points[0]
-        .arms
-        .iter()
-        .map(|a| a.label.clone())
-        .collect();
-    let mut aggregate: Vec<Vec<f64>> = vec![Vec::new(); arm_labels.len()];
-    let mut per_frame: Vec<Vec<f64>> = vec![Vec::new(); arm_labels.len()];
-    for point in &result.points {
-        for (i, arm) in point.arms.iter().enumerate() {
-            aggregate[i].push(arm.success_percent());
-            per_frame[i].push(100.0 * arm.metric_mean());
-        }
-    }
-    let mut series = Vec::new();
-    for (i, label) in arm_labels.iter().enumerate() {
-        series.push(Series::new(
-            format!("{label} — per-frame PSR"),
-            sirs.clone(),
-            per_frame[i].clone(),
-        ));
-        series.push(Series::new(
-            format!("{label} — all-frames PSR"),
-            sirs.clone(),
-            aggregate[i].clone(),
-        ));
-    }
-    Ok(ExperimentResult {
-        id: "Streaming sessions".into(),
-        description: "Per-frame and aggregate PSR vs SIR for bursty traffic (3 frames/trial, \
-                      random gaps, single ACI interferer, over-the-air sync + SIGNAL decode)"
-            .into(),
-        x_label: "Signal to interference ratio (dB)".into(),
-        y_label: "Packet success rate (%)".into(),
-        series,
-    })
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
-//! Integration tests that exercise the figure drivers end to end at smoke scale and
-//! check the qualitative relationships the paper reports.
+//! Integration tests that exercise the registered experiments end to end at smoke
+//! scale and check the qualitative relationships the paper reports.
 
 use cprecycle_repro::cprecycle::CpRecycleConfig;
 use cprecycle_repro::ofdmphy::convcode::CodeRate;
 use cprecycle_repro::ofdmphy::frame::Mcs;
 use cprecycle_repro::ofdmphy::modulation::Modulation;
 use cprecycle_repro::ofdmphy::params::OfdmParams;
-use cprecycle_repro::scenarios::figures::{self, FigureScale};
+use cprecycle_repro::scenarios::figures::{regenerate, FigureScale};
 use cprecycle_repro::scenarios::interference::{AciScenario, CciScenario};
 use cprecycle_repro::scenarios::link::{
     packet_success_rate, MonteCarloConfig, ReceiverKind, Scenario,
@@ -14,7 +14,7 @@ use cprecycle_repro::scenarios::link::{
 
 #[test]
 fn table1_reproduces_the_paper_rows() {
-    let t = figures::table1();
+    let t = regenerate("table1", &FigureScale::smoke()).unwrap();
     let table = t.to_table();
     assert!(table.contains("Table 1"));
     // 20 MHz → 64/16/0.8 µs; 160 MHz → 512/128/6.4 µs.
@@ -27,11 +27,11 @@ fn table1_reproduces_the_paper_rows() {
 #[test]
 fn figure4_diagnostics_run_at_smoke_scale() {
     let scale = FigureScale::smoke();
-    let a = figures::fig4a(&scale).unwrap();
+    let a = regenerate("fig4a", &scale).unwrap();
     assert_eq!(a.series.len(), 2);
-    let b = figures::fig4b(&scale).unwrap();
+    let b = regenerate("fig4b", &scale).unwrap();
     assert_eq!(b.series.len(), 3);
-    let c = figures::fig4c(&scale).unwrap();
+    let c = regenerate("fig4c", &scale).unwrap();
     assert_eq!(c.series[0].x.len(), 5);
 }
 
@@ -40,7 +40,7 @@ fn oracle_dominates_standard_in_interference_power_terms() {
     // The Fig. 4a relationship: per subcarrier, the oracle's chosen segment never sees
     // more interference than the standard window, and on average sees clearly less.
     let scale = FigureScale::smoke();
-    let r = figures::fig4a(&scale).unwrap();
+    let r = regenerate("fig4a", &scale).unwrap();
     let standard = &r.series[0].y;
     let oracle = &r.series[1].y;
     let mut advantage = 0.0;
@@ -156,7 +156,7 @@ fn more_segments_do_not_hurt_packet_success() {
 
 #[test]
 fn neighbor_cdf_shifts_left_with_cprecycle() {
-    let r = figures::fig13(&FigureScale::smoke());
+    let r = regenerate("fig13", &FigureScale::smoke()).unwrap();
     let median = |s: &cprecycle_repro::scenarios::report::Series| {
         let idx = s.y.iter().position(|v| *v >= 0.5).unwrap();
         s.x[idx]
