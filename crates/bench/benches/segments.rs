@@ -1,9 +1,8 @@
-//! Segment-extraction throughput: the sliding-DFT kernel versus the direct
-//! per-segment FFT reference, across segment counts `P` — the per-symbol cost that
-//! dominates the CPRecycle receiver (paper §3.1 / §6). The README's performance table
-//! is filled from this bench.
+//! Segment-extraction throughput: the sliding-DFT kernel across segment counts `P`
+//! (paper §3.1 / §6). The direct per-segment FFT is the test oracle in
+//! `crates/core/tests/segment_equivalence.rs` and has no bench row.
 
-use cprecycle::segments::{extract_segments_with, SegmentExtraction, SegmentScratch};
+use cprecycle::segments::{extract_segments_with, SegmentScratch};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ofdmphy::chanest::ChannelEstimate;
 use ofdmphy::frame::pilot_values;
@@ -39,17 +38,9 @@ fn bench_segments(c: &mut Criterion) {
     group.sample_size(20);
     let mut scratch = SegmentScratch::new();
     for p in [1usize, 4, 8, 16] {
-        for (name, method) in [
-            ("sliding", SegmentExtraction::Sliding),
-            ("direct", SegmentExtraction::Direct),
-        ] {
-            group.bench_with_input(BenchmarkId::new(name, p), &p, |b, &p| {
-                b.iter(|| {
-                    extract_segments_with(&engine, &symbol, &estimate, p, method, &mut scratch)
-                        .unwrap()
-                });
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("sliding", p), &p, |b, &p| {
+            b.iter(|| extract_segments_with(&engine, &symbol, &estimate, p, &mut scratch).unwrap());
+        });
     }
     group.finish();
 }

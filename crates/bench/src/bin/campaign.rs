@@ -20,7 +20,7 @@
 
 use cprecycle_engine::{
     campaign_snapshot, load_campaign, report, save_campaign, CampaignPoint, CampaignResult,
-    ProgressOptions, RunOptions, TrialRecord,
+    PointResult, ProgressOptions, RunOptions, TrialRecord,
 };
 use cprecycle_scenarios::figures::{figure, Experiment, Figure, FigureScale, Grid, FIGURES};
 use cprecycle_scenarios::link::replay_link_trial;
@@ -126,6 +126,34 @@ fn scale_for(options: &Options) -> FigureScale {
         scale.seed = seed;
     }
     scale
+}
+
+/// The flags a direct entry given to `run` would ignore: it has no trials, no worker
+/// threads, no progress line and no checkpoint.
+fn campaign_only_flags(o: &Options) -> Vec<&'static str> {
+    let given = [
+        o.out.is_some(),
+        o.trials.is_some(),
+        o.threads.is_some(),
+        o.quiet,
+    ];
+    let flags = ["--out", "--trials", "--threads", "--quiet"];
+    flags
+        .into_iter()
+        .zip(given)
+        .filter_map(|(f, g)| g.then_some(f))
+        .collect()
+}
+
+/// Whether a checkpoint was recorded at smoke scale: some recorded point key — the
+/// engine lists every grid point, complete or not — belongs to the smoke grid alone.
+/// `None` when it records no point, so its scale is unknown.
+fn recorded_at_smoke(prior: &CampaignResult, full: &[String], smoke: &[String]) -> Option<bool> {
+    if prior.points.is_empty() {
+        return None;
+    }
+    let smoke_only = |p: &PointResult| smoke.contains(&p.key) && !full.contains(&p.key);
+    Some(prior.points.iter().any(smoke_only))
 }
 
 fn lookup(name: &str) -> &'static Figure {
@@ -319,6 +347,15 @@ fn main() {
             let name = argument("an experiment name");
             let figure = lookup(&name);
             if let Experiment::Direct(run) = figure.experiment {
+                let ignored = campaign_only_flags(&options);
+                if !ignored.is_empty() {
+                    eprintln!(
+                        "`{name}` is a direct experiment with no trials and no checkpoint: \
+                         it does not take {}",
+                        ignored.join(", ")
+                    );
+                    exit(2);
+                }
                 match run(&scale_for(&options)) {
                     Ok(result) => emit(&result, options.json),
                     Err(e) => {
@@ -342,12 +379,6 @@ fn main() {
             let prior = load_or_exit(&path);
             let figure = lookup(&prior.name);
             let (grid, _) = campaign_of(figure, "resume");
-            let done = prior.points.iter().filter(|p| p.complete).count();
-            eprintln!(
-                "resuming campaign `{}`: {done}/{} points already complete",
-                prior.name,
-                prior.points.len()
-            );
             // The checkpoint records the master seed and trial count it was produced
             // with; reuse them so recorded points stay valid.
             let mut options = options;
@@ -356,23 +387,31 @@ fn main() {
             // The grid scale is not recorded in the checkpoint, and a scale mismatch
             // means no point key matches — the run would silently recompute everything.
             // Detect which scale the recorded keys came from and resume with it.
-            if !options.smoke {
-                let matches = |scale: &FigureScale| {
-                    let grid = grid.points(scale);
-                    prior
-                        .points
-                        .iter()
-                        .filter(|p| p.complete && grid.iter().any(|g| g.key() == p.key))
-                        .count()
-                };
-                let full_scale = scale_for(&options);
-                if done > 0 && matches(&full_scale) == 0 && matches(&FigureScale::smoke()) > 0 {
-                    eprintln!(
-                        "note: recorded points match the --smoke grid, not the full grid; \
-                         resuming at smoke scale"
-                    );
-                    options.smoke = true;
-                }
+            let keys = |scale: FigureScale| -> Vec<String> {
+                grid.points(&scale).iter().map(|p| p.key()).collect()
+            };
+            let (full, smoke) = (keys(FigureScale::full()), keys(FigureScale::smoke()));
+            let Some(at_smoke) = recorded_at_smoke(&prior, &full, &smoke) else {
+                eprintln!(
+                    "checkpoint {} records no grid point, so its scale is unknown; \
+                     start over with `campaign run {}`",
+                    path.display(),
+                    prior.name
+                );
+                exit(2);
+            };
+            let done = prior.points.iter().filter(|p| p.complete).count();
+            eprintln!(
+                "resuming campaign `{}`: {done}/{} points already complete",
+                prior.name,
+                prior.points.len()
+            );
+            if at_smoke && !options.smoke {
+                eprintln!(
+                    "note: recorded points match the --smoke grid, not the full grid; \
+                     resuming at smoke scale"
+                );
+                options.smoke = true;
             }
             run_with_checkpoints(figure, &options, Some(prior), path);
         }
@@ -432,8 +471,9 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_args, parse_seed, scale_for};
-    use cprecycle_scenarios::figures::FigureScale;
+    use super::{campaign_only_flags, parse_args, parse_seed, recorded_at_smoke, scale_for};
+    use cprecycle_engine::{CampaignResult, PointResult};
+    use cprecycle_scenarios::figures::{figure, Experiment, FigureScale};
 
     fn options(args: &[&str]) -> super::Options {
         parse_args(args.iter().map(|a| a.to_string()))
@@ -463,5 +503,93 @@ mod tests {
         assert_eq!(parse_seed("0x"), None);
         assert_eq!(parse_seed("c0ffee"), None);
         assert_eq!(parse_seed("-1"), None);
+    }
+
+    #[test]
+    fn direct_entries_reject_the_campaign_only_flags() {
+        assert!(campaign_only_flags(&options(&["run", "table1"])).is_empty());
+        let kept = options(&["run", "table1", "--smoke", "--json", "--seed", "7"]);
+        assert!(campaign_only_flags(&kept).is_empty());
+        let metrics = options(&["run", "table1", "--metrics", "m.json"]);
+        assert!(campaign_only_flags(&metrics).is_empty());
+        let all = options(&[
+            "run",
+            "table1",
+            "--quiet",
+            "--threads",
+            "2",
+            "--trials",
+            "3",
+            "--out",
+            "x.json",
+        ]);
+        assert_eq!(
+            campaign_only_flags(&all),
+            ["--out", "--trials", "--threads", "--quiet"]
+        );
+        let out = options(&["run", "table1", "--out", "x.json"]);
+        assert_eq!(campaign_only_flags(&out), ["--out"]);
+    }
+
+    fn checkpoint(points: &[(&str, bool)]) -> CampaignResult {
+        CampaignResult {
+            name: "fig8".into(),
+            master_seed: 1,
+            trials_per_point: 2,
+            points: points
+                .iter()
+                .map(|&(key, complete)| PointResult {
+                    key: key.into(),
+                    label: key.into(),
+                    complete,
+                    trials: if complete { 2 } else { 0 },
+                    arms: Vec::new(),
+                    elapsed_secs: 0.0,
+                })
+                .collect(),
+            total_elapsed_secs: 0.0,
+            threads: 1,
+        }
+    }
+
+    #[test]
+    fn resume_detects_the_scale_from_every_recorded_key() {
+        let full: Vec<String> = ["f0", "f1", "f2"].map(String::from).to_vec();
+        let smoke: Vec<String> = ["s0", "s1"].map(String::from).to_vec();
+        let detect =
+            |points: &[(&str, bool)]| recorded_at_smoke(&checkpoint(points), &full, &smoke);
+        assert_eq!(detect(&[("s0", true), ("s1", false)]), Some(true));
+        assert_eq!(
+            detect(&[("f0", true), ("f1", false), ("f2", false)]),
+            Some(false)
+        );
+        // No point is complete yet: the incomplete points' keys still name the scale.
+        assert_eq!(detect(&[("s0", false), ("s1", false)]), Some(true));
+        assert_eq!(
+            detect(&[("f0", false), ("f1", false), ("f2", false)]),
+            Some(false)
+        );
+        // A checkpoint that records no point cannot tell.
+        assert_eq!(detect(&[]), None);
+        // Keys shared by both grids, or matching neither, resume at full scale.
+        let shared: Vec<String> = vec!["n".into()];
+        assert_eq!(
+            recorded_at_smoke(&checkpoint(&[("n", true)]), &shared, &shared),
+            Some(false)
+        );
+        assert_eq!(detect(&[("other", false)]), Some(false));
+        // A real grid: every fig8 smoke key, all still incomplete, reads as smoke.
+        let Experiment::Campaign { grid, .. } = figure("fig8").unwrap().experiment else {
+            panic!("fig8 is a campaign entry");
+        };
+        let keys = |scale: &FigureScale| -> Vec<String> {
+            grid.points(scale).iter().map(|p| p.key()).collect()
+        };
+        let (full, smoke) = (keys(&FigureScale::full()), keys(&FigureScale::smoke()));
+        let recorded: Vec<(&str, bool)> = smoke.iter().map(|k| (k.as_str(), false)).collect();
+        assert_eq!(
+            recorded_at_smoke(&checkpoint(&recorded), &full, &smoke),
+            Some(true)
+        );
     }
 }

@@ -103,33 +103,15 @@ impl DecisionStage {
     }
 }
 
-/// Floating-point width of the sliding-DFT slide updates.
+/// Floating-point width of the sliding-DFT slides: `f64` is the only one.
 ///
-/// [`F64`](Self::F64) is the reference — the slide's scalar counterpart runs in
-/// `f64`, and the vectorized `f64` path is pinned to it bit-for-bit (or ≤ 1e-9
-/// where operation order changes). [`F32`](Self::F32) halves the memory traffic of
-/// the slide and doubles its SIMD lane count; its error is bounded by property
-/// tests (per-bin spectra within `1e-3`) and a whole-frame decision-equivalence
-/// test at the Fig. 14 operating point. Precision affects only the slide —
-/// seeding FFTs, model fitting and every density query stay `f64` under either
-/// setting.
+/// A one-value type kept because the frozen benchmark harness reads
+/// `CpRecycleConfig::precision`; ROADMAP item 1 deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPrecision {
-    /// Full-width kernels — the reference and the default.
+    /// Full-width kernels.
     #[default]
     F64,
-    /// Half-width sliding-DFT slides.
-    F32,
-}
-
-impl KernelPrecision {
-    /// Short name used in campaign arm labels and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            KernelPrecision::F64 => "F64",
-            KernelPrecision::F32 => "F32",
-        }
-    }
 }
 
 /// Tuning knobs of the CPRecycle receiver (the paper's `B_a`, `B_φ`, `R` and `P`
@@ -189,10 +171,8 @@ pub struct CpRecycleConfig {
     /// vector is numerically meaningless, so an un-floored phase bandwidth is even more
     /// fragile).
     pub min_bandwidth_phase: f64,
-    /// Which kernel extracts the per-symbol FFT segments: the `O(F)`-per-segment
-    /// sliding DFT (default) or the direct per-segment FFT reference implementation.
-    /// The two agree to ≤ 1e-9 (property-tested); the switch exists for validation and
-    /// A/B timing.
+    /// The segment-extraction kernel; the sliding DFT is the only one. Kept for the
+    /// frozen benchmark harness, which reads it; ROADMAP item 1 deletes it.
     pub extraction: SegmentExtraction,
     /// Which density family the receiver fits to each bin from the preamble
     /// ([`BinDensity`](crate::interference_model::BinDensity)): the paper's exact
@@ -200,22 +180,19 @@ pub struct CpRecycleConfig {
     /// Gaussian fit. Like the decision stage, the backend is part of every
     /// campaign point key, so estimator sweeps are ordinary grid dimensions.
     pub model: ModelBackend,
-    /// Floating-point width of the sliding-DFT slides, the only kernels it
-    /// selects. [`KernelPrecision::F64`] is the reference and the default;
-    /// [`KernelPrecision::F32`] trades ≤ 1e-3 per-bin spectrum error for roughly
-    /// double the SIMD throughput on the slide.
+    /// Floating-point width of the sliding-DFT slides; `f64` is the only one. Kept for
+    /// the frozen benchmark harness, which reads it; ROADMAP item 1 deletes it.
     pub precision: KernelPrecision,
 }
 
-// Hand-written so the default `precision: F64` is *omitted*: campaign point keys
-// embed this Debug representation (`scenarios::LinkPoint::key`), and the derived
-// form would silently re-key — and re-seed — every existing F64 campaign the
-// moment the field was added. Only a non-default `F32` shows up, as a new key
-// dimension should. Keep the field order in sync with the struct.
+// Hand-written so `precision` is *omitted*: campaign point keys embed this Debug
+// representation (`scenarios::LinkPoint::key`), and the derived form would re-key —
+// and re-seed — every existing campaign and both benchmark corpora. Keep the field
+// order in sync with the struct.
 impl std::fmt::Debug for CpRecycleConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("CpRecycleConfig");
-        s.field("num_segments", &self.num_segments)
+        f.debug_struct("CpRecycleConfig")
+            .field("num_segments", &self.num_segments)
             .field("bandwidth_amplitude", &self.bandwidth_amplitude)
             .field("bandwidth_phase", &self.bandwidth_phase)
             .field("data_driven_bandwidth", &self.data_driven_bandwidth)
@@ -224,11 +201,8 @@ impl std::fmt::Debug for CpRecycleConfig {
             .field("min_bandwidth_amplitude", &self.min_bandwidth_amplitude)
             .field("min_bandwidth_phase", &self.min_bandwidth_phase)
             .field("extraction", &self.extraction)
-            .field("model", &self.model);
-        if self.precision != KernelPrecision::F64 {
-            s.field("precision", &self.precision);
-        }
-        s.finish()
+            .field("model", &self.model)
+            .finish()
     }
 }
 
@@ -357,21 +331,9 @@ impl CpRecycleConfigBuilder {
         self
     }
 
-    /// Selects the segment-extraction kernel.
-    pub fn extraction(mut self, extraction: SegmentExtraction) -> Self {
-        self.config.extraction = extraction;
-        self
-    }
-
     /// Selects the interference-estimator backend.
     pub fn model(mut self, model: ModelBackend) -> Self {
         self.config.model = model;
-        self
-    }
-
-    /// Selects the floating-point width of the vectorized inner kernels.
-    pub fn precision(mut self, precision: KernelPrecision) -> Self {
-        self.config.precision = precision;
         self
     }
 
@@ -460,7 +422,6 @@ mod tests {
             .isi_free_samples(Some(9))
             .min_bandwidth_amplitude(0.01)
             .min_bandwidth_phase(0.02)
-            .extraction(SegmentExtraction::Direct)
             .model(ModelBackend::Gaussian)
             .build();
         assert_eq!(c.num_segments, 4);
@@ -471,7 +432,6 @@ mod tests {
         assert_eq!(c.isi_free_samples, Some(9));
         assert_eq!(c.min_bandwidth_amplitude, 0.01);
         assert_eq!(c.min_bandwidth_phase, 0.02);
-        assert_eq!(c.extraction, SegmentExtraction::Direct);
         assert_eq!(c.model, ModelBackend::Gaussian);
         // The builder agrees with the one-field conveniences.
         assert_eq!(
@@ -488,30 +448,14 @@ mod tests {
 
     #[test]
     fn precision_defaults_to_f64_and_stays_out_of_the_default_key() {
-        let c = CpRecycleConfig::default();
-        assert_eq!(c.precision, KernelPrecision::F64);
-        assert_eq!(KernelPrecision::F64.label(), "F64");
-        assert_eq!(KernelPrecision::F32.label(), "F32");
-        // The Debug form — embedded in campaign point keys — must not change for
-        // F64 configs when the precision field is at its default…
-        let key = format!("{c:?}");
+        // The Debug form — embedded in campaign point keys — must omit precision.
+        let key = format!("{:?}", CpRecycleConfig::default());
         assert!(
             !key.contains("precision"),
             "default key must omit precision: {key}"
         );
         assert!(key.starts_with("CpRecycleConfig {"));
         assert!(key.contains("model: ExactKde"));
-        // …and an explicit F32 must show up as a new key dimension.
-        let f32_cfg = CpRecycleConfig::builder()
-            .precision(KernelPrecision::F32)
-            .build();
-        assert!(format!("{f32_cfg:?}").contains("precision: F32"));
-        assert_eq!(
-            CpRecycleConfig::builder()
-                .precision(KernelPrecision::F64)
-                .build(),
-            CpRecycleConfig::default()
-        );
     }
 
     #[test]

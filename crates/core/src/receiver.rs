@@ -25,7 +25,7 @@ use crate::config::{CpRecycleConfig, DecisionStage};
 use crate::decision;
 use crate::interference_model::InterferenceModel;
 use crate::segments::{
-    extract_segments_precise, interference_power_per_segment_with, SegmentScratch, SymbolSegments,
+    extract_segments_with, interference_power_per_segment_with, SegmentScratch, SymbolSegments,
 };
 use crate::Result;
 use obs::{NoopRecorder, Recorder, Span, StageTimer};
@@ -353,13 +353,11 @@ impl CpRecycleReceiver {
         for s in 0..num_symbols {
             let start = data_start + s * sym_len;
             let timer = StageTimer::start(obs, Span::new("extract", kind));
-            let segments = extract_segments_precise(
+            let segments = extract_segments_with(
                 &self.engine,
                 &samples[start..start + sym_len],
                 &estimate,
                 num_segments,
-                self.config.extraction,
-                self.config.precision,
                 scratch,
             )?;
             timer.finish(obs);
@@ -439,13 +437,7 @@ impl CpRecycleReceiver {
     ) -> Result<Vec<Complex>> {
         let genie_powers = genie_symbol
             .map(|genie| {
-                interference_power_per_segment_with(
-                    &self.engine,
-                    genie,
-                    num_segments,
-                    self.config.extraction,
-                    scratch,
-                )
+                interference_power_per_segment_with(&self.engine, genie, num_segments, scratch)
             })
             .transpose()?;
         Ok(decision::decide_symbol(
@@ -482,25 +474,11 @@ impl CpRecycleReceiver {
         // Symbol 2: CP = tail of long symbol 1, data = long symbol 2.
         let sym2_start = ltf_start + 2 * c + f - c;
         let sym_len = params.symbol_len();
-        let seg1 = extract_segments_precise(
-            &self.engine,
-            &samples[sym1_start..sym1_start + sym_len],
-            estimate,
-            num_segments,
-            self.config.extraction,
-            self.config.precision,
-            scratch,
-        )?;
-        let seg2 = extract_segments_precise(
-            &self.engine,
-            &samples[sym2_start..sym2_start + sym_len],
-            estimate,
-            num_segments,
-            self.config.extraction,
-            self.config.precision,
-            scratch,
-        )?;
-        Ok((seg1, seg2))
+        let mut extract = |start: usize| {
+            let symbol = &samples[start..start + sym_len];
+            extract_segments_with(&self.engine, symbol, estimate, num_segments, scratch)
+        };
+        Ok((extract(sym1_start)?, extract(sym2_start)?))
     }
 
     /// Trains a fresh interference model from the two long training symbols of the
@@ -536,13 +514,11 @@ impl CpRecycleReceiver {
         scratch: &mut SegmentScratch,
     ) -> Result<FrameInfo> {
         let params = self.engine.params();
-        let segments: SymbolSegments = extract_segments_precise(
+        let segments: SymbolSegments = extract_segments_with(
             &self.engine,
             symbol_samples,
             estimate,
             num_segments,
-            self.config.extraction,
-            self.config.precision,
             scratch,
         )?;
         let data_bins = params.data_bins();
@@ -819,54 +795,6 @@ mod tests {
         let decoded = rx1.decode_frame(&frame.samples, 0, None).unwrap();
         assert!(decoded.crc_ok);
         assert_eq!(decoded.payload.as_deref(), Some(&payload[..]));
-    }
-
-    #[test]
-    fn direct_and_sliding_extraction_decode_identically() {
-        // The config switch selects between the sliding-DFT kernel and the reference
-        // direct-FFT path; on an interfered capture both must reach the same
-        // subcarrier decisions (the kernels agree to ≤ 1e-9, far inside any decision
-        // margin the sphere decoder sees).
-        use crate::segments::SegmentExtraction;
-        let params = OfdmParams::ieee80211ag();
-        let tx = Transmitter::new(params.clone());
-        let rx_sliding = CpRecycleReceiver::new(params.clone(), CpRecycleConfig::default());
-        let rx_direct = CpRecycleReceiver::new(
-            params,
-            CpRecycleConfig {
-                extraction: SegmentExtraction::Direct,
-                ..Default::default()
-            },
-        );
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let mut awgn = AwgnChannel::new();
-        let payload = random_payload(80, 9);
-        let mcs = Mcs::paper_set()[1];
-        let info = FrameInfo {
-            mcs,
-            psdu_len: payload.len() + 4,
-        };
-        let frame = tx.build_frame(&payload, mcs, 0x5D).unwrap();
-        let intf = tx
-            .build_frame(&random_payload(200, 10), Mcs::paper_set()[2], 0x2F)
-            .unwrap();
-        let spec = InterfererSpec::new(intf.samples, 0.0017, 31.4, 0.0);
-        let mut received = combine(&frame.samples, &[spec]).unwrap().composite;
-        awgn.add_noise_snr(&mut rng, &mut received, 25.0).unwrap();
-
-        let out_sliding = rx_sliding.decode_frame(&received, 0, Some(info)).unwrap();
-        let out_direct = rx_direct.decode_frame(&received, 0, Some(info)).unwrap();
-        assert_eq!(out_sliding.psdu, out_direct.psdu);
-        assert_eq!(out_sliding.crc_ok, out_direct.crc_ok);
-        for (a, b) in out_sliding
-            .equalized_symbols
-            .iter()
-            .zip(&out_direct.equalized_symbols)
-        {
-            for (x, y) in a.iter().zip(b) {
-                assert!((*x - *y).norm() < 1e-12, "decisions diverged: {x} vs {y}");
-            }
-        }
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! ```
 //!
 //! where the per-bin factor `e^{+i2πf(C−w)/F}/Ĥ[f]` itself advances by one precomputed
-//! twiddle per slide. The direct per-segment FFT path is kept behind
-//! [`SegmentExtraction::Direct`] as the reference implementation; a property test
-//! asserts the two agree to ≤ 1e-9 for every valid `P`.
+//! twiddle per slide. The direct per-segment FFT — one FFT, phase correction and
+//! equalization per window — is the test oracle: the `segment_equivalence`
+//! integration test holds it and asserts the two agree to ≤ 1e-9 for every valid `P`.
 //!
 //! # Storage
 //!
@@ -41,18 +41,17 @@ use rfdsp::lanes::LANES;
 use rfdsp::sliding::SlidingDft;
 use rfdsp::Complex;
 
-/// Which kernel extracts the per-symbol FFT segments.
+/// The segment-extraction kernel: the sliding DFT is the only one.
+///
+/// A one-value type kept because the frozen benchmark harness reads
+/// `CpRecycleConfig::extraction`; ROADMAP item 1 deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SegmentExtraction {
     /// One seed FFT for the earliest window, then an `O(F)` one-sample slide per
     /// further segment with the Eq. 2 phase ramp and the equalization folded into the
-    /// update (the default; ~7× faster than [`Direct`](Self::Direct) at `P = 16`,
-    /// `F = 64` — see the README performance table).
+    /// update.
     #[default]
     Sliding,
-    /// The reference implementation: one direct FFT + phase correction + equalization
-    /// per segment. Kept selectable for validation and for A/B timing.
-    Direct,
 }
 
 /// The per-segment, per-bin observations extracted from one OFDM symbol.
@@ -79,19 +78,7 @@ impl SymbolSegments {
     ///
     /// Panics if `rows` is empty or the rows have unequal lengths.
     pub fn from_rows(rows: Vec<Vec<Complex>>) -> Self {
-        let num_segments = rows.len();
-        assert!(num_segments > 0, "at least one segment row is required");
-        let fft_size = rows[0].len();
-        assert!(
-            rows.iter().all(|r| r.len() == fft_size),
-            "all segment rows must have the same length"
-        );
-        let mut values = vec![Complex::zero(); num_segments * fft_size];
-        for (j, row) in rows.iter().enumerate() {
-            for (bin, v) in row.iter().enumerate() {
-                values[bin * num_segments + j] = *v;
-            }
-        }
+        let (num_segments, fft_size, values) = bin_major(&rows);
         SymbolSegments {
             num_segments,
             fft_size,
@@ -133,6 +120,29 @@ impl SymbolSegments {
     }
 }
 
+/// Transposes segment-major rows (`rows[segment][bin]`) into the flat bin-major
+/// layout, returning `(P, F, values)`.
+///
+/// # Panics
+///
+/// Panics if `rows` is empty or the rows have unequal lengths.
+fn bin_major<T: Copy + Default>(rows: &[Vec<T>]) -> (usize, usize, Vec<T>) {
+    let num_segments = rows.len();
+    assert!(num_segments > 0, "at least one segment row is required");
+    let fft_size = rows[0].len();
+    assert!(
+        rows.iter().all(|r| r.len() == fft_size),
+        "all segment rows must have the same length"
+    );
+    let mut values = vec![T::default(); num_segments * fft_size];
+    for (j, row) in rows.iter().enumerate() {
+        for (bin, v) in row.iter().enumerate() {
+            values[bin * num_segments + j] = *v;
+        }
+    }
+    (num_segments, fft_size, values)
+}
+
 /// Per-segment, per-bin interference power in the same flat **bin-major** layout as
 /// [`SymbolSegments`]: the `P` powers of one FFT bin are contiguous, so
 /// [`bin_powers`](Self::bin_powers) — the Oracle's access pattern — is an
@@ -154,19 +164,7 @@ impl SegmentPowers {
     ///
     /// Panics if `rows` is empty or the rows have unequal lengths.
     pub fn from_rows(rows: Vec<Vec<f64>>) -> Self {
-        let num_segments = rows.len();
-        assert!(num_segments > 0, "at least one segment row is required");
-        let fft_size = rows[0].len();
-        assert!(
-            rows.iter().all(|r| r.len() == fft_size),
-            "all segment rows must have the same length"
-        );
-        let mut values = vec![0.0; num_segments * fft_size];
-        for (j, row) in rows.iter().enumerate() {
-            for (bin, v) in row.iter().enumerate() {
-                values[bin * num_segments + j] = *v;
-            }
-        }
+        let (num_segments, fft_size, values) = bin_major(&rows);
         SegmentPowers {
             num_segments,
             fft_size,
@@ -220,17 +218,6 @@ pub struct SegmentScratch {
     spectrum: Vec<Complex>,
     /// Per-bin fused factor `e^{+i2πk·shift/F} / Ĥ[k]` of the current window.
     ramp: Vec<Complex>,
-    /// Split-plane f32 mirrors of `spectrum` / `ramp`, sized only when a
-    /// [`KernelPrecision::F32`] extraction runs: the reduced-precision slide kernel
-    /// works on separate re/im planes so LLVM vectorizes it at twice the f64 lane
-    /// width.
-    spectrum_re32: Vec<f32>,
-    /// Imaginary plane of the f32 spectrum mirror.
-    spectrum_im32: Vec<f32>,
-    /// Real plane of the f32 ramp mirror.
-    ramp_re32: Vec<f32>,
-    /// Imaginary plane of the f32 ramp mirror.
-    ramp_im32: Vec<f32>,
     /// Decision-stage buffers (candidate indices, the sphere decoder's deviation and
     /// log-likelihood planes) and sphere search counters, threaded by the receiver
     /// into [`decide_symbol`] so the whole extract → decide path is allocation-free
@@ -284,7 +271,7 @@ fn validate_symbol_len(engine: &OfdmEngine, symbol_samples: &[Complex]) -> Resul
 }
 
 /// Extracts `num_segments` equalised FFT segments from one received OFDM symbol with
-/// the default [`SegmentExtraction::Sliding`] kernel and a throwaway scratch.
+/// a throwaway scratch.
 ///
 /// * `symbol_samples` — the `C + F` samples of the symbol (CP included).
 /// * `estimate` — the per-packet channel estimate (shared across segments: all ISI-free
@@ -303,79 +290,20 @@ pub fn extract_segments(
     num_segments: usize,
 ) -> Result<SymbolSegments> {
     let mut scratch = SegmentScratch::new();
-    extract_segments_with(
-        engine,
-        symbol_samples,
-        estimate,
-        num_segments,
-        SegmentExtraction::Sliding,
-        &mut scratch,
-    )
+    extract_segments_with(engine, symbol_samples, estimate, num_segments, &mut scratch)
 }
 
-/// Extracts `num_segments` equalised FFT segments with an explicit kernel and reusable
-/// scratch — the hot-path entry point (see [`extract_segments`] for the parameter
-/// contract).
+/// Extracts `num_segments` equalised FFT segments with reusable scratch — the
+/// hot-path entry point (see [`extract_segments`] for the parameter contract): one
+/// seed FFT, then `P − 1` fused `O(F)` sliding updates.
 pub fn extract_segments_with(
     engine: &OfdmEngine,
     symbol_samples: &[Complex],
     estimate: &ChannelEstimate,
     num_segments: usize,
-    method: SegmentExtraction,
-    scratch: &mut SegmentScratch,
-) -> Result<SymbolSegments> {
-    extract_segments_precise(
-        engine,
-        symbol_samples,
-        estimate,
-        num_segments,
-        method,
-        KernelPrecision::F64,
-        scratch,
-    )
-}
-
-/// [`extract_segments_with`] with an explicit kernel precision.
-///
-/// [`KernelPrecision::F64`] is the reference path (what every other entry point
-/// runs). [`KernelPrecision::F32`] runs the `P − 1` fused slide updates on split
-/// f32 re/im planes — twice the SIMD lane width — and widens each observation back
-/// to f64 on store; the seed FFT and the Eq. 2 ramp initialisation stay in f64, so
-/// the rounding error is bounded by the slide recurrence alone (≤ 1e-3 per
-/// observation in practice, pinned by a test below). The
-/// [`SegmentExtraction::Direct`] reference kernel ignores `precision`.
-pub fn extract_segments_precise(
-    engine: &OfdmEngine,
-    symbol_samples: &[Complex],
-    estimate: &ChannelEstimate,
-    num_segments: usize,
-    method: SegmentExtraction,
-    precision: KernelPrecision,
     scratch: &mut SegmentScratch,
 ) -> Result<SymbolSegments> {
     validate_num_segments(engine, num_segments)?;
-    match method {
-        SegmentExtraction::Sliding => extract_sliding(
-            engine,
-            symbol_samples,
-            estimate,
-            num_segments,
-            precision,
-            scratch,
-        ),
-        SegmentExtraction::Direct => extract_direct(engine, symbol_samples, estimate, num_segments),
-    }
-}
-
-/// The sliding kernel: one seed FFT, then `P − 1` fused `O(F)` updates.
-fn extract_sliding(
-    engine: &OfdmEngine,
-    symbol_samples: &[Complex],
-    estimate: &ChannelEstimate,
-    num_segments: usize,
-    precision: KernelPrecision,
-    scratch: &mut SegmentScratch,
-) -> Result<SymbolSegments> {
     validate_symbol_len(engine, symbol_samples)?;
     let params = engine.params();
     let f = params.fft_size;
@@ -388,26 +316,7 @@ fn extract_sliding(
     }
     let p = num_segments;
     let s0 = c - (p - 1);
-    let _ = scratch.ensure(f);
-    if precision == KernelPrecision::F32 {
-        scratch.spectrum_re32.resize(f, 0.0);
-        scratch.spectrum_im32.resize(f, 0.0);
-        scratch.ramp_re32.resize(f, 0.0);
-        scratch.ramp_im32.resize(f, 0.0);
-    }
-    // Disjoint field borrows: the slide kernels need the plan, the f64 buffers and
-    // (for F32) the split planes simultaneously.
-    let SegmentScratch {
-        sliding,
-        spectrum,
-        ramp,
-        spectrum_re32,
-        spectrum_im32,
-        ramp_re32,
-        ramp_im32,
-        ..
-    } = scratch;
-    let sliding = sliding.as_ref().expect("plan just ensured");
+    let (sliding, spectrum, ramp) = scratch.ensure(f);
 
     // Seed: FFT of the earliest window, then fold phase ramp + equalizer into it.
     spectrum.copy_from_slice(&symbol_samples[s0..s0 + f]);
@@ -418,8 +327,7 @@ fn extract_sliding(
     let initial_shift = p - 1;
     if initial_shift == 0 {
         // P = 1: the standard window has no phase ramp, so the fused factor is just
-        // the equalizer. Branching here skips F `cis` calls — the difference between
-        // parity with and a measurable regression against the direct path at P = 1.
+        // the equalizer. Branching here skips F `cis` calls per symbol.
         for (k, r) in ramp.iter_mut().enumerate() {
             *r = estimate.inverse_gain(k);
         }
@@ -439,48 +347,36 @@ fn extract_sliding(
     // by one, so the slide twiddle cancels against the ramp step — the corrected,
     // equalised spectrum advances by a single multiply-add per bin, and the fused
     // per-bin factor steps down by one precomputed twiddle.
-    match precision {
-        KernelPrecision::F64 => {
-            let retreat = sliding.retreat_twiddles();
-            fused_slides_f64(
-                symbol_samples,
-                s0,
-                f,
-                p,
-                spectrum,
-                ramp,
-                retreat,
-                &mut values,
-            );
-        }
-        KernelPrecision::F32 => {
-            for k in 0..f {
-                spectrum_re32[k] = spectrum[k].re as f32;
-                spectrum_im32[k] = spectrum[k].im as f32;
-                ramp_re32[k] = ramp[k].re as f32;
-                ramp_im32[k] = ramp[k].im as f32;
-            }
-            let (retreat_re, retreat_im) = sliding.retreat_twiddles_f32();
-            fused_slides_f32(
-                symbol_samples,
-                s0,
-                f,
-                p,
-                spectrum_re32,
-                spectrum_im32,
-                ramp_re32,
-                ramp_im32,
-                retreat_re,
-                retreat_im,
-                &mut values,
-            );
-        }
-    }
+    fused_slides_f64(
+        symbol_samples,
+        s0,
+        f,
+        p,
+        spectrum,
+        ramp,
+        sliding.retreat_twiddles(),
+        &mut values,
+    );
     Ok(SymbolSegments {
         num_segments: p,
         fft_size: f,
         values,
     })
+}
+
+/// [`extract_segments_with`] with two one-value selectors, which it ignores. Kept
+/// because the frozen benchmark harness calls it; ROADMAP item 1 deletes it.
+#[doc(hidden)]
+pub fn extract_segments_precise(
+    engine: &OfdmEngine,
+    symbol_samples: &[Complex],
+    estimate: &ChannelEstimate,
+    num_segments: usize,
+    _method: SegmentExtraction,
+    _precision: KernelPrecision,
+    scratch: &mut SegmentScratch,
+) -> Result<SymbolSegments> {
+    extract_segments_with(engine, symbol_samples, estimate, num_segments, scratch)
 }
 
 /// The `P − 1` fused slide updates in f64, restructured into `LANES`-wide chunks so
@@ -533,93 +429,6 @@ fn fused_slides_f64(
     }
 }
 
-/// The reduced-precision slide updates: the same recurrence as [`fused_slides_f64`]
-/// on split f32 re/im planes (twice the SIMD lane width), widening each observation
-/// back to f64 on store. Error relative to the f64 path is bounded by f32 rounding
-/// across at most `P − 1 ≤ C` accumulation steps — well inside the 1e-3 budget the
-/// [`KernelPrecision::F32`] contract states.
-#[allow(clippy::too_many_arguments)]
-fn fused_slides_f32(
-    symbol_samples: &[Complex],
-    s0: usize,
-    f: usize,
-    p: usize,
-    spectrum_re: &mut [f32],
-    spectrum_im: &mut [f32],
-    ramp_re: &mut [f32],
-    ramp_im: &mut [f32],
-    retreat_re: &[f32],
-    retreat_im: &[f32],
-    values: &mut [Complex],
-) {
-    let main = f - f % LANES;
-    for j in 1..p {
-        let w = s0 + j - 1;
-        let delta = symbol_samples[w + f] - symbol_samples[w];
-        let dr = delta.re as f32;
-        let di = delta.im as f32;
-        for k0 in (0..main).step_by(LANES) {
-            let mut sr = [0.0f32; LANES];
-            let mut si = [0.0f32; LANES];
-            let mut nr = [0.0f32; LANES];
-            let mut ni = [0.0f32; LANES];
-            for l in 0..LANES {
-                let (rr, ri) = (ramp_re[k0 + l], ramp_im[k0 + l]);
-                let (tr, ti) = (retreat_re[k0 + l], retreat_im[k0 + l]);
-                sr[l] = spectrum_re[k0 + l] + (dr * rr - di * ri);
-                si[l] = spectrum_im[k0 + l] + (dr * ri + di * rr);
-                nr[l] = rr * tr - ri * ti;
-                ni[l] = rr * ti + ri * tr;
-            }
-            for l in 0..LANES {
-                spectrum_re[k0 + l] = sr[l];
-                spectrum_im[k0 + l] = si[l];
-                ramp_re[k0 + l] = nr[l];
-                ramp_im[k0 + l] = ni[l];
-                values[(k0 + l) * p + j] = Complex::new(sr[l] as f64, si[l] as f64);
-            }
-        }
-        for k in main..f {
-            let (rr, ri) = (ramp_re[k], ramp_im[k]);
-            let (tr, ti) = (retreat_re[k], retreat_im[k]);
-            let sr = spectrum_re[k] + (dr * rr - di * ri);
-            let si = spectrum_im[k] + (dr * ri + di * rr);
-            spectrum_re[k] = sr;
-            spectrum_im[k] = si;
-            ramp_re[k] = rr * tr - ri * ti;
-            ramp_im[k] = rr * ti + ri * tr;
-            values[k * p + j] = Complex::new(sr as f64, si as f64);
-        }
-    }
-}
-
-/// The reference kernel: one direct FFT + phase correction + equalization per segment.
-fn extract_direct(
-    engine: &OfdmEngine,
-    symbol_samples: &[Complex],
-    estimate: &ChannelEstimate,
-    num_segments: usize,
-) -> Result<SymbolSegments> {
-    let params = engine.params();
-    let f = params.fft_size;
-    let c = params.cp_len;
-    let p = num_segments;
-    let mut values = vec![Complex::zero(); p * f];
-    for j in 0..p {
-        let window_start = c - (p - 1) + j;
-        let bins = engine.demodulate_window(symbol_samples, window_start)?;
-        let equalized = estimate.equalize(&bins)?;
-        for (bin, v) in equalized.into_iter().enumerate() {
-            values[bin * p + j] = v;
-        }
-    }
-    Ok(SymbolSegments {
-        num_segments: p,
-        fft_size: f,
-        values,
-    })
-}
-
 /// Measures the interference power per segment and per bin by demodulating an
 /// *interference-only* waveform with the same segment windows (no equalisation — raw
 /// received interference power). Used by the Oracle receiver and by the Fig. 4a/4b
@@ -631,63 +440,42 @@ pub fn interference_power_per_segment(
     num_segments: usize,
 ) -> Result<SegmentPowers> {
     let mut scratch = SegmentScratch::new();
-    interference_power_per_segment_with(
-        engine,
-        interference_symbol,
-        num_segments,
-        SegmentExtraction::Sliding,
-        &mut scratch,
-    )
+    interference_power_per_segment_with(engine, interference_symbol, num_segments, &mut scratch)
 }
 
-/// [`interference_power_per_segment`] with an explicit kernel and reusable scratch —
-/// the hot-path entry point used by the Oracle arm of the link campaigns.
+/// [`interference_power_per_segment`] with reusable scratch — the hot-path entry
+/// point used by the Oracle arm of the link campaigns.
 pub fn interference_power_per_segment_with(
     engine: &OfdmEngine,
     interference_symbol: &[Complex],
     num_segments: usize,
-    method: SegmentExtraction,
     scratch: &mut SegmentScratch,
 ) -> Result<SegmentPowers> {
     validate_num_segments(engine, num_segments)?;
+    validate_symbol_len(engine, interference_symbol)?;
     let params = engine.params();
     let f = params.fft_size;
     let c = params.cp_len;
     let p = num_segments;
     let mut values = vec![0.0f64; p * f];
-    match method {
-        SegmentExtraction::Sliding => {
-            validate_symbol_len(engine, interference_symbol)?;
-            let s0 = c - (p - 1);
-            let (sliding, spectrum, _) = scratch.ensure(f);
-            // Phase corrections are unit-magnitude, so powers need only the raw
-            // sliding spectrum of each window.
-            spectrum.copy_from_slice(&interference_symbol[s0..s0 + f]);
+    let s0 = c - (p - 1);
+    let (sliding, spectrum, _) = scratch.ensure(f);
+    // Phase corrections are unit-magnitude, so powers need only the raw sliding
+    // spectrum of each window.
+    spectrum.copy_from_slice(&interference_symbol[s0..s0 + f]);
+    sliding
+        .plan()
+        .fft_in_place(spectrum)
+        .expect("scratch buffer sized to plan");
+    for j in 0..p {
+        if j > 0 {
+            let w = s0 + j - 1;
             sliding
-                .plan()
-                .fft_in_place(spectrum)
+                .slide(spectrum, interference_symbol[w], interference_symbol[w + f])
                 .expect("scratch buffer sized to plan");
-            for (bin, b) in spectrum.iter().enumerate() {
-                values[bin * p] = b.norm_sqr();
-            }
-            for j in 1..p {
-                let w = s0 + j - 1;
-                sliding
-                    .slide(spectrum, interference_symbol[w], interference_symbol[w + f])
-                    .expect("scratch buffer sized to plan");
-                for (bin, b) in spectrum.iter().enumerate() {
-                    values[bin * p + j] = b.norm_sqr();
-                }
-            }
         }
-        SegmentExtraction::Direct => {
-            for j in 0..p {
-                let window_start = c - (p - 1) + j;
-                let bins = engine.demodulate_window(interference_symbol, window_start)?;
-                for (bin, b) in bins.iter().enumerate() {
-                    values[bin * p + j] = b.norm_sqr();
-                }
-            }
+        for (bin, b) in spectrum.iter().enumerate() {
+            values[bin * p + j] = b.norm_sqr();
         }
     }
     Ok(SegmentPowers {
@@ -742,40 +530,6 @@ mod tests {
         let data_bins = e.params().data_bins();
         for (i, bin) in data_bins.iter().enumerate() {
             assert!((reference[*bin] - data[i]).norm() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn sliding_and_direct_kernels_agree() {
-        let e = engine();
-        let (time, _) = random_symbol(&e, 11);
-        // A non-trivial channel so the equalization path is exercised too.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        let pdp = PowerDelayProfile::exponential(3, 1.0).unwrap();
-        let chan = MultipathChannel::realize(&pdp, FadingKind::Rayleigh, &mut rng);
-        let est = ChannelEstimate {
-            h: chan.frequency_response(64),
-        };
-        let mut scratch = SegmentScratch::new();
-        for p in [1usize, 2, 5, 16, 17] {
-            let sliding =
-                extract_segments_with(&e, &time, &est, p, SegmentExtraction::Sliding, &mut scratch)
-                    .unwrap();
-            let direct =
-                extract_segments_with(&e, &time, &est, p, SegmentExtraction::Direct, &mut scratch)
-                    .unwrap();
-            for bin in 0..64 {
-                let a = sliding.bin_observations(bin);
-                let b = direct.bin_observations(bin);
-                for j in 0..p {
-                    assert!(
-                        (a[j] - b[j]).norm() < 1e-9,
-                        "P {p}, segment {j}, bin {bin}: {} vs {}",
-                        a[j],
-                        b[j]
-                    );
-                }
-            }
         }
     }
 
@@ -852,54 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_sliding_extraction_tracks_f64_within_budget() {
-        let e = engine();
-        let (time, _) = random_symbol(&e, 31);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
-        let pdp = PowerDelayProfile::exponential(3, 1.0).unwrap();
-        let chan = MultipathChannel::realize(&pdp, FadingKind::Rayleigh, &mut rng);
-        let est = ChannelEstimate {
-            h: chan.frequency_response(64),
-        };
-        let mut scratch = SegmentScratch::new();
-        for p in [1usize, 2, 5, 16, 17] {
-            let full = extract_segments_precise(
-                &e,
-                &time,
-                &est,
-                p,
-                SegmentExtraction::Sliding,
-                KernelPrecision::F64,
-                &mut scratch,
-            )
-            .unwrap();
-            let reduced = extract_segments_precise(
-                &e,
-                &time,
-                &est,
-                p,
-                SegmentExtraction::Sliding,
-                KernelPrecision::F32,
-                &mut scratch,
-            )
-            .unwrap();
-            for bin in 0..64 {
-                let a = full.bin_observations(bin);
-                let b = reduced.bin_observations(bin);
-                for j in 0..p {
-                    let scale = 1.0 + a[j].norm();
-                    assert!(
-                        (a[j] - b[j]).norm() < 1e-3 * scale,
-                        "P {p}, segment {j}, bin {bin}: {} vs {}",
-                        a[j],
-                        b[j]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn scratch_adapts_to_fft_size_changes() {
         // One scratch reused across numerologies must resize its plan and buffers.
         let e64 = engine();
@@ -916,22 +622,15 @@ mod tests {
             .collect();
         let mut scratch = SegmentScratch::new();
         for _ in 0..2 {
-            let s64 = extract_segments_with(
-                &e64,
-                &t64,
-                &ChannelEstimate::identity(64),
-                5,
-                SegmentExtraction::Sliding,
-                &mut scratch,
-            )
-            .unwrap();
+            let s64 =
+                extract_segments_with(&e64, &t64, &ChannelEstimate::identity(64), 5, &mut scratch)
+                    .unwrap();
             assert_eq!(s64.fft_size(), 64);
             let s128 = extract_segments_with(
                 &e128,
                 &t128,
                 &ChannelEstimate::identity(128),
                 9,
-                SegmentExtraction::Sliding,
                 &mut scratch,
             )
             .unwrap();
@@ -1064,44 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn interference_power_kernels_agree() {
-        let e = engine();
-        let (wave, _) = random_symbol(&e, 15);
-        let mut scratch = SegmentScratch::new();
-        for p in [1usize, 4, 17] {
-            let sliding = interference_power_per_segment_with(
-                &e,
-                &wave,
-                p,
-                SegmentExtraction::Sliding,
-                &mut scratch,
-            )
-            .unwrap();
-            let direct = interference_power_per_segment_with(
-                &e,
-                &wave,
-                p,
-                SegmentExtraction::Direct,
-                &mut scratch,
-            )
-            .unwrap();
-            assert_eq!(sliding.num_segments(), p);
-            for bin in 0..64 {
-                let a = sliding.bin_powers(bin);
-                let b = direct.bin_powers(bin);
-                for j in 0..p {
-                    assert!(
-                        (a[j] - b[j]).abs() < 1e-9 * (1.0 + a[j].max(b[j])),
-                        "P {p}, segment {j}, bin {bin}: {} vs {}",
-                        a[j],
-                        b[j]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn invalid_segment_counts_are_rejected() {
         let e = engine();
         let (time, _) = random_symbol(&e, 9);
@@ -1110,20 +771,11 @@ mod tests {
         assert!(extract_segments(&e, &time, &est, 18).is_err());
         assert!(interference_power_per_segment(&e, &time, 0).is_err());
         assert!(interference_power_per_segment(&e, &time, 18).is_err());
-        // Both kernels also reject truncated symbols and mismatched estimates.
+        // Truncated symbols and mismatched estimates are rejected too.
         let mut scratch = SegmentScratch::new();
-        for method in [SegmentExtraction::Sliding, SegmentExtraction::Direct] {
-            assert!(extract_segments_with(&e, &time[..40], &est, 4, method, &mut scratch).is_err());
-        }
+        assert!(extract_segments_with(&e, &time[..40], &est, 4, &mut scratch).is_err());
+        assert!(interference_power_per_segment_with(&e, &time[..40], 4, &mut scratch).is_err());
         let short_est = ChannelEstimate::identity(32);
-        assert!(extract_segments_with(
-            &e,
-            &time,
-            &short_est,
-            4,
-            SegmentExtraction::Sliding,
-            &mut scratch
-        )
-        .is_err());
+        assert!(extract_segments_with(&e, &time, &short_est, 4, &mut scratch).is_err());
     }
 }

@@ -1,10 +1,13 @@
 //! Property tests for the sliding-DFT segment-extraction kernel (the tentpole
 //! invariant of the receiver hot path): across random symbols, FFT sizes and every
 //! valid segment count, the `O(F)`-per-segment sliding kernel must agree with the
-//! direct per-segment FFT reference to ≤ 1e-9, and with one segment the CPRecycle
+//! direct per-segment FFT oracle below to ≤ 1e-9, and with one segment the CPRecycle
 //! receiver must still degrade to the standard receiver bit-for-bit.
 
-use cprecycle::segments::{extract_segments_with, SegmentExtraction, SegmentScratch};
+use cprecycle::segments::{
+    extract_segments_with, interference_power_per_segment_with, SegmentPowers, SegmentScratch,
+    SymbolSegments,
+};
 use cprecycle::{CpRecycleConfig, CpRecycleReceiver};
 use ofdmphy::chanest::ChannelEstimate;
 use ofdmphy::frame::{Mcs, Transmitter};
@@ -15,6 +18,41 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rfdsp::Complex;
 use wirelesschan::awgn::AwgnChannel;
+
+/// The oracle's raw spectra: one direct FFT per segment window, Eq. 2 phase ramp
+/// corrected (`OfdmEngine::demodulate_window`), as `rows[segment][bin]`. Segment `j`
+/// starts at sample `C − (P − 1) + j`, so the last one is the standard window.
+fn direct_windows(engine: &OfdmEngine, symbol: &[Complex], p: usize) -> Vec<Vec<Complex>> {
+    let c = engine.params().cp_len;
+    (0..p)
+        .map(|j| engine.demodulate_window(symbol, c - (p - 1) + j).unwrap())
+        .collect()
+}
+
+/// The direct-FFT oracle for [`extract_segments_with`]: every window equalized by the
+/// channel estimate.
+fn direct_segments(
+    engine: &OfdmEngine,
+    symbol: &[Complex],
+    estimate: &ChannelEstimate,
+    p: usize,
+) -> SymbolSegments {
+    let rows = direct_windows(engine, symbol, p)
+        .iter()
+        .map(|bins| estimate.equalize(bins).unwrap())
+        .collect();
+    SymbolSegments::from_rows(rows)
+}
+
+/// The direct-FFT oracle for [`interference_power_per_segment_with`]: raw power per
+/// window and bin (phase corrections are unit-magnitude, and powers are unequalized).
+fn direct_powers(engine: &OfdmEngine, wave: &[Complex], p: usize) -> SegmentPowers {
+    let rows = direct_windows(engine, wave, p)
+        .iter()
+        .map(|bins| bins.iter().map(|b| b.norm_sqr()).collect())
+        .collect();
+    SegmentPowers::from_rows(rows)
+}
 
 /// An 802.11a/g-style numerology at the requested FFT size (64 keeps the real a/g tone
 /// map; 128 keeps the ±26 occupancy with a 32-sample CP, the same layout the receiver
@@ -65,9 +103,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The tentpole invariant: for FFT sizes 64 and 128 and **every** valid segment
-    /// count `P ∈ {1..C+1}`, the sliding and direct kernels agree to ≤ 1e-9 on every
-    /// (segment, bin) observation — including through random multipath-like channel
-    /// estimates with occasional degenerate bins.
+    /// count `P ∈ {1..C+1}`, the sliding kernel and the direct oracle agree to ≤ 1e-9
+    /// on every (segment, bin) observation — including through random multipath-like
+    /// channel estimates with occasional degenerate bins.
     #[test]
     fn sliding_equals_direct_for_all_valid_p(symbol_seed in any::<u64>(), h_seed in any::<u64>()) {
         for fft_size in [64usize, 128] {
@@ -77,13 +115,11 @@ proptest! {
             let estimate = random_estimate(fft_size, h_seed ^ fft_size as u64);
             let mut scratch = SegmentScratch::new();
             for p in 1..=params.cp_len + 1 {
-                let sliding = extract_segments_with(
-                    &engine, &symbol, &estimate, p, SegmentExtraction::Sliding, &mut scratch,
-                ).unwrap();
-                let direct = extract_segments_with(
-                    &engine, &symbol, &estimate, p, SegmentExtraction::Direct, &mut scratch,
-                ).unwrap();
+                let sliding =
+                    extract_segments_with(&engine, &symbol, &estimate, p, &mut scratch).unwrap();
+                let direct = direct_segments(&engine, &symbol, &estimate, p);
                 prop_assert_eq!(sliding.num_segments(), p);
+                prop_assert_eq!(sliding.fft_size(), fft_size);
                 for bin in 0..fft_size {
                     let a = sliding.bin_observations(bin);
                     let b = direct.bin_observations(bin);
@@ -99,47 +135,44 @@ proptest! {
         }
     }
 
-    /// The raw spectra the two kernels produce stay interchangeable downstream: the
-    /// interference-power profiles (which feed the Oracle) agree to relative 1e-9.
+    /// The interference-power profiles (which feed the Oracle decision stage) agree
+    /// with the direct oracle to relative 1e-9, for FFT sizes 64 and 128 and every
+    /// valid `P`.
     #[test]
     fn interference_power_kernels_agree(seed in any::<u64>()) {
-        use cprecycle::segments::interference_power_per_segment_with;
-        let params = OfdmParams::ieee80211ag();
-        let engine = OfdmEngine::new(params.clone());
-        let wave = random_symbol(params.symbol_len(), seed);
-        let mut scratch = SegmentScratch::new();
-        for p in 1..=params.cp_len + 1 {
-            let sliding = interference_power_per_segment_with(
-                &engine, &wave, p, SegmentExtraction::Sliding, &mut scratch,
-            ).unwrap();
-            let direct = interference_power_per_segment_with(
-                &engine, &wave, p, SegmentExtraction::Direct, &mut scratch,
-            ).unwrap();
-            for bin in 0..params.fft_size {
-                for (a, b) in sliding.bin_powers(bin).iter().zip(direct.bin_powers(bin)) {
-                    prop_assert!((a - b).abs() <= 1e-9 * (1.0 + a.max(*b)));
+        for fft_size in [64usize, 128] {
+            let params = params_for(fft_size);
+            let engine = OfdmEngine::new(params.clone());
+            let wave = random_symbol(params.symbol_len(), seed ^ fft_size as u64);
+            let mut scratch = SegmentScratch::new();
+            for p in 1..=params.cp_len + 1 {
+                let sliding =
+                    interference_power_per_segment_with(&engine, &wave, p, &mut scratch).unwrap();
+                let direct = direct_powers(&engine, &wave, p);
+                prop_assert_eq!(sliding.num_segments(), p);
+                for bin in 0..fft_size {
+                    for (a, b) in sliding.bin_powers(bin).iter().zip(direct.bin_powers(bin)) {
+                        prop_assert!(
+                            (a - b).abs() <= 1e-9 * (1.0 + a.max(*b)),
+                            "F {}, P {}, bin {}: {} vs {}",
+                            fft_size, p, bin, a, b
+                        );
+                    }
                 }
             }
         }
     }
 }
 
-/// Regression: with `P = 1` the CPRecycle receiver — on either extraction kernel —
-/// still degrades to the standard receiver bit-for-bit: same decoded PSDU, same FCS
-/// verdict, same payload, across several noisy captures.
+/// Regression: with `P = 1` the CPRecycle receiver still degrades to the standard
+/// receiver bit-for-bit: same decoded PSDU, same FCS verdict, same payload, across
+/// several noisy captures.
 #[test]
 fn single_segment_degrades_to_standard_receiver_bit_for_bit() {
     let params = OfdmParams::ieee80211ag();
     let tx = Transmitter::new(params.clone());
     let standard = StandardReceiver::new(params.clone());
-    let sliding_rx = CpRecycleReceiver::new(params.clone(), CpRecycleConfig::with_segments(1));
-    let direct_rx = CpRecycleReceiver::new(
-        params,
-        CpRecycleConfig::builder()
-            .num_segments(1)
-            .extraction(SegmentExtraction::Direct)
-            .build(),
-    );
+    let rx = CpRecycleReceiver::new(params, CpRecycleConfig::with_segments(1));
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0DE);
     let mut awgn = AwgnChannel::new();
     for (trial, mcs) in Mcs::paper_set().iter().take(3).enumerate() {
@@ -148,15 +181,13 @@ fn single_segment_degrades_to_standard_receiver_bit_for_bit() {
         let mut noisy = frame.samples.clone();
         awgn.add_noise_snr(&mut rng, &mut noisy, 22.0).unwrap();
         let std_out = standard.decode_frame(&noisy, 0, None).unwrap();
-        for (name, rx) in [("sliding", &sliding_rx), ("direct", &direct_rx)] {
-            let cp_out = rx.decode_frame(&noisy, 0, None).unwrap();
-            assert_eq!(
-                cp_out.psdu, std_out.psdu,
-                "trial {trial} ({name}): PSDU bits diverged from the standard receiver"
-            );
-            assert_eq!(cp_out.crc_ok, std_out.crc_ok, "trial {trial} ({name})");
-            assert_eq!(cp_out.payload, std_out.payload, "trial {trial} ({name})");
-            assert_eq!(cp_out.info.mcs, *mcs, "trial {trial} ({name})");
-        }
+        let cp_out = rx.decode_frame(&noisy, 0, None).unwrap();
+        assert_eq!(
+            cp_out.psdu, std_out.psdu,
+            "trial {trial}: PSDU bits diverged from the standard receiver"
+        );
+        assert_eq!(cp_out.crc_ok, std_out.crc_ok, "trial {trial}");
+        assert_eq!(cp_out.payload, std_out.payload, "trial {trial}");
+        assert_eq!(cp_out.info.mcs, *mcs, "trial {trial}");
     }
 }

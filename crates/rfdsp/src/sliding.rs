@@ -54,9 +54,6 @@ pub struct SlidingDft {
     /// `e^{−i2πk/N}` per bin: the conjugate table, used by callers that maintain a
     /// per-bin phase ramp shrinking as the window advances (CPRecycle Eq. 2).
     retreat: Vec<Complex>,
-    /// Split-plane `f32` copies of `retreat` for reduced-precision ramp maintenance.
-    retreat_re32: Vec<f32>,
-    retreat_im32: Vec<f32>,
 }
 
 impl SlidingDft {
@@ -74,14 +71,10 @@ impl SlidingDft {
             advance.push(Complex::cis(theta));
             retreat.push(Complex::cis(-theta));
         }
-        let retreat_re32 = retreat.iter().map(|w| w.re as f32).collect();
-        let retreat_im32 = retreat.iter().map(|w| w.im as f32).collect();
         SlidingDft {
             plan,
             advance,
             retreat,
-            retreat_re32,
-            retreat_im32,
         }
     }
 
@@ -116,13 +109,6 @@ impl SlidingDft {
     #[inline]
     pub fn retreat_twiddles(&self) -> &[Complex] {
         &self.retreat
-    }
-
-    /// Split-plane `f32` view of the retreat twiddles, for callers maintaining a
-    /// reduced-precision phase ramp (`(re, im)` planes).
-    #[inline]
-    pub fn retreat_twiddles_f32(&self) -> (&[f32], &[f32]) {
-        (&self.retreat_re32, &self.retreat_im32)
     }
 
     /// Advances `spectrum` from the DFT of window `x[t..t+N]` to the DFT of window
@@ -211,9 +197,6 @@ mod tests {
             assert!((plan.advance_twiddles()[k].norm() - 1.0).abs() < 1e-12);
         }
         assert_eq!(plan.advance_twiddles()[0], Complex::one());
-        let (rre, rim) = plan.retreat_twiddles_f32();
-        assert_eq!(rre.len(), n);
-        assert_eq!(rim.len(), n);
     }
 
     #[test]

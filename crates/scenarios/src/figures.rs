@@ -26,7 +26,7 @@ use crate::Result;
 use cprecycle::oracle;
 use cprecycle::segments::{
     extract_segments, extract_segments_with, interference_power_per_segment,
-    interference_power_per_segment_with, SegmentExtraction, SegmentScratch,
+    interference_power_per_segment_with, SegmentScratch,
 };
 use cprecycle::{
     CpRecycleConfig, CpRecycleReceiver, DecisionStage, ModelBackend, ModelPersistence,
@@ -944,7 +944,6 @@ fn fig4a(scale: &FigureScale) -> Result<ExperimentResult> {
             &engine,
             &output.interference_only[start..start + sym_len],
             17,
-            SegmentExtraction::Sliding,
             &mut scratch,
         )?;
         let selection = oracle::select_best_segments(&powers);
@@ -1117,7 +1116,6 @@ fn fig6b(scale: &FigureScale) -> Result<ExperimentResult> {
                 &output.received[start..start + sym_len],
                 &estimate,
                 num_segments,
-                SegmentExtraction::Sliding,
                 &mut scratch,
             )?;
             let tx_value = frame.data_subcarrier_values[s][bin_col];

@@ -718,49 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_kernels_track_f64_psr_at_the_aci_operating_point() {
-        // Whole-frame pin of the f32 sliding-DFT kernels: at the Fig. 14 operating
-        // point (QPSK 1/2, adjacent-channel interferer at +15 MHz, P = 16), a
-        // receiver sliding its segments in f32 must land within one packet of the
-        // f64 reference. The slide's per-observation error is far below the
-        // constellation's decision distances, so decisions should not flip at all.
-        // This is the only end-to-end check on `KernelPrecision::F32`.
-        use cprecycle::KernelPrecision;
-        let params = OfdmParams::ieee80211ag();
-        let scenario = Scenario::Aci(AciScenario {
-            sir_db: -12.0,
-            channel_offset_hz: Some(15e6),
-            ..Default::default()
-        });
-        let qpsk_half = Mcs {
-            modulation: Modulation::Qpsk,
-            code_rate: CodeRate::Half,
-        };
-        let base = CpRecycleConfig::builder().num_segments(16);
-        let receivers = vec![
-            ReceiverKind::CpRecycle(base.build()),
-            ReceiverKind::CpRecycle(base.precision(KernelPrecision::F32).build()),
-        ];
-        let config = MonteCarloConfig {
-            packets: 10,
-            payload_len: 60,
-            seed: 11,
-        };
-        let psr = packet_success_rate(&params, qpsk_half, &scenario, &receivers, &config).unwrap();
-        assert!(
-            psr[0] > 50.0,
-            "operating point should be decodable in f64, got PSR {}",
-            psr[0]
-        );
-        assert!(
-            (psr[0] - psr[1]).abs() <= 10.0 + 1e-12,
-            "f32 PSR {} strayed from f64 PSR {}",
-            psr[1],
-            psr[0]
-        );
-    }
-
-    #[test]
     fn oracle_upper_bounds_the_naive_decoder_under_aci() {
         let params = OfdmParams::ieee80211ag();
         let scenario = Scenario::Aci(AciScenario {

@@ -8,8 +8,7 @@
 //! * [`multipath`] — tapped-delay-line multipath with indoor power-delay profiles
 //!   (nanosecond-scale delay spreads, per the measurement studies the paper cites) and
 //!   Rayleigh or Rician tap fading.
-//! * [`impairments`] — carrier frequency offset and Wiener phase noise (the
-//!   oscillator effects discussed in §3.3).
+//! * [`impairments`] — carrier frequency offset.
 //! * [`frontend`] — transmitter front-end nonidealities: Rapp-model power-amplifier
 //!   nonlinearity (the spectral regrowth responsible for adjacent-channel leakage) and
 //!   IQ imbalance.
