@@ -23,8 +23,9 @@
 //!
 //! where the per-bin factor `e^{+i2πf(C−w)/F}/Ĥ[f]` itself advances by one precomputed
 //! twiddle per slide. The direct per-segment FFT — one FFT, phase correction and
-//! equalization per window — is the test oracle: the `segment_equivalence`
-//! integration test holds it and asserts the two agree to ≤ 1e-9 for every valid `P`.
+//! equalization per window — is the test oracle: the unit tests below and the
+//! `segment_equivalence` integration test assert the two agree to ≤ 1e-9 (the latter
+//! for every valid `P`).
 //!
 //! # Storage
 //!
@@ -533,6 +534,49 @@ mod tests {
         }
     }
 
+    /// One direct, phase-corrected FFT per segment window, as `rows[segment][bin]`.
+    fn direct_windows(engine: &OfdmEngine, symbol: &[Complex], p: usize) -> Vec<Vec<Complex>> {
+        let c = engine.params().cp_len;
+        (0..p)
+            .map(|j| engine.demodulate_window(symbol, c - (p - 1) + j).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn sliding_and_direct_kernels_agree() {
+        let e = engine();
+        let (time, _) = random_symbol(&e, 11);
+        // A non-trivial channel so the equalization path is exercised too.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let pdp = PowerDelayProfile::exponential(3, 1.0).unwrap();
+        let chan = MultipathChannel::realize(&pdp, FadingKind::Rayleigh, &mut rng);
+        let est = ChannelEstimate {
+            h: chan.frequency_response(64),
+        };
+        let mut scratch = SegmentScratch::new();
+        for p in [1usize, 2, 5, 16, 17] {
+            let sliding = extract_segments_with(&e, &time, &est, p, &mut scratch).unwrap();
+            let direct = SymbolSegments::from_rows(
+                direct_windows(&e, &time, p)
+                    .iter()
+                    .map(|bins| est.equalize(bins).unwrap())
+                    .collect(),
+            );
+            for bin in 0..64 {
+                let a = sliding.bin_observations(bin);
+                let b = direct.bin_observations(bin);
+                for j in 0..p {
+                    assert!(
+                        (a[j] - b[j]).norm() < 1e-9,
+                        "P {p}, segment {j}, bin {bin}: {} vs {}",
+                        a[j],
+                        b[j]
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn lane_restructure_matches_the_scalar_recurrence() {
         // The chunked f64 slide kernel must be bit-for-bit identical to the plain
@@ -760,6 +804,35 @@ mod tests {
             max / min.max(1e-12) > 2.0,
             "interference should vary across segments: min {min}, max {max}"
         );
+    }
+
+    #[test]
+    fn interference_power_kernels_agree() {
+        let e = engine();
+        let (wave, _) = random_symbol(&e, 15);
+        let mut scratch = SegmentScratch::new();
+        for p in [1usize, 4, 17] {
+            let sliding = interference_power_per_segment_with(&e, &wave, p, &mut scratch).unwrap();
+            let direct = SegmentPowers::from_rows(
+                direct_windows(&e, &wave, p)
+                    .iter()
+                    .map(|bins| bins.iter().map(|b| b.norm_sqr()).collect())
+                    .collect(),
+            );
+            assert_eq!(sliding.num_segments(), p);
+            for bin in 0..64 {
+                let a = sliding.bin_powers(bin);
+                let b = direct.bin_powers(bin);
+                for j in 0..p {
+                    assert!(
+                        (a[j] - b[j]).abs() < 1e-9 * (1.0 + a[j].max(b[j])),
+                        "P {p}, segment {j}, bin {bin}: {} vs {}",
+                        a[j],
+                        b[j]
+                    );
+                }
+            }
+        }
     }
 
     #[test]
